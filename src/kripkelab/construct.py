@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .formula import Formula, parse
-from .frame import Frame, leaves, leq, up_set
+from .frame import Frame, leaves, leq, linear_extension, up_set
 from .semantics import KripkeSet, Structure, forced_equal, forced_member, forces
 
 
@@ -121,7 +121,6 @@ def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...
     forced equality.  The literal mode enumerates raw member subsets and is
     only sensible on the smallest frames.
     """
-    order = sorted(f.nodes, key=lambda n: (-len(up_set(f, n)), f.nodes.index(n)))
     if quotient:
         classes = {tau: t_classes_at(f, tau) for tau in f.nodes}
     else:
@@ -131,7 +130,7 @@ def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...
         for tau in f.nodes
     }
     builds: list[dict[str, frozenset[int]]] = [{}]
-    for tau in order:
+    for tau in linear_extension(f):
         grown: list[dict[str, frozenset[int]]] = []
         for chosen in builds:
             required: set[int] = set()
@@ -283,9 +282,8 @@ def is_branch(s: Structure, sigma: str, b: KripkeSet, q: KripkeSet) -> bool:
     return forces(s, sigma, branch_formula(), extra_names={"B": b, "Q": q})
 
 
-def externalize(f_or_s, b: KripkeSet, tau: str) -> tuple[str, ...]:
+def externalize(f: Frame, b: KripkeSet, tau: str) -> tuple[str, ...]:
     """The nodes rho >= tau whose delayed one is forced into b at tau."""
-    f: Frame = getattr(f_or_s, "frame", f_or_s)
     return tuple(
         rho for rho in up_set(f, tau) if forced_member(f, tau, one_sigma(f, rho), b)
     )

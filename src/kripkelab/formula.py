@@ -239,7 +239,10 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(_tokenize(text))
-    phi = p.formula()
+    try:
+        phi = p.formula()
+    except RecursionError:
+        raise ParseError("formula nests too deeply") from None
     if p.peek() is not None:
         raise ParseError(f"trailing tokens starting at {p.peek()!r}")
     return phi
@@ -328,27 +331,16 @@ def is_delta0(phi: Formula) -> bool:
     return phi.bound is not None and is_delta0(phi.body)
 
 
-def _is_sigma(phi: Formula) -> bool:
+def _is_prefixed(phi: Formula, unbounded: type) -> bool:
+    """The Sigma shape for `unbounded=Exists`, the Pi shape for `Forall`:
+    only that quantifier may go unbounded, and never under ~ or ->."""
     if is_delta0(phi):
         return True
     if isinstance(phi, (And, Or)):
-        return _is_sigma(phi.left) and _is_sigma(phi.right)
-    if isinstance(phi, Exists):
-        return _is_sigma(phi.body)
-    if isinstance(phi, Forall):
-        return phi.bound is not None and _is_sigma(phi.body)
-    return False
-
-
-def _is_pi(phi: Formula) -> bool:
-    if is_delta0(phi):
-        return True
-    if isinstance(phi, (And, Or)):
-        return _is_pi(phi.left) and _is_pi(phi.right)
-    if isinstance(phi, Forall):
-        return _is_pi(phi.body)
-    if isinstance(phi, Exists):
-        return phi.bound is not None and _is_pi(phi.body)
+        return _is_prefixed(phi.left, unbounded) and _is_prefixed(phi.right, unbounded)
+    if isinstance(phi, (Exists, Forall)):
+        ok = isinstance(phi, unbounded) or phi.bound is not None
+        return ok and _is_prefixed(phi.body, unbounded)
     return False
 
 
@@ -356,9 +348,9 @@ def classify(phi: Formula) -> str:
     """One of "Delta0", "Sigma", "Pi", "General" (structural, not semantic)."""
     if is_delta0(phi):
         return "Delta0"
-    if _is_sigma(phi):
+    if _is_prefixed(phi, Exists):
         return "Sigma"
-    if _is_pi(phi):
+    if _is_prefixed(phi, Forall):
         return "Pi"
     return "General"
 
@@ -472,17 +464,23 @@ def enumerate_delta0(
     return [phi for layer in layers for phi in layer]
 
 
+def _wrapped(
+    cls: type, max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
+) -> list[Formula]:
+    out = list(enumerate_delta0(max_depth, variables, params))
+    if max_depth >= 1:
+        inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
+        out.extend(cls("q", None, phi) for phi in inner)
+    return out
+
+
 def enumerate_sigma(
     max_depth: int,
     variables: tuple[str, ...] = ("x", "y"),
     params: tuple[str, ...] = (),
 ) -> list[Formula]:
     """Bounded formulas plus one unbounded existential wrapper."""
-    out = list(enumerate_delta0(max_depth, variables, params))
-    if max_depth >= 1:
-        inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
-        out.extend(Exists("q", None, phi) for phi in inner)
-    return out
+    return _wrapped(Exists, max_depth, variables, params)
 
 
 def enumerate_pi(
@@ -491,8 +489,4 @@ def enumerate_pi(
     params: tuple[str, ...] = (),
 ) -> list[Formula]:
     """Bounded formulas plus one unbounded universal wrapper."""
-    out = list(enumerate_delta0(max_depth, variables, params))
-    if max_depth >= 1:
-        inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
-        out.extend(Forall("q", None, phi) for phi in inner)
-    return out
+    return _wrapped(Forall, max_depth, variables, params)

@@ -97,6 +97,12 @@ def compatible(f: Frame, a: str, b: str) -> bool:
     return any(c in bs for c in f.up[a])
 
 
+def linear_extension(f: Frame) -> list[str]:
+    """The nodes ordered so that each one follows every node below it."""
+    # strictly below implies a strictly larger up-set
+    return sorted(f.nodes, key=lambda n: (-len(f.up[n]), f.index(n)))
+
+
 def leaves(f: Frame) -> tuple[str, ...]:
     return tuple(n for n in f.nodes if len(f.up[n]) == 1)
 

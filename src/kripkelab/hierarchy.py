@@ -3,11 +3,19 @@ and inductive fixed points.
 
 The definability engine works per birth node.  It represents a candidate
 definable subset as a map from the cone nodes to bitmasks over the universe
-there, seeds the pool with atomic membership and equality maps, and closes
-under the connective and quantifier operations round by round.  Maps are
-saturated under forced equality automatically because the atoms are, so
-distinct maps denote semantically distinct sets and map equality is an exact
-deduplication rule.
+there (or over its pairs, for maps of two variables), seeds the pool with
+atomic membership and equality maps, and closes under the connective and
+quantifier operations round by round.  Maps are saturated under forced
+equality automatically because the atoms are, so distinct maps denote
+semantically distinct sets and map equality is an exact deduplication rule.
+
+Conjunction, disjunction and the existential binder are local to a node.
+Negation, implication and the universal binder all sweep the cone, and all
+are one Heyting interior: keep the positions whose image at every node above
+lies outside a "bad" mask.  `_Engine.interior` is that sweep; it reads
+forward-position tables built once per engine.  Negation takes the map
+itself as the bad mask, implication `m1 & ~m2`, and the universal binder the
+positions with a missing pair in the binder's domain.
 
 The fragment is bounded on purpose: one live bound variable besides the
 defined one (relation maps of arity two), round count given by
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, free_vars, is_positive_in
-from .frame import Frame, leq, up_set
+from .frame import Frame, leq, linear_extension, up_set
 from .construct import branch_formula, p_hat
 from .semantics import (
     KripkeSet,
@@ -54,11 +62,16 @@ class DefConfig:
 # ------------------------------------------------------ structure assembly
 
 
-def hereditary_closure(sets: tuple[KripkeSet, ...]) -> dict[str, tuple[KripkeSet, ...]]:
-    """Per-node universe holding the given sets and all members, recursively."""
-    if not sets:
+def hereditary_closure(
+    sets: tuple[KripkeSet, ...], seeds: tuple[KripkeSet, ...] = ()
+) -> dict[str, tuple[KripkeSet, ...]]:
+    """Per-node universe holding the given sets and all members, recursively.
+
+    The members of each seed (not the seed itself) come first, node by node.
+    """
+    if not sets and not seeds:
         raise ValueError("need at least one set")
-    f = sets[0].frame
+    f = (seeds + sets)[0].frame
     per_node: dict[str, dict[int, KripkeSet]] = {tau: {} for tau in f.nodes}
 
     def add(x: KripkeSet, tau: str) -> None:
@@ -68,8 +81,12 @@ def hereditary_closure(sets: tuple[KripkeSet, ...]) -> dict[str, tuple[KripkeSet
         for m in x.ext[tau]:
             add(m, tau)
 
-    for x in sets:
-        for tau in f.nodes:
+    for tau in f.nodes:
+        for x in seeds:
+            if alive(x, tau):
+                for m in x.ext[tau]:
+                    add(m, tau)
+        for x in sets:
             if alive(x, tau):
                 add(x, tau)
     return {tau: tuple(per_node[tau].values()) for tau in f.nodes}
@@ -94,13 +111,6 @@ def _shared_empty(f: Frame) -> Structure:
     if "empty_base" not in cache:
         cache["empty_base"] = empty_structure(f)
     return cache["empty_base"]
-
-
-def _topo(f: Frame) -> list[str]:
-    # strictly below implies a strictly larger up-set, so this sort is a
-    # linear extension of the frame order
-    order = {n: i for i, n in enumerate(f.nodes)}
-    return sorted(f.nodes, key=lambda n: (-len(f.up[n]), order[n]))
 
 
 # --------------------------------------------------------- the def engine
@@ -131,195 +141,146 @@ def _zero_decidable_zone(s: Structure, f: Frame) -> dict[str, bool]:
 
 
 class _Engine:
-    """Bitmask closure over one birth node of one base structure."""
+    """Bitmask closure over one birth node of one base structure.
+
+    A map holds one bitmask per cone node, in cone order: over the universe
+    there (arity 1, the defined variable alone) or over its pairs `i * n + j`
+    with i the defined variable (arity 2).
+    """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
         self.s = s
-        self.f = s.frame
+        self.f = f = s.frame
         self.sigma = sigma
         self.cfg = cfg
-        self.cone = up_set(self.f, sigma)
-        self.idx = {tau: k for k, tau in enumerate(self.cone)}
+        self.cone = up_set(f, sigma)
+        idx = {tau: k for k, tau in enumerate(self.cone)}
         self.elems = {tau: s.universe[tau] for tau in self.cone}
         self.pos = {
             tau: {x.uid: i for i, x in enumerate(self.elems[tau])} for tau in self.cone
         }
-        self.n = {tau: len(self.elems[tau]) for tau in self.cone}
-        # position of each tau-element inside higher universes
-        self.fwd = {
-            tau: {
-                rho: tuple(self.pos[rho][x.uid] for x in self.elems[tau])
-                for rho in up_set(self.f, tau)
-            }
+        self.ns = tuple(len(self.elems[tau]) for tau in self.cone)
+        self.full = (
+            tuple((1 << n) - 1 for n in self.ns),
+            tuple((1 << n * n) - 1 for n in self.ns),
+        )
+        # fwd[arity - 1][k]: for every node rho above the k-th cone node, the
+        # index of rho and the image there of each position at the k-th node
+        fwd1, fwd2 = [], []
+        for tau in self.cone:
+            ups1, ups2 = [], []
+            for rho in f.up[tau]:
+                img = tuple(self.pos[rho][x.uid] for x in self.elems[tau])
+                nr = len(self.elems[rho])
+                ups1.append((idx[rho], img))
+                ups2.append((idx[rho], tuple(a * nr + b for a in img for b in img)))
+            fwd1.append(ups1)
+            fwd2.append(ups2)
+        self.fwd = (fwd1, fwd2)
+        # membit[k][i]: the listed members of the i-th element at the k-th node
+        self.membit = tuple(
+            tuple(sum(1 << self.pos[tau][m.uid] for m in x.ext[tau]) for x in self.elems[tau])
             for tau in self.cone
-        }
-        self.membit = {
-            tau: tuple(self._bits(tau, ext_at(x, tau)) for x in self.elems[tau])
-            for tau in self.cone
-        }
+        )
         self.truncated = False
         self.stabilized = False
 
-    def _bits(self, tau: str, members) -> int:
-        out = 0
-        for m in members:
-            out |= 1 << self.pos[tau][m.uid]
-        return out
-
-    def _mask(self, tau: str, pred) -> int:
-        bits = 0
-        for i, a in enumerate(self.elems[tau]):
-            if pred(a):
-                bits |= 1 << i
-        return bits
-
-    def _p1(self, fn) -> tuple[int, ...]:
-        return tuple(fn(tau) for tau in self.cone)
-
-    def atom_maps(self) -> tuple[list, list, list, list]:
-        """Atomic maps grouped: equalities, membership in a parameter,
-        parameter-membership, and the remaining fixed maps."""
-        f, s = self.f, self.s
-        params = self.elems[self.sigma]
-        eq = [
-            self._p1(lambda tau, p=p: self._mask(tau, lambda a: forced_equal(f, tau, a, p)))
-            for p in params
-        ]
-        mem = [
-            self._p1(lambda tau, p=p: self._mask(tau, lambda a: forced_member(f, tau, a, p)))
-            for p in params
-        ]
-        has = [
-            self._p1(lambda tau, p=p: self._mask(tau, lambda a: forced_member(f, tau, p, a)))
-            for p in params
-        ]
-        full = self._p1(lambda tau: (1 << self.n[tau]) - 1)
-        selfin = self._p1(lambda tau: self._mask(tau, lambda a: forced_member(f, tau, a, a)))
-        zone = _zero_decidable_zone(s, f)
-        zone_map = self._p1(lambda tau: full[self.idx[tau]] if zone[tau] else 0)
-        return eq, mem, has, [full, selfin, zone_map]
-
-    # ---- cone operations on maps of the defined variable alone
-
-    def imp1(self, m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
+    def atom_maps(self) -> tuple[list, list, list, list, list]:
+        """Atomic maps grouped: equality with, membership in, and membership
+        of each parameter; the remaining fixed maps; and the pair maps for
+        `a in b`, `b in a` and `a = b`."""
+        f = self.f
+        ins, has, eqs = [], [], []
         for tau in self.cone:
-            bits = 0
-            for i in range(self.n[tau]):
-                ok = True
-                for rho in up_set(self.f, tau):
-                    j = self.fwd[tau][rho][i]
-                    if (m1[self.idx[rho]] >> j) & 1 and not (m2[self.idx[rho]] >> j) & 1:
-                        ok = False
-                        break
-                if ok:
-                    bits |= 1 << i
-            out.append(bits)
+            es = self.elems[tau]
+            n = len(es)
+            bi = bh = be = 0
+            for i, a in enumerate(es):
+                for j, b in enumerate(es):
+                    if forced_member(f, tau, a, b):
+                        bi |= 1 << (i * n + j)
+                        bh |= 1 << (j * n + i)
+                    if forced_equal(f, tau, a, b):
+                        be |= 1 << (i * n + j)
+            ins.append(bi)
+            has.append(bh)
+            eqs.append(be)
+        ns, full = self.ns, self.full[0]
+
+        def row(m2: list[int], p: KripkeSet) -> tuple[int, ...]:
+            return tuple(
+                (x >> self.pos[tau][p.uid] * n) & r
+                for x, tau, n, r in zip(m2, self.cone, ns, full)
+            )
+
+        params = self.elems[self.sigma]
+        selfin = tuple(
+            sum(1 << i for i in range(n) if x >> (i * n + i) & 1) for x, n in zip(ins, ns)
+        )
+        zone = _zero_decidable_zone(self.s, f)
+        zone_map = tuple(r if zone[tau] else 0 for r, tau in zip(full, self.cone))
+        return (
+            [row(eqs, p) for p in params],
+            [row(has, p) for p in params],
+            [row(ins, p) for p in params],
+            [full, selfin, zone_map],
+            [tuple(ins), tuple(has), tuple(eqs)],
+        )
+
+    # ---- cone operations
+
+    def interior(self, bad: tuple[int, ...], arity: int) -> tuple[int, ...]:
+        """The positions whose image at every cone node above lies outside
+        `bad`: negation of `bad`, and with `bad = m1 & ~m2` implication."""
+        out = []
+        for full, ups in zip(self.full[arity - 1], self.fwd[arity - 1]):
+            hit = 0
+            for r, img in ups:
+                b = bad[r]
+                if b:
+                    for p, j in enumerate(img):
+                        if b >> j & 1:
+                            hit |= 1 << p
+            out.append(full & ~hit)
         return tuple(out)
 
-    def not1(self, m: tuple[int, ...]) -> tuple[int, ...]:
-        return self.imp1(m, tuple(0 for _ in self.cone))
-
-    # ---- pair maps: per-node bitmask over (i * n + j), i = defined variable
-
-    def atom_maps2(self) -> list[tuple[int, ...]]:
-        f = self.f
-        out = []
-        for kind in ("in", "has", "eq"):
-            maps = []
-            for tau in self.cone:
-                n = self.n[tau]
-                bits = 0
-                for i, a in enumerate(self.elems[tau]):
-                    for j, b in enumerate(self.elems[tau]):
-                        if kind == "in":
-                            hit = forced_member(f, tau, a, b)
-                        elif kind == "has":
-                            hit = forced_member(f, tau, b, a)
-                        else:
-                            hit = forced_equal(f, tau, a, b)
-                        if hit:
-                            bits |= 1 << (i * n + j)
-                maps.append(bits)
-            out.append(tuple(maps))
-        return out
+    def imp(self, m1: tuple[int, ...], m2: tuple[int, ...], arity: int) -> tuple[int, ...]:
+        return self.interior(tuple(a & ~b for a, b in zip(m1, m2)), arity)
 
     def lift(self, m: tuple[int, ...], slot: int) -> tuple[int, ...]:
-        out = []
-        for k, tau in enumerate(self.cone):
-            n = self.n[tau]
-            bits = 0
-            for i in range(n):
-                for j in range(n):
-                    if (m[k] >> (i if slot == 0 else j)) & 1:
-                        bits |= 1 << (i * n + j)
-            out.append(bits)
-        return tuple(out)
+        """A map of the defined variable read as a pair map in one slot."""
+        # slot 0: row i is full when i is in the map; slot 1: every row is the map
+        return tuple(
+            sum(((r if x >> i & 1 else 0) if slot == 0 else x) << i * n for i in range(n))
+            for x, n, r in zip(m, self.ns, self.full[0])
+        )
 
-    def imp2(self, m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for tau in self.cone:
-            n = self.n[tau]
-            bits = 0
-            for i in range(n):
-                for j in range(n):
-                    ok = True
-                    for rho in up_set(self.f, tau):
-                        nr = self.n[rho]
-                        b = self.fwd[tau][rho][i] * nr + self.fwd[tau][rho][j]
-                        if (m1[self.idx[rho]] >> b) & 1 and not (m2[self.idx[rho]] >> b) & 1:
-                            ok = False
-                            break
-                    if ok:
-                        bits |= 1 << (i * n + j)
-            out.append(bits)
-        return tuple(out)
+    def binders(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Domains of the second variable, row by row: the defined
+        variable's members, the universe, then each parameter's members."""
+        out = [self.membit, tuple((r,) * n for r, n in zip(self.full[0], self.ns))]
+        for p in self.elems[self.sigma]:
+            out.append(
+                tuple(
+                    (mb[self.pos[tau][p.uid]],) * len(mb)
+                    for mb, tau in zip(self.membit, self.cone)
+                )
+            )
+        return out
 
-    def not2(self, m: tuple[int, ...]) -> tuple[int, ...]:
-        return self.imp2(m, tuple(0 for _ in self.cone))
+    def exists2(self, m2: tuple[int, ...], dom) -> tuple[int, ...]:
+        """Bind the second variable at the node: i stays when some j in
+        `dom[k][i]` makes a pair (i, j) of the map."""
+        return tuple(
+            sum(1 << i for i, d in enumerate(rows) if (x >> i * n) & r & d)
+            for x, n, r, rows in zip(m2, self.ns, self.full[0], dom)
+        )
 
-    def collapse(self, m2: tuple[int, ...], how: str, p: KripkeSet | None = None):
-        """Bind the second variable: by the first one's members, by a
-        parameter's members, or by the whole universe; existentially at the
-        node, universally over the cone."""
-        out = []
-        for tau in self.cone:
-            n = self.n[tau]
-            bits = 0
-            for i in range(n):
-                if how.startswith("ex"):
-                    if how == "ex_v0":
-                        dom = self.membit[tau][i]
-                    elif how == "ex_p":
-                        dom = self._bits(tau, ext_at(p, tau))
-                    else:
-                        dom = (1 << n) - 1
-                    hit = any(
-                        (m2[self.idx[tau]] >> (i * n + j)) & 1
-                        for j in range(n)
-                        if (dom >> j) & 1
-                    )
-                else:
-                    hit = True
-                    for rho in up_set(self.f, tau):
-                        nr = self.n[rho]
-                        i2 = self.fwd[tau][rho][i]
-                        if how == "all_v0":
-                            dom = self.membit[rho][i2]
-                        elif how == "all_p":
-                            dom = self._bits(rho, ext_at(p, rho))
-                        else:
-                            dom = (1 << nr) - 1
-                        for j in range(nr):
-                            if (dom >> j) & 1 and not (m2[self.idx[rho]] >> (i2 * nr + j)) & 1:
-                                hit = False
-                                break
-                        if not hit:
-                            break
-                if hit:
-                    bits |= 1 << i
-            out.append(bits)
-        return tuple(out)
+    def forall2(self, m2: tuple[int, ...], dom) -> tuple[int, ...]:
+        """Bind the second variable over the cone: no pair (i, j) with j in
+        the domain may be missing from the map at any node above."""
+        missing = tuple(a ^ b for a, b in zip(self.full[1], m2))
+        return self.interior(self.exists2(missing, dom), 1)
 
     @staticmethod
     def _or(m1, m2):
@@ -332,8 +293,8 @@ class _Engine:
     # ---- the closure loop
 
     def run(self) -> list[tuple[int, ...]]:
-        eq, mem, has, fixed = self.atom_maps()
-        zone_map = fixed[-1]
+        eq, mem, has, fixed, pairs = self.atom_maps()
+        self.mem, zone_map = mem, fixed[-1]
         pool1: list[tuple[int, ...]] = []
         seen1: set = set()
         pool2: list[tuple[int, ...]] = []
@@ -365,12 +326,13 @@ class _Engine:
         for a in range(len(eq)):
             push1(self._or(mem[a], eq[a]))
         for m in eq:
-            push1(self.imp1(m, zone_map))
+            push1(self.imp(m, zone_map, 1))
         for m in mem + has + fixed:
             push1(m)
-        for m in self.atom_maps2():
+        for m in pairs:
             push2(m)
 
+        binders = self.binders()
         quiet = 0
         for _ in range(self.cfg.formula_depth):
             before = len(pool1) + len(pool2)
@@ -381,7 +343,7 @@ class _Engine:
             # saturation is reported as truncation either way
             if len(pool1) < POOL_CAP:
                 for m in base1:
-                    push1(self.not1(m))
+                    push1(self.interior(m, 1))
                 for m1 in base1:
                     if len(pool1) >= POOL_CAP:
                         self.truncated = True
@@ -389,7 +351,7 @@ class _Engine:
                     for m2 in base1:
                         push1(self._or(m1, m2))
                         push1(self._and(m1, m2))
-                        push1(self.imp1(m1, m2))
+                        push1(self.imp(m1, m2, 1))
             else:
                 self.truncated = True
             if len(pool2) < POOL_CAP:
@@ -397,7 +359,7 @@ class _Engine:
                     push2(self.lift(m, 0))
                     push2(self.lift(m, 1))
                 for m in base2:
-                    push2(self.not2(m))
+                    push2(self.interior(m, 2))
                 for m1 in base2:
                     if len(pool2) >= POOL_CAP:
                         self.truncated = True
@@ -405,20 +367,16 @@ class _Engine:
                     for m2 in base2:
                         push2(self._and(m1, m2))
                         push2(self._or(m1, m2))
-                        push2(self.imp2(m1, m2))
+                        push2(self.imp(m1, m2, 2))
             else:
                 self.truncated = True
             for m in list(pool2):
                 if len(pool1) >= POOL_CAP:
                     self.truncated = True
                     break
-                push1(self.collapse(m, "ex_v0"))
-                push1(self.collapse(m, "all_v0"))
-                push1(self.collapse(m, "ex_u"))
-                push1(self.collapse(m, "all_u"))
-                for p in self.elems[self.sigma]:
-                    push1(self.collapse(m, "ex_p", p))
-                    push1(self.collapse(m, "all_p", p))
+                for dom in binders:
+                    push1(self.exists2(m, dom))
+                    push1(self.forall2(m, dom))
             if self.truncated or len(pool2) >= POOL_CAP:
                 self.truncated = True
                 break
@@ -433,20 +391,9 @@ class _Engine:
 
     def decode(self, m: tuple[int, ...]) -> dict[str, tuple[KripkeSet, ...]]:
         return {
-            tau: tuple(self.elems[tau][i] for i in range(self.n[tau]) if (m[k] >> i) & 1)
+            tau: tuple(x for i, x in enumerate(self.elems[tau]) if (m[k] >> i) & 1)
             for k, tau in enumerate(self.cone)
         }
-
-
-def _profile(f: Frame, cone, elems, x: KripkeSet) -> tuple[int, ...]:
-    out = []
-    for tau in cone:
-        bits = 0
-        for i, a in enumerate(elems[tau]):
-            if forced_member(f, tau, a, x):
-                bits |= 1 << i
-        out.append(bits)
-    return tuple(out)
 
 
 def harvest_at(
@@ -470,7 +417,9 @@ def harvest_at(
         return hit[1]
     eng = _Engine(s, sigma, cfg)
     maps = eng.run()
-    existing = {_profile(f, eng.cone, eng.elems, x) for x in s.universe[sigma]}
+    # the membership maps of the parameters are the profiles of the
+    # universe elements at sigma
+    existing = set(eng.mem)
     born: list[KripkeSet] = []
     seen_new: set = set()
     truncated = eng.truncated
@@ -496,7 +445,7 @@ def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
     new_by_node: dict[str, list[KripkeSet]] = {tau: [] for tau in f.nodes}
     carried: list[KripkeSet] = []
     truncated = stabilized = False
-    for sigma in _topo(f):
+    for sigma in linear_extension(f):
         born, trunc, stab = harvest_at(s, sigma, cfg)
         truncated |= trunc
         stabilized |= stab
@@ -559,7 +508,7 @@ def def_along(
     universe: dict[str, tuple[KripkeSet, ...]] = {}
     have: dict[str, dict[int, KripkeSet]] = {}
     truncated = stabilized = False
-    order = _topo(f)
+    order = linear_extension(f)
     for tau in order:
         pool: dict[int, KripkeSet] = {}
         for rho in order:
@@ -612,7 +561,7 @@ def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
     f = s.frame
     new_by_node: dict[str, list[KripkeSet]] = {tau: [] for tau in f.nodes}
     carried: list[KripkeSet] = []
-    topo = _topo(f)
+    topo = linear_extension(f)
     for sigma in topo:
         cone_set = set(up_set(f, sigma))
         cone = [tau for tau in topo if tau in cone_set]
@@ -690,12 +639,9 @@ def _subset_signature(x: KripkeSet) -> tuple:
     return tuple((tau, tuple(m.uid for m in x.ext[tau])) for tau in sorted(x.ext))
 
 
-def lfp(
-    s: Structure, x: KripkeSet, psi: Formula, var: str = "x", yname: str = "Y"
+def _fixed_point(
+    s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet, var: str, yname: str
 ) -> tuple[KripkeSet, list[KripkeSet]]:
-    """Least fixed point of the positive operator, iterated up from empty.
-    Returns the fixed point and the stage trace ending at it."""
-    stage = KripkeSet(x.frame, x.birth, {tau: () for tau in x.ext}, "stage0")
     trace = [stage]
     while True:
         nxt = gamma_apply(s, x, psi, stage, var, yname)
@@ -703,20 +649,22 @@ def lfp(
             return stage, trace
         stage = nxt
         trace.append(stage)
+
+
+def lfp(
+    s: Structure, x: KripkeSet, psi: Formula, var: str = "x", yname: str = "Y"
+) -> tuple[KripkeSet, list[KripkeSet]]:
+    """Least fixed point of the positive operator, iterated up from empty.
+    Returns the fixed point and the stage trace ending at it."""
+    empty = KripkeSet(x.frame, x.birth, {tau: () for tau in x.ext}, "stage0")
+    return _fixed_point(s, x, psi, empty, var, yname)
 
 
 def gfp(
     s: Structure, x: KripkeSet, psi: Formula, var: str = "x", yname: str = "Y"
 ) -> tuple[KripkeSet, list[KripkeSet]]:
     """Greatest fixed point, iterated down from the full subset."""
-    stage = x
-    trace = [stage]
-    while True:
-        nxt = gamma_apply(s, x, psi, stage, var, yname)
-        if _subset_signature(nxt) == _subset_signature(stage):
-            return stage, trace
-        stage = nxt
-        trace.append(stage)
+    return _fixed_point(s, x, psi, x, var, yname)
 
 
 def define_subset(

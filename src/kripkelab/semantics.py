@@ -92,13 +92,12 @@ def ext_at(x: KripkeSet, tau: str) -> tuple[KripkeSet, ...]:
 # ------------------------------------------------------- forced equality
 
 
-def forced_equal(frame_or_structure, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
+def forced_equal(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """Hereditary coextensionality over the cone of sigma.
 
     x and y are forced equal at sigma iff at every tau >= sigma each member of
     either extension is forced equal at tau to a member of the other.
     """
-    f: Frame = getattr(frame_or_structure, "frame", frame_or_structure)
     if not (alive(x, sigma) and alive(y, sigma)):
         raise ValueError("forced_equal on a set not alive at the node")
     memo = f.caches.setdefault("eq", {})
@@ -130,10 +129,9 @@ def _eq(f: Frame, memo: dict, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     return result
 
 
-def forced_member(frame_or_structure, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
+def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """x is forced to belong to y at sigma iff some listed member of y at
     sigma is forced equal to x there."""
-    f: Frame = getattr(frame_or_structure, "frame", frame_or_structure)
     if not (alive(x, sigma) and alive(y, sigma)):
         raise ValueError("forced_member on a set not alive at the node")
     memo = f.caches.setdefault("eq", {})

@@ -67,17 +67,16 @@ def parse_structure_spec(text: str) -> StructSpec:
     designations: list[DesignatedInstance] = []
     names_seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         try:
-            toks = shlex.split(line)
+            toks = shlex.split(raw, comments=True)
         except ValueError as err:
             raise SpecError(f"line {lineno}: {err}") from None
+        if not toks:
+            continue
         if frame_text is None:
             if toks[0] != "frame":
                 raise SpecError(f"line {lineno}: the first entry must name the frame")
-            frame_text = line[len("frame") :].strip()
+            frame_text = " ".join(toks[1:])
             if not frame_text:
                 raise SpecError(f"line {lineno}: empty frame description")
             continue
@@ -252,36 +251,13 @@ def build_structure(spec: StructSpec) -> Structure:
     named: dict[str, KripkeSet] = {}
     for name, builder, args in spec.entries:
         named[name] = _build_one(f, builder, args, named, f"name {name!r}")
-    if spec.universe_seeds:
-        per_node: dict[str, dict[int, KripkeSet]] = {tau: {} for tau in f.nodes}
-
-        def add(x: KripkeSet, tau: str) -> None:
-            if x.uid in per_node[tau]:
-                return
-            per_node[tau][x.uid] = x
-            for m in x.ext[tau]:
-                add(m, tau)
-
-        for nm in spec.universe_seeds:
-            seed = named[nm]
-            for tau in f.nodes:
-                if alive(seed, tau):
-                    for m in seed.ext[tau]:
-                        add(m, tau)
-        public = [x for nm, x in named.items() if not nm.startswith("_")]
-        if public:
-            extra = hereditary_closure(tuple(public))
-            for tau in f.nodes:
-                for x in extra[tau]:
-                    per_node[tau].setdefault(x.uid, x)
-        universe = {tau: tuple(per_node[tau].values()) for tau in f.nodes}
-    else:
-        public = [x for nm, x in named.items() if not nm.startswith("_")]
-        universe = (
-            hereditary_closure(tuple(public))
-            if public
-            else {tau: () for tau in f.nodes}
-        )
+    public = tuple(x for nm, x in named.items() if not nm.startswith("_"))
+    seeds = tuple(named[nm] for nm in spec.universe_seeds)
+    universe = (
+        hereditary_closure(public, seeds)
+        if public or seeds
+        else {tau: () for tau in f.nodes}
+    )
     return Structure(
         frame=f, universe=universe, names=dict(named), notes=spec.designations
     )

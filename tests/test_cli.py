@@ -51,6 +51,12 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "--frame" in err
 
 
+def test_eval_rejects_a_formula_nested_too_deeply(capsys):
+    deep = "~" * 5000 + "x = x"
+    code, _, err = run(capsys, "eval", "--frame", "chain length=1", deep)
+    assert code == 2 and err.startswith("error:") and "nests too deeply" in err
+
+
 def test_def_reports_sizes(capsys):
     code, out, _ = run(capsys, "def", "--frame", "chain length=1", "--steps", "2")
     assert code == 0

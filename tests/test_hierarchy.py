@@ -1,13 +1,15 @@
 """Definability step, towers, internal power sets, and positive fixed points."""
 
 import itertools
+import random
 
 import pytest
 
 from kripkelab.construct import empty_set, internal_nat, one_sigma
 from kripkelab.formula import parse
-from kripkelab.frame import chain, tree, up_set
+from kripkelab.frame import chain, fan, tree, up_set
 from kripkelab.hierarchy import (
+    _Engine,
     constructible,
     DefConfig,
     def_along,
@@ -29,6 +31,7 @@ from kripkelab.semantics import (
     KripkeSet,
     universe_at,
 )
+from kripkelab.specfile import canonical_structure
 
 from util import classes, find_class, same_classes
 
@@ -206,3 +209,74 @@ def test_gfp_is_greatest_among_postfixed_points():
         out = gamma_apply(s, two, psi, cand)
         if {m.uid for m in cand.ext["0"]} <= {m.uid for m in out.ext["0"]}:
             assert {m.uid for m in cand.ext["0"]} <= {m.uid for m in fix.ext["0"]}
+
+
+def _oracle_disagreements(s, sigma, rng, draws):
+    """Compare the engine's cone operations with their definitions, walking
+    `f.up` and locating elements by uid instead of by the forward tables."""
+    f = s.frame
+    eng = _Engine(s, sigma, DefConfig())
+    cone = f.up[sigma]
+    uids = {tau: [x.uid for x in s.universe[tau]] for tau in cone}
+
+    def has(m, tau, *xs):
+        # a map's bit for one element, or for a pair, at tau
+        n, k = len(uids[tau]), cone.index(tau)
+        p = [uids[tau].index(x.uid) for x in xs]
+        return bool(m[k] >> (p[0] if len(p) == 1 else p[0] * n + p[1]) & 1)
+
+    def build(keep, arity):
+        # the map holding exactly the elements or pairs `keep` accepts
+        out = []
+        for tau in cone:
+            u = s.universe[tau]
+            cells = [(a,) for a in u] if arity == 1 else [(a, b) for a in u for b in u]
+            out.append(sum(1 << i for i, c in enumerate(cells) if keep(tau, *c)))
+        return tuple(out)
+
+    def draw(arity):
+        return tuple(rng.getrandbits(len(uids[tau]) ** arity) for tau in cone)
+
+    domains = [lambda a, tau: a.ext[tau], lambda a, tau: s.universe[tau]]
+    domains += [lambda a, tau, p=p: p.ext[tau] for p in s.universe[sigma]]
+    bad = 0
+    for _ in range(draws):
+        for arity in (1, 2):
+            m1, m2 = draw(arity), draw(arity)
+            want = build(
+                lambda tau, *c: all(not has(m1, r, *c) for r in f.up[tau]), arity
+            )
+            bad += eng.interior(m1, arity) != want
+            want = build(
+                lambda tau, *c: all(
+                    not has(m1, r, *c) or has(m2, r, *c) for r in f.up[tau]
+                ),
+                arity,
+            )
+            bad += eng.imp(m1, m2, arity) != want
+        m = draw(1)
+        for slot in (0, 1):
+            want = build(lambda tau, a, b: has(m, tau, (a, b)[slot]), 2)
+            bad += eng.lift(m, slot) != want
+        m2 = draw(2)
+        for dom, members in zip(eng.binders(), domains):
+            want = build(
+                lambda tau, a: any(has(m2, tau, a, b) for b in members(a, tau)), 1
+            )
+            bad += eng.exists2(m2, dom) != want
+            want = build(
+                lambda tau, a: all(
+                    has(m2, r, a, b) for r in f.up[tau] for b in members(a, r)
+                ),
+                1,
+            )
+            bad += eng.forall2(m2, dom) != want
+    return bad
+
+
+def test_engine_cone_operations_match_their_definitions():
+    rng = random.Random(20261018)
+    for f in (chain(3), fan(3), tree(2)):
+        s = canonical_structure(f)
+        for sigma in f.nodes:
+            assert _oracle_disagreements(s, sigma, rng, draws=4) == 0, (f.kind, sigma)

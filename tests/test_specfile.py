@@ -39,6 +39,15 @@ def test_parse_and_dump_round_trip():
     assert dump_structure_spec(parse_structure_spec(text)) == text
 
 
+def test_hash_inside_a_quoted_value_is_not_a_comment():
+    text = 'frame tree depth=2\np = nat 1  # a comment\ndesignate Pi2Reflection phi="x in #p"\n'
+    spec = parse_structure_spec(text)
+    assert spec.designations[0].phi == "x in #p"
+    dumped = dump_structure_spec(spec)
+    assert parse_structure_spec(dumped) == spec
+    assert dump_structure_spec(parse_structure_spec(dumped)) == dumped
+
+
 def test_build_structure_binds_names():
     s = build_structure(parse_structure_spec(BASIC))
     f = s.frame
