@@ -1,5 +1,7 @@
 """Finite Kripke structures for intuitionistic set theory experiments."""
 
+from types import ModuleType as _ModuleType
+
 from .frame import (
     Frame,
     FrameKind,
@@ -127,115 +129,9 @@ from .specfile import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOM_IDS",
-    "And",
-    "BASE_SCHEMAS",
-    "CheckBounds",
-    "CheckReport",
-    "CrosscheckReport",
-    "DefConfig",
-    "DesignatedInstance",
-    "EQUIVALENT_TRIO",
-    "Eq",
-    "EvalError",
-    "Exists",
-    "Forall",
-    "Formula",
-    "Frame",
-    "FrameKind",
-    "Implies",
-    "KripkeSet",
-    "LemmaResult",
-    "Member",
-    "Not",
-    "Or",
-    "Param",
-    "ParseError",
-    "Prop1Report",
-    "Prop1Row",
-    "SchemaId",
-    "SpecError",
-    "StructSpec",
-    "Structure",
-    "Term",
-    "Var",
-    "Verdict",
-    "alpha_forest",
-    "bounding_uniformity_agreement",
-    "branch_clause_witness",
-    "branch_formula",
-    "branch_from_bits",
-    "build_frame",
-    "build_structure",
-    "build_template",
-    "canonical_structure",
-    "chain",
-    "check_all",
-    "check_instance",
-    "check_schema",
-    "classify",
-    "compatible",
-    "constructible",
-    "def_along",
-    "def_step",
-    "definable_branches",
-    "define_subset",
-    "delta0_absolute",
-    "dump_frame",
-    "dump_structure_spec",
-    "empty_set",
-    "empty_structure",
-    "enumerate_delta0",
-    "enumerate_pi",
-    "enumerate_sigma",
-    "externalize",
-    "fan",
-    "forced_equal",
-    "forced_member",
-    "forces",
-    "forest",
-    "free_vars",
-    "gamma_apply",
-    "gfp",
-    "hereditary_closure",
-    "internal_nat",
-    "is_branch",
-    "is_delta0",
-    "is_end_extension",
-    "is_extensional",
-    "is_ordinal",
-    "is_positive_in",
-    "iterate_def",
-    "leaves",
-    "lemma_suite",
-    "leq",
-    "lfp",
-    "load_structure",
-    "make_xi",
-    "monotone_t_families",
-    "one_sigma",
-    "p_hat",
-    "p_hat_sub",
-    "params_of",
-    "parse",
-    "parse_frame_spec",
-    "parse_structure_spec",
-    "phi_xy",
-    "powerset",
-    "proposition1_crosscheck",
-    "relativize",
-    "render",
-    "structure_from_sets",
-    "subset_of_t",
-    "substitute",
-    "t_classes_at",
-    "t_family",
-    "tree",
-    "tree_depth",
-    "truth_ordinal",
-    "universe_at",
-    "up_set",
-    "uniformity_gap",
-    "with_zero",
-]
+# every public name bound above, the submodules aside
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .formula import ParseError, parse, render
+from .formula import parse, render
 from .frame import Frame, dump_frame, parse_frame_spec
 from .hierarchy import (
     DefConfig,
@@ -26,7 +26,7 @@ from .hierarchy import (
     powerset,
 )
 from .schema import CheckBounds, SchemaId, check_schema, lemma_suite, proposition1_crosscheck
-from .semantics import EvalError, Structure, forces
+from .semantics import Structure, forces
 from .specfile import (
     SpecError,
     canonical_structure,
@@ -461,9 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ParseError, EvalError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

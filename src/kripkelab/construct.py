@@ -7,6 +7,7 @@ object and the semantic caches stay warm.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .formula import Formula, parse
@@ -14,12 +15,8 @@ from .frame import Frame, leaves, leq, linear_extension, up_set
 from .semantics import KripkeSet, Structure, forced_equal, forced_member, forces
 
 
-def _pool(f: Frame) -> dict:
-    return f.caches.setdefault("constructs", {})
-
-
-def _intern(f: Frame, key: tuple, build) -> KripkeSet:
-    pool = _pool(f)
+def _intern(f: Frame, key: tuple, build):
+    pool = f.caches.setdefault("constructs", {})
     if key not in pool:
         pool[key] = build()
     return pool[key]
@@ -67,15 +64,16 @@ def one_sigma(f: Frame, sigma: str) -> KripkeSet:
 
 def t_family(f: Frame) -> tuple[KripkeSet, ...]:
     """All delayed ones, deduplicated by forced equality at the bottom."""
-    pool = _pool(f)
-    if ("tfam",) not in pool:
+
+    def build() -> tuple[KripkeSet, ...]:
         reps: list[KripkeSet] = []
         for sigma in f.nodes:
             cand = one_sigma(f, sigma)
             if not any(forced_equal(f, f.bottom, cand, r) for r in reps):
                 reps.append(cand)
-        pool[("tfam",)] = tuple(reps)
-    return pool[("tfam",)]
+        return tuple(reps)
+
+    return _intern(f, ("tfam",), build)
 
 
 def p_hat(f: Frame) -> KripkeSet:
@@ -254,28 +252,23 @@ def branch_from_bits(f: Frame, bits: str) -> KripkeSet:
     return _intern(f, ("branch", bits), build)
 
 
-_BRANCH_FORMULA: Formula | None = None
-
-
+@functools.cache
 def branch_formula() -> Formula:
     """Internal branch-hood of #B inside the collection #Q:
     membership in #B is closed upward under inclusion within #Q, #B is a
     chain under inclusion, and #B swallows everything in #Q comparable with
     all of it.  The subset requirement is stated explicitly."""
-    global _BRANCH_FORMULA
-    if _BRANCH_FORMULA is None:
-        c0 = "forall m in #B . m in #Q"
-        c1 = "forall a in #Q . forall b in #B . ((forall z in b . z in a) -> a in #B)"
-        c2 = (
-            "forall a in #B . forall b in #B . "
-            "((forall z in a . z in b) \\/ (forall z in b . z in a))"
-        )
-        c3 = (
-            "forall c in #Q . ((forall b in #B . "
-            "((forall z in c . z in b) \\/ (forall z in b . z in c))) -> c in #B)"
-        )
-        _BRANCH_FORMULA = parse(f"({c0}) /\\ ({c1}) /\\ ({c2}) /\\ ({c3})")
-    return _BRANCH_FORMULA
+    c0 = "forall m in #B . m in #Q"
+    c1 = "forall a in #Q . forall b in #B . ((forall z in b . z in a) -> a in #B)"
+    c2 = (
+        "forall a in #B . forall b in #B . "
+        "((forall z in a . z in b) \\/ (forall z in b . z in a))"
+    )
+    c3 = (
+        "forall c in #Q . ((forall b in #B . "
+        "((forall z in c . z in b) \\/ (forall z in b . z in c))) -> c in #B)"
+    )
+    return parse(f"({c0}) /\\ ({c1}) /\\ ({c2}) /\\ ({c3})")
 
 
 def is_branch(s: Structure, sigma: str, b: KripkeSet, q: KripkeSet) -> bool:
@@ -368,21 +361,16 @@ def alpha_forest(f: Frame, k: int = 3) -> KripkeSet:
     return _intern(f, ("alpha_forest", k), build)
 
 
-_PHI_XY: Formula | None = None
-
-
+@functools.cache
 def phi_xy() -> Formula:
     """Pins y as the stage at which x enters: x is a nonzero numeral below
     #nats, y is a nonzero subset of #one, some set collects x with y, and any
     set collecting the successor of x with y forces y to be #one."""
-    global _PHI_XY
-    if _PHI_XY is None:
-        succ = (
-            "x in s /\\ (forall w in s . (w in x \\/ w = x)) /\\ (forall w in x . w in s)"
-        )
-        c1 = "~(x = #zero) /\\ x in #nats"
-        c2 = "~(y = #zero) /\\ (forall w in y . w in #one)"
-        c3 = "exists z . (x in z /\\ y in z)"
-        c4 = f"forall z . (((exists s in z . ({succ})) /\\ y in z) -> y = #one)"
-        _PHI_XY = parse(f"({c1}) /\\ ({c2}) /\\ ({c3}) /\\ ({c4})")
-    return _PHI_XY
+    succ = (
+        "x in s /\\ (forall w in s . (w in x \\/ w = x)) /\\ (forall w in x . w in s)"
+    )
+    c1 = "~(x = #zero) /\\ x in #nats"
+    c2 = "~(y = #zero) /\\ (forall w in y . w in #one)"
+    c3 = "exists z . (x in z /\\ y in z)"
+    c4 = f"forall z . (((exists s in z . ({succ})) /\\ y in z) -> y = #one)"
+    return parse(f"({c1}) /\\ ({c2}) /\\ ({c3}) /\\ ({c4})")

@@ -41,7 +41,8 @@ class Frame:
     order: frozenset[tuple[str, str]]
     bottom: str
     kind: str = "explicit"
-    # Caches shared by the semantics layer; excluded from equality/repr.
+    # Per-frame caches, excluded from equality/repr: the forced-equality memo
+    # (semantics) and the interned constructions (construct).
     up: dict = field(default_factory=dict, repr=False, compare=False)
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 

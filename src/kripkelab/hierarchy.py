@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
-from .construct import branch_formula, p_hat
+from .construct import _intern, branch_formula, p_hat
 from .semantics import (
     KripkeSet,
     Structure,
@@ -107,10 +107,7 @@ def empty_structure(f: Frame, names: dict[str, KripkeSet] | None = None) -> Stru
 
 
 def _shared_empty(f: Frame) -> Structure:
-    cache = f.caches.setdefault("constructs", {})
-    if "empty_base" not in cache:
-        cache["empty_base"] = empty_structure(f)
-    return cache["empty_base"]
+    return _intern(f, ("empty_base",), lambda: empty_structure(f))
 
 
 # --------------------------------------------------------- the def engine
@@ -404,17 +401,13 @@ def harvest_at(
     Returns (fresh set objects in canonical order, truncated, stabilized).
     Maps matching the forced-membership profile of an existing universe
     element are dropped; that element already is the set in question.
-    Results are interned per structure and node, so repeated calls return
-    the same objects.
+    Results are kept on the structure, per node and config, so repeated
+    calls return the same objects.
     """
     f = s.frame
-    cache = f.caches.setdefault("harvest", {})
-    key = (id(s), sigma, cfg)
-    hit = cache.get(key)
-    # the cached entry pins the structure, so an id collision cannot occur
-    # while the entry lives
-    if hit is not None and hit[0] is s:
-        return hit[1]
+    hit = s._harvest.get((sigma, cfg))
+    if hit is not None:
+        return hit
     eng = _Engine(s, sigma, cfg)
     maps = eng.run()
     # the membership maps of the parameters are the profiles of the
@@ -432,9 +425,19 @@ def harvest_at(
         new = KripkeSet(f, sigma, eng.decode(m), f"def{sigma}#{len(born)}")
         seen_new.add(m)
         born.append(new)
-    result = (born, truncated, eng.stabilized)
-    cache[key] = (s, result)
+    result = s._harvest[sigma, cfg] = (born, truncated, eng.stabilized)
     return result
+
+
+def _grown(s: Structure, new_by_node: dict[str, list[KripkeSet]]) -> Structure:
+    """s with the sets born at each node added there and at every node above."""
+    f = s.frame
+    universe = {
+        tau: s.universe[tau]
+        + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
+        for tau in f.nodes
+    }
+    return Structure(frame=f, universe=universe, names=dict(s.names), notes=s.notes)
 
 
 def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
@@ -457,12 +460,7 @@ def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
             if twin is None:
                 new_by_node[sigma].append(cand)
                 carried.append(cand)
-    universe = {
-        tau: s.universe[tau]
-        + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
-        for tau in f.nodes
-    }
-    out = Structure(frame=f, universe=universe, names=dict(s.names), notes=s.notes)
+    out = _grown(s, new_by_node)
     out.meta["truncated"] = truncated
     out.meta["stabilized"] = stabilized
     return out
@@ -492,11 +490,9 @@ def def_along(
     f = x.frame
     if base is None:
         base = _shared_empty(f)
-    cache = f.caches.setdefault("tower", {})
-    key = (x.uid, cfg, id(base))
-    hit = cache.get(key)
-    if hit is not None and hit[0] is base:
-        return hit[1]
+    hit = base._towers.get((x.uid, cfg))
+    if hit is not None:
+        return hit
 
     member_towers = {
         m.uid: def_along(m, cfg, base)
@@ -539,7 +535,7 @@ def def_along(
     out = Structure(frame=f, universe=universe, names={})
     out.meta["truncated"] = truncated
     out.meta["stabilized"] = stabilized
-    cache[key] = (base, out)
+    base._towers[x.uid, cfg] = out
     return out
 
 
@@ -599,12 +595,7 @@ def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
             if match is None:
                 new_by_node[sigma].append(cand)
                 carried.append(cand)
-    universe = {
-        tau: s.universe[tau]
-        + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
-        for tau in f.nodes
-    }
-    return Structure(frame=f, universe=universe, names=dict(s.names), notes=s.notes)
+    return _grown(s, new_by_node)
 
 
 # ------------------------------------------------------------ fixed points

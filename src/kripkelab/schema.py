@@ -9,6 +9,7 @@ sweep, so a designed failure is the one reported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -148,7 +149,11 @@ _AXIOM_TEXT = {
     SchemaId.UNION: "forall a . exists c . forall z in a . forall w in z . w in c",
     SchemaId.EMPTY_SET: "exists c . forall z in c . ~(z = z)",
 }
-_AXIOM_CACHE: dict[SchemaId, Formula] = {}
+
+
+@functools.cache
+def _axiom(schema: SchemaId) -> Formula:
+    return parse(_AXIOM_TEXT[schema])
 
 
 def _no_capture(phi: Formula, binders: tuple[str, ...]) -> None:
@@ -212,9 +217,7 @@ def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
     """The closed formula whose forcing decides one schema instance."""
     _validate_instance(schema, phi)
     if schema in AXIOM_IDS:
-        if schema not in _AXIOM_CACHE:
-            _AXIOM_CACHE[schema] = parse(_AXIOM_TEXT[schema])
-        return _AXIOM_CACHE[schema]
+        return _axiom(schema)
     if schema is SchemaId.DELTA0_COMPREHENSION:
         return Exists(
             "c",
@@ -346,20 +349,8 @@ def _assignments(s: Structure, sigma: str, schema: SchemaId, phi: Formula | None
         yield None
         return
     pool = universe_at(s, sigma)
-    if not pool:
-        return
-    idx = [0] * len(names)
-    while True:
-        yield {nm: pool[i] for nm, i in zip(names, idx)}
-        k = len(names) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(pool):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    for values in itertools.product(pool, repeat=len(names)):
+        yield dict(zip(names, values))
 
 
 def check_schema(
@@ -586,14 +577,9 @@ def _subsets(pool):
         yield from itertools.combinations(pool, r)
 
 
-_NONZERO: Formula | None = None
-
-
+@functools.cache
 def _nonzero() -> Formula:
-    global _NONZERO
-    if _NONZERO is None:
-        _NONZERO = parse("~(x = #zero)")
-    return _NONZERO
+    return parse("~(x = #zero)")
 
 
 _DEF_ROW_TAGS = (
@@ -740,9 +726,6 @@ def _row_externalization(f: Frame) -> LemmaResult:
             )
             if lhs != rhs:
                 bad.append((i, sigma, lhs))
-        es._memo.clear()
-        if i % 512 == 511:
-            f.caches.get("eq", {}).clear()
     return _result("externalization-chains", checked, bad)
 
 

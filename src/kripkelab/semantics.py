@@ -9,6 +9,7 @@ computed by `forced_equal`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from .formula import (
     free_vars,
     is_delta0,
     params_of,
+    parse,
 )
 from .frame import Frame, _require, leq, up_set
 
@@ -49,18 +51,21 @@ class KripkeSet:
         cone = up_set(frame, birth)
         if set(ext) != set(cone):
             raise ValueError(f"extension map must cover exactly the cone of {birth!r}")
+        order = frame.order
+        uids = {}
         for tau in cone:
             for m in ext[tau]:
                 if m.frame is not frame:
                     raise ValueError("member belongs to a different frame")
-                if not leq(frame, m.birth, tau):
+                if (m.birth, tau) not in order:
                     raise ValueError(
                         f"member born at {m.birth!r} is not alive at {tau!r}"
                     )
+            uids[tau] = {m.uid for m in ext[tau]}
         for tau in cone:
-            here = {m.uid for m in ext[tau]}
-            for rho in up_set(frame, tau):
-                if not here <= {m.uid for m in ext[rho]}:
+            here = uids[tau]
+            for rho in frame.up[tau]:
+                if not here <= uids[rho]:
                     raise ValueError(
                         f"extension shrinks from {tau!r} to {rho!r}; transitions are inclusions"
                     )
@@ -155,14 +160,16 @@ class Structure:
     names: dict[str, KripkeSet]
     notes: tuple = ()
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-    # Forcing memo tables.  `_memo` holds verdicts that read an `extra_names`
-    # parameter; a caller sweeping many parameter values may clear it.
-    # `_lasting` holds the verdicts that read none, which stay true for the
-    # structure's whole life.  `_keys` maps id(phi) to phi's memo key spec and
-    # pins phi, so a memo key's id cannot be recycled by a later formula.
+    # Everything computed over the structure lives on it.  `_memo` holds
+    # forcing verdicts, keyed by id(phi), the node and the uids of what phi
+    # reads; `_keys` maps id(phi) to phi's key spec and pins phi, so no later
+    # formula can take over its id.  The top-level `forces` resets both
+    # together once `_memo` holds MEMO_CAP entries.  `_harvest` and `_towers`
+    # belong to `hierarchy.harvest_at` and `hierarchy.def_along`.
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _lasting: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _keys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _harvest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _towers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.universe) != set(self.frame.nodes):
@@ -210,6 +217,10 @@ class EvalError(ValueError):
     pass
 
 
+# forcing verdicts a structure keeps before `forces` resets its memo
+MEMO_CAP = 1 << 16
+
+
 def forces(
     s: Structure,
     sigma: str,
@@ -224,14 +235,23 @@ def forces(
     the node itself.  Bounded quantifiers range over the bound's extension.
     """
     _require(s.frame, sigma)
-    return _Ctx(s, extra_names or {}).forces(sigma, phi, env or {})
+    memo, keys = s._memo, s._keys
+    # reset only here, between top-level calls: inside the recursion a
+    # verdict stored after a reset could be keyed by an id no longer pinned
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+        keys.clear()
+    try:
+        return _Ctx(s, extra_names or {}).forces(sigma, phi, env or {})
+    except RecursionError:
+        raise EvalError("formula nests too deeply to evaluate") from None
 
 
 class _Ctx:
     """One top-level `forces` call: the extra parameters plus direct handles
     on the frame's order tables and the structure's memo tables."""
 
-    __slots__ = ("s", "extra", "order", "up", "eq", "memo", "lasting", "keys")
+    __slots__ = ("s", "extra", "order", "up", "eq", "memo", "keys")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
@@ -241,7 +261,6 @@ class _Ctx:
         self.up = f.up
         self.eq = f.caches.setdefault("eq", {})
         self.memo = s._memo
-        self.lasting = s._lasting
         self.keys = s._keys
 
     def term(self, t: Term, sigma: str, env: dict[str, KripkeSet]) -> KripkeSet:
@@ -269,18 +288,13 @@ class _Ctx:
         key = [pid, sigma]
         for v in spec[1]:
             key.append(env[v].uid if v in env else None)
-        table = self.lasting
         extra = self.extra
         for p in spec[2]:
-            if p in extra:
-                key.append(extra[p].uid)
-                table = self.memo
-            else:
-                key.append(None)
+            key.append(extra[p].uid if p in extra else None)
         key = tuple(key)
-        hit = table.get(key)
+        hit = self.memo.get(key)
         if hit is None:
-            hit = table[key] = self._eval(sigma, phi, env)
+            hit = self.memo[key] = self._eval(sigma, phi, env)
         return hit
 
     def _eval(self, sigma: str, phi: Formula, env: dict[str, KripkeSet]) -> bool:
@@ -387,18 +401,16 @@ def is_extensional(s: Structure, eq=None) -> bool:
     return True
 
 
-_TRANS = None
-_MEMB_TRANS = None
+@functools.cache
+def _transitivity() -> tuple[Formula, Formula]:
+    return (
+        parse("forall u in a . forall w in u . w in a"),
+        parse("forall u in a . forall w in u . forall v in w . v in u"),
+    )
 
 
 def is_ordinal(s: Structure, x: KripkeSet) -> bool:
     """A transitive set of transitive sets, judged by forcing at the birth
     node (and hence on the whole cone)."""
-    global _TRANS, _MEMB_TRANS
-    from .formula import parse
-
-    if _TRANS is None:
-        _TRANS = parse("forall u in a . forall w in u . w in a")
-        _MEMB_TRANS = parse("forall u in a . forall w in u . forall v in w . v in u")
     env = {"a": x}
-    return forces(s, x.birth, _TRANS, env) and forces(s, x.birth, _MEMB_TRANS, env)
+    return all(forces(s, x.birth, phi, env) for phi in _transitivity())

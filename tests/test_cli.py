@@ -55,6 +55,10 @@ def test_eval_rejects_a_formula_nested_too_deeply(capsys):
     deep = "~" * 5000 + "x = x"
     code, _, err = run(capsys, "eval", "--frame", "chain length=1", deep)
     assert code == 2 and err.startswith("error:") and "nests too deeply" in err
+    # parses, but forcing recurses about three frames per negation
+    deep = "~" * 900 + "#zero = #zero"
+    code, _, err = run(capsys, "eval", "--frame", "chain length=1", deep)
+    assert code == 2 and err.startswith("error:") and "to evaluate" in err
 
 
 def test_def_reports_sizes(capsys):

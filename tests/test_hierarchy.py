@@ -18,6 +18,7 @@ from kripkelab.hierarchy import (
     empty_structure,
     gamma_apply,
     gfp,
+    harvest_at,
     hereditary_closure,
     iterate_def,
     lfp,
@@ -111,6 +112,20 @@ def test_def_along_is_cached():
     x = one_sigma(f, "0")
     cfg = DefConfig(formula_depth=1)
     assert def_along(x, cfg) is def_along(x, cfg)
+
+
+def test_harvests_and_towers_live_on_their_structures():
+    f = tree(2)
+    cfg = DefConfig(formula_depth=1)
+    s = canonical_structure(f)
+    x = one_sigma(f, "0")
+    stepped = def_step(s, cfg)
+    tower = def_along(x, cfg)
+    assert harvest_at(s, "e", cfg) is harvest_at(s, "e", cfg)
+    assert harvest_at(tower, "0", cfg) is harvest_at(tower, "0", cfg)
+    assert def_along(x, cfg) is tower
+    assert def_step(s, cfg).universe == stepped.universe
+    assert set(f.caches) <= {"eq", "constructs"}
 
 
 def test_constructible_numeral_stages():

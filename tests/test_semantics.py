@@ -5,10 +5,19 @@ import itertools
 
 import pytest
 
+from kripkelab import semantics
 from kripkelab.formula import enumerate_delta0, Not, parse
-from kripkelab.frame import chain, leaves, leq, tree, up_set
-from kripkelab.construct import internal_nat, one_sigma, empty_set
-from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
+from kripkelab.frame import chain, fan, leaves, leq, tree, up_set
+from kripkelab.construct import (
+    empty_set,
+    internal_nat,
+    is_branch,
+    monotone_t_families,
+    one_sigma,
+    p_hat,
+)
+from kripkelab.hierarchy import DefConfig, def_step, empty_structure, structure_from_sets
+from kripkelab.schema import CheckBounds, SchemaId, check_schema
 from kripkelab.semantics import (
     alive,
     delta0_absolute,
@@ -145,8 +154,8 @@ def test_forces_rejects_an_unknown_node(t2, text):
 
 
 def test_cached_verdict_does_not_outlive_the_parameter_it_read():
-    # the body reads no parameter, so its verdicts are kept for the
-    # structure's life; the whole formula reads #P, so its verdicts are not
+    # the body reads no parameter, so its memo key carries no uid for #P;
+    # the whole formula reads #P, so its key must carry #P's uid
     s = canonical_structure(tree(2))
     phi = parse("exists a in #P . forall z in a . ~(z = z)")
     values = (s.names["one"], s.names["phat"])
@@ -166,6 +175,72 @@ def test_cached_verdict_does_not_outlive_the_parameter_it_read():
                     assert got == want[sigma, p.uid], (sigma, p, clear)
                 if clear:
                     s._memo.clear()
+
+
+def test_forces_rejects_a_formula_nested_too_deeply(t2):
+    phi = parse("#zero = #zero")
+    for _ in range(3000):
+        phi = Not(phi)
+    with pytest.raises(EvalError, match="to evaluate"):
+        forces(t2, "e", phi)
+
+
+def _memo_sweep(f):
+    """Every schema at depth 1 with 2 parameters, and on tree(2) the
+    branch-hood verdict of every family at every node."""
+    s = canonical_structure(f)
+    swept = [s]
+    s._memo["sentinel"] = None
+    reports = [
+        check_schema(s, schema, CheckBounds(formula_depth=1, max_params=2))
+        for schema in SchemaId
+    ]
+    got = [(r.holds, r.counterexample, r.stats) for r in reports]
+    if f.kind == "tree(2)":
+        es = empty_structure(f)
+        swept.append(es)
+        es._memo["sentinel"] = None
+        families = monotone_t_families(f)
+        assert len(families) == 34
+        q = p_hat(f)
+        got.append([is_branch(es, sigma, b, q) for b in families for sigma in f.nodes])
+    # the sentinel goes only when `forces` resets a memo
+    return got, all("sentinel" not in x._memo for x in swept)
+
+
+@pytest.mark.parametrize("make", [lambda: tree(2), lambda: fan(3)], ids=["tree2", "fan3"])
+def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
+    f = make()
+    want, _ = _memo_sweep(f)
+    monkeypatch.setattr(semantics, "MEMO_CAP", 8)
+    got, was_reset = _memo_sweep(f)
+    assert got == want
+    assert was_reset
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda f, z: KripkeSet(f, "0", {"e": (), "0": ()}), "cover exactly the cone of '0'"),
+        (
+            lambda f, z: KripkeSet(f, "e", {t: (empty_set(tree(2)),) for t in f.nodes}),
+            "member belongs to a different frame",
+        ),
+        (
+            lambda f, z: KripkeSet(f, "e", {t: (KripkeSet(f, "0", {"0": ()}),) for t in f.nodes}),
+            "member born at '0' is not alive at 'e'",
+        ),
+        (
+            lambda f, z: KripkeSet(f, "e", {"e": (z,), "0": (), "1": (z,)}),
+            "from 'e' to '0'; transitions are inclusions",
+        ),
+    ],
+    ids=["cone", "frame", "alive", "shrink"],
+)
+def test_kripke_set_rejects_a_malformed_extension(build, message):
+    f = tree(2)
+    with pytest.raises(ValueError, match=message):
+        build(f, empty_set(f))
 
 
 def test_universes_grow_and_close(t2):
