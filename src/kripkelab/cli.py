@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from .formula import parse, render
-from .frame import Frame, dump_frame, parse_frame_spec
+from .frame import dump_frame, parse_frame_spec
 from .hierarchy import (
     DefConfig,
     constructible,
-    def_along,
     gfp,
     iterate_def,
     lfp,

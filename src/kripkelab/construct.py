@@ -2,7 +2,7 @@
 branches through binary trees, and the two-rooted forest fixtures.
 
 All constructions are interned per frame so repeated calls return the same
-object and the semantic caches stay warm.
+object, whose class labels are then computed only once.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import functools
 import itertools
 
 from .formula import Formula, parse
-from .frame import Frame, leaves, leq, linear_extension, up_set
-from .semantics import KripkeSet, Structure, forced_equal, forced_member, forces
+from .frame import Frame, leq, linear_extension, up_set
+from .semantics import KripkeSet, Structure, class_at, forced_member, forces
 
 
 def _intern(f: Frame, key: tuple, build):
@@ -66,12 +66,11 @@ def t_family(f: Frame) -> tuple[KripkeSet, ...]:
     """All delayed ones, deduplicated by forced equality at the bottom."""
 
     def build() -> tuple[KripkeSet, ...]:
-        reps: list[KripkeSet] = []
+        reps: dict[int, KripkeSet] = {}
         for sigma in f.nodes:
             cand = one_sigma(f, sigma)
-            if not any(forced_equal(f, f.bottom, cand, r) for r in reps):
-                reps.append(cand)
-        return tuple(reps)
+            reps.setdefault(class_at(cand, f.bottom), cand)
+        return tuple(reps.values())
 
     return _intern(f, ("tfam",), build)
 
@@ -100,15 +99,10 @@ def subset_of_t(
 
 def t_classes_at(f: Frame, tau: str) -> tuple[tuple[KripkeSet, ...], ...]:
     """Forced-equality classes of the delayed ones at one node."""
-    classes: list[list[KripkeSet]] = []
+    classes: dict[int, list[KripkeSet]] = {}
     for m in t_family(f):
-        for cl in classes:
-            if forced_equal(f, tau, m, cl[0]):
-                cl.append(m)
-                break
-        else:
-            classes.append([m])
-    return tuple(tuple(cl) for cl in classes)
+        classes.setdefault(class_at(m, tau), []).append(m)
+    return tuple(tuple(cl) for cl in classes.values())
 
 
 def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...]:

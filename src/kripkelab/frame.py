@@ -41,9 +41,13 @@ class Frame:
     order: frozenset[tuple[str, str]]
     bottom: str
     kind: str = "explicit"
-    # Per-frame caches, excluded from equality/repr: the forced-equality memo
-    # (semantics) and the interned constructions (construct).
+    # Per-frame tables, excluded from equality/repr: the up-sets, the
+    # intern table of forced-equality class labels (semantics; node names and
+    # ints only, no sets), and the interned constructions (construct).  The
+    # intern table grows with the number of distinct classes ever labelled
+    # and is never reset: labels stored on sets point into it.
     up: dict = field(default_factory=dict, repr=False, compare=False)
+    classes: dict = field(default_factory=dict, repr=False, compare=False)
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:

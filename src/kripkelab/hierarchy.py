@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
-from .construct import _intern, branch_formula, p_hat
+from .construct import _intern, branch_formula, empty_set, p_hat
 from .semantics import (
     KripkeSet,
     Structure,
     alive,
+    class_at,
     ext_at,
-    forced_equal,
-    forced_member,
     forces,
     is_ordinal,
     universe_at,
@@ -117,24 +116,19 @@ def _zero_decidable_zone(s: Structure, f: Frame) -> dict[str, bool]:
     """Nodes where emptiness is settled for the whole remaining universe:
     every element of every later universe is either forced empty or forced
     apart from empty."""
-    from .construct import empty_set
-
     zero = empty_set(f)
-    zone: dict[str, bool] = {}
-    for tau in f.nodes:
-        ok = True
-        for rho in up_set(f, tau):
-            for y in s.universe[rho]:
-                if forced_equal(f, rho, y, zero):
-                    continue
-                if all(not forced_equal(f, mu, y, zero) for mu in up_set(f, rho)):
-                    continue
-                ok = False
-                break
-            if not ok:
-                break
-        zone[tau] = ok
-    return zone
+    empty = {mu: class_at(zero, mu) for mu in f.nodes}
+    # nodes with an element that is neither forced empty there nor forced
+    # apart from empty at every node above; each is checked once, not once
+    # per node below it
+    unsettled = {
+        rho
+        for rho in f.nodes
+        for y in s.universe[rho]
+        if class_at(y, rho) != empty[rho]
+        and any(class_at(y, mu) == empty[mu] for mu in f.up[rho])
+    }
+    return {tau: unsettled.isdisjoint(f.up[tau]) for tau in f.nodes}
 
 
 class _Engine:
@@ -191,14 +185,24 @@ class _Engine:
         for tau in self.cone:
             es = self.elems[tau]
             n = len(es)
-            bi = bh = be = 0
+            # same[c]: the positions whose class label at tau is c; the
+            # universe is membership-closed, so every member's class is here
+            same: dict[int, int] = {}
             for i, a in enumerate(es):
-                for j, b in enumerate(es):
-                    if forced_member(f, tau, a, b):
-                        bi |= 1 << (i * n + j)
-                        bh |= 1 << (j * n + i)
-                    if forced_equal(f, tau, a, b):
-                        be |= 1 << (i * n + j)
+                c = class_at(a, tau)
+                same[c] = same.get(c, 0) | 1 << i
+            bi = bh = be = 0
+            for j, b in enumerate(es):
+                row = 0
+                for m in b.ext[tau]:
+                    row |= same[class_at(m, tau)]
+                bh |= row << j * n
+                be |= same[class_at(b, tau)] << j * n
+                # bi is bh transposed: one bit per member position of b
+                while row:
+                    low = row & -row
+                    bi |= 1 << (low.bit_length() - 1) * n + j
+                    row ^= low
             ins.append(bi)
             has.append(bh)
             eqs.append(be)
@@ -452,12 +456,11 @@ def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
         born, trunc, stab = harvest_at(s, sigma, cfg)
         truncated |= trunc
         stabilized |= stab
+        known = {class_at(c, sigma) for c in carried if alive(c, sigma)}
         for cand in born:
-            twin = next(
-                (c for c in carried if alive(c, sigma) and forced_equal(f, sigma, cand, c)),
-                None,
-            )
-            if twin is None:
+            c = class_at(cand, sigma)
+            if c not in known:
+                known.add(c)
                 new_by_node[sigma].append(cand)
                 carried.append(cand)
     out = _grown(s, new_by_node)
@@ -520,16 +523,13 @@ def def_along(
                 born, trunc, stab = harvest_at(tower, tau, cfg)
                 truncated |= trunc
                 stabilized |= stab
+                # everything pooled at tau is alive there
+                known = {class_at(o, tau) for o in pool.values()}
                 for cand in born:
-                    if cand.uid in pool:
-                        continue
-                    if any(
-                        forced_equal(f, tau, cand, o)
-                        for o in pool.values()
-                        if alive(o, tau)
-                    ):
-                        continue
-                    pool[cand.uid] = cand
+                    c = class_at(cand, tau)
+                    if c not in known:
+                        known.add(c)
+                        pool[cand.uid] = cand
         have[tau] = pool
         universe[tau] = tuple(pool.values())
     out = Structure(frame=f, universe=universe, names={})
@@ -582,17 +582,13 @@ def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
             if len(grown) > limit:
                 raise ValueError("powerset too large to enumerate; shrink the structure")
             families = grown
+        known = {class_at(y, sigma) for y in s.universe[sigma]}
+        known |= {class_at(c, sigma) for c in carried if alive(c, sigma)}
         for fam in families:
             cand = KripkeSet(f, sigma, {tau: fam[tau] for tau in cone}, f"pow{sigma}")
-            match = next(
-                (y for y in s.universe[sigma] if forced_equal(f, sigma, cand, y)), None
-            )
-            if match is None:
-                match = next(
-                    (c for c in carried if alive(c, sigma) and forced_equal(f, sigma, cand, c)),
-                    None,
-                )
-            if match is None:
+            c = class_at(cand, sigma)
+            if c not in known:
+                known.add(c)
                 new_by_node[sigma].append(cand)
                 carried.append(cand)
     return _grown(s, new_by_node)
@@ -690,11 +686,8 @@ def definable_branches(
     if sigma is None:
         sigma = f.bottom
     phi = branch_formula()
-    found: list[KripkeSet] = []
+    found: dict[int, KripkeSet] = {}
     for x in universe_at(s, sigma):
-        if not forces(s, sigma, phi, extra_names={"B": x, "Q": q}):
-            continue
-        if any(forced_equal(f, sigma, x, r) for r in found):
-            continue
-        found.append(x)
-    return tuple(found)
+        if forces(s, sigma, phi, extra_names={"B": x, "Q": q}):
+            found.setdefault(class_at(x, sigma), x)
+    return tuple(found.values())

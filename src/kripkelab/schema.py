@@ -73,6 +73,7 @@ from .semantics import (
     KripkeSet,
     Structure,
     Verdict,
+    class_at,
     delta0_absolute,
     forced_equal,
     forced_member,
@@ -550,11 +551,9 @@ def _result(
     return LemmaResult(tag, "holds", checked, note)
 
 
-def _same_classes(f: Frame, sigma: str, xs, ys) -> bool:
+def _same_classes(sigma: str, xs, ys) -> bool:
     """The two families present the same forced-equality classes at sigma."""
-    return all(any(forced_equal(f, sigma, x, y) for y in ys) for x in xs) and all(
-        any(forced_equal(f, sigma, y, x) for x in xs) for y in ys
-    )
+    return {class_at(x, sigma) for x in xs} == {class_at(y, sigma) for y in ys}
 
 
 def _maximal_cone_chain(f: Frame, tau: str, picked) -> bool:
@@ -603,7 +602,7 @@ def _row_towers(f: Frame, cfg: DefConfig) -> LemmaResult:
         for tau in f.nodes:
             checked += 1
             want = () if leq(f, tau, sigma) else (zero,)
-            if not _same_classes(f, tau, lx.universe[tau], want):
+            if not _same_classes(tau, lx.universe[tau], want):
                 bad.append((sigma, tau))
     return _result("tower-of-one-sigma", checked, bad, trunc)
 
@@ -621,7 +620,7 @@ def _row_def_step(f: Frame, cfg: DefConfig) -> LemmaResult:
         for tau in f.nodes:
             checked += 1
             want = lx.universe[tau] + (zero, one)
-            if not _same_classes(f, tau, stepped.universe[tau], want):
+            if not _same_classes(tau, stepped.universe[tau], want):
                 bad.append((sigma, tau))
     return _result("def-step-of-tower", checked, bad, trunc)
 
@@ -649,7 +648,7 @@ def _row_zero_families(
         trunc |= bool(lx.meta.get("truncated"))
         for tau in f.nodes:
             checked += 1
-            if not _same_classes(f, tau, lx.universe[tau], that0.ext[tau]):
+            if not _same_classes(tau, lx.universe[tau], that0.ext[tau]):
                 bad.append((i, tau))
     return _result("zero-family-fixed-point", checked, bad, trunc)
 
@@ -672,7 +671,7 @@ def _row_carve(
         dying = [l for l in lv if one_sigma(f, l).uid in chosen]
         for tau in f.nodes:
             checked += 1
-            mismatch = not _same_classes(f, tau, carved.ext[tau], sel.ext[tau])
+            mismatch = not _same_classes(tau, carved.ext[tau], sel.ext[tau])
             expected = any(leq(f, tau, l) for l in dying)
             if mismatch != expected:
                 bad.append((i, tau, "unexpected" if mismatch else "missing artifact"))
@@ -742,7 +741,7 @@ def _row_branch_recovery(f: Frame, cfg: DefConfig, depth: int) -> LemmaResult:
     trunc = bool(lx.meta.get("truncated"))
     recovered = definable_branches(lx, p_hat(f))
     checked += 1
-    if not _same_classes(f, f.bottom, recovered, branches):
+    if not _same_classes(f.bottom, recovered, branches):
         bad.append(("recovered classes differ", len(recovered)))
     checked += 1
     if forced_equal(f, f.bottom, branches[0], branches[1]):

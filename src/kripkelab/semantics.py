@@ -5,6 +5,14 @@ finite extension (a tuple of previously built Kripke sets).  Transitions are
 inclusions: the extension can only grow along the order.  Equality between
 Kripke sets is not identity but the forced, hereditarily extensional one
 computed by `forced_equal`.
+
+Forced equality is hereditary coextensionality over the cone, a
+bisimulation, so it has a canonical labelling: at each node tau where x is
+alive, x's class label interns tau, the set of its members' labels at tau
+and x's own labels at the nodes strictly above tau.  Two sets alive at tau
+are forced equal there iff their labels agree.  A set's labels are computed
+the first time a question needs them, top nodes first, and the intern table
+is one per frame (`Frame.classes`), holding node names and ints only.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from .formula import (
     Or,
     Member,
     Not,
-    Param,
     Term,
     Var,
     free_vars,
@@ -39,7 +46,7 @@ _uid_counter = itertools.count()
 class KripkeSet:
     """Immutable by convention; build the extension map fully, then freeze."""
 
-    __slots__ = ("frame", "birth", "ext", "uid", "rank", "label")
+    __slots__ = ("frame", "birth", "ext", "uid", "label", "classes")
 
     def __init__(
         self,
@@ -73,11 +80,10 @@ class KripkeSet:
         self.birth = birth
         self.ext = {tau: tuple(ext[tau]) for tau in cone}
         self.uid = next(_uid_counter)
-        # members predate this set, so ranks are already available: no cycles
-        self.rank = 1 + max(
-            (m.rank for tau in cone for m in ext[tau]), default=-1
-        )
         self.label = label
+        # class labels per node, filled by `class_at` on first use; members
+        # predate this set, so the recursion there always ends
+        self.classes = None
 
     def __repr__(self) -> str:
         tag = self.label or f"k{self.uid}"
@@ -97,50 +103,43 @@ def ext_at(x: KripkeSet, tau: str) -> tuple[KripkeSet, ...]:
 # ------------------------------------------------------- forced equality
 
 
+def class_at(x: KripkeSet, sigma: str) -> int:
+    """x's forced-equality class label at sigma: sets alive at sigma are
+    forced equal there iff their labels agree."""
+    if x.classes is None:
+        f, lab = x.frame, {}
+        # strict successors have strictly smaller up-sets, so they come first
+        for tau in sorted(x.ext, key=lambda t: len(f.up[t])):
+            members = tuple(sorted({class_at(m, tau) for m in x.ext[tau]}))
+            above = tuple(lab[rho] for rho in f.up[tau] if rho != tau)
+            lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
+        x.classes = lab
+    if sigma not in x.classes:
+        raise ValueError(f"set born at {x.birth!r} is not alive at {sigma!r}")
+    return x.classes[sigma]
+
+
 def forced_equal(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """Hereditary coextensionality over the cone of sigma.
 
     x and y are forced equal at sigma iff at every tau >= sigma each member of
     either extension is forced equal at tau to a member of the other.
     """
-    if not (alive(x, sigma) and alive(y, sigma)):
-        raise ValueError("forced_equal on a set not alive at the node")
-    memo = f.caches.setdefault("eq", {})
-    return _eq(f, memo, sigma, x, y)
-
-
-def _eq(f: Frame, memo: dict, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
-    if x.uid == y.uid:
-        return True
-    key = (sigma, x.uid, y.uid) if x.uid < y.uid else (sigma, y.uid, x.uid)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = True
-    for tau in f.up[sigma]:
-        ex, ey = x.ext[tau], y.ext[tau]
-        for a in ex:
-            if not any(_eq(f, memo, tau, a, b) for b in ey):
-                result = False
-                break
-        if result:
-            for b in ey:
-                if not any(_eq(f, memo, tau, b, a) for a in ex):
-                    result = False
-                    break
-        if not result:
-            break
-    memo[key] = result
-    return result
+    # labels are interned per frame object, so they only compare within one
+    if x.frame is not y.frame:
+        raise ValueError("sets live on different frames")
+    return class_at(x, sigma) == class_at(y, sigma)
 
 
 def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """x is forced to belong to y at sigma iff some listed member of y at
     sigma is forced equal to x there."""
-    if not (alive(x, sigma) and alive(y, sigma)):
-        raise ValueError("forced_member on a set not alive at the node")
-    memo = f.caches.setdefault("eq", {})
-    return any(_eq(f, memo, sigma, x, z) for z in y.ext[sigma])
+    if x.frame is not y.frame:
+        raise ValueError("sets live on different frames")
+    c = class_at(x, sigma)
+    if sigma not in y.ext:
+        raise ValueError(f"set born at {y.birth!r} is not alive at {sigma!r}")
+    return any(class_at(z, sigma) == c for z in y.ext[sigma])
 
 
 # ------------------------------------------------------------- structure
@@ -163,9 +162,11 @@ class Structure:
     # Everything computed over the structure lives on it.  `_memo` holds
     # forcing verdicts, keyed by id(phi), the node and the uids of what phi
     # reads; `_keys` maps id(phi) to phi's key spec and pins phi, so no later
-    # formula can take over its id.  The top-level `forces` resets both
-    # together once `_memo` holds MEMO_CAP entries.  `_harvest` and `_towers`
-    # belong to `hierarchy.harvest_at` and `hierarchy.def_along`.
+    # formula can take over its id.  A formula is pinned as it is forced and
+    # leaves a verdict unless the call raises, so the top-level `forces`
+    # bounds both by resetting them together once `_memo` holds MEMO_CAP
+    # entries.  `_harvest` and `_towers` belong to `hierarchy.harvest_at` and
+    # `hierarchy.def_along`.
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _keys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _harvest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -217,8 +218,10 @@ class EvalError(ValueError):
     pass
 
 
-# forcing verdicts a structure keeps before `forces` resets its memo
-MEMO_CAP = 1 << 16
+# forcing verdicts a structure keeps before `forces` resets its memo: a reset
+# also drops the verdicts a sweep keeps reusing, so the bound trades
+# re-forcing those against holding dead ones
+MEMO_CAP = 1 << 14
 
 
 def forces(
@@ -235,6 +238,11 @@ def forces(
     the node itself.  Bounded quantifiers range over the bound's extension.
     """
     _require(s.frame, sigma)
+    env, extra_names = env or {}, extra_names or {}
+    # class labels only compare within one frame object
+    for x in (*env.values(), *extra_names.values()):
+        if x.frame is not s.frame:
+            raise ValueError("bound set lives on a different frame")
     memo, keys = s._memo, s._keys
     # reset only here, between top-level calls: inside the recursion a
     # verdict stored after a reset could be keyed by an id no longer pinned
@@ -242,7 +250,7 @@ def forces(
         memo.clear()
         keys.clear()
     try:
-        return _Ctx(s, extra_names or {}).forces(sigma, phi, env or {})
+        return _Ctx(s, extra_names).forces(sigma, phi, env)
     except RecursionError:
         raise EvalError("formula nests too deeply to evaluate") from None
 
@@ -251,7 +259,7 @@ class _Ctx:
     """One top-level `forces` call: the extra parameters plus direct handles
     on the frame's order tables and the structure's memo tables."""
 
-    __slots__ = ("s", "extra", "order", "up", "eq", "memo", "keys")
+    __slots__ = ("s", "extra", "order", "up", "memo", "keys")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
@@ -259,7 +267,6 @@ class _Ctx:
         self.extra = extra
         self.order = f.order
         self.up = f.up
-        self.eq = f.caches.setdefault("eq", {})
         self.memo = s._memo
         self.keys = s._keys
 
@@ -312,10 +319,10 @@ class _Ctx:
             return True
         if isinstance(phi, Member):
             x, y = self.term(phi.left, sigma, env), self.term(phi.right, sigma, env)
-            return any(_eq(self.s.frame, self.eq, sigma, x, z) for z in y.ext[sigma])
+            return forced_member(self.s.frame, sigma, x, y)
         if isinstance(phi, Eq):
             x, y = self.term(phi.left, sigma, env), self.term(phi.right, sigma, env)
-            return _eq(self.s.frame, self.eq, sigma, x, y)
+            return forced_equal(self.s.frame, sigma, x, y)
         if isinstance(phi, And):
             return self.forces(sigma, phi.left, env) and self.forces(sigma, phi.right, env)
         if isinstance(phi, Or):
@@ -347,15 +354,13 @@ def is_end_extension(m: Structure, n: Structure) -> bool:
         raise ValueError("structures live on different frames")
     f = m.frame
     for sigma in f.nodes:
-        for x in m.universe[sigma]:
-            if not any(forced_equal(f, sigma, x, x2) for x2 in n.universe[sigma]):
-                return False
-    for sigma in f.nodes:
+        old = {class_at(x, sigma) for x in m.universe[sigma]}
+        if not old <= {class_at(x, sigma) for x in n.universe[sigma]}:
+            return False
         for y in m.universe[sigma]:
             for x in n.universe[sigma]:
-                if forced_member(f, sigma, x, y):
-                    if not any(forced_equal(f, sigma, x, old) for old in m.universe[sigma]):
-                        return False
+                if forced_member(f, sigma, x, y) and class_at(x, sigma) not in old:
+                    return False
     return True
 
 

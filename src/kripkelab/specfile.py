@@ -23,7 +23,7 @@ import shlex
 from dataclasses import dataclass
 
 from . import construct as C
-from .frame import Frame, dump_frame, parse_frame_spec
+from .frame import Frame, parse_frame_spec
 from .hierarchy import (
     DefConfig,
     _shared_empty,

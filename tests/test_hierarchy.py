@@ -125,7 +125,7 @@ def test_harvests_and_towers_live_on_their_structures():
     assert harvest_at(tower, "0", cfg) is harvest_at(tower, "0", cfg)
     assert def_along(x, cfg) is tower
     assert def_step(s, cfg).universe == stepped.universe
-    assert set(f.caches) <= {"eq", "constructs"}
+    assert set(f.caches) <= {"constructs"}
 
 
 def test_constructible_numeral_stages():

@@ -1,6 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface and the hygiene of its modules."""
 
+import ast
 import types
+from pathlib import Path
 
 import kripkelab
 
@@ -16,3 +18,26 @@ def test_all_names_the_public_api():
     exec("from kripkelab import *", scope)
     for name in kripkelab.__all__:
         assert scope[name] is getattr(kripkelab, name)
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports only to re-export
+    modules = sorted(Path(kripkelab.__file__).parent.glob("*.py"))
+    unused = {
+        p.name: _unused_imports(p.read_text())
+        for p in modules
+        if p.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}

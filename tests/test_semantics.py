@@ -2,12 +2,13 @@
 leaves, end extensions, and the structural predicates."""
 
 import itertools
+import random
 
 import pytest
 
 from kripkelab import semantics
 from kripkelab.formula import enumerate_delta0, Not, parse
-from kripkelab.frame import chain, fan, leaves, leq, tree, up_set
+from kripkelab.frame import chain, fan, leaves, leq, linear_extension, tree, up_set
 from kripkelab.construct import (
     empty_set,
     internal_nat,
@@ -17,7 +18,7 @@ from kripkelab.construct import (
     p_hat,
 )
 from kripkelab.hierarchy import DefConfig, def_step, empty_structure, structure_from_sets
-from kripkelab.schema import CheckBounds, SchemaId, check_schema
+from kripkelab.schema import CheckBounds, SchemaId, check_instance, check_schema
 from kripkelab.semantics import (
     alive,
     delta0_absolute,
@@ -35,6 +36,7 @@ from kripkelab.semantics import (
 )
 from kripkelab.specfile import canonical_structure
 
+from recursive_eq import oracle_equal, oracle_member
 from util import find_class
 
 
@@ -54,6 +56,87 @@ def test_forced_equal_is_an_equivalence(t2):
         for x, y, z in itertools.combinations(elems, 3):
             if forced_equal(f, sigma, x, y) and forced_equal(f, sigma, y, z):
                 assert forced_equal(f, sigma, x, z)
+
+
+def test_forced_relations_reject_a_set_dead_at_the_node(t2):
+    f = t2.frame
+    late, zero = KripkeSet(f, "0", {"0": ()}, "late"), t2.names["zero"]
+    for relation in (forced_equal, forced_member):
+        for x, y in ((late, zero), (zero, late)):
+            with pytest.raises(ValueError, match="not alive"):
+                relation(f, "e", x, y)
+
+
+def test_sets_from_equal_but_separate_frames_are_rejected():
+    # class labels are interned per frame object, so the same int can name
+    # different classes on two equal frames
+    s, other = canonical_structure(tree(2)), canonical_structure(tree(2))
+    f, x, y = s.frame, s.names["one"], other.names["zero"]
+    g = other.frame
+    assert f is not g and (f.nodes, f.order) == (g.nodes, g.order)
+    for relation in (forced_equal, forced_member):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="different frames"):
+                relation(f, "e", a, b)
+    phi = parse("#P = #P")
+    with pytest.raises(ValueError, match="different frame"):
+        forces(s, "e", phi, extra_names={"P": y})
+    with pytest.raises(ValueError, match="different frame"):
+        forces(s, "e", parse("v = v"), env={"v": y})
+    with pytest.raises(ValueError, match="different frame"):
+        check_instance(s, SchemaId.SIGMA_REFLECTION, phi, {"P": y})
+
+
+def _random_sets(f, rng, count):
+    """Monotone Kripke sets built in order from sets built before, with
+    random births and member choices that make many forced equalities."""
+    built = [empty_set(f)]
+    for k in range(count):
+        birth = rng.choice(f.nodes)
+        ext = {}
+        for tau in linear_extension(f):
+            if not leq(f, birth, tau):
+                continue
+            below = {m.uid: m for rho in ext if leq(f, rho, tau) for m in ext[rho]}
+            for m in built:
+                if m.uid not in below and alive(m, tau) and rng.random() < 0.25:
+                    below[m.uid] = m
+            ext[tau] = tuple(below.values())
+        built.append(KripkeSet(f, birth, ext, f"r{k}"))
+    return built
+
+
+def _differences(f, sets):
+    """Live pairs at every node where the labels and the recursive oracle
+    disagree on forced equality or forced membership."""
+    memo, bad, pairs = {}, [], 0
+    for sigma in f.nodes:
+        here = [x for x in sets if alive(x, sigma)]
+        for x in here:
+            for y in here:
+                pairs += 1
+                if forced_equal(f, sigma, x, y) != oracle_equal(f, memo, sigma, x, y):
+                    bad.append(("=", sigma, x, y))
+                if forced_member(f, sigma, x, y) != oracle_member(f, memo, sigma, x, y):
+                    bad.append(("in", sigma, x, y))
+    return pairs, bad
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: chain(3), lambda: fan(3), lambda: tree(2), lambda: tree(3)],
+    ids=["chain3", "fan3", "tree2", "tree3"],
+)
+def test_class_labels_match_the_recursive_oracle(make):
+    for seed in range(3):
+        f = make()
+        pairs, bad = _differences(f, _random_sets(f, random.Random(seed), 60))
+        assert pairs and bad == []
+    f = make()
+    # one round already gives universes as large as the default four do
+    s = def_step(canonical_structure(f), DefConfig(formula_depth=1))
+    sets = {x.uid: x for tau in f.nodes for x in s.universe[tau]}
+    pairs, bad = _differences(f, list(sets.values()))
+    assert pairs and bad == []
 
 
 def test_forced_equal_is_a_congruence_for_membership(t2):
@@ -216,6 +299,20 @@ def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
     got, was_reset = _memo_sweep(f)
     assert got == want
     assert was_reset
+
+
+def test_pinned_formulas_stay_bounded_when_every_verdict_reads_an_extra_name(
+    monkeypatch,
+):
+    # every instance of Sigma reflection with a parameter reads #p and pins
+    # a fresh template; each pinned formula leaves a verdict in `_memo`, so
+    # the memo's bound also bounds the pinned formulas
+    monkeypatch.setattr(semantics, "MEMO_CAP", 64)
+    s = canonical_structure(chain(3))
+    bounds = CheckBounds(formula_depth=1, max_params=2)
+    report = check_schema(s, SchemaId.SIGMA_REFLECTION, bounds)
+    assert report.stats["instances"] > 100
+    assert len(s._keys) < 2 * 64
 
 
 @pytest.mark.parametrize(
