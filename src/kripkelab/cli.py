@@ -148,10 +148,7 @@ def cmd_L(args: argparse.Namespace) -> int:
     s = _load(args)
     x = _named_set(s, args.ordinal)
     cfg = DefConfig(formula_depth=args.depth)
-    try:
-        tower = constructible(x, cfg)
-    except ValueError as err:
-        raise SpecError(str(err)) from err
+    tower = constructible(x, cfg)
     _emit(
         args,
         {
@@ -169,10 +166,7 @@ def cmd_L(args: argparse.Namespace) -> int:
 
 def cmd_powerset(args: argparse.Namespace) -> int:
     s = _load(args)
-    try:
-        out = powerset(s)
-    except ValueError as err:
-        raise SpecError(str(err)) from err
+    out = powerset(s)
     _emit(
         args,
         {"cmd": "powerset", "sizes": _sizes(out)},
@@ -181,18 +175,16 @@ def cmd_powerset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stage_line(head: str, x) -> str:
+    """`head: tau=size ...`: the size of x's extension at each node, by name."""
+    return f"{head}: " + " ".join(f"{tau}={len(x.ext[tau])}" for tau in sorted(x.ext))
+
+
 def _fixpoint(args: argparse.Namespace, which: str) -> int:
     s = _load(args)
     x = _named_set(s, args.set)
     psi = parse(args.formula)
-    try:
-        fix, trace = (lfp if which == "lfp" else gfp)(s, x, psi)
-    except ValueError as err:
-        raise SpecError(str(err)) from err
-    stage_lines = [
-        f"stage {i}: " + " ".join(f"{tau}={len(st.ext[tau])}" for tau in sorted(st.ext))
-        for i, st in enumerate(trace)
-    ]
+    fix, trace = (lfp if which == "lfp" else gfp)(s, x, psi)
     _emit(
         args,
         {
@@ -202,8 +194,8 @@ def _fixpoint(args: argparse.Namespace, which: str) -> int:
             "sizes": {tau: len(fix.ext[tau]) for tau in sorted(fix.ext)},
             "stages": len(trace),
         },
-        stage_lines
-        + ["fixpoint: " + " ".join(f"{tau}={len(fix.ext[tau])}" for tau in sorted(fix.ext))],
+        [_stage_line(f"stage {i}", st) for i, st in enumerate(trace)]
+        + [_stage_line("fixpoint", fix)],
     )
     return 0
 
@@ -347,15 +339,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
         s = _load(args)
         x = _named_set(s, args.set)
         psi = parse(args.formula)
-        try:
-            _, trace = (lfp if args.mode == "lfp" else gfp)(s, x, psi)
-        except ValueError as err:
-            raise SpecError(str(err)) from err
-        lines = [
-            f"stage {i}: "
-            + " ".join(f"{tau}={len(st.ext[tau])}" for tau in sorted(st.ext))
-            for i, st in enumerate(trace)
-        ]
+        _, trace = (lfp if args.mode == "lfp" else gfp)(s, x, psi)
         _emit(
             args,
             {
@@ -366,7 +350,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
                     {tau: len(st.ext[tau]) for tau in sorted(st.ext)} for st in trace
                 ],
             },
-            lines,
+            [_stage_line(f"stage {i}", st) for i, st in enumerate(trace)],
         )
         return 0
     raise SpecError(f"unknown dump target {args.what!r}")

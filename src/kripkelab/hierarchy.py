@@ -334,6 +334,7 @@ class _Engine:
             push2(m)
 
         binders = self.binders()
+        bound = 0  # pool2[:bound] is bound already; its results are in seen1
         quiet = 0
         for _ in range(self.cfg.formula_depth):
             before = len(pool1) + len(pool2)
@@ -371,13 +372,16 @@ class _Engine:
                         push2(self.imp(m1, m2, 2))
             else:
                 self.truncated = True
-            for m in list(pool2):
+            if len(pool1) >= POOL_CAP:
+                self.truncated = True
+            for m in pool2[bound:]:
                 if len(pool1) >= POOL_CAP:
                     self.truncated = True
                     break
                 for dom in binders:
                     push1(self.exists2(m, dom))
                     push1(self.forall2(m, dom))
+            bound = len(pool2)
             if self.truncated or len(pool2) >= POOL_CAP:
                 self.truncated = True
                 break

@@ -2,9 +2,12 @@
 
 Every check is one question: does a node force a closed template formula?
 Schema instances plug a swept formula and swept parameters into the
-template; axiom-shaped entries have no formula slot.  Structures may carry
-designated instances in their notes; those are checked before the generic
-sweep, so a designed failure is the one reported.
+template; axiom-shaped entries have no formula slot.  A sweep builds the
+template once per swept formula and forces it at every node under every
+parameter assignment, so verdicts on the parts that read no parameter are
+shared.  Structures may carry designated instances in their notes; those
+are checked before the generic sweep, so a designed failure is the one
+reported.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .construct import (
     alpha_forest,
@@ -102,16 +105,6 @@ AXIOM_IDS = frozenset(
     {SchemaId.EXTENSIONALITY, SchemaId.PAIRING, SchemaId.UNION, SchemaId.EMPTY_SET}
 )
 
-# schemas whose instances take a parameter set #A besides the swept formula
-_TAKES_A = frozenset(
-    {
-        SchemaId.DELTA0_COMPREHENSION,
-        SchemaId.DELTA0_BOUNDING,
-        SchemaId.DELTA0_UNIFORMITY,
-        SchemaId.PI_UNIFORMITY,
-    }
-)
-
 
 @dataclass(frozen=True)
 class CheckBounds:
@@ -157,61 +150,79 @@ def _axiom(schema: SchemaId) -> Formula:
     return parse(_AXIOM_TEXT[schema])
 
 
-def _no_capture(phi: Formula, binders: tuple[str, ...]) -> None:
-    hit = free_vars(phi) & set(binders)
-    if hit:
-        raise ValueError(f"instance formula leaves template binders free: {sorted(hit)}")
+def _strictly_pi(
+    depth: int, variables: tuple[str, ...], params: tuple[str, ...]
+) -> list[Formula]:
+    """Pi uniformity's sweep: bounded formulas are Delta0 uniformity's."""
+    return [phi for phi in enumerate_pi(depth, variables, params) if classify(phi) == "Pi"]
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What a schema with a formula slot accepts there, and what it sweeps."""
+
+    noun: str  # how error messages name the schema's instances
+    classes: tuple[str, ...]  # the `classify` results allowed; () allows any
+    variables: tuple[str, ...]  # the free variables allowed, also swept
+    enumerator: Callable[..., list[Formula]]  # (depth, variables, params)
+    p_from: int  # the max_params at which #p joins the swept formulas
+    takes_a: bool  # the template reads the parameter #A
+
+
+_SHAPES = {
+    SchemaId.DELTA0_COMPREHENSION: _Shape(
+        "comprehension", ("Delta0",), ("x",), enumerate_delta0, 2, True
+    ),
+    SchemaId.DELTA0_BOUNDING: _Shape(
+        "Delta0Bounding", ("Delta0",), ("x", "y"), enumerate_delta0, 2, True
+    ),
+    SchemaId.DELTA0_UNIFORMITY: _Shape(
+        "Delta0Uniformity", ("Delta0",), ("x", "y"), enumerate_delta0, 2, True
+    ),
+    SchemaId.PI_UNIFORMITY: _Shape(
+        "PiUniformity", ("Delta0", "Pi"), ("x", "y"), _strictly_pi, 2, True
+    ),
+    SchemaId.SIGMA_REFLECTION: _Shape(
+        "reflection", ("Delta0", "Sigma"), (), enumerate_sigma, 1, False
+    ),
+    SchemaId.PI_PERSISTENCE: _Shape(
+        "persistence", ("Delta0", "Pi"), (), enumerate_pi, 1, False
+    ),
+    SchemaId.EPSILON_INDUCTION: _Shape(
+        "induction", (), ("a",), enumerate_delta0, 2, False
+    ),
+    SchemaId.PI2_REFLECTION: _Shape(
+        "Pi2Reflection", ("Delta0",), ("x", "y"), enumerate_delta0, 2, False
+    ),
+}
+
+_FRAGMENTS = {
+    ("Delta0",): "be bounded formulas",
+    ("Delta0", "Pi"): "sit in the universal fragment",
+    ("Delta0", "Sigma"): "sit in the existential fragment",
+}
 
 
 def _validate_instance(schema: SchemaId, phi: Formula | None) -> None:
+    # a template binds its shape's variables, which are the formula's
+    # slots, and other names that are never among them, so a formula that
+    # passes the variables check cannot be captured
     if schema in AXIOM_IDS:
         if phi is not None:
             raise ValueError(f"{schema.value} takes no instance formula")
         return
+    shape = _SHAPES.get(schema)
+    if shape is None:
+        raise ValueError(f"unknown schema {schema}")
     if phi is None:
         raise ValueError(f"{schema.value} needs an instance formula")
-    cls = classify(phi)
-    fv = free_vars(phi)
-    if schema is SchemaId.DELTA0_COMPREHENSION:
-        if cls != "Delta0":
-            raise ValueError("comprehension instances must be bounded formulas")
-        if not fv <= {"x"}:
-            raise ValueError("comprehension instances may mention x only")
-        _no_capture(phi, ("c",))
-    elif schema in (SchemaId.DELTA0_BOUNDING, SchemaId.DELTA0_UNIFORMITY):
-        if cls != "Delta0":
-            raise ValueError(f"{schema.value} instances must be bounded formulas")
-        if not fv <= {"x", "y"}:
-            raise ValueError(f"{schema.value} instances may mention x and y only")
-        _no_capture(phi, ("B",))
-    elif schema is SchemaId.PI_UNIFORMITY:
-        if cls not in ("Delta0", "Pi"):
-            raise ValueError("instances must sit in the universal fragment")
-        if not fv <= {"x", "y"}:
-            raise ValueError("instances may mention x and y only")
-        _no_capture(phi, ("B",))
-    elif schema is SchemaId.SIGMA_REFLECTION:
-        if cls not in ("Delta0", "Sigma"):
-            raise ValueError("instances must sit in the existential fragment")
-        if fv:
-            raise ValueError("reflection instances must be sentences")
-        _no_capture(phi, ("A",))
-    elif schema is SchemaId.PI_PERSISTENCE:
-        if cls not in ("Delta0", "Pi"):
-            raise ValueError("instances must sit in the universal fragment")
-        if fv:
-            raise ValueError("persistence instances must be sentences")
-        _no_capture(phi, ("A",))
-    elif schema is SchemaId.EPSILON_INDUCTION:
-        if not fv <= {"a"}:
-            raise ValueError("induction instances may mention a only")
-        _no_capture(phi, ("b",))
-    elif schema is SchemaId.PI2_REFLECTION:
-        if cls != "Delta0":
-            raise ValueError("instances must be bounded formulas")
-        if not fv <= {"x", "y"}:
-            raise ValueError("instances may mention x and y only")
-        _no_capture(phi, ("A", "B", "z"))
+    if shape.classes and classify(phi) not in shape.classes:
+        raise ValueError(f"{shape.noun} instances must {_FRAGMENTS[shape.classes]}")
+    if not free_vars(phi) <= set(shape.variables):
+        if not shape.variables:
+            raise ValueError(f"{shape.noun} instances must be sentences")
+        allowed = " and ".join(shape.variables)
+        raise ValueError(f"{shape.noun} instances may mention {allowed} only")
 
 
 def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
@@ -249,23 +260,22 @@ def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
             Implies(Forall("b", Var("a"), substitute(phi, "a", Var("b"))), phi),
         )
         return Implies(step, Forall("a", None, phi))
-    if schema is SchemaId.PI2_REFLECTION:
-        return Implies(
-            Forall("x", None, Exists("y", None, phi)),
-            Forall(
-                "A",
+    # validated above: only Pi2 reflection is left
+    return Implies(
+        Forall("x", None, Exists("y", None, phi)),
+        Forall(
+            "A",
+            None,
+            Exists(
+                "B",
                 None,
-                Exists(
-                    "B",
-                    None,
-                    And(
-                        Forall("z", Var("A"), Member(Var("z"), Var("B"))),
-                        Forall("x", Var("B"), Exists("y", Var("B"), phi)),
-                    ),
+                And(
+                    Forall("z", Var("A"), Member(Var("z"), Var("B"))),
+                    Forall("x", Var("B"), Exists("y", Var("B"), phi)),
                 ),
             ),
-        )
-    raise ValueError(f"unknown schema {schema}")
+        ),
+    )
 
 
 def _param_desc(assignment: dict[str, KripkeSet] | None) -> tuple[str, ...]:
@@ -284,10 +294,20 @@ def check_instance(
     node: str | None = None,
 ) -> Verdict:
     """Force one schema instance at one node."""
-    template = build_template(schema, phi)
     sigma = node if node is not None else s.frame.bottom
-    holds = forces(s, sigma, template, env=None, extra_names=assignment)
-    if holds:
+    return _force(s, schema, build_template(schema, phi), phi, assignment, sigma)
+
+
+def _force(
+    s: Structure,
+    schema: SchemaId,
+    template: Formula,
+    phi: Formula | None,
+    assignment: dict[str, KripkeSet] | None,
+    sigma: str,
+) -> Verdict:
+    """Force `template`, the instance built from phi, at sigma."""
+    if forces(s, sigma, template, env=None, extra_names=assignment):
         return Verdict(True)
     return Verdict(
         False,
@@ -312,27 +332,9 @@ class CheckReport:
 def _sweep_formulas(schema: SchemaId, bounds: CheckBounds) -> list[Formula | None]:
     if schema in AXIOM_IDS:
         return [None]
-    d = bounds.formula_depth
-    extra = ("p",) if bounds.max_params >= 2 else ()
-    if schema is SchemaId.DELTA0_COMPREHENSION:
-        return list(enumerate_delta0(d, ("x",), extra))
-    if schema in (
-        SchemaId.DELTA0_BOUNDING,
-        SchemaId.DELTA0_UNIFORMITY,
-        SchemaId.PI2_REFLECTION,
-    ):
-        return list(enumerate_delta0(d, ("x", "y"), extra))
-    if schema is SchemaId.PI_UNIFORMITY:
-        return [phi for phi in enumerate_pi(d, ("x", "y"), extra) if classify(phi) == "Pi"]
-    if schema is SchemaId.SIGMA_REFLECTION:
-        pool = ("p",) if bounds.max_params >= 1 else ()
-        return list(enumerate_sigma(d, (), pool))
-    if schema is SchemaId.PI_PERSISTENCE:
-        pool = ("p",) if bounds.max_params >= 1 else ()
-        return list(enumerate_pi(d, (), pool))
-    if schema is SchemaId.EPSILON_INDUCTION:
-        return list(enumerate_delta0(d, ("a",), extra))
-    raise ValueError(f"unknown schema {schema}")
+    shape = _SHAPES[schema]
+    params = ("p",) if bounds.max_params >= shape.p_from else ()
+    return list(shape.enumerator(bounds.formula_depth, shape.variables, params))
 
 
 def _scope(s: Structure, bounds: CheckBounds) -> tuple[str, ...]:
@@ -344,7 +346,7 @@ def _scope(s: Structure, bounds: CheckBounds) -> tuple[str, ...]:
 def _assignments(s: Structure, sigma: str, schema: SchemaId, phi: Formula | None):
     """Parameter assignments for one formula at one node, in universe order."""
     names = sorted(params_of(phi)) if phi is not None else []
-    if schema in _TAKES_A and "A" not in names:
+    if phi is not None and _SHAPES[schema].takes_a and "A" not in names:
         names = ["A"] + names
     if not names:
         yield None
@@ -373,9 +375,10 @@ def check_schema(
         designated += 1
         phi = parse(inst.phi) if inst.phi is not None else None
         assignment = {k: s.names[v] for k, v in inst.params} or None
+        template = build_template(schema, phi)
         for sigma in (inst.node,) if inst.node is not None else nodes:
             instances += 1
-            v = check_instance(s, schema, phi, assignment, sigma)
+            v = _force(s, schema, template, phi, assignment, sigma)
             if not v.holds and failure is None:
                 failure = v.counterexample
                 note = inst.label or "designated instance"
@@ -384,12 +387,13 @@ def check_schema(
     for phi in formulas:
         if failure is not None:
             break
+        template = build_template(schema, phi)
         for sigma in nodes:
             if failure is not None:
                 break
             for assignment in _assignments(s, sigma, schema, phi):
                 instances += 1
-                v = check_instance(s, schema, phi, assignment, sigma)
+                v = _force(s, schema, template, phi, assignment, sigma)
                 if not v.holds:
                     failure = v.counterexample
                     break
@@ -431,13 +435,15 @@ def bounding_uniformity_agreement(
     must agree.  Checked at every leaf, for every enumerated instance."""
     pairs = 0
     mismatches: list[tuple] = []
+    bounding, uniformity = SchemaId.DELTA0_BOUNDING, SchemaId.DELTA0_UNIFORMITY
     for phi in enumerate_delta0(bounds.formula_depth, ("x", "y")):
         neg = Not(phi)
+        tb, tu = build_template(bounding, phi), build_template(uniformity, neg)
         for sigma in leaves(s.frame):
             for a in universe_at(s, sigma):
                 pairs += 1
-                b = check_instance(s, SchemaId.DELTA0_BOUNDING, phi, {"A": a}, sigma)
-                u = check_instance(s, SchemaId.DELTA0_UNIFORMITY, neg, {"A": a}, sigma)
+                b = _force(s, bounding, tb, phi, {"A": a}, sigma)
+                u = _force(s, uniformity, tu, neg, {"A": a}, sigma)
                 if b.holds != u.holds:
                     mismatches.append(
                         (render(phi), a.label or f"uid{a.uid}", sigma, b.holds, u.holds)
@@ -592,37 +598,31 @@ _DEF_ROW_TAGS = (
 )
 
 
-def _row_towers(f: Frame, cfg: DefConfig) -> LemmaResult:
-    """Tower over a delayed one reproduces its cone pattern exactly."""
+def _rows_towers(f: Frame, cfg: DefConfig) -> tuple[LemmaResult, LemmaResult]:
+    """Tower over a delayed one reproduces its cone pattern exactly; one
+    definability step over such a tower adds exactly the empty set and the
+    delayed one itself, per node up to forced equality."""
     zero = empty_set(f)
     checked, bad, trunc = 0, [], False
+    step_bad, step_trunc = [], False
     for sigma in f.nodes:
-        lx = def_along(one_sigma(f, sigma), cfg)
+        one = one_sigma(f, sigma)
+        lx = def_along(one, cfg)
         trunc |= bool(lx.meta.get("truncated"))
+        stepped = def_step(lx, cfg)
+        step_trunc |= bool(stepped.meta.get("truncated"))
         for tau in f.nodes:
             checked += 1
             want = () if leq(f, tau, sigma) else (zero,)
             if not _same_classes(tau, lx.universe[tau], want):
                 bad.append((sigma, tau))
-    return _result("tower-of-one-sigma", checked, bad, trunc)
-
-
-def _row_def_step(f: Frame, cfg: DefConfig) -> LemmaResult:
-    """One definability step over such a tower adds exactly the empty set
-    and the delayed one itself, per node up to forced equality."""
-    zero = empty_set(f)
-    checked, bad, trunc = 0, [], False
-    for sigma in f.nodes:
-        one = one_sigma(f, sigma)
-        lx = def_along(one, cfg)
-        stepped = def_step(lx, cfg)
-        trunc |= bool(stepped.meta.get("truncated"))
-        for tau in f.nodes:
-            checked += 1
             want = lx.universe[tau] + (zero, one)
             if not _same_classes(tau, stepped.universe[tau], want):
-                bad.append((sigma, tau))
-    return _result("def-step-of-tower", checked, bad, trunc)
+                step_bad.append((sigma, tau))
+    return (
+        _result("tower-of-one-sigma", checked, bad, trunc),
+        _result("def-step-of-tower", checked, step_bad, step_trunc),
+    )
 
 
 def _family_sample(f: Frame, rng: random.Random) -> list[tuple[KripkeSet, ...]]:
@@ -635,32 +635,16 @@ def _family_sample(f: Frame, rng: random.Random) -> list[tuple[KripkeSet, ...]]:
     return subsets
 
 
-def _row_zero_families(
+def _rows_families(
     f: Frame, cfg: DefConfig, families: list[tuple[KripkeSet, ...]]
-) -> LemmaResult:
+) -> tuple[LemmaResult, LemmaResult]:
     """The tower over a zero-added selection of delayed ones is that
-    selection again: universes match its extension classwise at every node."""
-    checked, bad, trunc = 0, [], False
-    for i, members in enumerate(families):
-        sel = subset_of_t(f, {tau: members for tau in f.nodes}, label=f"that{i}")
-        that0 = with_zero(sel)
-        lx = def_along(that0, cfg)
-        trunc |= bool(lx.meta.get("truncated"))
-        for tau in f.nodes:
-            checked += 1
-            if not _same_classes(tau, lx.universe[tau], that0.ext[tau]):
-                bad.append((i, tau))
-    return _result("zero-family-fixed-point", checked, bad, trunc)
-
-
-def _row_carve(
-    f: Frame, cfg: DefConfig, families: list[tuple[KripkeSet, ...]]
-) -> LemmaResult:
-    """Carving the nonzero part out of such a tower recovers the selection,
+    selection again: universes match its extension classwise at every node.
+    Carving the nonzero part out of such a tower recovers the selection,
     except on down-sets of leaves whose delayed one dies there."""
     zero = empty_set(f)
     lv = leaves(f)
-    checked, bad, trunc = 0, [], False
+    checked, bad, carve_bad, trunc = 0, [], [], False
     for i, members in enumerate(families):
         sel = subset_of_t(f, {tau: members for tau in f.nodes}, label=f"that{i}")
         that0 = with_zero(sel)
@@ -671,12 +655,17 @@ def _row_carve(
         dying = [l for l in lv if one_sigma(f, l).uid in chosen]
         for tau in f.nodes:
             checked += 1
+            if not _same_classes(tau, lx.universe[tau], that0.ext[tau]):
+                bad.append((i, tau))
             mismatch = not _same_classes(tau, carved.ext[tau], sel.ext[tau])
             expected = any(leq(f, tau, l) for l in dying)
             if mismatch != expected:
-                bad.append((i, tau, "unexpected" if mismatch else "missing artifact"))
+                carve_bad.append((i, tau, "unexpected" if mismatch else "missing artifact"))
     note = "mismatches on leaf down-sets are death artifacts and are required"
-    return _result("nonzero-carve", checked, bad, trunc, note=note)
+    return (
+        _result("zero-family-fixed-point", checked, bad, trunc),
+        _result("nonzero-carve", checked, carve_bad, trunc, note=note),
+    )
 
 
 def _suite_branches(f: Frame, depth: int) -> tuple[KripkeSet, ...]:
@@ -686,24 +675,35 @@ def _suite_branches(f: Frame, depth: int) -> tuple[KripkeSet, ...]:
     )
 
 
-def _row_xi(f: Frame, cfg: DefConfig, depth: int) -> LemmaResult:
+def _rows_xi(f: Frame, cfg: DefConfig, depth: int) -> tuple[LemmaResult, LemmaResult]:
     """The collection of zero-added branches with their members is an
-    internal ordinal, and its tower contains every input at the bottom."""
+    internal ordinal, and its tower contains every input at the bottom.  The
+    branch predicate over that tower recovers exactly the input branches,
+    and the bottom leaves the two distinguishable."""
     branches = _suite_branches(f, depth)
     staged = tuple(with_zero(b) for b in branches)
-    checked, bad = 0, []
     try:
         lx = constructible(make_xi(staged), cfg)
     except ValueError as err:
-        return LemmaResult("xi-ordinal-containment", "fails", 1, str(err))
-    checked += 1
+        return (
+            LemmaResult("xi-ordinal-containment", "fails", 1, str(err)),
+            LemmaResult("branch-recovery", "fails", 1, str(err)),
+        )
     trunc = bool(lx.meta.get("truncated"))
+    checked, bad = 1, []
     bottom = universe_at(lx, f.bottom)
     for b in staged:
         checked += 1
         if not any(forced_equal(f, f.bottom, b, u) for u in bottom):
             bad.append(("missing input", b.label))
-    return _result("xi-ordinal-containment", checked, bad, trunc)
+    xi = _result("xi-ordinal-containment", checked, bad, trunc)
+    bad = []
+    recovered = definable_branches(lx, p_hat(f))
+    if not _same_classes(f.bottom, recovered, branches):
+        bad.append(("recovered classes differ", len(recovered)))
+    if forced_equal(f, f.bottom, branches[0], branches[1]):
+        bad.append(("bottom conflates the two branches",))
+    return xi, _result("branch-recovery", 2, bad, trunc)
 
 
 def _row_externalization(f: Frame) -> LemmaResult:
@@ -726,27 +726,6 @@ def _row_externalization(f: Frame) -> LemmaResult:
             if lhs != rhs:
                 bad.append((i, sigma, lhs))
     return _result("externalization-chains", checked, bad)
-
-
-def _row_branch_recovery(f: Frame, cfg: DefConfig, depth: int) -> LemmaResult:
-    """The branch predicate over the xi tower recovers exactly the input
-    branches, and the bottom leaves the two distinguishable."""
-    branches = _suite_branches(f, depth)
-    staged = tuple(with_zero(b) for b in branches)
-    checked, bad = 0, []
-    try:
-        lx = constructible(make_xi(staged), cfg)
-    except ValueError as err:
-        return LemmaResult("branch-recovery", "fails", 1, str(err))
-    trunc = bool(lx.meta.get("truncated"))
-    recovered = definable_branches(lx, p_hat(f))
-    checked += 1
-    if not _same_classes(f.bottom, recovered, branches):
-        bad.append(("recovered classes differ", len(recovered)))
-    checked += 1
-    if forced_equal(f, f.bottom, branches[0], branches[1]):
-        bad.append(("bottom conflates the two branches",))
-    return _result("branch-recovery", checked, bad, trunc)
 
 
 def _row_staged_formula(cfg: DefConfig) -> LemmaResult:
@@ -937,14 +916,9 @@ def lemma_suite(
             out.append(LemmaResult(tag, "under-enumeration", 0, skip))
     else:
         families = _family_sample(f, rng)
-        out.append(_row_towers(f, cfg))
-        out.append(_row_def_step(f, cfg))
-        out.append(_row_zero_families(f, cfg, families))
-        out.append(_row_carve(f, cfg, families))
-        out.append(_row_xi(f, cfg, tree_depth))
-        out.append(_row_externalization(f))
-        out.append(_row_branch_recovery(f, cfg, tree_depth))
-        out.append(_row_staged_formula(cfg))
+        out += _rows_towers(f, cfg) + _rows_families(f, cfg, families)
+        xi, recovery = _rows_xi(f, cfg, tree_depth)
+        out += [xi, _row_externalization(f), recovery, _row_staged_formula(cfg)]
     out.append(_row_fixpoints())
     out.append(_row_gap())
     out.append(_row_battery(cfg, rng, samples))

@@ -27,6 +27,7 @@ from kripkelab.hierarchy import (
 )
 from kripkelab.semantics import (
     forced_equal,
+    forced_member,
     forces,
     is_end_extension,
     KripkeSet,
@@ -295,3 +296,37 @@ def test_engine_cone_operations_match_their_definitions():
         s = canonical_structure(f)
         for sigma in f.nodes:
             assert _oracle_disagreements(s, sigma, rng, draws=4) == 0, (f.kind, sigma)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: canonical_structure(chain(3)),
+        lambda: canonical_structure(fan(3)),
+        lambda: canonical_structure(tree(2)),
+        lambda: def_step(canonical_structure(tree(2)), DefConfig(formula_depth=1)),
+    ],
+    ids=["chain3", "fan3", "tree2", "def_step-tree2"],
+)
+def test_pair_atom_maps_match_the_forced_relations(build):
+    # bit i * n + j of the pair maps at a cone node: `a in b`, `b in a` and
+    # `a = b` with a the i-th and b the j-th universe element there
+    s = build()
+    f = s.frame
+    bad = []
+    for sigma in f.nodes:
+        eng = _Engine(s, sigma, DefConfig())
+        ins, has, eqs = eng.atom_maps()[4]
+        for k, tau in enumerate(eng.cone):
+            es = s.universe[tau]
+            n = len(es)
+            for (i, a), (j, b) in itertools.product(enumerate(es), repeat=2):
+                got = tuple(bool(m[k] >> i * n + j & 1) for m in (ins, has, eqs))
+                want = (
+                    forced_member(f, tau, a, b),
+                    forced_member(f, tau, b, a),
+                    forced_equal(f, tau, a, b),
+                )
+                if got != want:
+                    bad.append((sigma, tau, i, j, got, want))
+    assert not bad, bad[:5]

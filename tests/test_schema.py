@@ -64,6 +64,71 @@ def test_build_template_closes_the_formula():
         build_template(SchemaId.DELTA0_COMPREHENSION, parse("exists q . q in x"))
 
 
+# per schema with a formula slot: a formula of a class it refuses, and the
+# two messages; `z in z` is bounded, so it fails on its stray variable alone
+_REJECTIONS = [
+    (
+        SchemaId.DELTA0_COMPREHENSION,
+        "exists q . q = q",
+        "comprehension instances must be bounded formulas",
+        "comprehension instances may mention x only",
+    ),
+    (
+        SchemaId.DELTA0_BOUNDING,
+        "exists q . q = q",
+        "Delta0Bounding instances must be bounded formulas",
+        "Delta0Bounding instances may mention x and y only",
+    ),
+    (
+        SchemaId.DELTA0_UNIFORMITY,
+        "exists q . q = q",
+        "Delta0Uniformity instances must be bounded formulas",
+        "Delta0Uniformity instances may mention x and y only",
+    ),
+    (
+        SchemaId.PI_UNIFORMITY,
+        "exists q . q = q",
+        "PiUniformity instances must sit in the universal fragment",
+        "PiUniformity instances may mention x and y only",
+    ),
+    (
+        SchemaId.SIGMA_REFLECTION,
+        "forall q . q = q",
+        "reflection instances must sit in the existential fragment",
+        "reflection instances must be sentences",
+    ),
+    (
+        SchemaId.PI_PERSISTENCE,
+        "exists q . q = q",
+        "persistence instances must sit in the universal fragment",
+        "persistence instances must be sentences",
+    ),
+    (SchemaId.EPSILON_INDUCTION, None, None, "induction instances may mention a only"),
+    (
+        SchemaId.PI2_REFLECTION,
+        "exists q . q = q",
+        "Pi2Reflection instances must be bounded formulas",
+        "Pi2Reflection instances may mention x and y only",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "schema, wrong_class, class_message, fv_message",
+    _REJECTIONS,
+    ids=[row[0].value for row in _REJECTIONS],
+)
+def test_instance_rejections_name_their_schema(schema, wrong_class, class_message, fv_message):
+    # induction takes formulas of every class
+    cases = [("z in z", fv_message)]
+    if wrong_class is not None:
+        cases.append((wrong_class, class_message))
+    for text, message in cases:
+        with pytest.raises(ValueError) as err:
+            build_template(schema, parse(text))
+        assert str(err.value) == message
+
+
 def test_check_instance_verdicts(t2):
     good = check_instance(t2, SchemaId.EMPTY_SET)
     assert good.holds and good.counterexample is None

@@ -304,9 +304,10 @@ def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
 def test_pinned_formulas_stay_bounded_when_every_verdict_reads_an_extra_name(
     monkeypatch,
 ):
-    # every instance of Sigma reflection with a parameter reads #p and pins
-    # a fresh template; each pinned formula leaves a verdict in `_memo`, so
-    # the memo's bound also bounds the pinned formulas
+    # every instance of Sigma reflection with a parameter reads #p; the
+    # sweep pins one template per swept formula, and each pinned formula
+    # leaves a verdict in `_memo`, so the memo's bound also bounds the
+    # pinned formulas
     monkeypatch.setattr(semantics, "MEMO_CAP", 64)
     s = canonical_structure(chain(3))
     bounds = CheckBounds(formula_depth=1, max_params=2)
