@@ -58,8 +58,9 @@ def _load(args: argparse.Namespace) -> Structure:
 
 
 def _input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frame", help="frame spec, e.g. 'tree depth=2'")
-    p.add_argument("--structure", help="structure spec file")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--frame", help="frame spec, e.g. 'tree depth=2'")
+    given.add_argument("--structure", help="structure spec file")
 
 
 def _sizes(s: Structure) -> dict[str, int]:

@@ -85,16 +85,16 @@ def p_hat(f: Frame) -> KripkeSet:
 
 
 def subset_of_t(
-    f: Frame, ext: dict[str, tuple[KripkeSet, ...]], birth: str | None = None, label: str = ""
+    f: Frame, ext: dict[str, tuple[KripkeSet, ...]], label: str = ""
 ) -> KripkeSet:
-    """A monotone selection from the delayed ones, given per node."""
-    birth = birth or f.bottom
+    """A monotone selection from the delayed ones, given per node, born at
+    the bottom."""
     allowed = {m.uid for m in t_family(f)}
     for tau, members in ext.items():
         for m in members:
             if m.uid not in allowed:
                 raise ValueError(f"{m!r} is not one of the delayed ones")
-    return KripkeSet(f, birth, ext, label)
+    return KripkeSet(f, f.bottom, ext, label)
 
 
 def t_classes_at(f: Frame, tau: str) -> tuple[tuple[KripkeSet, ...], ...]:

@@ -19,11 +19,14 @@ positions with a missing pair in the binder's domain.
 
 The fragment is bounded on purpose: one live bound variable besides the
 defined one (relation maps of arity two), round count given by
-`formula_depth`, and a hard cap on harvested sets per birth node.  When a cap
-bites, the result is flagged truncated and downstream reports say
-under-enumeration rather than failure.  The first round emits unions of
-equality atoms, successor shapes, and stage cuts before anything else, so the
-sets the lemma fixtures rely on precede the cap.
+`formula_depth`, at most `POOL_CAP` maps of each arity, and at most
+`HARVEST_CAP` harvested sets per birth node.  When a cap bites, the result
+is flagged truncated and downstream reports say under-enumeration rather
+than failure.  The closure stops early once `QUIET_ROUNDS` rounds in a row
+add nothing, and a harvest is flagged stabilized when its last round added
+nothing and no cap bit.  The first round emits unions of equality atoms,
+successor shapes, and stage cuts before anything else, so the sets the lemma
+fixtures rely on precede the cap.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
-from .construct import _intern, branch_formula, empty_set, p_hat
+from .construct import _intern, branch_formula, empty_set
 from .semantics import (
     KripkeSet,
     Structure,
@@ -46,16 +49,17 @@ from .semantics import (
 
 HARVEST_CAP = 56
 POOL_CAP = 2048
+QUIET_ROUNDS = 2
+POWERSET_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
 class DefConfig:
     formula_depth: int = 4
-    stabilization_window: int = 2
 
     def __post_init__(self) -> None:
-        if self.formula_depth < 1 or self.stabilization_window < 1:
-            raise ValueError("formula_depth and stabilization_window must be >= 1")
+        if self.formula_depth < 1:
+            raise ValueError("formula_depth must be >= 1")
 
 
 # ------------------------------------------------------ structure assembly
@@ -92,17 +96,14 @@ def hereditary_closure(
 
 
 def structure_from_sets(
-    f: Frame,
-    sets: tuple[KripkeSet, ...],
-    names: dict[str, KripkeSet] | None = None,
-    notes: tuple = (),
+    f: Frame, sets: tuple[KripkeSet, ...], names: dict[str, KripkeSet] | None = None
 ) -> Structure:
     universe = hereditary_closure(sets) if sets else {tau: () for tau in f.nodes}
-    return Structure(frame=f, universe=universe, names=dict(names or {}), notes=notes)
+    return Structure(frame=f, universe=universe, names=dict(names or {}))
 
 
-def empty_structure(f: Frame, names: dict[str, KripkeSet] | None = None) -> Structure:
-    return Structure(frame=f, universe={tau: () for tau in f.nodes}, names=dict(names or {}))
+def empty_structure(f: Frame) -> Structure:
+    return structure_from_sets(f, ())
 
 
 def _shared_empty(f: Frame) -> Structure:
@@ -110,6 +111,20 @@ def _shared_empty(f: Frame) -> Structure:
 
 
 # --------------------------------------------------------- the def engine
+
+
+def _bounded_pool():
+    """An empty pool of maps and its push, which keeps each map once, in
+    order, until the pool holds POOL_CAP maps."""
+    pool: list[tuple[int, ...]] = []
+    seen: set = set()
+
+    def push(m: tuple[int, ...]) -> None:
+        if m not in seen and len(pool) < POOL_CAP:
+            seen.add(m)
+            pool.append(m)
+
+    return pool, push
 
 
 def _zero_decidable_zone(s: Structure, f: Frame) -> dict[str, bool]:
@@ -293,28 +308,27 @@ class _Engine:
 
     # ---- the closure loop
 
+    def connectives(self, pool: list, push, base: list, arity: int) -> None:
+        """One round of interiors and pairwise or/and/imp (and/or/imp for
+        pairs) over `base`; no work once `pool` is full."""
+        if len(pool) >= POOL_CAP:
+            return
+        op1, op2 = (self._or, self._and) if arity == 1 else (self._and, self._or)
+        for m in base:
+            push(self.interior(m, arity))
+        for m1 in base:
+            if len(pool) >= POOL_CAP:
+                break
+            for m2 in base:
+                push(op1(m1, m2))
+                push(op2(m1, m2))
+                push(self.imp(m1, m2, arity))
+
     def run(self) -> list[tuple[int, ...]]:
         eq, mem, has, fixed, pairs = self.atom_maps()
         self.mem, zone_map = mem, fixed[-1]
-        pool1: list[tuple[int, ...]] = []
-        seen1: set = set()
-        pool2: list[tuple[int, ...]] = []
-        seen2: set = set()
-
-        def push1(m) -> None:
-            if m in seen1:
-                return
-            if len(pool1) >= POOL_CAP:
-                self.truncated = True
-                return
-            seen1.add(m)
-            pool1.append(m)
-
-        def push2(m) -> None:
-            if m not in seen2 and len(pool2) < POOL_CAP:
-                seen2.add(m)
-                pool2.append(m)
-
+        pool1, push1 = _bounded_pool()
+        pool2, push2 = _bounded_pool()
         for m in eq:
             push1(m)
         push1(fixed[0])
@@ -334,60 +348,32 @@ class _Engine:
             push2(m)
 
         binders = self.binders()
-        bound = 0  # pool2[:bound] is bound already; its results are in seen1
+        bound = 0  # pool2[:bound] is bound already; its results are in pool1
         quiet = 0
         for _ in range(self.cfg.formula_depth):
             before = len(pool1) + len(pool2)
             base1 = list(pool1)
             base2 = list(pool2)
-            # each stage stops once its target pool is saturated; a skipped
-            # stage can only have chased duplicates or lost candidates, so
-            # saturation is reported as truncation either way
-            if len(pool1) < POOL_CAP:
-                for m in base1:
-                    push1(self.interior(m, 1))
-                for m1 in base1:
-                    if len(pool1) >= POOL_CAP:
-                        self.truncated = True
-                        break
-                    for m2 in base1:
-                        push1(self._or(m1, m2))
-                        push1(self._and(m1, m2))
-                        push1(self.imp(m1, m2, 1))
-            else:
-                self.truncated = True
-            if len(pool2) < POOL_CAP:
-                for m in base1:
-                    push2(self.lift(m, 0))
-                    push2(self.lift(m, 1))
-                for m in base2:
-                    push2(self.interior(m, 2))
-                for m1 in base2:
-                    if len(pool2) >= POOL_CAP:
-                        self.truncated = True
-                        break
-                    for m2 in base2:
-                        push2(self._and(m1, m2))
-                        push2(self._or(m1, m2))
-                        push2(self.imp(m1, m2, 2))
-            else:
-                self.truncated = True
-            if len(pool1) >= POOL_CAP:
-                self.truncated = True
+            self.connectives(pool1, push1, base1, 1)
+            # pool2 is never full here: a full pool ends the loop
+            for m in base1:
+                push2(self.lift(m, 0))
+                push2(self.lift(m, 1))
+            self.connectives(pool2, push2, base2, 2)
             for m in pool2[bound:]:
                 if len(pool1) >= POOL_CAP:
-                    self.truncated = True
                     break
                 for dom in binders:
                     push1(self.exists2(m, dom))
                     push1(self.forall2(m, dom))
             bound = len(pool2)
-            if self.truncated or len(pool2) >= POOL_CAP:
-                self.truncated = True
+            # a full pool may have lost candidates, now or in a later round
+            self.truncated = len(pool1) >= POOL_CAP or len(pool2) >= POOL_CAP
+            if self.truncated:
                 break
             if len(pool1) + len(pool2) == before:
                 quiet += 1
-                if quiet >= self.cfg.stabilization_window:
+                if quiet >= QUIET_ROUNDS:
                     break
             else:
                 quiet = 0
@@ -419,22 +405,29 @@ def harvest_at(
     eng = _Engine(s, sigma, cfg)
     maps = eng.run()
     # the membership maps of the parameters are the profiles of the
-    # universe elements at sigma
+    # universe elements at sigma; the pool holds each map once
     existing = set(eng.mem)
-    born: list[KripkeSet] = []
-    seen_new: set = set()
-    truncated = eng.truncated
-    for m in maps:
-        if m in seen_new or m in existing:
-            continue
-        if len(born) >= HARVEST_CAP:
-            truncated = True
-            break
-        new = KripkeSet(f, sigma, eng.decode(m), f"def{sigma}#{len(born)}")
-        seen_new.add(m)
-        born.append(new)
+    fresh = [m for m in maps if m not in existing]
+    born = [
+        KripkeSet(f, sigma, eng.decode(m), f"def{sigma}#{k}")
+        for k, m in enumerate(fresh[:HARVEST_CAP])
+    ]
+    truncated = eng.truncated or len(fresh) > HARVEST_CAP
     result = s._harvest[sigma, cfg] = (born, truncated, eng.stabilized)
     return result
+
+
+def _fresh(cands, sigma: str, old) -> list[KripkeSet]:
+    """The earliest candidate of each forced-equality class at sigma that no
+    set in `old` belongs to."""
+    known = {class_at(o, sigma) for o in old}
+    out = []
+    for cand in cands:
+        c = class_at(cand, sigma)
+        if c not in known:
+            known.add(c)
+            out.append(cand)
+    return out
 
 
 def _grown(s: Structure, new_by_node: dict[str, list[KripkeSet]]) -> Structure:
@@ -452,21 +445,15 @@ def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
     """One definability step over the whole structure: every node contributes
     the subsets definable there; old sets persist and duplicates collapse
     onto the earliest representative."""
-    f = s.frame
-    new_by_node: dict[str, list[KripkeSet]] = {tau: [] for tau in f.nodes}
+    new_by_node: dict[str, list[KripkeSet]] = {}
     carried: list[KripkeSet] = []
     truncated = stabilized = False
-    for sigma in linear_extension(f):
+    for sigma in linear_extension(s.frame):
         born, trunc, stab = harvest_at(s, sigma, cfg)
         truncated |= trunc
         stabilized |= stab
-        known = {class_at(c, sigma) for c in carried if alive(c, sigma)}
-        for cand in born:
-            c = class_at(cand, sigma)
-            if c not in known:
-                known.add(c)
-                new_by_node[sigma].append(cand)
-                carried.append(cand)
+        new_by_node[sigma] = _fresh(born, sigma, (c for c in carried if alive(c, sigma)))
+        carried += new_by_node[sigma]
     out = _grown(s, new_by_node)
     out.meta["truncated"] = truncated
     out.meta["stabilized"] = stabilized
@@ -484,82 +471,64 @@ def iterate_def(s: Structure, steps: int, cfg: DefConfig = DefConfig()) -> Struc
 # ----------------------------------------------------- towers over a set
 
 
-def def_along(
-    x: KripkeSet, cfg: DefConfig = DefConfig(), base: Structure | None = None
-) -> Structure:
+def def_along(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
     """The constructible tower over an internal set: at each node, union the
     definability steps over the towers of the members present there.
 
     Earlier-born sets are carried upward, so universes grow literally along
     the order; a fresh harvest forced equal to something already present is
-    dropped in its favor.
+    dropped in its favor.  Towers are interned per frame.
     """
     f = x.frame
-    if base is None:
-        base = _shared_empty(f)
-    hit = base._towers.get((x.uid, cfg))
-    if hit is not None:
-        return hit
 
-    member_towers = {
-        m.uid: def_along(m, cfg, base)
-        for tau in f.nodes
-        if alive(x, tau)
-        for m in x.ext[tau]
-    }
+    def build() -> Structure:
+        member_towers = {
+            m.uid: def_along(m, cfg) for tau in f.nodes if alive(x, tau) for m in x.ext[tau]
+        }
+        universe: dict[str, tuple[KripkeSet, ...]] = {}
+        truncated = stabilized = False
+        order = linear_extension(f)
+        for tau in order:
+            pool = {
+                e.uid: e
+                for rho in order
+                if rho != tau and leq(f, rho, tau)
+                for e in universe[rho]
+            }
+            if alive(x, tau):
+                for m in x.ext[tau]:
+                    tower = member_towers[m.uid]
+                    for e in tower.universe[tau]:
+                        pool.setdefault(e.uid, e)
+                    born, trunc, stab = harvest_at(tower, tau, cfg)
+                    truncated |= trunc
+                    stabilized |= stab
+                    # everything pooled at tau is alive there
+                    pool.update((c.uid, c) for c in _fresh(born, tau, pool.values()))
+            universe[tau] = tuple(pool.values())
+        out = Structure(frame=f, universe=universe, names={})
+        out.meta["truncated"] = truncated
+        out.meta["stabilized"] = stabilized
+        return out
 
-    universe: dict[str, tuple[KripkeSet, ...]] = {}
-    have: dict[str, dict[int, KripkeSet]] = {}
-    truncated = stabilized = False
-    order = linear_extension(f)
-    for tau in order:
-        pool: dict[int, KripkeSet] = {}
-        for rho in order:
-            if rho != tau and leq(f, rho, tau):
-                pool.update(have[rho])
-        for b in base.universe[tau]:
-            pool.setdefault(b.uid, b)
-        if alive(x, tau):
-            for m in x.ext[tau]:
-                tower = member_towers[m.uid]
-                for e in tower.universe[tau]:
-                    pool.setdefault(e.uid, e)
-                born, trunc, stab = harvest_at(tower, tau, cfg)
-                truncated |= trunc
-                stabilized |= stab
-                # everything pooled at tau is alive there
-                known = {class_at(o, tau) for o in pool.values()}
-                for cand in born:
-                    c = class_at(cand, tau)
-                    if c not in known:
-                        known.add(c)
-                        pool[cand.uid] = cand
-        have[tau] = pool
-        universe[tau] = tuple(pool.values())
-    out = Structure(frame=f, universe=universe, names={})
-    out.meta["truncated"] = truncated
-    out.meta["stabilized"] = stabilized
-    base._towers[x.uid, cfg] = out
-    return out
+    return _intern(f, ("tower", x.uid, cfg), build)
 
 
-def constructible(
-    x: KripkeSet, cfg: DefConfig = DefConfig(), base: Structure | None = None
-) -> Structure:
+def constructible(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
     """The tower over an internal ordinal; rejects non-ordinal stages."""
     probe = structure_from_sets(x.frame, (x,))
     if not is_ordinal(probe, x):
         raise ValueError("constructible towers are indexed by internal ordinals")
-    return def_along(x, cfg, base)
+    return def_along(x, cfg)
 
 
 # ---------------------------------------------------------------- powerset
 
 
-def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
+def powerset(s: Structure) -> Structure:
     """All monotone selections from the universe, born at every node."""
     f = s.frame
-    new_by_node: dict[str, list[KripkeSet]] = {tau: [] for tau in f.nodes}
+    new_by_node: dict[str, list[KripkeSet]] = {}
     carried: list[KripkeSet] = []
     topo = linear_extension(f)
     for sigma in topo:
@@ -567,7 +536,7 @@ def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
         cone = [tau for tau in topo if tau in cone_set]
         families: list[dict[str, tuple[KripkeSet, ...]]] = [{}]
         for tau in cone:
-            if s.universe[tau] and 1 << len(s.universe[tau]) > limit:
+            if s.universe[tau] and 1 << len(s.universe[tau]) > POWERSET_CAP:
                 raise ValueError("powerset too large to enumerate; shrink the structure")
             grown: list[dict[str, tuple[KripkeSet, ...]]] = []
             for fam in families:
@@ -583,43 +552,35 @@ def powerset(s: Structure, limit: int = 1 << 16) -> Structure:
                         optional[i] for i in range(len(optional)) if (k >> i) & 1
                     )
                     grown.append(fam2)
-            if len(grown) > limit:
+            if len(grown) > POWERSET_CAP:
                 raise ValueError("powerset too large to enumerate; shrink the structure")
             families = grown
-        known = {class_at(y, sigma) for y in s.universe[sigma]}
-        known |= {class_at(c, sigma) for c in carried if alive(c, sigma)}
-        for fam in families:
-            cand = KripkeSet(f, sigma, {tau: fam[tau] for tau in cone}, f"pow{sigma}")
-            c = class_at(cand, sigma)
-            if c not in known:
-                known.add(c)
-                new_by_node[sigma].append(cand)
-                carried.append(cand)
+        cands = (
+            KripkeSet(f, sigma, {tau: fam[tau] for tau in cone}, f"pow{sigma}")
+            for fam in families
+        )
+        old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
+        new_by_node[sigma] = _fresh(cands, sigma, old)
+        carried += new_by_node[sigma]
     return _grown(s, new_by_node)
 
 
 # ------------------------------------------------------------ fixed points
 
 
-def gamma_apply(
-    s: Structure,
-    x: KripkeSet,
-    psi: Formula,
-    ysub: KripkeSet,
-    var: str = "x",
-    yname: str = "Y",
-) -> KripkeSet:
-    """One application of the operator carving {a in x : psi(a, Y)}."""
-    if not is_positive_in(psi, yname):
-        raise ValueError(f"formula is not positive in {yname!r}")
-    if var not in free_vars(psi):
-        raise ValueError(f"formula does not mention the selection variable {var!r}")
+def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
+    """One application of the operator carving {a in x : psi(a, Y)}; psi
+    reads a as its free variable x and Y as the parameter #Y."""
+    if not is_positive_in(psi, "Y"):
+        raise ValueError("formula is not positive in 'Y'")
+    if "x" not in free_vars(psi):
+        raise ValueError("formula does not mention the selection variable 'x'")
     f = s.frame
     ext = {
         tau: tuple(
             a
             for a in ext_at(x, tau)
-            if forces(s, tau, psi, {var: a, yname: ysub}, extra_names={yname: ysub})
+            if forces(s, tau, psi, {"x": a, "Y": ysub}, extra_names={"Y": ysub})
         )
         for tau in up_set(f, x.birth)
     }
@@ -631,31 +592,27 @@ def _subset_signature(x: KripkeSet) -> tuple:
 
 
 def _fixed_point(
-    s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet, var: str, yname: str
+    s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet
 ) -> tuple[KripkeSet, list[KripkeSet]]:
     trace = [stage]
     while True:
-        nxt = gamma_apply(s, x, psi, stage, var, yname)
+        nxt = gamma_apply(s, x, psi, stage)
         if _subset_signature(nxt) == _subset_signature(stage):
             return stage, trace
         stage = nxt
         trace.append(stage)
 
 
-def lfp(
-    s: Structure, x: KripkeSet, psi: Formula, var: str = "x", yname: str = "Y"
-) -> tuple[KripkeSet, list[KripkeSet]]:
+def lfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
     """Least fixed point of the positive operator, iterated up from empty.
     Returns the fixed point and the stage trace ending at it."""
     empty = KripkeSet(x.frame, x.birth, {tau: () for tau in x.ext}, "stage0")
-    return _fixed_point(s, x, psi, empty, var, yname)
+    return _fixed_point(s, x, psi, empty)
 
 
-def gfp(
-    s: Structure, x: KripkeSet, psi: Formula, var: str = "x", yname: str = "Y"
-) -> tuple[KripkeSet, list[KripkeSet]]:
+def gfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
     """Greatest fixed point, iterated down from the full subset."""
-    return _fixed_point(s, x, psi, x, var, yname)
+    return _fixed_point(s, x, psi, x)
 
 
 def define_subset(
@@ -676,19 +633,10 @@ def define_subset(
     return KripkeSet(f, sigma, ext, "carved")
 
 
-def definable_branches(
-    s: Structure, q: KripkeSet | None = None, sigma: str | None = None
-) -> tuple[KripkeSet, ...]:
-    """Universe members at sigma that satisfy the branch predicate against q,
-    one representative per forced-equality class.
-
-    q defaults to the full collection of delayed ones; sigma to the bottom.
-    """
-    f = s.frame
-    if q is None:
-        q = p_hat(f)
-    if sigma is None:
-        sigma = f.bottom
+def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:
+    """Universe members at the bottom that satisfy the branch predicate
+    against q, one representative per forced-equality class."""
+    sigma = s.frame.bottom
     phi = branch_formula()
     found: dict[int, KripkeSet] = {}
     for x in universe_at(s, sigma):

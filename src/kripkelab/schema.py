@@ -432,21 +432,24 @@ def bounding_uniformity_agreement(
 ) -> CrosscheckReport:
     """At one-node cones the bounding form of an instance and the uniformity
     form of its negation are classically interchangeable, so their verdicts
-    must agree.  Checked at every leaf, for every enumerated instance."""
+    must agree.  Checked at every leaf in scope, for every instance and
+    parameter assignment that Delta0 bounding sweeps."""
     pairs = 0
     mismatches: list[tuple] = []
     bounding, uniformity = SchemaId.DELTA0_BOUNDING, SchemaId.DELTA0_UNIFORMITY
-    for phi in enumerate_delta0(bounds.formula_depth, ("x", "y")):
+    scope = _scope(s, bounds)
+    nodes = [sigma for sigma in leaves(s.frame) if sigma in scope]
+    for phi in _sweep_formulas(bounding, bounds):
         neg = Not(phi)
         tb, tu = build_template(bounding, phi), build_template(uniformity, neg)
-        for sigma in leaves(s.frame):
-            for a in universe_at(s, sigma):
+        for sigma in nodes:
+            for assignment in _assignments(s, sigma, bounding, phi):
                 pairs += 1
-                b = _force(s, bounding, tb, phi, {"A": a}, sigma)
-                u = _force(s, uniformity, tu, neg, {"A": a}, sigma)
+                b = _force(s, bounding, tb, phi, assignment, sigma)
+                u = _force(s, uniformity, tu, neg, assignment, sigma)
                 if b.holds != u.holds:
                     mismatches.append(
-                        (render(phi), a.label or f"uid{a.uid}", sigma, b.holds, u.holds)
+                        (render(phi), _param_desc(assignment), sigma, b.holds, u.holds)
                     )
     return CrosscheckReport(ok=not mismatches, pairs=pairs, mismatches=tuple(mismatches))
 

@@ -165,12 +165,10 @@ class Structure:
     # formula can take over its id.  A formula is pinned as it is forced and
     # leaves a verdict unless the call raises, so the top-level `forces`
     # bounds both by resetting them together once `_memo` holds MEMO_CAP
-    # entries.  `_harvest` and `_towers` belong to `hierarchy.harvest_at` and
-    # `hierarchy.def_along`.
+    # entries.  `_harvest` belongs to `hierarchy.harvest_at`.
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _keys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _harvest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _towers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.universe) != set(self.frame.nodes):

@@ -51,6 +51,16 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "--frame" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "dump"])
+def test_frame_and_structure_are_exclusive(capsys, fixtures_dir, command):
+    path = str(fixtures_dir / "uniformity_gap.struct")
+    argv = [command, "--frame", TREE2, "--structure", path]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["x = x"] if command == "eval" else []))
+    assert exc.value.code == 2
+    assert "not allowed with argument --frame" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_formula_nested_too_deeply(capsys):
     deep = "~" * 5000 + "x = x"
     code, _, err = run(capsys, "eval", "--frame", "chain length=1", deep)

@@ -41,8 +41,6 @@ from util import classes, find_class, same_classes
 def test_def_config_validation():
     with pytest.raises(ValueError):
         DefConfig(formula_depth=0)
-    with pytest.raises(ValueError):
-        DefConfig(stabilization_window=0)
 
 
 def test_hereditary_closure():
@@ -129,6 +127,27 @@ def test_harvests_and_towers_live_on_their_structures():
     assert set(f.caches) <= {"constructs"}
 
 
+@pytest.mark.parametrize(
+    "base, node, depth, expected",
+    [
+        # no limit is reached within two rounds
+        (canonical_structure, "1", 2, (12, False, False)),
+        # the pair pool reaches POOL_CAP while the unary pool holds 16 maps
+        (canonical_structure, "1", 4, (12, True, False)),
+        # more fresh sets than HARVEST_CAP
+        (canonical_structure, "0", 1, (56, True, False)),
+        # nothing new for QUIET_ROUNDS rounds
+        (empty_structure, "0", 4, (1, False, True)),
+    ],
+    ids=["no-limit", "pair-pool-cap", "harvest-cap", "stabilized"],
+)
+def test_harvest_flags_name_the_limit_that_bit(base, node, depth, expected):
+    born, truncated, stabilized = harvest_at(
+        base(chain(2)), node, DefConfig(formula_depth=depth)
+    )
+    assert (len(born), truncated, stabilized) == expected
+
+
 def test_constructible_numeral_stages():
     # L indexed by the numeral three over a single point: exactly the four
     # hereditarily finite sets reachable at depth two
@@ -158,7 +177,8 @@ def test_powerset_growth_and_limit():
     base = structure_from_sets(f, (internal_nat(f, 1),))
     assert len(universe_at(powerset(base), "0")) == 4
     with pytest.raises(ValueError, match="powerset too large"):
-        powerset(structure_from_sets(f, (internal_nat(f, 5),)), limit=8)
+        # seventeen elements: 2^17 selections, over POWERSET_CAP
+        powerset(structure_from_sets(f, (internal_nat(f, 16),)))
 
 
 def test_define_subset_carves_pointwise():

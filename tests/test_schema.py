@@ -186,6 +186,19 @@ def test_bounding_uniformity_agreement_counts(t2):
     assert rep2.ok and rep2.pairs == 3402
 
 
+def test_bounding_uniformity_agreement_reads_params_and_scope():
+    c1 = canonical_structure(chain(1))  # 7 elements at its one leaf
+    # depth 0 over x and y: 7 atoms, each checked at every value of #A
+    assert bounding_uniformity_agreement(c1, CheckBounds(0, 1)).pairs == 7 * 7
+    # with #p swept: 8 more atoms, each at every value of #A and of #p
+    rep = bounding_uniformity_agreement(c1, CheckBounds(0, 2))
+    assert rep.ok and rep.pairs == 7 * 7 + 8 * 7 * 7
+    # the bottom of chain(2) is not a leaf, so that scope holds no pair
+    c2 = canonical_structure(chain(2))
+    assert bounding_uniformity_agreement(c2, CheckBounds(0, 1, "bottom")).pairs == 0
+    assert bounding_uniformity_agreement(c2, CheckBounds(0, 1, "all")).pairs == 7 * 8
+
+
 def test_trio_and_base_listings():
     assert EQUIVALENT_TRIO == (
         SchemaId.PI_PERSISTENCE,
