@@ -43,11 +43,14 @@ class Frame:
     kind: str = "explicit"
     # Per-frame tables, excluded from equality/repr: the up-sets, the
     # intern table of forced-equality class labels (semantics; node names and
-    # ints only, no sets), and the interned constructions (construct).  The
-    # intern table grows with the number of distinct classes ever labelled
-    # and is never reset: labels stored on sets point into it.
+    # ints only, no sets), the forcing verdicts of all structures on the frame
+    # and their key specs (semantics), and the interned constructions
+    # (construct).  The intern table grows with the number of distinct classes
+    # ever labelled and is never reset: labels stored on sets point into it.
     up: dict = field(default_factory=dict, repr=False, compare=False)
     classes: dict = field(default_factory=dict, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    specs: dict = field(default_factory=dict, repr=False, compare=False)
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:

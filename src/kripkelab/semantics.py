@@ -13,6 +13,10 @@ and x's own labels at the nodes strictly above tau.  Two sets alive at tau
 are forced equal there iff their labels agree.  A set's labels are computed
 the first time a question needs them, top nodes first, and the intern table
 is one per frame (`Frame.classes`), holding node names and ints only.
+
+Forcing verdicts are kept per frame too (`Frame.memo`).  A bounded formula
+reads extensions, labels and up-sets but never a universe, so one verdict
+serves every structure on the frame; unbounded keys carry `Structure.uid`.
 """
 
 from __future__ import annotations
@@ -159,15 +163,9 @@ class Structure:
     names: dict[str, KripkeSet]
     notes: tuple = ()
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-    # Everything computed over the structure lives on it.  `_memo` holds
-    # forcing verdicts, keyed by id(phi), the node and the uids of what phi
-    # reads; `_keys` maps id(phi) to phi's key spec and pins phi, so no later
-    # formula can take over its id.  A formula is pinned as it is forced and
-    # leaves a verdict unless the call raises, so the top-level `forces`
-    # bounds both by resetting them together once `_memo` holds MEMO_CAP
-    # entries.  `_harvest` belongs to `hierarchy.harvest_at`.
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _keys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # `uid` tells this structure's unbounded verdicts apart in the frame's
+    # forcing memo (see `forces`); `_harvest` belongs to `hierarchy.harvest_at`.
+    uid: int = field(default_factory=itertools.count().__next__, init=False, repr=False)
     _harvest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -216,7 +214,7 @@ class EvalError(ValueError):
     pass
 
 
-# forcing verdicts a structure keeps before `forces` resets its memo: a reset
+# forcing verdicts a frame keeps before `forces` resets its memo: a reset
 # also drops the verdicts a sweep keeps reusing, so the bound trades
 # re-forcing those against holding dead ones
 MEMO_CAP = 1 << 14
@@ -241,12 +239,12 @@ def forces(
     for x in (*env.values(), *extra_names.values()):
         if x.frame is not s.frame:
             raise ValueError("bound set lives on a different frame")
-    memo, keys = s._memo, s._keys
     # reset only here, between top-level calls: inside the recursion a
     # verdict stored after a reset could be keyed by an id no longer pinned
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-        keys.clear()
+    f = s.frame
+    if len(f.memo) >= MEMO_CAP:
+        f.memo.clear()
+        f.specs.clear()
     try:
         return _Ctx(s, extra_names).forces(sigma, phi, env)
     except RecursionError:
@@ -254,19 +252,20 @@ def forces(
 
 
 class _Ctx:
-    """One top-level `forces` call: the extra parameters plus direct handles
-    on the frame's order tables and the structure's memo tables."""
+    """One top-level `forces` call: the parameters (the structure's names,
+    overridden by the extra ones) plus direct handles on the frame's order
+    and memo tables."""
 
-    __slots__ = ("s", "extra", "order", "up", "memo", "keys")
+    __slots__ = ("s", "params", "order", "up", "memo", "specs")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
         self.s = s
-        self.extra = extra
+        self.params = {**s.names, **extra}
         self.order = f.order
         self.up = f.up
-        self.memo = s._memo
-        self.keys = s._keys
+        self.memo = f.memo
+        self.specs = f.specs
 
     def term(self, t: Term, sigma: str, env: dict[str, KripkeSet]) -> KripkeSet:
         if isinstance(t, Var):
@@ -274,7 +273,7 @@ class _Ctx:
                 raise EvalError(f"unbound variable {t.name!r}")
             x = env[t.name]
         else:
-            x = self.extra.get(t.name) or self.s.names.get(t.name)
+            x = self.params.get(t.name)
             if x is None:
                 raise EvalError(f"unknown parameter #{t.name}")
         if (x.birth, sigma) not in self.order:
@@ -282,20 +281,22 @@ class _Ctx:
         return x
 
     def forces(self, sigma: str, phi: Formula, env: dict[str, KripkeSet]) -> bool:
-        # The key spec is phi's sorted free variables and parameters; the key
-        # lists their values' uids in that order, None for a variable that is
-        # unbound or a parameter that comes from the structure's own names.
+        # The key spec pins phi: whether it is bounded, its sorted free
+        # variables and parameters.  The key is id(phi), the node, the
+        # structure's uid unless phi is bounded, then the uids of the values
+        # of those variables and parameters, None for one nothing binds.
         pid = id(phi)
-        spec = self.keys.get(pid)
+        spec = self.specs.get(pid)
         if spec is None:
-            spec = (phi, tuple(sorted(free_vars(phi))), tuple(sorted(params_of(phi))))
-            self.keys[pid] = spec
-        key = [pid, sigma]
-        for v in spec[1]:
+            spec = self.specs[pid] = (
+                phi, is_delta0(phi), tuple(sorted(free_vars(phi))), tuple(sorted(params_of(phi)))
+            )
+        key = [pid, sigma] if spec[1] else [pid, sigma, self.s.uid]
+        for v in spec[2]:
             key.append(env[v].uid if v in env else None)
-        extra = self.extra
-        for p in spec[2]:
-            key.append(extra[p].uid if p in extra else None)
+        params = self.params
+        for p in spec[3]:
+            key.append(params[p].uid if p in params else None)
         key = tuple(key)
         hit = self.memo.get(key)
         if hit is None:
@@ -369,7 +370,11 @@ def delta0_absolute(
     env: dict[str, KripkeSet] | None = None,
 ) -> bool:
     """Whether a bounded formula with m-side parameters gets the same verdict
-    in both structures at every node."""
+    in both structures at every node.
+
+    On one frame, bounded keys have no structure slot, so n's verdicts come
+    from m's memo entries and this only checks the key spec; the tests show
+    the absoluteness itself with a memo-free reference evaluator."""
     if not is_delta0(phi):
         raise ValueError("delta0_absolute needs a bounded formula")
     return all(

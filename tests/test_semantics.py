@@ -7,7 +7,7 @@ import random
 import pytest
 
 from kripkelab import semantics
-from kripkelab.formula import enumerate_delta0, Not, parse
+from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, Not, parse
 from kripkelab.frame import chain, fan, leaves, leq, linear_extension, tree, up_set
 from kripkelab.construct import (
     empty_set,
@@ -31,12 +31,12 @@ from kripkelab.semantics import (
     is_extensional,
     is_ordinal,
     KripkeSet,
-    Structure,
     universe_at,
 )
 from kripkelab.specfile import canonical_structure
 
 from recursive_eq import oracle_equal, oracle_member
+from reference_forces import reference_forces
 from util import find_class
 
 
@@ -243,9 +243,7 @@ def test_cached_verdict_does_not_outlive_the_parameter_it_read():
     phi = parse("exists a in #P . forall z in a . ~(z = z)")
     values = (s.names["one"], s.names["phat"])
     want = {
-        (sigma, p.uid): forces(
-            Structure(s.frame, s.universe, s.names), sigma, phi, extra_names={"P": p}
-        )
+        (sigma, p.uid): reference_forces(s, sigma, phi, extra_names={"P": p})
         for sigma in s.frame.nodes
         for p in values
     }
@@ -257,7 +255,7 @@ def test_cached_verdict_does_not_outlive_the_parameter_it_read():
                     got = forces(s, sigma, phi, extra_names={"P": p})
                     assert got == want[sigma, p.uid], (sigma, p, clear)
                 if clear:
-                    s._memo.clear()
+                    s.frame.memo.clear()
 
 
 def test_forces_rejects_a_formula_nested_too_deeply(t2):
@@ -272,8 +270,8 @@ def _memo_sweep(f):
     """Every schema at depth 1 with 2 parameters, and on tree(2) the
     branch-hood verdict of every family at every node."""
     s = canonical_structure(f)
-    swept = [s]
-    s._memo["sentinel"] = None
+    # s and es share the frame and so its one memo: one sentinel covers both
+    f.memo["sentinel"] = None
     reports = [
         check_schema(s, schema, CheckBounds(formula_depth=1, max_params=2))
         for schema in SchemaId
@@ -281,22 +279,20 @@ def _memo_sweep(f):
     got = [(r.holds, r.counterexample, r.stats) for r in reports]
     if f.kind == "tree(2)":
         es = empty_structure(f)
-        swept.append(es)
-        es._memo["sentinel"] = None
         families = monotone_t_families(f)
         assert len(families) == 34
         q = p_hat(f)
         got.append([is_branch(es, sigma, b, q) for b in families for sigma in f.nodes])
     # the sentinel goes only when `forces` resets a memo
-    return got, all("sentinel" not in x._memo for x in swept)
+    return got, "sentinel" not in f.memo
 
 
 @pytest.mark.parametrize("make", [lambda: tree(2), lambda: fan(3)], ids=["tree2", "fan3"])
 def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
-    f = make()
-    want, _ = _memo_sweep(f)
+    # a fresh frame per sweep, so the second reads no verdict of the first
+    want, _ = _memo_sweep(make())
     monkeypatch.setattr(semantics, "MEMO_CAP", 8)
-    got, was_reset = _memo_sweep(f)
+    got, was_reset = _memo_sweep(make())
     assert got == want
     assert was_reset
 
@@ -306,14 +302,84 @@ def test_pinned_formulas_stay_bounded_when_every_verdict_reads_an_extra_name(
 ):
     # every instance of Sigma reflection with a parameter reads #p; the
     # sweep pins one template per swept formula, and each pinned formula
-    # leaves a verdict in `_memo`, so the memo's bound also bounds the
-    # pinned formulas
+    # leaves a verdict in the frame's memo, so the memo's bound also bounds
+    # the pinned formulas
     monkeypatch.setattr(semantics, "MEMO_CAP", 64)
     s = canonical_structure(chain(3))
     bounds = CheckBounds(formula_depth=1, max_params=2)
     report = check_schema(s, SchemaId.SIGMA_REFLECTION, bounds)
     assert report.stats["instances"] > 100
-    assert len(s._keys) < 2 * 64
+    assert len(s.frame.specs) < 2 * 64
+
+
+def _universe_sets(s):
+    return tuple({x.uid: x for elems in s.universe.values() for x in elems}.values())
+
+
+def test_no_verdict_leaks_between_structures_on_one_frame():
+    # m and n share a frame but differ in their universe (n is a def_step of
+    # m) and in what #p denotes; an unbounded verdict must be keyed by the
+    # structure, and a bounded one by the structure's own #p
+    base = canonical_structure(chain(3))
+    f, big = base.frame, def_step(base, DefConfig(formula_depth=1))
+    m = structure_from_sets(f, _universe_sets(base), {"p": base.names["one"]})
+    n = structure_from_sets(f, _universe_sets(big), {"p": base.names["two"]})
+    formulas = (parse("exists z . x in z"), parse("x in #p"))
+    got = {}
+    for sigma in f.nodes:
+        for x in universe_at(m, sigma):
+            for i, phi in enumerate(formulas):
+                for s in ((m, n) if i else (n, m)):
+                    verdict = forces(s, sigma, phi, {"x": x})
+                    assert verdict == reference_forces(s, sigma, phi, {"x": x}), (sigma, x, phi)
+                    got.setdefault((s.uid, i), []).append(verdict)
+    # the test only bites if m and n disagree on each formula somewhere
+    for i in range(len(formulas)):
+        assert got[m.uid, i] != got[n.uid, i]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: tree(2), lambda: chain(3), lambda: fan(3)], ids=["tree2", "chain3", "fan3"]
+)
+def test_forces_agrees_with_the_memo_free_reference(make):
+    # two structures share each frame, so they share the frame's memo
+    rng = random.Random(11)
+    m = canonical_structure(make())
+    f, n = m.frame, def_step(m, DefConfig(formula_depth=1))
+    formulas = [
+        phi
+        for enum in (enumerate_delta0, enumerate_sigma, enumerate_pi)
+        for phi in rng.sample(enum(1, ("x", "y"), ("p",)), 150)
+    ]
+    checked = 0
+    for phi in formulas:
+        for sigma in f.nodes:
+            elems = universe_at(m, sigma)
+            for _ in range(2):
+                env = {"x": rng.choice(elems), "y": rng.choice(elems)}
+                extra = {"p": rng.choice(elems)}
+                for s in rng.sample((m, n), 2):
+                    want = reference_forces(s, sigma, phi, env, extra)
+                    assert forces(s, sigma, phi, env, extra) == want, (phi, sigma, env, extra)
+                    checked += 1
+    assert checked == 4 * len(formulas) * len(f.nodes)
+
+
+def test_bounded_reference_verdicts_agree_along_def_steps():
+    # the triple of `_row_battery`'s absoluteness leg: `delta0_absolute`
+    # reads both sides from one frame memo, so show the agreement memo-free
+    f = chain(2)
+    cfg = DefConfig(formula_depth=1)
+    s0 = structure_from_sets(f, (internal_nat(f, 2),))
+    s1 = def_step(s0, cfg)
+    s2 = def_step(s1, cfg)
+    for m, n in ((s0, s1), (s1, s2), (s0, s2)):
+        for phi in enumerate_delta0(1, ("x",)):
+            for x in universe_at(m, f.bottom):
+                for sigma in f.nodes:
+                    want = reference_forces(m, sigma, phi, {"x": x})
+                    assert reference_forces(n, sigma, phi, {"x": x}) == want, (phi, x, sigma)
+                    assert forces(n, sigma, phi, {"x": x}) == want
 
 
 @pytest.mark.parametrize(
