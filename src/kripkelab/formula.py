@@ -21,12 +21,12 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str
 
@@ -36,50 +36,57 @@ Term = Var | Param
 # -------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Member:
+class _Node:
+    """The base of every formula class: one slot for the node's facts,
+    which `facts` fills on first use."""
+
+    __slots__ = ("_facts",)
+
+
+@dataclass(frozen=True, slots=True)
+class Member(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, slots=True)
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, slots=True)
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, slots=True)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, slots=True)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, slots=True)
+class Forall(_Node):
     var: str
     bound: Term | None
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, slots=True)
+class Exists(_Node):
     var: str
     bound: Term | None
     body: "Formula"
@@ -251,30 +258,48 @@ def parse(text: str) -> Formula:
 # ------------------------------------------------------------- analysis
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
+_serials = itertools.count()
+
+
+def facts(phi: Formula) -> tuple[int, bool, tuple[str, ...], tuple[str, ...]]:
+    """phi's serial, whether it is bounded, its sorted free variables and
+    its sorted parameters.
+
+    Folded from the children's facts the first time they are asked for and
+    kept on the node; the serial comes from a counter, so no two nodes ever
+    share one."""
+    try:
+        return phi._facts
+    except AttributeError:
+        pass
+    var, terms = None, ()
     if isinstance(phi, (Member, Eq)):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    fv = free_vars(phi.body) - {phi.var}
-    if phi.bound is not None and isinstance(phi.bound, Var):
-        fv |= {phi.bound.name}
-    return fv
+        kids, terms = (), (phi.left, phi.right)
+    elif isinstance(phi, Not):
+        kids = (phi.body,)
+    elif isinstance(phi, (And, Or, Implies)):
+        kids = (phi.left, phi.right)
+    else:
+        kids, terms, var = (phi.body,), (phi.bound,), phi.var
+    kids = [facts(kid) for kid in kids]
+    # a quantifier's bound is read outside its binder; an unbounded one
+    # contributes the None that makes the node unbounded
+    bounded = None not in terms and all(kid[1] for kid in kids)
+    fv = {v for kid in kids for v in kid[2] if v != var}
+    fv.update(t.name for t in terms if isinstance(t, Var))
+    ps = {p for kid in kids for p in kid[3]}
+    ps.update(t.name for t in terms if isinstance(t, Param))
+    out = (next(_serials), bounded, tuple(sorted(fv)), tuple(sorted(ps)))
+    object.__setattr__(phi, "_facts", out)
+    return out
+
+
+def free_vars(phi: Formula) -> frozenset[str]:
+    return frozenset(facts(phi)[2])
 
 
 def params_of(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, (Member, Eq)):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Param))
-    if isinstance(phi, Not):
-        return params_of(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return params_of(phi.left) | params_of(phi.right)
-    ps = params_of(phi.body)
-    if isinstance(phi.bound, Param):
-        ps |= {phi.bound.name}
-    return ps
+    return frozenset(facts(phi)[3])
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -322,13 +347,7 @@ def relativize(phi: Formula, dom: Term) -> Formula:
 
 
 def is_delta0(phi: Formula) -> bool:
-    if isinstance(phi, (Member, Eq)):
-        return True
-    if isinstance(phi, Not):
-        return is_delta0(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_delta0(phi.left) and is_delta0(phi.right)
-    return phi.bound is not None and is_delta0(phi.body)
+    return facts(phi)[1]
 
 
 def _is_prefixed(phi: Formula, unbounded: type) -> bool:
@@ -418,42 +437,21 @@ def enumerate_delta0(
     layers: list[list[Formula]] = [_atoms(base_terms)]
     seen = {render(phi) for phi in layers[0]}
 
-    def quantifier_layer(prev: list[Formula], depth: int) -> list[Formula]:
-        if depth - 1 >= len(_BOUND_POOL):
-            return []
-        v = _BOUND_POOL[depth - 1]
-        out = []
-        bounds: list[Term] = [t for t in base_terms]
-        for body in prev:
-            for cls in (Forall, Exists):
-                for b in bounds:
-                    out.append(cls(v, b, body))
-        return out
-
     for depth in range(1, max_depth + 1):
         prev_all = [phi for layer in layers for phi in layer]
-        prev_terms = [Var(_BOUND_POOL[i]) for i in range(depth - 1)]
-        terms = base_terms + prev_terms
-
-        def rebased_atoms() -> list[Formula]:
-            return _atoms(terms)
-
-        fresh: list[Formula] = []
-        exact_prev = layers[-1] if depth > 1 else layers[0]
+        terms = base_terms + [Var(_BOUND_POOL[i]) for i in range(depth - 1)]
         # deeper atoms appear once the bound variable pool has grown
-        if depth > 1:
-            exact_prev = exact_prev + [a for a in rebased_atoms() if render(a) not in seen]
-        for phi in exact_prev:
-            fresh.append(Not(phi))
-        for phi, psi in itertools.product(exact_prev, prev_all + exact_prev):
-            fresh.append(And(phi, psi))
-            fresh.append(Or(phi, psi))
-            fresh.append(Implies(phi, psi))
-        for phi, psi in itertools.product(prev_all, exact_prev):
-            fresh.append(And(phi, psi))
-            fresh.append(Or(phi, psi))
-            fresh.append(Implies(phi, psi))
-        fresh.extend(quantifier_layer(exact_prev, depth))
+        exact_prev = layers[-1] + [a for a in _atoms(terms) if render(a) not in seen]
+        fresh: list[Formula] = [Not(phi) for phi in exact_prev]
+        pairs = itertools.chain(
+            itertools.product(exact_prev, prev_all + exact_prev),
+            itertools.product(prev_all, exact_prev),
+        )
+        for phi, psi in pairs:
+            fresh += [And(phi, psi), Or(phi, psi), Implies(phi, psi)]
+        if depth <= len(_BOUND_POOL):
+            v, kinds = _BOUND_POOL[depth - 1], (Forall, Exists)
+            fresh += [cls(v, b, body) for body in exact_prev for cls in kinds for b in base_terms]
         layer = []
         for phi in fresh:
             key = render(phi)
@@ -464,14 +462,14 @@ def enumerate_delta0(
     return [phi for layer in layers for phi in layer]
 
 
-def _wrapped(
+def _unbounded(
     cls: type, max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
 ) -> list[Formula]:
-    out = list(enumerate_delta0(max_depth, variables, params))
-    if max_depth >= 1:
-        inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
-        out.extend(cls("q", None, phi) for phi in inner)
-    return out
+    """`cls q . phi` for every bounded phi of depth below max_depth."""
+    if max_depth < 1:
+        return []
+    inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
+    return [cls("q", None, phi) for phi in inner]
 
 
 def enumerate_sigma(
@@ -480,7 +478,8 @@ def enumerate_sigma(
     params: tuple[str, ...] = (),
 ) -> list[Formula]:
     """Bounded formulas plus one unbounded existential wrapper."""
-    return _wrapped(Exists, max_depth, variables, params)
+    delta0 = enumerate_delta0(max_depth, variables, params)
+    return delta0 + _unbounded(Exists, max_depth, variables, params)
 
 
 def enumerate_pi(
@@ -489,4 +488,5 @@ def enumerate_pi(
     params: tuple[str, ...] = (),
 ) -> list[Formula]:
     """Bounded formulas plus one unbounded universal wrapper."""
-    return _wrapped(Forall, max_depth, variables, params)
+    delta0 = enumerate_delta0(max_depth, variables, params)
+    return delta0 + _unbounded(Forall, max_depth, variables, params)

@@ -44,13 +44,13 @@ class Frame:
     # Per-frame tables, excluded from equality/repr: the up-sets, the
     # intern table of forced-equality class labels (semantics; node names and
     # ints only, no sets), the forcing verdicts of all structures on the frame
-    # and their key specs (semantics), and the interned constructions
-    # (construct).  The intern table grows with the number of distinct classes
-    # ever labelled and is never reset: labels stored on sets point into it.
+    # keyed by formula serial (semantics; no formulas), and the interned
+    # constructions (construct).  The intern table grows with the number of
+    # distinct classes ever labelled and is never reset: labels stored on
+    # sets point into it.
     up: dict = field(default_factory=dict, repr=False, compare=False)
     classes: dict = field(default_factory=dict, repr=False, compare=False)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
-    specs: dict = field(default_factory=dict, repr=False, compare=False)
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -162,7 +162,7 @@ def build_frame(kind: FrameKind) -> Frame:
 
 def _tree_nodes(depth: int, prefix: str) -> tuple[list[str], set[tuple[str, str]]]:
     # Binary strings of length < depth; "" is rendered as "e".
-    def nid(s: str) -> str:
+    def name(s: str) -> str:
         return prefix + (s if s else "e")
 
     strings = [""]
@@ -172,8 +172,8 @@ def _tree_nodes(depth: int, prefix: str) -> tuple[list[str], set[tuple[str, str]
     for s in strings:
         for bit in "01":
             if len(s) + 1 < depth:
-                covers.add((nid(s), nid(s + bit)))
-    return [nid(s) for s in strings], covers
+                covers.add((name(s), name(s + bit)))
+    return [name(s) for s in strings], covers
 
 
 def chain(n: int) -> Frame:

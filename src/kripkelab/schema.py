@@ -47,6 +47,7 @@ from .formula import (
     Or,
     Param,
     Var,
+    _unbounded,
     classify,
     enumerate_delta0,
     enumerate_pi,
@@ -150,11 +151,9 @@ def _axiom(schema: SchemaId) -> Formula:
     return parse(_AXIOM_TEXT[schema])
 
 
-def _strictly_pi(
-    depth: int, variables: tuple[str, ...], params: tuple[str, ...]
-) -> list[Formula]:
-    """Pi uniformity's sweep: bounded formulas are Delta0 uniformity's."""
-    return [phi for phi in enumerate_pi(depth, variables, params) if classify(phi) == "Pi"]
+# Pi uniformity's sweep: `enumerate_pi` without the bounded formulas, which
+# are Delta0 uniformity's
+_strictly_pi = functools.partial(_unbounded, Forall)
 
 
 @dataclass(frozen=True)

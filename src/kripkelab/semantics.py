@@ -14,9 +14,11 @@ are forced equal there iff their labels agree.  A set's labels are computed
 the first time a question needs them, top nodes first, and the intern table
 is one per frame (`Frame.classes`), holding node names and ints only.
 
-Forcing verdicts are kept per frame too (`Frame.memo`).  A bounded formula
-reads extensions, labels and up-sets but never a universe, so one verdict
-serves every structure on the frame; unbounded keys carry `Structure.uid`.
+Forcing verdicts are kept per frame too (`Frame.memo`), keyed by the
+formula's serial (`formula.facts`), which no other formula ever gets.  A
+bounded formula reads extensions, labels and up-sets but never a universe,
+so one verdict serves every structure on the frame; unbounded keys carry
+`Structure.uid`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .formula import (
     Not,
     Term,
     Var,
-    free_vars,
+    facts,
     is_delta0,
-    params_of,
     parse,
+    render,
 )
 from .frame import Frame, _require, leq, up_set
 
@@ -239,12 +241,8 @@ def forces(
     for x in (*env.values(), *extra_names.values()):
         if x.frame is not s.frame:
             raise ValueError("bound set lives on a different frame")
-    # reset only here, between top-level calls: inside the recursion a
-    # verdict stored after a reset could be keyed by an id no longer pinned
-    f = s.frame
-    if len(f.memo) >= MEMO_CAP:
-        f.memo.clear()
-        f.specs.clear()
+    if len(s.frame.memo) >= MEMO_CAP:
+        s.frame.memo.clear()
     try:
         return _Ctx(s, extra_names).forces(sigma, phi, env)
     except RecursionError:
@@ -256,7 +254,7 @@ class _Ctx:
     overridden by the extra ones) plus direct handles on the frame's order
     and memo tables."""
 
-    __slots__ = ("s", "params", "order", "up", "memo", "specs")
+    __slots__ = ("s", "params", "order", "up", "memo")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
@@ -265,7 +263,6 @@ class _Ctx:
         self.order = f.order
         self.up = f.up
         self.memo = f.memo
-        self.specs = f.specs
 
     def term(self, t: Term, sigma: str, env: dict[str, KripkeSet]) -> KripkeSet:
         if isinstance(t, Var):
@@ -281,21 +278,15 @@ class _Ctx:
         return x
 
     def forces(self, sigma: str, phi: Formula, env: dict[str, KripkeSet]) -> bool:
-        # The key spec pins phi: whether it is bounded, its sorted free
-        # variables and parameters.  The key is id(phi), the node, the
-        # structure's uid unless phi is bounded, then the uids of the values
-        # of those variables and parameters, None for one nothing binds.
-        pid = id(phi)
-        spec = self.specs.get(pid)
-        if spec is None:
-            spec = self.specs[pid] = (
-                phi, is_delta0(phi), tuple(sorted(free_vars(phi))), tuple(sorted(params_of(phi)))
-            )
-        key = [pid, sigma] if spec[1] else [pid, sigma, self.s.uid]
-        for v in spec[2]:
+        # The key is phi's serial, the node, the structure's uid unless phi
+        # is bounded, then the uids of the values of phi's sorted free
+        # variables and parameters, None for one nothing binds.
+        serial, bounded, variables, names = facts(phi)
+        key = [serial, sigma] if bounded else [serial, sigma, self.s.uid]
+        for v in variables:
             key.append(env[v].uid if v in env else None)
         params = self.params
-        for p in spec[3]:
+        for p in names:
             key.append(params[p].uid if p in params else None)
         key = tuple(key)
         hit = self.memo.get(key)
@@ -372,13 +363,14 @@ def delta0_absolute(
     """Whether a bounded formula with m-side parameters gets the same verdict
     in both structures at every node.
 
-    On one frame, bounded keys have no structure slot, so n's verdicts come
-    from m's memo entries and this only checks the key spec; the tests show
-    the absoluteness itself with a memo-free reference evaluator."""
+    A bounded verdict is keyed with no structure slot, so on one frame n
+    would read m's memo entries; each side forces its own fresh copy of phi
+    instead, whose serials no verdict is keyed by yet."""
     if not is_delta0(phi):
         raise ValueError("delta0_absolute needs a bounded formula")
+    phi_m, phi_n = parse(render(phi)), parse(render(phi))
     return all(
-        forces(m, sigma, phi, env) == forces(n, sigma, phi, env)
+        forces(m, sigma, phi_m, env) == forces(n, sigma, phi_n, env)
         for sigma in m.frame.nodes
     )
 

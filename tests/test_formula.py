@@ -10,6 +10,7 @@ from kripkelab.formula import (
     enumerate_sigma,
     Eq,
     Exists,
+    facts,
     Forall,
     free_vars,
     Implies,
@@ -27,6 +28,8 @@ from kripkelab.formula import (
     substitute,
     Var,
 )
+
+import recursive_facts
 
 ROUND_TRIP = [
     "x in y",
@@ -156,3 +159,31 @@ def test_enumerate_sigma_and_pi_wrappers():
     assert any(classify(p) == "Pi" for p in pi)
     assert all(classify(p) in ("Delta0", "Sigma") for p in sig)
     assert all(classify(p) in ("Delta0", "Pi") for p in pi)
+
+
+def test_folded_facts_agree_with_the_recursive_walks():
+    corpus = [
+        phi
+        for enum in (enumerate_delta0, enumerate_sigma, enumerate_pi)
+        for phi in enum(1, ("x", "y"), ("p",))
+    ]
+    corpus += [parse(r"forall z in z . (exists x in #p . x in z) /\ x = #q")]
+    bounds = [phi.bound for phi in corpus if isinstance(phi, (Forall, Exists))]
+    assert any(isinstance(t, Var) for t in bounds)
+    assert any(isinstance(t, Param) for t in bounds)
+    disagreements = [
+        render(phi)
+        for phi in corpus
+        for fold, walk in (
+            (free_vars, recursive_facts.free_vars),
+            (params_of, recursive_facts.params_of),
+            (is_delta0, recursive_facts.is_delta0),
+            (classify, recursive_facts.classify),
+        )
+        if fold(phi) != walk(phi)
+    ]
+    assert disagreements == []
+    # a node's serial is its own: distinct nodes never share one, equal or not
+    copies = [parse(render(phi)) for phi in corpus[:50]]
+    serials = {facts(phi)[0] for phi in corpus + copies}
+    assert len(serials) == len(corpus) + len(copies)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from kripkelab.formula import parse, render
+from kripkelab.formula import classify, enumerate_pi, parse, render
 from kripkelab.frame import chain, tree
 from kripkelab.hierarchy import DefConfig
 from kripkelab.schema import (
+    _strictly_pi,
     BASE_SCHEMAS,
     build_template,
     check_all,
@@ -127,6 +128,18 @@ def test_instance_rejections_name_their_schema(schema, wrong_class, class_messag
         with pytest.raises(ValueError) as err:
             build_template(schema, parse(text))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "depth, variables, params",
+    [(d, ("x", "y"), ()) for d in range(3)] + [(d, ("x", "y"), ("p",)) for d in range(2)],
+    ids=["d0", "d1", "d2", "d0p", "d1p"],
+)
+def test_strictly_pi_is_enumerate_pi_without_its_bounded_formulas(depth, variables, params):
+    want = [phi for phi in enumerate_pi(depth, variables, params) if classify(phi) == "Pi"]
+    assert [render(phi) for phi in _strictly_pi(depth, variables, params)] == [
+        render(phi) for phi in want
+    ]
 
 
 def test_check_instance_verdicts(t2):

@@ -1,13 +1,14 @@
 """Forcing semantics: equality, membership, persistence, decidability at
 leaves, end extensions, and the structural predicates."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from kripkelab import semantics
-from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, Not, parse
+from kripkelab import schema, semantics
+from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, Not, parse, render
 from kripkelab.frame import chain, fan, leaves, leq, linear_extension, tree, up_set
 from kripkelab.construct import (
     empty_set,
@@ -18,7 +19,13 @@ from kripkelab.construct import (
     p_hat,
 )
 from kripkelab.hierarchy import DefConfig, def_step, empty_structure, structure_from_sets
-from kripkelab.schema import CheckBounds, SchemaId, check_instance, check_schema
+from kripkelab.schema import (
+    build_template,
+    CheckBounds,
+    SchemaId,
+    check_instance,
+    check_schema,
+)
 from kripkelab.semantics import (
     alive,
     delta0_absolute,
@@ -297,19 +304,71 @@ def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
     assert was_reset
 
 
-def test_pinned_formulas_stay_bounded_when_every_verdict_reads_an_extra_name(
-    monkeypatch,
-):
-    # every instance of Sigma reflection with a parameter reads #p; the
-    # sweep pins one template per swept formula, and each pinned formula
-    # leaves a verdict in the frame's memo, so the memo's bound also bounds
-    # the pinned formulas
-    monkeypatch.setattr(semantics, "MEMO_CAP", 64)
+def _reachable(table):
+    """Every object a frame table reaches through dicts, tuples, lists and
+    sets."""
+    todo, out = [table], []
+    while todo:
+        obj = todo.pop()
+        out.append(obj)
+        if isinstance(obj, dict):
+            todo.extend(obj)
+            todo.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+    return out
+
+
+def test_a_sweep_leaves_no_dropped_template_in_the_frame_tables(monkeypatch):
+    # the sweep builds one template per swept formula and drops it after
+    # forcing it; verdicts are keyed by formula serial, so no frame table
+    # may keep a template alive
+    built = []
+
+    def build(schema_id, phi):
+        built.append(build_template(schema_id, phi))
+        return built[-1]
+
+    monkeypatch.setattr(schema, "build_template", build)
     s = canonical_structure(chain(3))
     bounds = CheckBounds(formula_depth=1, max_params=2)
     report = check_schema(s, SchemaId.SIGMA_REFLECTION, bounds)
     assert report.stats["instances"] > 100
-    assert len(s.frame.specs) < 2 * 64
+    assert len(built) > 20
+    f, templates = s.frame, {id(t) for t in built}
+    tables = [getattr(f, fld.name) for fld in dataclasses.fields(f)]
+    kept = [
+        render(obj)
+        for table in tables
+        if isinstance(table, dict)
+        for obj in _reachable(table)
+        if id(obj) in templates
+    ]
+    assert kept == []
+
+
+def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
+    # the s0 -> s1 step of `_row_battery`'s absoluteness leg: both sides
+    # share chain(2) and its memo, where bounded keys have no structure slot
+    f = chain(2)
+    s0 = structure_from_sets(f, (internal_nat(f, 2),))
+    s1 = def_step(s0, DefConfig(formula_depth=1))
+    evals, calls = 0, 0
+    real_eval = semantics._Ctx._eval
+
+    def counting_eval(self, sigma, phi, env):
+        nonlocal evals
+        evals += self.s is s1
+        return real_eval(self, sigma, phi, env)
+
+    monkeypatch.setattr(semantics._Ctx, "_eval", counting_eval)
+    for phi in enumerate_delta0(1, ("x",)):
+        for x in universe_at(s0, f.bottom):
+            assert delta0_absolute(s0, s1, phi, {"x": x})
+            calls += len(f.nodes)
+    # every n-side verdict is evaluated, none is read from s0's entries
+    assert calls == 120
+    assert evals >= calls
 
 
 def _universe_sets(s):
@@ -366,8 +425,7 @@ def test_forces_agrees_with_the_memo_free_reference(make):
 
 
 def test_bounded_reference_verdicts_agree_along_def_steps():
-    # the triple of `_row_battery`'s absoluteness leg: `delta0_absolute`
-    # reads both sides from one frame memo, so show the agreement memo-free
+    # the triple of `_row_battery`'s absoluteness leg, shown memo-free
     f = chain(2)
     cfg = DefConfig(formula_depth=1)
     s0 = structure_from_sets(f, (internal_nat(f, 2),))
