@@ -2,18 +2,21 @@
 and inductive fixed points.
 
 The definability engine works per birth node.  It represents a candidate
-definable subset as a map from the cone nodes to bitmasks over the universe
-there (or over its pairs, for maps of two variables), seeds the pool with
-atomic membership and equality maps, and closes under the connective and
-quantifier operations round by round.  Maps are saturated under forced
-equality automatically because the atoms are, so distinct maps denote
-semantically distinct sets and map equality is an exact deduplication rule.
+definable subset as a map: one int holding a bitmask over the universe at
+every cone node (or over its pairs, for maps of two variables), each node in
+its own fixed block of bits.  It seeds the pool with atomic membership and
+equality maps and closes under the connective and quantifier operations
+round by round.  Maps are saturated under forced equality automatically
+because the atoms are, so distinct maps denote semantically distinct sets
+and map equality is an exact deduplication rule.
 
-Conjunction, disjunction and the existential binder are local to a node.
-Negation, implication and the universal binder all sweep the cone, and all
-are one Heyting interior: keep the positions whose image at every node above
-lies outside a "bad" mask.  `_Engine.interior` is that sweep; it reads
-forward-position tables built once per engine.  Negation takes the map
+Conjunction and disjunction are `&` and `|` on the whole map, and the
+existential binder ORs columns of a pair map into place, one precomputed
+shift per column.  Negation, implication and the universal binder all sweep
+the cone, and all are one Heyting interior: keep the positions whose image
+at every node above lies outside a "bad" mask.  `_Engine.interior` is that
+sweep; it ORs the bad mask through run tables built once per engine and
+memoizes its results for the engine's lifetime.  Negation takes the map
 itself as the bad mask, implication `m1 & ~m2`, and the universal binder the
 positions with a missing pair in the binder's domain.
 
@@ -32,6 +35,7 @@ fixtures rely on precede the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
@@ -116,10 +120,10 @@ def _shared_empty(f: Frame) -> Structure:
 def _bounded_pool():
     """An empty pool of maps and its push, which keeps each map once, in
     order, until the pool holds POOL_CAP maps."""
-    pool: list[tuple[int, ...]] = []
-    seen: set = set()
+    pool: list[int] = []
+    seen: set[int] = set()
 
-    def push(m: tuple[int, ...]) -> None:
+    def push(m: int) -> None:
         if m not in seen and len(pool) < POOL_CAP:
             seen.add(m)
             pool.append(m)
@@ -146,12 +150,34 @@ def _zero_decidable_zone(s: Structure, f: Frame) -> dict[str, bool]:
     return {tau: unsettled.isdisjoint(f.up[tau]) for tau in f.nodes}
 
 
+def _runs(segments) -> list[list[int]]:
+    """Merge (position, image, width) segments, given in position order, into
+    maximal runs of consecutive positions with consecutive images."""
+    out: list[list[int]] = []
+    for p, q, w in segments:
+        if out and p - out[-1][0] == q - out[-1][1] == out[-1][2]:
+            out[-1][2] += w
+        else:
+            out.append([p, q, w])
+    return out
+
+
 class _Engine:
     """Bitmask closure over one birth node of one base structure.
 
-    A map holds one bitmask per cone node, in cone order: over the universe
-    there (arity 1, the defined variable alone) or over its pairs `i * n + j`
-    with i the defined variable (arity 2).
+    A map is one int over the whole cone.  The k-th cone node owns `n` bits
+    at `off[0][k]` for maps of the defined variable alone (arity 1) and `n*n`
+    bits at `off[1][k]` for pair maps (arity 2), with n the size of the
+    universe there; `block` reads one node's bits.  Pair maps are j-major:
+    the pair (i, j), i the defined variable, is bit `j * n + i`, so column j
+    is a contiguous stretch of bits.
+
+    `runs` holds, per arity, (source shift, width mask, target shift) runs:
+    each carries consecutive positions at a node to consecutive images at a
+    node above it, cut wherever the images stop being consecutive.  When a
+    node's universe is a prefix of the one above, one run covers a map of
+    arity 1 and one run per column a pair map.  `interiors` memoizes
+    `interior` per arity and goes with the engine.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -165,166 +191,172 @@ class _Engine:
         self.pos = {
             tau: {x.uid: i for i, x in enumerate(self.elems[tau])} for tau in self.cone
         }
-        self.ns = tuple(len(self.elems[tau]) for tau in self.cone)
-        self.full = (
-            tuple((1 << n) - 1 for n in self.ns),
-            tuple((1 << n * n) - 1 for n in self.ns),
+        self.ns = ns = tuple(len(self.elems[tau]) for tau in self.cone)
+        self.off = off1, off2 = tuple(
+            tuple(accumulate((n**a for n in ns[:-1]), initial=0)) for a in (1, 2)
         )
-        # fwd[arity - 1][k]: for every node rho above the k-th cone node, the
-        # index of rho and the image there of each position at the k-th node
-        fwd1, fwd2 = [], []
-        for tau in self.cone:
-            ups1, ups2 = [], []
+        self.full = tuple(
+            sum((1 << n**a) - 1 << o for n, o in zip(ns, off))
+            for a, off in zip((1, 2), self.off)
+        )
+        # runs from every cone node to itself and to every node above it
+        runs1, runs2 = [], []
+        for k, tau in enumerate(self.cone):
+            n = ns[k]
             for rho in f.up[tau]:
-                img = tuple(self.pos[rho][x.uid] for x in self.elems[tau])
-                nr = len(self.elems[rho])
-                ups1.append((idx[rho], img))
-                ups2.append((idx[rho], tuple(a * nr + b for a in img for b in img)))
-            fwd1.append(ups1)
-            fwd2.append(ups2)
-        self.fwd = (fwd1, fwd2)
-        # membit[k][i]: the listed members of the i-th element at the k-th node
-        self.membit = tuple(
-            tuple(sum(1 << self.pos[tau][m.uid] for m in x.ext[tau]) for x in self.elems[tau])
-            for tau in self.cone
-        )
+                r = idx[rho]
+                img = [self.pos[rho][x.uid] for x in self.elems[tau]]
+                cut = _runs((p, q, 1) for p, q in enumerate(img))
+                # column j of a pair map lands in column img[j] above
+                cut2 = _runs(
+                    (j * n + p, c * ns[r] + q, w)
+                    for j, c in enumerate(img)
+                    for p, q, w in cut
+                )
+                runs1 += [(off1[k] + p, (1 << w) - 1, off1[r] + q) for p, q, w in cut]
+                runs2 += [(off2[k] + p, (1 << w) - 1, off2[r] + q) for p, q, w in cut2]
+        self.runs = (runs1, runs2)
+        self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = False
         self.stabilized = False
+
+    def block(self, m: int, k: int, arity: int) -> int:
+        """The bits of map `m` at the k-th cone node."""
+        return m >> self.off[arity - 1][k] & (1 << self.ns[k] ** arity) - 1
 
     def atom_maps(self) -> tuple[list, list, list, list, list]:
         """Atomic maps grouped: equality with, membership in, and membership
         of each parameter; the remaining fixed maps; and the pair maps for
         `a in b`, `b in a` and `a = b`."""
-        f = self.f
-        ins, has, eqs = [], [], []
-        for tau in self.cone:
+        ins = has = eqs = selfin = zone_map = 0
+        zone = _zero_decidable_zone(self.s, self.f)
+        for k, tau in enumerate(self.cone):
             es = self.elems[tau]
-            n = len(es)
+            n, o = len(es), self.off[1][k]
             # same[c]: the positions whose class label at tau is c; the
             # universe is membership-closed, so every member's class is here
             same: dict[int, int] = {}
             for i, a in enumerate(es):
                 c = class_at(a, tau)
                 same[c] = same.get(c, 0) | 1 << i
-            bi = bh = be = 0
             for j, b in enumerate(es):
-                row = 0
+                col = 0
                 for m in b.ext[tau]:
-                    row |= same[class_at(m, tau)]
-                bh |= row << j * n
-                be |= same[class_at(b, tau)] << j * n
-                # bi is bh transposed: one bit per member position of b
-                while row:
-                    low = row & -row
-                    bi |= 1 << (low.bit_length() - 1) * n + j
-                    row ^= low
-            ins.append(bi)
-            has.append(bh)
-            eqs.append(be)
-        ns, full = self.ns, self.full[0]
+                    col |= same[class_at(m, tau)]
+                ins |= col << o + j * n
+                eqs |= same[class_at(b, tau)] << o + j * n
+                if col >> j & 1:
+                    selfin |= 1 << self.off[0][k] + j
+                # has is ins transposed: one bit per member position of b
+                while col:
+                    low = col & -col
+                    has |= 1 << o + (low.bit_length() - 1) * n + j
+                    col ^= low
+            if zone[tau]:
+                zone_map |= (1 << n) - 1 << self.off[0][k]
 
-        def row(m2: list[int], p: KripkeSet) -> tuple[int, ...]:
-            return tuple(
-                (x >> self.pos[tau][p.uid] * n) & r
-                for x, tau, n, r in zip(m2, self.cone, ns, full)
+        def column(m2: int, p: KripkeSet) -> int:
+            # the positions paired with p, node by node
+            return sum(
+                (m2 >> o2 + self.pos[tau][p.uid] * n & (1 << n) - 1) << o1
+                for tau, n, o1, o2 in zip(self.cone, self.ns, *self.off)
             )
 
         params = self.elems[self.sigma]
-        selfin = tuple(
-            sum(1 << i for i in range(n) if x >> (i * n + i) & 1) for x, n in zip(ins, ns)
-        )
-        zone = _zero_decidable_zone(self.s, f)
-        zone_map = tuple(r if zone[tau] else 0 for r, tau in zip(full, self.cone))
         return (
-            [row(eqs, p) for p in params],
-            [row(has, p) for p in params],
-            [row(ins, p) for p in params],
-            [full, selfin, zone_map],
-            [tuple(ins), tuple(has), tuple(eqs)],
+            [column(eqs, p) for p in params],
+            [column(ins, p) for p in params],
+            [column(has, p) for p in params],
+            [self.full[0], selfin, zone_map],
+            [ins, has, eqs],
         )
 
     # ---- cone operations
 
-    def interior(self, bad: tuple[int, ...], arity: int) -> tuple[int, ...]:
+    def interior(self, bad: int, arity: int) -> int:
         """The positions whose image at every cone node above lies outside
         `bad`: negation of `bad`, and with `bad = m1 & ~m2` implication."""
-        out = []
-        for full, ups in zip(self.full[arity - 1], self.fwd[arity - 1]):
+        memo = self.interiors[arity - 1]
+        out = memo.get(bad)
+        if out is None:
             hit = 0
-            for r, img in ups:
-                b = bad[r]
-                if b:
-                    for p, j in enumerate(img):
-                        if b >> j & 1:
-                            hit |= 1 << p
-            out.append(full & ~hit)
-        return tuple(out)
-
-    def imp(self, m1: tuple[int, ...], m2: tuple[int, ...], arity: int) -> tuple[int, ...]:
-        return self.interior(tuple(a & ~b for a, b in zip(m1, m2)), arity)
-
-    def lift(self, m: tuple[int, ...], slot: int) -> tuple[int, ...]:
-        """A map of the defined variable read as a pair map in one slot."""
-        # slot 0: row i is full when i is in the map; slot 1: every row is the map
-        return tuple(
-            sum(((r if x >> i & 1 else 0) if slot == 0 else x) << i * n for i in range(n))
-            for x, n, r in zip(m, self.ns, self.full[0])
-        )
-
-    def binders(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Domains of the second variable, row by row: the defined
-        variable's members, the universe, then each parameter's members."""
-        out = [self.membit, tuple((r,) * n for r, n in zip(self.full[0], self.ns))]
-        for p in self.elems[self.sigma]:
-            out.append(
-                tuple(
-                    (mb[self.pos[tau][p.uid]],) * len(mb)
-                    for mb, tau in zip(self.membit, self.cone)
-                )
-            )
+            if bad:
+                for src, width, tgt in self.runs[arity - 1]:
+                    hit |= (bad >> tgt & width) << src
+            out = memo[bad] = self.full[arity - 1] ^ hit
         return out
 
-    def exists2(self, m2: tuple[int, ...], dom) -> tuple[int, ...]:
-        """Bind the second variable at the node: i stays when some j in
-        `dom[k][i]` makes a pair (i, j) of the map."""
-        return tuple(
-            sum(1 << i for i, d in enumerate(rows) if (x >> i * n) & r & d)
-            for x, n, r, rows in zip(m2, self.ns, self.full[0], dom)
-        )
+    def imp(self, m1: int, m2: int, arity: int) -> int:
+        return self.interior(m1 & ~m2, arity)
 
-    def forall2(self, m2: tuple[int, ...], dom) -> tuple[int, ...]:
+    def lift(self, m: int, slot: int) -> int:
+        """A map of the defined variable read as a pair map in one slot."""
+        # slot 0: every column is the map; slot 1: column j is full when j
+        # is in the map
+        out = 0
+        for n, o1, o2 in zip(self.ns, *self.off):
+            r = (1 << n) - 1
+            x = m >> o1 & r
+            for j in range(n):
+                out |= (x if slot == 0 else r if x >> j & 1 else 0) << o2 + j * n
+        return out
+
+    def binders(self) -> list[tuple[tuple[int, int, int], ...]]:
+        """Domains of the second variable: the defined variable's members,
+        the universe, then each parameter's members.  A domain is a list of
+        (column shift, column mask, target shift) triples, one per nonempty
+        column: the positions i whose domain holds the column's element."""
+        params = self.elems[self.sigma]
+        own, every = [], []
+        each: list[list[tuple[int, int, int]]] = [[] for _ in params]
+        for tau, n, o1, o2 in zip(self.cone, self.ns, *self.off):
+            pos, r = self.pos[tau], (1 << n) - 1
+            cols = [0] * n
+            for i, x in enumerate(self.elems[tau]):
+                for m in x.ext[tau]:
+                    cols[pos[m.uid]] |= 1 << i
+            own += [(o2 + j * n, c, o1) for j, c in enumerate(cols) if c]
+            every += [(o2 + j * n, r, o1) for j in range(n)]
+            for dom, p in zip(each, params):
+                dom += [(o2 + pos[m.uid] * n, r, o1) for m in p.ext[tau]]
+        return [tuple(d) for d in [own, every] + each]
+
+    def exists2(self, m2: int, dom) -> int:
+        """Bind the second variable at the node: i stays when some j in its
+        domain makes a pair (i, j) of the map."""
+        out = 0
+        for shift, col, tgt in dom:
+            out |= (m2 >> shift & col) << tgt
+        return out
+
+    def forall2(self, m2: int, dom) -> int:
         """Bind the second variable over the cone: no pair (i, j) with j in
         the domain may be missing from the map at any node above."""
-        missing = tuple(a ^ b for a, b in zip(self.full[1], m2))
-        return self.interior(self.exists2(missing, dom), 1)
-
-    @staticmethod
-    def _or(m1, m2):
-        return tuple(a | b for a, b in zip(m1, m2))
-
-    @staticmethod
-    def _and(m1, m2):
-        return tuple(a & b for a, b in zip(m1, m2))
+        return self.interior(self.exists2(self.full[1] ^ m2, dom), 1)
 
     # ---- the closure loop
 
     def connectives(self, pool: list, push, base: list, arity: int) -> None:
         """One round of interiors and pairwise or/and/imp (and/or/imp for
-        pairs) over `base`; no work once `pool` is full."""
+        pairs) over `base`; no work once `pool` is full.  Or and and are
+        symmetric and idempotent, and `push` ignores a map it has seen, so
+        they are taken once per unordered pair of distinct maps, at its
+        first ordered occurrence, and the pool comes out the same."""
         if len(pool) >= POOL_CAP:
             return
-        op1, op2 = (self._or, self._and) if arity == 1 else (self._and, self._or)
+        interior = self.interior
         for m in base:
-            push(self.interior(m, arity))
-        for m1 in base:
+            push(interior(m, arity))
+        for a, m1 in enumerate(base):
             if len(pool) >= POOL_CAP:
                 break
-            for m2 in base:
-                push(op1(m1, m2))
-                push(op2(m1, m2))
-                push(self.imp(m1, m2, arity))
+            for b, m2 in enumerate(base):
+                if b > a:
+                    push(m1 | m2 if arity == 1 else m1 & m2)
+                    push(m1 & m2 if arity == 1 else m1 | m2)
+                push(interior(m1 & ~m2, arity))
 
-    def run(self) -> list[tuple[int, ...]]:
+    def run(self) -> list[int]:
         eq, mem, has, fixed, pairs = self.atom_maps()
         self.mem, zone_map = mem, fixed[-1]
         pool1, push1 = _bounded_pool()
@@ -337,9 +369,9 @@ class _Engine:
         # harvest cap can bite
         for a in range(len(eq)):
             for b in range(a + 1, len(eq)):
-                push1(self._or(eq[a], eq[b]))
+                push1(eq[a] | eq[b])
         for a in range(len(eq)):
-            push1(self._or(mem[a], eq[a]))
+            push1(mem[a] | eq[a])
         for m in eq:
             push1(self.imp(m, zone_map, 1))
         for m in mem + has + fixed:
@@ -380,10 +412,10 @@ class _Engine:
         self.stabilized = quiet >= 1 and not self.truncated
         return pool1
 
-    def decode(self, m: tuple[int, ...]) -> dict[str, tuple[KripkeSet, ...]]:
+    def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
         return {
-            tau: tuple(x for i, x in enumerate(self.elems[tau]) if (m[k] >> i) & 1)
-            for k, tau in enumerate(self.cone)
+            tau: tuple(x for i, x in enumerate(self.elems[tau]) if m >> o + i & 1)
+            for tau, o in zip(self.cone, self.off[0])
         }
 
 
@@ -619,14 +651,14 @@ def define_subset(
     s: Structure,
     sigma: str,
     phi: Formula,
-    var: str = "x",
     extra_names: dict[str, KripkeSet] | None = None,
 ) -> KripkeSet:
-    """The subset of the universe carved by one formula at one birth node."""
+    """The subset of the universe carved by one formula in the variable x at
+    one birth node."""
     f = s.frame
     ext = {
         tau: tuple(
-            a for a in s.universe[tau] if forces(s, tau, phi, {var: a}, extra_names)
+            a for a in s.universe[tau] if forces(s, tau, phi, {"x": a}, extra_names)
         )
         for tau in up_set(f, sigma)
     }

@@ -652,7 +652,7 @@ def _rows_families(
         that0 = with_zero(sel)
         lx = def_along(that0, cfg)
         trunc |= bool(lx.meta.get("truncated"))
-        carved = define_subset(lx, f.bottom, _nonzero(), "x", {"zero": zero})
+        carved = define_subset(lx, f.bottom, _nonzero(), {"zero": zero})
         chosen = {m.uid for m in members}
         dying = [l for l in lv if one_sigma(f, l).uid in chosen]
         for tau in f.nodes:

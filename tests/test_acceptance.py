@@ -143,7 +143,7 @@ def test_criterion_04_nonzero_carve_recovers_the_selection():
     ):
         sel = _constant_selection(f, members, f"sel{i}")
         lx = def_along(with_zero(sel), CFG)
-        carved = define_subset(lx, f.bottom, nonzero, "x", {"zero": zero})
+        carved = define_subset(lx, f.bottom, nonzero, {"zero": zero})
         chosen = {m.uid for m in members}
         dying = [l for l in leaves(f) if one_sigma(f, l).uid in chosen]
         for tau in f.nodes:
