@@ -7,7 +7,6 @@ from .frame import (
     FrameKind,
     build_frame,
     chain,
-    compatible,
     dump_frame,
     fan,
     forest,
@@ -48,19 +47,16 @@ from .semantics import (
     EvalError,
     KripkeSet,
     Structure,
-    Verdict,
     delta0_absolute,
     forced_equal,
     forced_member,
     forces,
     is_end_extension,
-    is_extensional,
     is_ordinal,
     universe_at,
 )
 from .construct import (
     alpha_forest,
-    branch_clause_witness,
     branch_formula,
     branch_from_bits,
     empty_set,
@@ -77,7 +73,6 @@ from .construct import (
     t_classes_at,
     t_family,
     tree_depth,
-    truth_ordinal,
     with_zero,
 )
 from .hierarchy import (
@@ -102,16 +97,12 @@ from .schema import (
     EQUIVALENT_TRIO,
     CheckBounds,
     CheckReport,
-    CrosscheckReport,
     DesignatedInstance,
     LemmaResult,
     Prop1Report,
     Prop1Row,
     SchemaId,
-    bounding_uniformity_agreement,
     build_template,
-    check_all,
-    check_instance,
     check_schema,
     lemma_suite,
     proposition1_crosscheck,

@@ -12,7 +12,7 @@ import itertools
 
 from .formula import Formula, parse
 from .frame import Frame, leq, linear_extension, up_set
-from .semantics import KripkeSet, Structure, class_at, forced_member, forces
+from .semantics import KripkeSet, Structure, _fresh, class_at, forced_member, forces
 
 
 def _intern(f: Frame, key: tuple, build):
@@ -66,11 +66,7 @@ def t_family(f: Frame) -> tuple[KripkeSet, ...]:
     """All delayed ones, deduplicated by forced equality at the bottom."""
 
     def build() -> tuple[KripkeSet, ...]:
-        reps: dict[int, KripkeSet] = {}
-        for sigma in f.nodes:
-            cand = one_sigma(f, sigma)
-            reps.setdefault(class_at(cand, f.bottom), cand)
-        return tuple(reps.values())
+        return tuple(_fresh((one_sigma(f, sigma) for sigma in f.nodes), f.bottom))
 
     return _intern(f, ("tfam",), build)
 
@@ -105,6 +101,39 @@ def t_classes_at(f: Frame, tau: str) -> tuple[tuple[KripkeSet, ...], ...]:
     return tuple(tuple(cl) for cl in classes.values())
 
 
+def _monotone_selections(f: Frame, nodes: list[str], groups: dict):
+    """Every monotone choice of groups along `nodes`, a linear extension of
+    an upward-closed set: each node picks some of its groups (tuples of
+    sets), and must pick every group holding a set picked at a node below.
+
+    Yields {node: the picked groups' sets, in group order}, lazily and depth
+    first: the first node varies slowest, and each node tries the fewest
+    extra groups first.
+    """
+    index = {
+        tau: {m.uid: i for i, g in enumerate(groups[tau]) for m in g} for tau in nodes
+    }
+    below = {
+        tau: [rho for rho in nodes[:k] if leq(f, rho, tau)] for k, tau in enumerate(nodes)
+    }
+    chosen: dict[str, tuple[KripkeSet, ...]] = {}
+
+    def walk(k: int):
+        if k == len(nodes):
+            yield dict(chosen)
+            return
+        tau = nodes[k]
+        required = {index[tau][m.uid] for rho in below[tau] for m in chosen[rho]}
+        free = [i for i in range(len(groups[tau])) if i not in required]
+        for r in range(len(free) + 1):
+            for extra in itertools.combinations(free, r):
+                picked = sorted(required.union(extra))
+                chosen[tau] = tuple(m for i in picked for m in groups[tau][i])
+                yield from walk(k + 1)
+
+    return walk(0)
+
+
 def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...]:
     """Every monotone selection from the delayed ones, one set per choice.
 
@@ -114,38 +143,13 @@ def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...
     only sensible on the smallest frames.
     """
     if quotient:
-        classes = {tau: t_classes_at(f, tau) for tau in f.nodes}
+        groups = {tau: t_classes_at(f, tau) for tau in f.nodes}
     else:
-        classes = {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes}
-    index = {
-        tau: {m.uid: i for i, cl in enumerate(classes[tau]) for m in cl}
-        for tau in f.nodes
-    }
-    builds: list[dict[str, frozenset[int]]] = [{}]
-    for tau in linear_extension(f):
-        grown: list[dict[str, frozenset[int]]] = []
-        for chosen in builds:
-            required: set[int] = set()
-            for rho, picked in chosen.items():
-                if leq(f, rho, tau):
-                    for i in picked:
-                        for m in classes[rho][i]:
-                            required.add(index[tau][m.uid])
-            free = [i for i in range(len(classes[tau])) if i not in required]
-            for r in range(len(free) + 1):
-                for extra in itertools.combinations(free, r):
-                    grown.append(
-                        {**chosen, tau: frozenset(required) | frozenset(extra)}
-                    )
-        builds = grown
-    out = []
-    for k, chosen in enumerate(builds):
-        ext = {
-            tau: tuple(m for i in sorted(chosen[tau]) for m in classes[tau][i])
-            for tau in f.nodes
-        }
-        out.append(subset_of_t(f, ext, label=f"bfam{k}"))
-    return tuple(out)
+        groups = {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes}
+    selections = _monotone_selections(f, linear_extension(f), groups)
+    return tuple(
+        subset_of_t(f, ext, label=f"bfam{k}") for k, ext in enumerate(selections)
+    )
 
 
 def with_zero(x: KripkeSet) -> KripkeSet:
@@ -183,23 +187,6 @@ def make_xi(collection: tuple[KripkeSet, ...]) -> KripkeSet:
         return KripkeSet(f, f.bottom, ext, "xi")
 
     return _intern(f, ("xi", tuple(sorted(x.uid for x in collection))), build)
-
-
-def truth_ordinal(f: Frame, region: frozenset[str]) -> KripkeSet:
-    """{0} exactly on an upward-closed region, empty elsewhere."""
-    for tau in region:
-        if tau not in f.up:
-            raise ValueError(f"unknown node {tau!r}")
-        for rho in up_set(f, tau):
-            if rho not in region:
-                raise ValueError(f"region is not upward closed at {tau!r} -> {rho!r}")
-
-    def build() -> KripkeSet:
-        zero = empty_set(f)
-        ext = {tau: ((zero,) if tau in region else ()) for tau in f.nodes}
-        return KripkeSet(f, f.bottom, ext, f"truth_{len(region)}")
-
-    return _intern(f, ("truth", frozenset(region)), build)
 
 
 # ------------------------------------------------------------- binary trees
@@ -274,18 +261,6 @@ def externalize(f: Frame, b: KripkeSet, tau: str) -> tuple[str, ...]:
     return tuple(
         rho for rho in up_set(f, tau) if forced_member(f, tau, one_sigma(f, rho), b)
     )
-
-
-def branch_clause_witness(s: Structure, sigma: str, b: KripkeSet, q: KripkeSet) -> str:
-    """Which conjunct of internal branch-hood fails first, for diagnostics."""
-    names = {"B": b, "Q": q}
-    labels = ["subset", "upward-closure", "chain", "maximality"]
-    phi = branch_formula()
-    parts = [phi.left.left.left, phi.left.left.right, phi.left.right, phi.right]
-    for label, part in zip(labels, parts):
-        if not forces(s, sigma, part, extra_names=names):
-            return label
-    return "none"
 
 
 # ------------------------------------------------------ two-rooted forests

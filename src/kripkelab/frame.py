@@ -16,6 +16,15 @@ import itertools
 from dataclasses import dataclass, field
 
 
+# each frame family's size parameters, in order, as frame specs name them
+_FAMILIES = {
+    "chain": ("length",),
+    "tree": ("depth",),
+    "fan": ("width",),
+    "forest": ("copies", "depth"),
+}
+
+
 @dataclass(frozen=True)
 class FrameKind:
     """A frame family name plus its size parameters."""
@@ -24,11 +33,11 @@ class FrameKind:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arity = {"chain": 1, "tree": 1, "fan": 1, "forest": 2}
-        if self.name not in arity:
+        if self.name not in _FAMILIES:
             raise ValueError(f"unknown frame kind {self.name!r}")
-        if len(self.sizes) != arity[self.name]:
-            raise ValueError(f"{self.name} takes {arity[self.name]} size parameter(s)")
+        arity = len(_FAMILIES[self.name])
+        if len(self.sizes) != arity:
+            raise ValueError(f"{self.name} takes {arity} size parameter(s)")
         if any(s < 1 for s in self.sizes):
             raise ValueError(f"{self.name} size parameters must be >= 1, got {self.sizes}")
 
@@ -96,13 +105,6 @@ def leq(f: Frame, a: str, b: str) -> bool:
 def up_set(f: Frame, a: str) -> tuple[str, ...]:
     _require(f, a)
     return f.up[a]
-
-
-def compatible(f: Frame, a: str, b: str) -> bool:
-    """True iff some node extends both a and b."""
-    _require(f, a, b)
-    bs = set(f.up[b])
-    return any(c in bs for c in f.up[a])
 
 
 def linear_extension(f: Frame) -> list[str]:
@@ -214,15 +216,9 @@ def parse_frame_spec(text: str) -> Frame:
         if not v.isdigit():
             raise ValueError(f"frame parameter {k!r} must be a positive integer")
         kv[k] = int(v)
-    shapes = {
-        "chain": ("length",),
-        "tree": ("depth",),
-        "fan": ("width",),
-        "forest": ("copies", "depth"),
-    }
-    if name not in shapes:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown frame kind {name!r}")
-    keys = shapes[name]
+    keys = _FAMILIES[name]
     if set(kv) != set(keys):
         raise ValueError(f"{name} needs parameters {', '.join(keys)}")
     return build_frame(FrameKind(name, tuple(kv[k] for k in keys)))

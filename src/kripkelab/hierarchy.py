@@ -35,14 +35,15 @@ fixtures rely on precede the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
-from .construct import _intern, branch_formula, empty_set
+from .construct import _intern, _monotone_selections, branch_formula, empty_set
 from .semantics import (
     KripkeSet,
     Structure,
+    _fresh,
     alive,
     class_at,
     ext_at,
@@ -131,23 +132,24 @@ def _bounded_pool():
     return pool, push
 
 
-def _zero_decidable_zone(s: Structure, f: Frame) -> dict[str, bool]:
-    """Nodes where emptiness is settled for the whole remaining universe:
-    every element of every later universe is either forced empty or forced
-    apart from empty."""
+def _zero_decidable_zone(s: Structure, cone: tuple[str, ...]) -> dict[str, bool]:
+    """The nodes of an upward-closed `cone` where emptiness is settled for
+    the whole remaining universe: every element of every later universe is
+    either forced empty or forced apart from empty."""
+    f = s.frame
     zero = empty_set(f)
-    empty = {mu: class_at(zero, mu) for mu in f.nodes}
+    empty = {mu: class_at(zero, mu) for mu in cone}
     # nodes with an element that is neither forced empty there nor forced
     # apart from empty at every node above; each is checked once, not once
     # per node below it
     unsettled = {
         rho
-        for rho in f.nodes
+        for rho in cone
         for y in s.universe[rho]
         if class_at(y, rho) != empty[rho]
         and any(class_at(y, mu) == empty[mu] for mu in f.up[rho])
     }
-    return {tau: unsettled.isdisjoint(f.up[tau]) for tau in f.nodes}
+    return {tau: unsettled.isdisjoint(f.up[tau]) for tau in cone}
 
 
 def _runs(segments) -> list[list[int]]:
@@ -229,7 +231,7 @@ class _Engine:
         of each parameter; the remaining fixed maps; and the pair maps for
         `a in b`, `b in a` and `a = b`."""
         ins = has = eqs = selfin = zone_map = 0
-        zone = _zero_decidable_zone(self.s, self.f)
+        zone = _zero_decidable_zone(self.s, self.cone)
         for k, tau in enumerate(self.cone):
             es = self.elems[tau]
             n, o = len(es), self.off[1][k]
@@ -449,19 +451,6 @@ def harvest_at(
     return result
 
 
-def _fresh(cands, sigma: str, old) -> list[KripkeSet]:
-    """The earliest candidate of each forced-equality class at sigma that no
-    set in `old` belongs to."""
-    known = {class_at(o, sigma) for o in old}
-    out = []
-    for cand in cands:
-        c = class_at(cand, sigma)
-        if c not in known:
-            known.add(c)
-            out.append(cand)
-    return out
-
-
 def _grown(s: Structure, new_by_node: dict[str, list[KripkeSet]]) -> Structure:
     """s with the sets born at each node added there and at every node above."""
     f = s.frame
@@ -560,37 +549,20 @@ def constructible(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
 def powerset(s: Structure) -> Structure:
     """All monotone selections from the universe, born at every node."""
     f = s.frame
+    singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
     new_by_node: dict[str, list[KripkeSet]] = {}
     carried: list[KripkeSet] = []
     topo = linear_extension(f)
     for sigma in topo:
-        cone_set = set(up_set(f, sigma))
-        cone = [tau for tau in topo if tau in cone_set]
-        families: list[dict[str, tuple[KripkeSet, ...]]] = [{}]
-        for tau in cone:
-            if s.universe[tau] and 1 << len(s.universe[tau]) > POWERSET_CAP:
-                raise ValueError("powerset too large to enumerate; shrink the structure")
-            grown: list[dict[str, tuple[KripkeSet, ...]]] = []
-            for fam in families:
-                lower: set[int] = set()
-                for rho, members in fam.items():
-                    if leq(f, rho, tau):
-                        lower |= {m.uid for m in members}
-                forced = tuple(y for y in s.universe[tau] if y.uid in lower)
-                optional = [y for y in s.universe[tau] if y.uid not in lower]
-                for k in range(1 << len(optional)):
-                    fam2 = dict(fam)
-                    fam2[tau] = forced + tuple(
-                        optional[i] for i in range(len(optional)) if (k >> i) & 1
-                    )
-                    grown.append(fam2)
-            if len(grown) > POWERSET_CAP:
-                raise ValueError("powerset too large to enumerate; shrink the structure")
-            families = grown
-        cands = (
-            KripkeSet(f, sigma, {tau: fam[tau] for tau in cone}, f"pow{sigma}")
-            for fam in families
+        cone = [tau for tau in topo if tau in f.up[sigma]]
+        # the empty choice below every node always extends, so the final
+        # count bounds every partial one and one cap covers them all
+        families = list(
+            islice(_monotone_selections(f, cone, singletons), POWERSET_CAP + 1)
         )
+        if len(families) > POWERSET_CAP:
+            raise ValueError("powerset too large to enumerate; shrink the structure")
+        cands = (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
         old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
         new_by_node[sigma] = _fresh(cands, sigma, old)
         carried += new_by_node[sigma]
@@ -670,8 +642,9 @@ def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:
     against q, one representative per forced-equality class."""
     sigma = s.frame.bottom
     phi = branch_formula()
-    found: dict[int, KripkeSet] = {}
-    for x in universe_at(s, sigma):
-        if forces(s, sigma, phi, extra_names={"B": x, "Q": q}):
-            found.setdefault(class_at(x, sigma), x)
-    return tuple(found.values())
+    branches = (
+        x
+        for x in universe_at(s, sigma)
+        if forces(s, sigma, phi, extra_names={"B": x, "Q": q})
+    )
+    return tuple(_fresh(branches, sigma))

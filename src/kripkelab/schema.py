@@ -76,7 +76,6 @@ from .hierarchy import (
 from .semantics import (
     KripkeSet,
     Structure,
-    Verdict,
     class_at,
     delta0_absolute,
     forced_equal,
@@ -285,18 +284,6 @@ def _param_desc(assignment: dict[str, KripkeSet] | None) -> tuple[str, ...]:
     )
 
 
-def check_instance(
-    s: Structure,
-    schema: SchemaId,
-    phi: Formula | None = None,
-    assignment: dict[str, KripkeSet] | None = None,
-    node: str | None = None,
-) -> Verdict:
-    """Force one schema instance at one node."""
-    sigma = node if node is not None else s.frame.bottom
-    return _force(s, schema, build_template(schema, phi), phi, assignment, sigma)
-
-
 def _force(
     s: Structure,
     schema: SchemaId,
@@ -304,18 +291,16 @@ def _force(
     phi: Formula | None,
     assignment: dict[str, KripkeSet] | None,
     sigma: str,
-) -> Verdict:
-    """Force `template`, the instance built from phi, at sigma."""
+) -> tuple | None:
+    """Force `template`, the instance built from phi, at sigma: None when it
+    holds, else the counterexample."""
     if forces(s, sigma, template, env=None, extra_names=assignment):
-        return Verdict(True)
-    return Verdict(
-        False,
-        counterexample=(
-            schema.value,
-            render(phi) if phi is not None else "",
-            _param_desc(assignment),
-            sigma,
-        ),
+        return None
+    return (
+        schema.value,
+        render(phi) if phi is not None else "",
+        _param_desc(assignment),
+        sigma,
     )
 
 
@@ -377,10 +362,9 @@ def check_schema(
         template = build_template(schema, phi)
         for sigma in (inst.node,) if inst.node is not None else nodes:
             instances += 1
-            v = _force(s, schema, template, phi, assignment, sigma)
-            if not v.holds and failure is None:
-                failure = v.counterexample
-                note = inst.label or "designated instance"
+            cex = _force(s, schema, template, phi, assignment, sigma)
+            if cex is not None and failure is None:
+                failure, note = cex, inst.label or "designated instance"
 
     formulas = _sweep_formulas(schema, bounds)
     for phi in formulas:
@@ -392,9 +376,8 @@ def check_schema(
                 break
             for assignment in _assignments(s, sigma, schema, phi):
                 instances += 1
-                v = _force(s, schema, template, phi, assignment, sigma)
-                if not v.holds:
-                    failure = v.counterexample
+                failure = _force(s, schema, template, phi, assignment, sigma)
+                if failure is not None:
                     break
     return CheckReport(
         schema=schema,
@@ -408,49 +391,6 @@ def check_schema(
             "designated": designated,
         },
     )
-
-
-def check_all(
-    s: Structure, bounds: CheckBounds = CheckBounds()
-) -> dict[SchemaId, CheckReport]:
-    return {schema: check_schema(s, schema, bounds) for schema in SchemaId}
-
-
-# ------------------------------------------------- bounding vs uniformity
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    ok: bool
-    pairs: int
-    mismatches: tuple = ()
-
-
-def bounding_uniformity_agreement(
-    s: Structure, bounds: CheckBounds = CheckBounds()
-) -> CrosscheckReport:
-    """At one-node cones the bounding form of an instance and the uniformity
-    form of its negation are classically interchangeable, so their verdicts
-    must agree.  Checked at every leaf in scope, for every instance and
-    parameter assignment that Delta0 bounding sweeps."""
-    pairs = 0
-    mismatches: list[tuple] = []
-    bounding, uniformity = SchemaId.DELTA0_BOUNDING, SchemaId.DELTA0_UNIFORMITY
-    scope = _scope(s, bounds)
-    nodes = [sigma for sigma in leaves(s.frame) if sigma in scope]
-    for phi in _sweep_formulas(bounding, bounds):
-        neg = Not(phi)
-        tb, tu = build_template(bounding, phi), build_template(uniformity, neg)
-        for sigma in nodes:
-            for assignment in _assignments(s, sigma, bounding, phi):
-                pairs += 1
-                b = _force(s, bounding, tb, phi, assignment, sigma)
-                u = _force(s, uniformity, tu, neg, assignment, sigma)
-                if b.holds != u.holds:
-                    mismatches.append(
-                        (render(phi), _param_desc(assignment), sigma, b.holds, u.holds)
-                    )
-    return CrosscheckReport(ok=not mismatches, pairs=pairs, mismatches=tuple(mismatches))
 
 
 # ------------------------------------------------- three-way verdict table

@@ -125,6 +125,19 @@ def class_at(x: KripkeSet, sigma: str) -> int:
     return x.classes[sigma]
 
 
+def _fresh(cands, sigma: str, old=()) -> list[KripkeSet]:
+    """The earliest candidate of each forced-equality class at sigma that no
+    set in `old` belongs to."""
+    known = {class_at(o, sigma) for o in old}
+    out = []
+    for cand in cands:
+        c = class_at(cand, sigma)
+        if c not in known:
+            known.add(c)
+            out.append(cand)
+    return out
+
+
 def forced_equal(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """Hereditary coextensionality over the cone of sigma.
 
@@ -200,13 +213,6 @@ class Structure:
 
 def universe_at(s: Structure, sigma: str) -> tuple[KripkeSet, ...]:
     return s.universe[sigma]
-
-
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    counterexample: tuple | None = None
-    note: str = ""
 
 
 # ---------------------------------------------------------------- forces
@@ -373,32 +379,6 @@ def delta0_absolute(
         forces(m, sigma, phi_m, env) == forces(n, sigma, phi_n, env)
         for sigma in m.frame.nodes
     )
-
-
-def is_extensional(s: Structure, eq=None) -> bool:
-    """Equality agrees with forced coextensionality over the universe.
-
-    `eq` defaults to forced_equal; tests can inject a broken comparator to
-    exercise the negative direction.
-    """
-    f = s.frame
-    if eq is None:
-        eq = lambda sigma, x, y: forced_equal(f, sigma, x, y)
-
-    def member_via(sigma: str, z: KripkeSet, x: KripkeSet) -> bool:
-        return any(eq(sigma, z, w) for w in x.ext[sigma])
-
-    for sigma in f.nodes:
-        elems = s.universe[sigma]
-        for x, y in itertools.combinations_with_replacement(elems, 2):
-            coext = all(
-                member_via(tau, z, x) == member_via(tau, z, y)
-                for tau in up_set(f, sigma)
-                for z in s.universe[tau]
-            )
-            if eq(sigma, x, y) != coext:
-                return False
-    return True
 
 
 @functools.cache

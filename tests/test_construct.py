@@ -8,7 +8,6 @@ from kripkelab.construct import (
     alpha_sub,
     branch_formula,
     branch_from_bits,
-    branch_clause_witness,
     empty_set,
     externalize,
     forest_copies,
@@ -25,11 +24,10 @@ from kripkelab.construct import (
     t_classes_at,
     t_family,
     tree_depth,
-    truth_ordinal,
     with_zero,
 )
 from kripkelab.formula import free_vars, params_of
-from kripkelab.frame import chain, forest, leaves, tree, up_set
+from kripkelab.frame import chain, forest, leaves, tree
 from kripkelab.hierarchy import structure_from_sets
 from kripkelab.semantics import ext_at, forced_equal, forced_member, is_ordinal
 
@@ -128,21 +126,6 @@ def test_staged_xi_is_an_ordinal_raw_is_not():
     assert not is_ordinal(s2, raw)
 
 
-def test_truth_ordinal_region_validation():
-    f = tree(2)
-    with pytest.raises(ValueError, match="not upward closed"):
-        truth_ordinal(f, frozenset({"e"}))
-    with pytest.raises(ValueError, match="unknown node"):
-        truth_ordinal(f, frozenset({"zz"}))
-    t = truth_ordinal(f, frozenset(up_set(f, "0")))
-    one = internal_nat(f, 1)
-    assert forced_equal(f, "0", t, one)
-    assert forced_equal(f, "1", t, empty_set(f))
-    assert not forced_equal(f, "e", t, one)
-    s = structure_from_sets(f, (t,))
-    assert is_ordinal(s, t)
-
-
 def test_tree_depth_guard():
     assert tree_depth(tree(3)) == 3
     with pytest.raises(ValueError, match="binary tree"):
@@ -176,10 +159,8 @@ def test_is_branch_and_witness():
     b = branch_from_bits(f, "00")
     s = structure_from_sets(f, (b, q))
     assert is_branch(s, "e", b, q)
-    assert branch_clause_witness(s, "e", b, q) == "none"
     # the full collection is not linearly ordered below the leaves
     assert not is_branch(s, "e", q, q)
-    assert branch_clause_witness(s, "e", q, q) == "chain"
 
 
 def test_externalize_reads_off_the_path():

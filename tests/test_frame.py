@@ -5,7 +5,6 @@ import pytest
 from kripkelab.frame import (
     build_frame,
     chain,
-    compatible,
     dump_frame,
     fan,
     forest,
@@ -41,7 +40,7 @@ def test_fan_shape():
     f = fan(3)
     assert f.bottom == "bot"
     assert set(leaves(f)) == {"1", "2", "3"}
-    assert not compatible(f, "1", "2")
+    assert set(up_set(f, "1")).isdisjoint(up_set(f, "2"))
 
 
 def test_forest_shape():
@@ -49,7 +48,7 @@ def test_forest_shape():
     assert f.bottom == "bb"
     assert set(f.nodes) == {"bb", "b", "1:e", "1:0", "1:1", "2:e", "2:0", "2:1"}
     assert leq(f, "bb", "b") and leq(f, "b", "1:e") and leq(f, "b", "2:1")
-    assert not compatible(f, "1:e", "2:e")
+    assert set(up_set(f, "1:e")).isdisjoint(up_set(f, "2:e"))
 
 
 def test_order_is_a_partial_order():
@@ -74,13 +73,6 @@ def test_up_set_and_bottom():
         assert leq(f, f.bottom, n)
 
 
-def test_compatible_means_common_upper_bound():
-    f = tree(3)
-    assert compatible(f, "0", "00")
-    assert compatible(f, "e", "11")
-    assert not compatible(f, "00", "01")
-
-
 @pytest.mark.parametrize(
     "spec,kind,size",
     [
@@ -100,7 +92,7 @@ def test_parse_frame_spec_explicit():
     f = parse_frame_spec("nodes: a b c\norder: a<b a<c")
     assert f.bottom == "a"
     assert set(leaves(f)) == {"b", "c"}
-    assert not compatible(f, "b", "c")
+    assert set(up_set(f, "b")).isdisjoint(up_set(f, "c"))
 
 
 def test_parse_frame_spec_rejects_garbage():

@@ -179,6 +179,12 @@ def test_powerset_growth_and_limit():
     with pytest.raises(ValueError, match="powerset too large"):
         # seventeen elements: 2^17 selections, over POWERSET_CAP
         powerset(structure_from_sets(f, (internal_nat(f, 16),)))
+    g = chain(2)
+    with pytest.raises(ValueError, match="powerset too large"):
+        # eleven elements per node, 2^11 subsets each, but 3^11 monotone
+        # selections from the bottom: each element is chosen at both
+        # nodes, at the top only, or at neither
+        powerset(structure_from_sets(g, (internal_nat(g, 10),)))
 
 
 def test_define_subset_carves_pointwise():

@@ -41,3 +41,19 @@ def test_no_module_imports_a_name_it_does_not_use():
         if p.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_public_name_is_reached():
+    # a public name earns its place once a library module other than
+    # __init__.py, or the benchmark, refers to it
+    package = Path(kripkelab.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += (package.parent.parent / "perfbench").glob("*.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(kripkelab.__all__) - used) == []

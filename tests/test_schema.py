@@ -2,24 +2,25 @@
 
 import pytest
 
-from kripkelab.formula import classify, enumerate_pi, parse, render
-from kripkelab.frame import chain, tree
+from kripkelab.formula import Not, classify, enumerate_pi, parse, render
+from kripkelab.frame import chain, leaves, tree
 from kripkelab.hierarchy import DefConfig
 from kripkelab.schema import (
+    _assignments,
+    _scope,
     _strictly_pi,
+    _sweep_formulas,
     BASE_SCHEMAS,
     build_template,
-    check_all,
-    check_instance,
     check_schema,
     CheckBounds,
     CheckReport,
     EQUIVALENT_TRIO,
-    bounding_uniformity_agreement,
     lemma_suite,
     proposition1_crosscheck,
     SchemaId,
 )
+from kripkelab.semantics import forces
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
 
 from conftest import FIXTURES
@@ -142,14 +143,6 @@ def test_strictly_pi_is_enumerate_pi_without_its_bounded_formulas(depth, variabl
     ]
 
 
-def test_check_instance_verdicts(t2):
-    good = check_instance(t2, SchemaId.EMPTY_SET)
-    assert good.holds and good.counterexample is None
-    bad = check_instance(t2, SchemaId.PAIRING)
-    assert not bad.holds
-    assert bad.counterexample == ("Pairing", "", (), "e")
-
-
 def test_check_schema_epsilon_induction_holds(t2):
     report = check_schema(t2, SchemaId.EPSILON_INDUCTION, CheckBounds(1, 1))
     assert isinstance(report, CheckReport)
@@ -184,32 +177,49 @@ def test_gap_bounding_scope_contrast():
 
 
 def test_check_all_covers_every_schema(t2):
-    out = check_all(t2, CheckBounds(1, 0))
-    assert set(out) == set(SchemaId)
+    out = {schema: check_schema(t2, schema, CheckBounds(1, 0)) for schema in SchemaId}
     assert all(isinstance(r, CheckReport) for r in out.values())
     assert out[SchemaId.EMPTY_SET].holds
     assert not out[SchemaId.PAIRING].holds
 
 
+def _agreement_sweep(s, bounds):
+    """At a one-node cone the bounding form of an instance and the
+    uniformity form of its negation are classically interchangeable, so
+    their verdicts agree.  Compared at every leaf in scope, for every
+    instance and parameter assignment that Delta0 bounding sweeps; returns
+    the number of pairs and the mismatches."""
+    bounding, uniformity = SchemaId.DELTA0_BOUNDING, SchemaId.DELTA0_UNIFORMITY
+    nodes = [sigma for sigma in leaves(s.frame) if sigma in _scope(s, bounds)]
+    pairs, mismatches = 0, []
+    for phi in _sweep_formulas(bounding, bounds):
+        tb = build_template(bounding, phi)
+        tu = build_template(uniformity, Not(phi))
+        for sigma in nodes:
+            for assignment in _assignments(s, sigma, bounding, phi):
+                pairs += 1
+                b = forces(s, sigma, tb, extra_names=assignment)
+                if b != forces(s, sigma, tu, extra_names=assignment):
+                    mismatches.append((render(phi), assignment, sigma))
+    return pairs, mismatches
+
+
 def test_bounding_uniformity_agreement_counts(t2):
     c1 = canonical_structure(chain(1))
-    rep = bounding_uniformity_agreement(c1, CheckBounds(1, 1))
-    assert rep.ok and rep.mismatches == () and rep.pairs == 1323
-    rep2 = bounding_uniformity_agreement(t2, CheckBounds(1, 1))
-    assert rep2.ok and rep2.pairs == 3402
+    assert _agreement_sweep(c1, CheckBounds(1, 1)) == (1323, [])
+    assert _agreement_sweep(t2, CheckBounds(1, 1)) == (3402, [])
 
 
 def test_bounding_uniformity_agreement_reads_params_and_scope():
     c1 = canonical_structure(chain(1))  # 7 elements at its one leaf
     # depth 0 over x and y: 7 atoms, each checked at every value of #A
-    assert bounding_uniformity_agreement(c1, CheckBounds(0, 1)).pairs == 7 * 7
+    assert _agreement_sweep(c1, CheckBounds(0, 1))[0] == 7 * 7
     # with #p swept: 8 more atoms, each at every value of #A and of #p
-    rep = bounding_uniformity_agreement(c1, CheckBounds(0, 2))
-    assert rep.ok and rep.pairs == 7 * 7 + 8 * 7 * 7
+    assert _agreement_sweep(c1, CheckBounds(0, 2)) == (7 * 7 + 8 * 7 * 7, [])
     # the bottom of chain(2) is not a leaf, so that scope holds no pair
     c2 = canonical_structure(chain(2))
-    assert bounding_uniformity_agreement(c2, CheckBounds(0, 1, "bottom")).pairs == 0
-    assert bounding_uniformity_agreement(c2, CheckBounds(0, 1, "all")).pairs == 7 * 8
+    assert _agreement_sweep(c2, CheckBounds(0, 1, "bottom"))[0] == 0
+    assert _agreement_sweep(c2, CheckBounds(0, 1, "all"))[0] == 7 * 8
 
 
 def test_trio_and_base_listings():
