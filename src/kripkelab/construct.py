@@ -101,6 +101,10 @@ def t_classes_at(f: Frame, tau: str) -> tuple[tuple[KripkeSet, ...], ...]:
     return tuple(tuple(cl) for cl in classes.values())
 
 
+# the most monotone selections any caller enumerates in full
+POWERSET_CAP = 1 << 16
+
+
 def _monotone_selections(f: Frame, nodes: list[str], groups: dict):
     """Every monotone choice of groups along `nodes`, a linear extension of
     an upward-closed set: each node picks some of its groups (tuples of
@@ -140,13 +144,18 @@ def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...
     With quotient=True each node's extension is a union of forced-equality
     classes; that enumeration is complete for any property invariant under
     forced equality.  The literal mode enumerates raw member subsets and is
-    only sensible on the smallest frames.
+    only sensible on the smallest frames: past POWERSET_CAP families it
+    raises ValueError.
     """
     if quotient:
         groups = {tau: t_classes_at(f, tau) for tau in f.nodes}
     else:
         groups = {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes}
     selections = _monotone_selections(f, linear_extension(f), groups)
+    if not quotient:
+        selections = list(itertools.islice(selections, POWERSET_CAP + 1))
+        if len(selections) > POWERSET_CAP:
+            raise ValueError("too many literal families to enumerate; use quotient=True")
     return tuple(
         subset_of_t(f, ext, label=f"bfam{k}") for k, ext in enumerate(selections)
     )

@@ -424,42 +424,56 @@ def enumerate_delta0(
     variables: tuple[str, ...] = ("x", "y"),
     params: tuple[str, ...] = (),
 ) -> list[Formula]:
-    """Deterministic, duplicate-free stream of bounded formulas.
+    """Deterministic stream of bounded formulas, duplicate-free by
+    construction.
 
     Depth counts connective and quantifier nesting; atoms have depth 0.  The
     list for depth d is a prefix of the list for depth d+1.  Bound variables
     are drawn from a fixed pool, one per nesting level, so the stream is
-    finite at every depth.
+    finite at every depth.  Atoms that mention a bound variable serve as
+    operands from the depth their variable is in scope, but are never
+    formulas of the stream.  Repeated names, and variables named like the
+    pool, raise ValueError (so does a variable `q` in the Sigma and Pi
+    enumerators, which add `q`): they would make two terms, and so two
+    constructions, equal.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    for kind, names in (("variable", variables), ("parameter", params)):
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated {kind} name in {names}")
+    clash = sorted(set(variables) & set(_BOUND_POOL))
+    if clash:
+        raise ValueError(f"variable {clash[0]!r} is a bound-variable name")
     base_terms: list[Term] = [Var(v) for v in variables] + [Param(p) for p in params]
-    layers: list[list[Formula]] = [_atoms(base_terms)]
-    seen = {render(phi) for phi in layers[0]}
+    layer = _atoms(base_terms)
+    stream, depth0 = list(layer), set(layer)
+    bound_atoms: list[Formula] = []
 
+    # A compound is new at depth d exactly when one operand is fresh (in the
+    # previous layer, or an atom first met at d) and the other is already
+    # available (in the stream so far, or any atom met so far); the pairs
+    # come in the order a render-and-discard filter would keep them.
     for depth in range(1, max_depth + 1):
-        prev_all = [phi for layer in layers for phi in layer]
         terms = base_terms + [Var(_BOUND_POOL[i]) for i in range(depth - 1)]
-        # deeper atoms appear once the bound variable pool has grown
-        exact_prev = layers[-1] + [a for a in _atoms(terms) if render(a) not in seen]
-        fresh: list[Formula] = [Not(phi) for phi in exact_prev]
+        met = set(bound_atoms)
+        bound_atoms = [a for a in _atoms(terms) if a not in depth0]
+        fresh = layer + [a for a in bound_atoms if a not in met]
+        avail = stream + bound_atoms
+        older = stream[: len(stream) - len(layer)]
         pairs = itertools.chain(
-            itertools.product(exact_prev, prev_all + exact_prev),
-            itertools.product(prev_all, exact_prev),
+            itertools.product(layer, avail),
+            *(itertools.product((a,), fresh if a in met else avail) for a in bound_atoms),
+            itertools.product(older, fresh),
         )
-        for phi, psi in pairs:
-            fresh += [And(phi, psi), Or(phi, psi), Implies(phi, psi)]
+        new: list[Formula] = [Not(phi) for phi in fresh]
+        new += [op(phi, psi) for phi, psi in pairs for op in (And, Or, Implies)]
         if depth <= len(_BOUND_POOL):
             v, kinds = _BOUND_POOL[depth - 1], (Forall, Exists)
-            fresh += [cls(v, b, body) for body in exact_prev for cls in kinds for b in base_terms]
-        layer = []
-        for phi in fresh:
-            key = render(phi)
-            if key not in seen:
-                seen.add(key)
-                layer.append(phi)
-        layers.append(layer)
-    return [phi for layer in layers for phi in layer]
+            new += [cls(v, b, body) for body in layer + bound_atoms for cls in kinds for b in base_terms]
+        layer = new
+        stream += layer
+    return stream
 
 
 def _unbounded(

@@ -24,6 +24,26 @@ _FAMILIES = {
     "forest": ("copies", "depth"),
 }
 
+MAX_NODES = 1024  # the most nodes a frame may have
+
+
+def _node_count(name: str, sizes: tuple[int, ...]) -> int:
+    """How many nodes the family's frame has, computed without building it;
+    tree depths past 64 count as 64, which is already far over MAX_NODES,
+    so a huge depth costs no huge power."""
+
+    def tree(d: int) -> int:
+        return (1 << min(d, 64)) - 1
+
+    if name == "chain":
+        return sizes[0]
+    if name == "tree":
+        return tree(sizes[0])
+    if name == "fan":
+        return sizes[0] + 1
+    copies, depth = sizes
+    return 2 + copies * tree(depth)
+
 
 @dataclass(frozen=True)
 class FrameKind:
@@ -40,6 +60,8 @@ class FrameKind:
             raise ValueError(f"{self.name} takes {arity} size parameter(s)")
         if any(s < 1 for s in self.sizes):
             raise ValueError(f"{self.name} size parameters must be >= 1, got {self.sizes}")
+        if _node_count(self.name, self.sizes) > MAX_NODES:
+            raise ValueError(f"{self.name} frame {self.sizes} has more than {MAX_NODES} nodes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +263,8 @@ def _parse_explicit(text: str) -> Frame:
             raise ValueError(f"unknown frame spec section {sec!r}")
     if not nodes:
         raise ValueError("explicit frame spec has no nodes")
+    if len(nodes) > MAX_NODES:
+        raise ValueError(f"explicit frame has more than {MAX_NODES} nodes")
     order = _closure(nodes, covers)
     bottoms = [n for n in nodes if all((n, m) in order for m in nodes)]
     if len(bottoms) != 1:

@@ -39,7 +39,13 @@ from itertools import accumulate, islice
 
 from .formula import Formula, free_vars, is_positive_in
 from .frame import Frame, leq, linear_extension, up_set
-from .construct import _intern, _monotone_selections, branch_formula, empty_set
+from .construct import (
+    POWERSET_CAP,
+    _intern,
+    _monotone_selections,
+    branch_formula,
+    empty_set,
+)
 from .semantics import (
     KripkeSet,
     Structure,
@@ -55,7 +61,6 @@ from .semantics import (
 HARVEST_CAP = 56
 POOL_CAP = 2048
 QUIET_ROUNDS = 2
-POWERSET_CAP = 1 << 16
 
 
 @dataclass(frozen=True)

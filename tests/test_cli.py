@@ -71,6 +71,29 @@ def test_eval_rejects_a_formula_nested_too_deeply(capsys):
     assert code == 2 and err.startswith("error:") and "to evaluate" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "tree depth=99",
+        "forest copies=3 depth=9",
+        "nodes: " + " ".join(f"n{i}" for i in range(1025)),
+    ],
+    ids=["tree", "forest", "explicit"],
+)
+def test_frame_over_the_node_limit_exits_2(capsys, spec):
+    code, out, err = run(capsys, "frame", "--frame", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than 1024 nodes" in err
+    assert err.count("\n") == 1
+
+
+def test_structure_file_over_the_node_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.struct"
+    path.write_text("frame chain length=1025\n")
+    code, _, err = run(capsys, "eval", "--structure", str(path), "x = x")
+    assert code == 2 and "more than 1024 nodes" in err and err.count("\n") == 1
+
+
 def test_def_reports_sizes(capsys):
     code, out, _ = run(capsys, "def", "--frame", "chain length=1", "--steps", "2")
     assert code == 0

@@ -97,6 +97,12 @@ def test_monotone_t_families_counts():
     assert len(monotone_t_families(f, quotient=True)) == 34
 
 
+def test_literal_families_past_the_cap_raise():
+    # 26 up-sets for each of 7 delayed ones: 26^7 literal families on tree(3)
+    with pytest.raises(ValueError, match="too many literal families"):
+        monotone_t_families(tree(3), quotient=False)
+
+
 def test_with_zero_prepends_zero():
     f = tree(2)
     b = branch_from_bits(f, "0")

@@ -28,8 +28,10 @@ from kripkelab.formula import (
     substitute,
     Var,
 )
+from kripkelab.schema import _strictly_pi
 
 import recursive_facts
+from reference_enumerate import reference_delta0, reference_unbounded
 
 ROUND_TRIP = [
     "x in y",
@@ -159,6 +161,63 @@ def test_enumerate_sigma_and_pi_wrappers():
     assert any(classify(p) == "Pi" for p in pi)
     assert all(classify(p) in ("Delta0", "Sigma") for p in sig)
     assert all(classify(p) in ("Delta0", "Pi") for p in pi)
+
+
+# depths 0-2 over four variable sets, with and without #p, at most two base
+# terms at depth 2 (the 117,419-formula streams); depth 3 with no base terms,
+# where the atoms of two bound variables meet; and the variables that
+# `_unbounded` hands down
+ENUM_CASES = [
+    (d, v, p)
+    for d in range(3)
+    for v in ((), ("x",), ("a",), ("x", "y"))
+    for p in ((), ("p",))
+    if d < 2 or len(v) + len(p) <= 2
+] + [(3, (), ()), (1, ("x", "y", "q"), ()), (1, ("x", "y", "q"), ("p",))]
+
+
+def _renders(phis):
+    return [render(phi) for phi in phis]
+
+
+@pytest.mark.parametrize(
+    "depth, variables, params",
+    ENUM_CASES,
+    ids=[f"d{d}-{''.join(v) or 'none'}{'-p' if p else ''}" for d, v, p in ENUM_CASES],
+)
+def test_enumerators_match_the_render_filtered_reference(depth, variables, params):
+    bounded = _renders(reference_delta0(depth, variables, params))
+    assert _renders(enumerate_delta0(depth, variables, params)) == bounded
+    if "q" in variables:
+        return  # the Sigma and Pi enumerators add q and refuse it as a variable
+    for cls, enum in ((Exists, enumerate_sigma), (Forall, enumerate_pi)):
+        wrapped = _renders(reference_unbounded(cls, depth, variables, params))
+        assert _renders(enum(depth, variables, params)) == bounded + wrapped
+    pi = _renders(reference_unbounded(Forall, depth, variables, params))
+    assert _renders(_strictly_pi(depth, variables, params)) == pi
+
+
+def test_enumeration_sizes_pin_the_deep_cases():
+    assert len(enumerate_delta0(2, ("x", "y"))) == 117419
+    assert len(enumerate_delta0(2, ("x",), ("p",))) == 117419
+    # keeping only newly met bound atoms as operands gives 1,116 here
+    assert len(enumerate_delta0(3, ())) == 1344
+
+
+@pytest.mark.parametrize(
+    "enum, variables, params",
+    [
+        (enumerate_delta0, ("x", "x"), ()),
+        (enumerate_delta0, ("x",), ("p", "p")),
+        (enumerate_delta0, ("z",), ()),
+        (enumerate_delta0, ("x", "v1"), ()),
+        (enumerate_sigma, ("q",), ()),
+        (enumerate_pi, ("x", "q"), ("p",)),
+    ],
+)
+def test_enumeration_rejects_names_that_would_repeat_a_term(enum, variables, params):
+    with pytest.raises(ValueError):
+        enum(1, variables, params)
 
 
 def test_folded_facts_agree_with_the_recursive_walks():

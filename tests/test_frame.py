@@ -117,6 +117,12 @@ def test_build_frame_matches_helpers():
         FrameKind("chain", (0,))
     with pytest.raises(ValueError):
         FrameKind("forest", (2,))
+    # sizes at the node limit pass; one node more is refused unbuilt
+    FrameKind("fan", (1023,))
+    FrameKind("forest", (2, 9))
+    for name, sizes in [("chain", (1025,)), ("tree", (11,)), ("fan", (1024,)), ("forest", (1, 10))]:
+        with pytest.raises(ValueError, match="more than 1024 nodes"):
+            FrameKind(name, sizes)
 
 
 @pytest.mark.parametrize(
