@@ -1,7 +1,8 @@
 """Finite partial orders with a bottom element, used as Kripke frames.
 
-A frame is immutable once built.  Node identifiers are plain strings chosen
-deterministically per family so that dumps and error messages are diffable:
+A frame is built from its nodes and covering pairs and is immutable once
+built.  Node identifiers are plain strings chosen deterministically per
+family so that dumps and error messages are diffable:
 
   chain(n)      "0" < "1" < ... < str(n-1)
   tree(d)       binary strings of length < d; the root is "e"
@@ -13,7 +14,8 @@ deterministically per family so that dumps and error messages are diffable:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 
 
 # each frame family's size parameters, in order, as frame specs name them
@@ -66,12 +68,21 @@ class FrameKind:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A finite poset with bottom.  `order` holds all pairs (a, b) with a <= b."""
+    """A finite poset with bottom, built from its nodes and covering pairs.
+
+    The pairs are closed reflexively and transitively once, on one bit mask
+    per node (Warshall's closure), so the order is reflexive and transitive
+    by construction.  Building checks the rest: every pair names known
+    nodes, no two nodes lie on a cycle, and one node lies below all others.
+    `order` holds all pairs (a, b) with a <= b, `bottom` that node, and
+    `up[a]` the nodes >= a in node order.
+    """
 
     nodes: tuple[str, ...]
-    order: frozenset[tuple[str, str]]
-    bottom: str
+    covers: InitVar[Iterable[tuple[str, str]]]
     kind: str = "explicit"
+    order: frozenset[tuple[str, str]] = field(init=False)
+    bottom: str = field(init=False)
     # Per-frame tables, excluded from equality/repr: the up-sets, the
     # intern table of forced-equality class labels (semantics; node names and
     # ints only, no sets), the forcing verdicts of all structures on the frame
@@ -79,38 +90,47 @@ class Frame:
     # constructions (construct).  The intern table grows with the number of
     # distinct classes ever labelled and is never reset: labels stored on
     # sets point into it.
-    up: dict = field(default_factory=dict, repr=False, compare=False)
-    classes: dict = field(default_factory=dict, repr=False, compare=False)
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
+    up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # bit j of masks[i] is set iff nodes[i] <= nodes[j]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        seen = set(self.nodes)
-        if len(seen) != len(self.nodes):
-            raise ValueError("duplicate node identifiers")
-        for a, b in self.order:
-            if a not in seen or b not in seen:
-                raise ValueError(f"order mentions unknown node in ({a!r}, {b!r})")
-        for a in self.nodes:
-            if (a, a) not in self.order:
-                raise ValueError(f"order not reflexive at {a!r}")
-        for a, b in self.order:
-            if a != b and (b, a) in self.order:
-                raise ValueError(f"order not antisymmetric on {a!r}, {b!r}")
-        for a, b in self.order:
-            for c in self.nodes:
-                if (b, c) in self.order and (a, c) not in self.order:
-                    raise ValueError(f"order not transitive via {a!r} <= {b!r} <= {c!r}")
-        for n in self.nodes:
-            if (self.bottom, n) not in self.order:
-                raise ValueError(f"{self.bottom!r} is not below {n!r}")
-        pos = {n: i for i, n in enumerate(self.nodes)}
-        for a in self.nodes:
-            ups = tuple(sorted((b for b in self.nodes if (a, b) in self.order), key=pos.get))
-            self.up[a] = ups
+    def __post_init__(self, covers: Iterable[tuple[str, str]]) -> None:
+        nodes = self.nodes
+        pos = {n: i for i, n in enumerate(nodes)}
+        if len(pos) != len(nodes):
+            dup = next(n for i, n in enumerate(nodes) if pos[n] != i)
+            raise ValueError(f"duplicate node {dup!r}")
+        masks = [1 << i for i in range(len(nodes))]
+        for a, b in covers:
+            if a not in pos or b not in pos:
+                raise ValueError(f"order mentions unknown node in {a}<{b}")
+            masks[pos[a]] |= 1 << pos[b]
+        for k in range(len(nodes)):
+            bit = 1 << k
+            for i, m in enumerate(masks):
+                if m & bit:
+                    masks[i] = m | masks[k]
+        owner: dict[int, int] = {}
+        for i, m in enumerate(masks):
+            j = owner.setdefault(m, i)
+            if j != i:
+                raise ValueError(f"order has a cycle through {nodes[j]!r} and {nodes[i]!r}")
+        full = (1 << len(nodes)) - 1
+        if full not in owner:
+            raise ValueError("order has no bottom element: no node lies below all others")
+        for n, m in zip(nodes, masks):
+            self.up[n] = tuple(nodes[j] for j in _bits(m))
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "bottom", nodes[owner[full]])
+        object.__setattr__(self, "order", frozenset((a, b) for a in nodes for b in self.up[a]))
 
-    def index(self, a: str) -> int:
-        return self.nodes.index(a)
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _require(f: Frame, *nodes: str) -> None:
@@ -131,57 +151,31 @@ def up_set(f: Frame, a: str) -> tuple[str, ...]:
 
 def linear_extension(f: Frame) -> list[str]:
     """The nodes ordered so that each one follows every node below it."""
-    # strictly below implies a strictly larger up-set
-    return sorted(f.nodes, key=lambda n: (-len(f.up[n]), f.index(n)))
+    # strictly below implies a strictly larger up-set; the sort is stable
+    return sorted(f.nodes, key=lambda n: -len(f.up[n]))
 
 
 def leaves(f: Frame) -> tuple[str, ...]:
     return tuple(n for n in f.nodes if len(f.up[n]) == 1)
 
 
-def _closure(nodes: list[str], covers: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    rel = {(n, n) for n in nodes} | set(covers)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(rel), tuple(rel)):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
-    return frozenset(rel)
-
-
-def _make(nodes: list[str], covers: set[tuple[str, str]], bottom: str, kind: str) -> Frame:
-    return Frame(nodes=tuple(nodes), order=_closure(nodes, covers), bottom=bottom, kind=kind)
-
-
 def build_frame(kind: FrameKind) -> Frame:
     name, sizes = kind.name, kind.sizes
     if name == "chain":
-        (n,) = sizes
-        nodes = [str(i) for i in range(n)]
-        covers = {(str(i), str(i + 1)) for i in range(n - 1)}
-        return _make(nodes, covers, "0", f"chain({n})")
-    if name == "tree":
-        (d,) = sizes
-        nodes, covers = _tree_nodes(d, prefix="")
-        return _make(nodes, covers, "e", f"tree({d})")
-    if name == "fan":
-        (w,) = sizes
-        nodes = ["bot"] + [str(i) for i in range(1, w + 1)]
-        covers = {("bot", str(i)) for i in range(1, w + 1)}
-        return _make(nodes, covers, "bot", f"fan({w})")
-    if name == "forest":
-        c, d = sizes
-        nodes = ["bb", "b"]
-        covers = {("bb", "b")}
-        for i in range(1, c + 1):
-            sub, subcov = _tree_nodes(d, prefix=f"{i}:")
+        nodes = [str(i) for i in range(sizes[0])]
+        covers = set(zip(nodes, nodes[1:]))
+    elif name == "tree":
+        nodes, covers = _tree_nodes(sizes[0], prefix="")
+    elif name == "fan":
+        nodes = ["bot"] + [str(i) for i in range(1, sizes[0] + 1)]
+        covers = {("bot", n) for n in nodes[1:]}
+    else:
+        nodes, covers = ["bb", "b"], {("bb", "b")}
+        for i in range(1, sizes[0] + 1):
+            sub, subcov = _tree_nodes(sizes[1], prefix=f"{i}:")
             nodes.extend(sub)
-            covers |= subcov
-            covers.add(("b", f"{i}:e"))
-        return _make(nodes, covers, "bb", f"forest({c},{d})")
-    raise ValueError(f"unknown frame kind {name!r}")
+            covers |= subcov | {("b", sub[0])}
+    return Frame(tuple(nodes), covers, f"{name}({','.join(map(str, sizes))})")
 
 
 def _tree_nodes(depth: int, prefix: str) -> tuple[list[str], set[tuple[str, str]]]:
@@ -192,11 +186,7 @@ def _tree_nodes(depth: int, prefix: str) -> tuple[list[str], set[tuple[str, str]
     strings = [""]
     for ln in range(1, depth):
         strings.extend("".join(bits) for bits in itertools.product("01", repeat=ln))
-    covers = set()
-    for s in strings:
-        for bit in "01":
-            if len(s) + 1 < depth:
-                covers.add((name(s), name(s + bit)))
+    covers = {(name(s), name(s + bit)) for s in strings if len(s) + 1 < depth for bit in "01"}
     return [name(s) for s in strings], covers
 
 
@@ -221,8 +211,8 @@ def parse_frame_spec(text: str) -> Frame:
 
     Either a family form like `tree depth=3`, `fan width=4`, `chain length=2`,
     `forest copies=2 depth=2`, or an explicit poset
-    `nodes: a b c / order: a<b a<c` (reflexive-transitive closure is taken,
-    then validated).
+    `nodes: a b c / order: a<b a<c` (the pairs are closed into an order; see
+    Frame).
     """
     text = text.strip()
     if text.startswith("nodes:"):
@@ -235,6 +225,8 @@ def parse_frame_spec(text: str) -> Frame:
         if "=" not in tok:
             raise ValueError(f"bad frame parameter {tok!r}, expected key=value")
         k, v = tok.split("=", 1)
+        if k in kv:
+            raise ValueError(f"frame parameter {k!r} given twice")
         if not v.isdigit():
             raise ValueError(f"frame parameter {k!r} must be a positive integer")
         kv[k] = int(v)
@@ -265,21 +257,19 @@ def _parse_explicit(text: str) -> Frame:
         raise ValueError("explicit frame spec has no nodes")
     if len(nodes) > MAX_NODES:
         raise ValueError(f"explicit frame has more than {MAX_NODES} nodes")
-    order = _closure(nodes, covers)
-    bottoms = [n for n in nodes if all((n, m) in order for m in nodes)]
-    if len(bottoms) != 1:
-        raise ValueError("explicit frame must have exactly one bottom element")
-    return Frame(nodes=tuple(nodes), order=order, bottom=bottoms[0], kind="explicit")
+    return Frame(tuple(nodes), covers)
 
 
 def dump_frame(f: Frame) -> str:
-    """Canonical dump; parses back through parse_frame_spec."""
+    """Canonical dump; parses back through parse_frame_spec.  Only covering
+    pairs are listed: the nodes strictly above a node, minus everything
+    strictly above those."""
+    strict = [m & ~(1 << i) for i, m in enumerate(f.masks)]
     covers = []
-    for a, b in sorted(f.order):
-        if a == b:
-            continue
-        # keep only covering pairs so the dump stays readable
-        if any((a, c) in f.order and (c, b) in f.order and c not in (a, b) for c in f.nodes):
-            continue
-        covers.append(f"{a}<{b}")
-    return f"nodes: {' '.join(f.nodes)} / order: {' '.join(covers)}"
+    for a, m in zip(f.nodes, strict):
+        beyond = 0
+        for j in _bits(m):
+            beyond |= strict[j]
+        covers.extend((a, f.nodes[j]) for j in _bits(m & ~beyond))
+    pairs = " ".join(f"{a}<{b}" for a, b in sorted(covers))
+    return f"nodes: {' '.join(f.nodes)} / order: {pairs}"

@@ -43,8 +43,8 @@ from .construct import (
     POWERSET_CAP,
     _intern,
     _monotone_selections,
-    branch_formula,
     empty_set,
+    is_branch,
 )
 from .semantics import (
     KripkeSet,
@@ -456,9 +456,20 @@ def harvest_at(
     return result
 
 
-def _grown(s: Structure, new_by_node: dict[str, list[KripkeSet]]) -> Structure:
-    """s with the sets born at each node added there and at every node above."""
+def _grow(s: Structure, candidates) -> Structure:
+    """s with new sets born at every node.  Along a linear extension, node
+    sigma keeps the earliest of `candidates(sigma)` in each forced-equality
+    class at sigma that is new there: in neither s's universe at sigma nor
+    the sets kept below and alive at sigma.  Each kept set joins the
+    universe at sigma and at every node above."""
     f = s.frame
+    new_by_node: dict[str, list[KripkeSet]] = {}
+    carried: list[KripkeSet] = []
+    for sigma in linear_extension(f):
+        cands = candidates(sigma)
+        old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
+        new_by_node[sigma] = _fresh(cands, sigma, old)
+        carried += new_by_node[sigma]
     universe = {
         tau: s.universe[tau]
         + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
@@ -471,18 +482,16 @@ def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
     """One definability step over the whole structure: every node contributes
     the subsets definable there; old sets persist and duplicates collapse
     onto the earliest representative."""
-    new_by_node: dict[str, list[KripkeSet]] = {}
-    carried: list[KripkeSet] = []
-    truncated = stabilized = False
-    for sigma in linear_extension(s.frame):
+    flags = {"truncated": False, "stabilized": False}
+
+    def harvest(sigma: str) -> list[KripkeSet]:
         born, trunc, stab = harvest_at(s, sigma, cfg)
-        truncated |= trunc
-        stabilized |= stab
-        new_by_node[sigma] = _fresh(born, sigma, (c for c in carried if alive(c, sigma)))
-        carried += new_by_node[sigma]
-    out = _grown(s, new_by_node)
-    out.meta["truncated"] = truncated
-    out.meta["stabilized"] = stabilized
+        flags["truncated"] |= trunc
+        flags["stabilized"] |= stab
+        return born
+
+    out = _grow(s, harvest)
+    out.meta.update(flags)
     return out
 
 
@@ -555,10 +564,9 @@ def powerset(s: Structure) -> Structure:
     """All monotone selections from the universe, born at every node."""
     f = s.frame
     singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
-    new_by_node: dict[str, list[KripkeSet]] = {}
-    carried: list[KripkeSet] = []
     topo = linear_extension(f)
-    for sigma in topo:
+
+    def selections(sigma: str):
         cone = [tau for tau in topo if tau in f.up[sigma]]
         # the empty choice below every node always extends, so the final
         # count bounds every partial one and one cap covers them all
@@ -567,11 +575,9 @@ def powerset(s: Structure) -> Structure:
         )
         if len(families) > POWERSET_CAP:
             raise ValueError("powerset too large to enumerate; shrink the structure")
-        cands = (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
-        old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
-        new_by_node[sigma] = _fresh(cands, sigma, old)
-        carried += new_by_node[sigma]
-    return _grown(s, new_by_node)
+        return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
+
+    return _grow(s, selections)
 
 
 # ------------------------------------------------------------ fixed points
@@ -646,10 +652,5 @@ def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:
     """Universe members at the bottom that satisfy the branch predicate
     against q, one representative per forced-equality class."""
     sigma = s.frame.bottom
-    phi = branch_formula()
-    branches = (
-        x
-        for x in universe_at(s, sigma)
-        if forces(s, sigma, phi, extra_names={"B": x, "Q": q})
-    )
+    branches = (x for x in universe_at(s, sigma) if is_branch(s, sigma, x, q))
     return tuple(_fresh(branches, sigma))

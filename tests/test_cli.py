@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, and output formats."""
 
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,33 @@ def test_frame_over_the_node_limit_exits_2(capsys, spec):
     code, out, err = run(capsys, "frame", "--frame", spec)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "more than 1024 nodes" in err
+    assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def at_the_limit_seconds():
+    """Seconds spent by the cases below, which share one 10 s budget."""
+    return []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["chain length=1024", "tree depth=10", "fan width=1023", "forest copies=2 depth=9"],
+)
+def test_frame_at_the_node_limit_dumps_and_reparses(capsys, at_the_limit_seconds, spec):
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "dump", "--what", "frame", "--frame", spec)
+    assert code == 0
+    assert parse_frame_spec(out).order == parse_frame_spec(spec).order
+    at_the_limit_seconds.append(time.monotonic() - t0)
+    spent = sum(at_the_limit_seconds)
+    assert spent < 10.0, f"frames at the node limit took {spent:.1f}s of a 10s budget"
+
+
+def test_repeated_frame_parameter_exits_2(capsys):
+    code, out, err = run(capsys, "frame", "--frame", "chain length=2 length=3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'length' given twice" in err
     assert err.count("\n") == 1
 
 

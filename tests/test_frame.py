@@ -11,10 +11,13 @@ from kripkelab.frame import (
     FrameKind,
     leaves,
     leq,
+    linear_extension,
     parse_frame_spec,
     tree,
     up_set,
 )
+
+import reference_frame
 
 
 def test_chain_shape():
@@ -105,6 +108,57 @@ def test_parse_frame_spec_rejects_garbage():
         parse_frame_spec("nodes: a b\norder:")
     with pytest.raises(ValueError):
         parse_frame_spec("nodes: a b\norder: a<b b<a")
+    with pytest.raises(ValueError, match="'depth' given twice"):
+        parse_frame_spec("tree depth=3 depth=2")
+
+
+# Specs whose frames are compared field by field with the reference
+# construction: every family at small sizes, a diamond, an explicit spec
+# with redundant and reflexive pairs, and a one-node spec.
+REFERENCE_SPECS = (
+    [f"chain length={n}" for n in (1, 2, 3, 5, 8)]
+    + [f"tree depth={d}" for d in (1, 2, 3, 4)]
+    + [f"fan width={w}" for w in (1, 2, 3, 5)]
+    + [f"forest copies={c} depth={d}" for c in (1, 2, 3) for d in (1, 2, 3)]
+    + [
+        "nodes: a b c d / order: a<b a<c b<d c<d",
+        "nodes: r s t u v / order: r<s s<t r<t r<r t<u r<u s<u v<v t<v",
+        "nodes: solo",
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_frame_matches_the_reference_construction(spec):
+    f = parse_frame_spec(spec)
+    if spec.startswith("nodes:"):
+        ref = reference_frame.reference_explicit(spec)
+    else:
+        name, *params = spec.split()
+        sizes = tuple(int(p.split("=")[1]) for p in params)
+        ref = reference_frame.reference_family(FrameKind(name, sizes))
+    assert f.nodes == ref.nodes
+    assert f.order == ref.order
+    assert (f.bottom, f.kind) == (ref.bottom, ref.kind)
+    assert f.up == ref.up
+    assert linear_extension(f) == reference_frame.linear_extension(ref)
+    assert leaves(f) == reference_frame.leaves(ref)
+    assert dump_frame(f) == reference_frame.dump_frame(ref)
+
+
+@pytest.mark.parametrize(
+    "spec,fault",
+    [
+        ("nodes: a b / order: a<b b<a", "cycle through 'a' and 'b'"),
+        ("nodes: a b / order: a<c", "unknown node in a<c"),
+        ("nodes: a a", "duplicate node 'a'"),
+        ("nodes: a b", "no bottom element"),
+    ],
+)
+def test_explicit_spec_errors_name_the_fault(spec, fault):
+    with pytest.raises(ValueError, match=fault) as exc:
+        parse_frame_spec(spec)
+    assert "\n" not in str(exc.value)
 
 
 def test_build_frame_matches_helpers():
