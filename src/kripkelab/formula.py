@@ -38,9 +38,10 @@ Term = Var | Param
 
 class _Node:
     """The base of every formula class: one slot for the node's facts,
-    which `facts` fills on first use."""
+    which `facts` fills on first use, and one for its compiled forcing
+    function, which `semantics` fills on first use."""
 
-    __slots__ = ("_facts",)
+    __slots__ = ("_facts", "_code")
 
 
 @dataclass(frozen=True, slots=True)

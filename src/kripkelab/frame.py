@@ -13,6 +13,7 @@ family so that dumps and error messages are diffable:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
@@ -74,14 +75,13 @@ class Frame:
     per node (Warshall's closure), so the order is reflexive and transitive
     by construction.  Building checks the rest: every pair names known
     nodes, no two nodes lie on a cycle, and one node lies below all others.
-    `order` holds all pairs (a, b) with a <= b, `bottom` that node, and
-    `up[a]` the nodes >= a in node order.
+    `bottom` is that node, `up[a]` the nodes >= a in node order, and
+    `order` all pairs (a, b) with a <= b, built on first read.
     """
 
     nodes: tuple[str, ...]
     covers: InitVar[Iterable[tuple[str, str]]]
     kind: str = "explicit"
-    order: frozenset[tuple[str, str]] = field(init=False)
     bottom: str = field(init=False)
     # Per-frame tables, excluded from equality/repr: the up-sets, the
     # intern table of forced-equality class labels (semantics; node names and
@@ -94,8 +94,9 @@ class Frame:
     classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # bit j of masks[i] is set iff nodes[i] <= nodes[j]
+    # bit j of masks[i] is set iff nodes[i] <= nodes[j], and pos[nodes[i]] == i
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, covers: Iterable[tuple[str, str]]) -> None:
         nodes = self.nodes
@@ -124,8 +125,14 @@ class Frame:
         for n, m in zip(nodes, masks):
             self.up[n] = tuple(nodes[j] for j in _bits(m))
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "bottom", nodes[owner[full]])
-        object.__setattr__(self, "order", frozenset((a, b) for a in nodes for b in self.up[a]))
+
+    @functools.cached_property
+    def order(self) -> frozenset[tuple[str, str]]:
+        # n(n+1)/2 pairs on a chain, so only the readers that need every
+        # pair build it; `leq` reads one bit of `masks`
+        return frozenset((a, b) for a in self.nodes for b in self.up[a])
 
 
 def _bits(mask: int) -> list[int]:
@@ -141,7 +148,7 @@ def _require(f: Frame, *nodes: str) -> None:
 
 def leq(f: Frame, a: str, b: str) -> bool:
     _require(f, a, b)
-    return (a, b) in f.order
+    return bool(f.masks[f.pos[a]] >> f.pos[b] & 1)
 
 
 def up_set(f: Frame, a: str) -> tuple[str, ...]:

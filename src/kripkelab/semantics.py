@@ -14,11 +14,19 @@ are forced equal there iff their labels agree.  A set's labels are computed
 the first time a question needs them, top nodes first, and the intern table
 is one per frame (`Frame.classes`), holding node names and ints only.
 
+`forces` runs compiled code, not an interpreter.  Each formula node is
+compiled once, the first time it is forced, into its memoized forcing
+function `(ctx, sigma, env) -> bool`, built from its kind's clause and its
+children's functions.  The function is kept in the node's `_code` slot, so
+it lives and dies with the formula: it holds its children's functions and
+plain values, never a node, and no frame or module table holds code.
+
 Forcing verdicts are kept per frame too (`Frame.memo`), keyed by the
 formula's serial (`formula.facts`), which no other formula ever gets.  A
 bounded formula reads extensions, labels and up-sets but never a universe,
 so one verdict serves every structure on the frame; unbounded keys carry
-`Structure.uid`.
+`Structure.uid`.  Each node's key is built by code written for its shape
+(bounded or not, how many variables and parameters), not by a loop.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .formula import (
     parse,
     render,
 )
-from .frame import Frame, _require, leq, up_set
+from .frame import Frame, _require, up_set
 
 _uid_counter = itertools.count()
 
@@ -64,13 +72,12 @@ class KripkeSet:
         cone = up_set(frame, birth)
         if set(ext) != set(cone):
             raise ValueError(f"extension map must cover exactly the cone of {birth!r}")
-        order = frame.order
         uids = {}
         for tau in cone:
             for m in ext[tau]:
                 if m.frame is not frame:
                     raise ValueError("member belongs to a different frame")
-                if (m.birth, tau) not in order:
+                if tau not in m.ext:
                     raise ValueError(
                         f"member born at {m.birth!r} is not alive at {tau!r}"
                     )
@@ -97,7 +104,9 @@ class KripkeSet:
 
 
 def alive(x: KripkeSet, sigma: str) -> bool:
-    return leq(x.frame, x.birth, sigma)
+    # a set's cone is exactly its extension's keys
+    _require(x.frame, sigma)
+    return sigma in x.ext
 
 
 def ext_at(x: KripkeSet, tau: str) -> tuple[KripkeSet, ...]:
@@ -189,7 +198,7 @@ class Structure:
         for tau, elems in self.universe.items():
             uids = set()
             for x in elems:
-                if not alive(x, tau):
+                if tau not in x.ext:
                     raise ValueError(f"universe element {x!r} not alive at {tau!r}")
                 if x.uid in uids:
                     raise ValueError(f"duplicate universe element {x!r} at {tau!r}")
@@ -249,95 +258,166 @@ def forces(
             raise ValueError("bound set lives on a different frame")
     if len(s.frame.memo) >= MEMO_CAP:
         s.frame.memo.clear()
+    ctx = _Ctx(s, extra_names)
     try:
-        return _Ctx(s, extra_names).forces(sigma, phi, env)
+        return _code(phi)(ctx, sigma, env)
     except RecursionError:
         raise EvalError("formula nests too deeply to evaluate") from None
 
 
 class _Ctx:
-    """One top-level `forces` call: the parameters (the structure's names,
-    overridden by the extra ones) plus direct handles on the frame's order
-    and memo tables."""
+    """The state of one top-level `forces` call: the structure's uid and
+    universe, its parameters (the structure's names, overridden by the extra
+    ones), and the frame with its up-sets and forcing memo."""
 
-    __slots__ = ("s", "params", "order", "up", "memo")
+    __slots__ = ("uid", "universe", "params", "frame", "up", "memo")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
-        self.s = s
+        self.uid, self.universe = s.uid, s.universe
         self.params = {**s.names, **extra}
-        self.order = f.order
-        self.up = f.up
-        self.memo = f.memo
+        self.frame, self.up, self.memo = f, f.up, f.memo
 
-    def term(self, t: Term, sigma: str, env: dict[str, KripkeSet]) -> KripkeSet:
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise EvalError(f"unbound variable {t.name!r}")
-            x = env[t.name]
+
+def _code(phi: Formula):
+    """phi's memoized forcing function `(ctx, sigma, env) -> bool`.
+
+    Compiled from its children's functions the first time it is asked for
+    and kept on the node.  It holds its children's functions and plain
+    values, never a node, so it is freed with phi."""
+    try:
+        return phi._code
+    except AttributeError:
+        pass
+    serial, bounded, variables, names = facts(phi)
+    make = _memoized(bounded, len(variables), len(names))
+    code = make(_body(phi), serial, *variables, *names)
+    object.__setattr__(phi, "_code", code)
+    return code
+
+
+@functools.cache
+def _memoized(bounded: bool, nvars: int, nparams: int):
+    """The maker of memoized forcing functions for one key shape.
+
+    A key is phi's serial, the node, the structure's uid unless phi is
+    bounded, then the uids of the values of phi's sorted free variables and
+    parameters, None for one nothing binds.  The maker is written out as
+    source once per shape, as `dataclasses` writes `__init__`, so building
+    a key runs no loop over names."""
+    vs = [f"v{i}" for i in range(nvars)]
+    ps = [f"p{i}" for i in range(nparams)]
+    key = ["serial", "sigma"] + ([] if bounded else ["ctx.uid"])
+    key += [f"env[{v}].uid if {v} in env else None" for v in vs]
+    key += [f"params[{p}].uid if {p} in params else None" for p in ps]
+    source = (
+        f"def make({', '.join(['body', 'serial', *vs, *ps])}):\n"
+        "    def code(ctx, sigma, env):\n"
+        + ("        params = ctx.params\n" if ps else "")
+        + f"        key = ({', '.join(key)},)\n"
+        "        memo = ctx.memo\n"
+        "        hit = memo.get(key)\n"
+        "        if hit is None:\n"
+        "            hit = memo[key] = body(ctx, sigma, env)\n"
+        "        return hit\n"
+        "    return code\n"
+    )
+    scope: dict = {}
+    exec(source, scope)
+    return scope["make"]
+
+
+def _body(phi: Formula):
+    """The forcing clause of phi's kind over its children's compiled
+    functions, without the memo."""
+    if isinstance(phi, (Member, Eq)):
+        left, right = _term(phi.left), _term(phi.right)
+        relation = forced_member if isinstance(phi, Member) else forced_equal
+
+        def atom(ctx, sigma, env):
+            x, y = left(ctx, sigma, env), right(ctx, sigma, env)
+            return relation(ctx.frame, sigma, x, y)
+
+        return atom
+    if isinstance(phi, (And, Or)):
+        left, right = _code(phi.left), _code(phi.right)
+        if isinstance(phi, And):
+            return lambda ctx, sigma, env: left(ctx, sigma, env) and right(ctx, sigma, env)
+        return lambda ctx, sigma, env: left(ctx, sigma, env) or right(ctx, sigma, env)
+    if isinstance(phi, Not):
+        sub = _code(phi.body)
+
+        def negation(ctx, sigma, env):
+            for tau in ctx.up[sigma]:
+                if sub(ctx, tau, env):
+                    return False
+            return True
+
+        return negation
+    if isinstance(phi, Implies):
+        left, right = _code(phi.left), _code(phi.right)
+
+        def implication(ctx, sigma, env):
+            for tau in ctx.up[sigma]:
+                if left(ctx, tau, env) and not right(ctx, tau, env):
+                    return False
+            return True
+
+        return implication
+    if isinstance(phi, Forall):
+        var, sub, pool = phi.var, _code(phi.body), _pool(phi.bound)
+
+        def forall(ctx, sigma, env):
+            # one dict per call, rebound per element: no callee keeps it
+            inner = env.copy()
+            for tau in ctx.up[sigma]:
+                for inner[var] in pool(ctx, tau, env):
+                    if not sub(ctx, tau, inner):
+                        return False
+            return True
+
+        return forall
+    if isinstance(phi, Exists):
+        var, sub, pool = phi.var, _code(phi.body), _pool(phi.bound)
+
+        def exists(ctx, sigma, env):
+            inner = env.copy()
+            for inner[var] in pool(ctx, sigma, env):
+                if sub(ctx, sigma, inner):
+                    return True
+            return False
+
+        return exists
+    raise EvalError(f"unknown formula node {phi!r}")
+
+
+def _pool(bound: Term | None):
+    """A quantifier's range at a node: the bound's extension there, or the
+    universe when it has none."""
+    if bound is None:
+        return lambda ctx, tau, env: ctx.universe[tau]
+    term = _term(bound)
+    return lambda ctx, tau, env: term(ctx, tau, env).ext[tau]
+
+
+def _term(t: Term):
+    """t's value at a node, which must be bound and alive there."""
+    name, is_var = t.name, isinstance(t, Var)
+
+    def term(ctx, sigma, env):
+        if is_var:
+            if name not in env:
+                raise EvalError(f"unbound variable {name!r}")
+            x = env[name]
         else:
-            x = self.params.get(t.name)
+            x = ctx.params.get(name)
             if x is None:
-                raise EvalError(f"unknown parameter #{t.name}")
-        if (x.birth, sigma) not in self.order:
+                raise EvalError(f"unknown parameter #{name}")
+        if sigma not in x.ext:
             raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
         return x
 
-    def forces(self, sigma: str, phi: Formula, env: dict[str, KripkeSet]) -> bool:
-        # The key is phi's serial, the node, the structure's uid unless phi
-        # is bounded, then the uids of the values of phi's sorted free
-        # variables and parameters, None for one nothing binds.
-        serial, bounded, variables, names = facts(phi)
-        key = [serial, sigma] if bounded else [serial, sigma, self.s.uid]
-        for v in variables:
-            key.append(env[v].uid if v in env else None)
-        params = self.params
-        for p in names:
-            key.append(params[p].uid if p in params else None)
-        key = tuple(key)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = self._eval(sigma, phi, env)
-        return hit
-
-    def _eval(self, sigma: str, phi: Formula, env: dict[str, KripkeSet]) -> bool:
-        # bounded universals dominate Pi-heavy formulas such as branch-hood
-        if isinstance(phi, Forall):
-            for tau in self.up[sigma]:
-                pool = (
-                    self.term(phi.bound, tau, env).ext[tau]
-                    if phi.bound is not None
-                    else self.s.universe[tau]
-                )
-                for a in pool:
-                    if not self.forces(tau, phi.body, {**env, phi.var: a}):
-                        return False
-            return True
-        if isinstance(phi, Member):
-            x, y = self.term(phi.left, sigma, env), self.term(phi.right, sigma, env)
-            return forced_member(self.s.frame, sigma, x, y)
-        if isinstance(phi, Eq):
-            x, y = self.term(phi.left, sigma, env), self.term(phi.right, sigma, env)
-            return forced_equal(self.s.frame, sigma, x, y)
-        if isinstance(phi, And):
-            return self.forces(sigma, phi.left, env) and self.forces(sigma, phi.right, env)
-        if isinstance(phi, Or):
-            return self.forces(sigma, phi.left, env) or self.forces(sigma, phi.right, env)
-        if isinstance(phi, Not):
-            return all(not self.forces(tau, phi.body, env) for tau in self.up[sigma])
-        if isinstance(phi, Implies):
-            return all(
-                not self.forces(tau, phi.left, env) or self.forces(tau, phi.right, env)
-                for tau in self.up[sigma]
-            )
-        if isinstance(phi, Exists):
-            pool = (
-                self.term(phi.bound, sigma, env).ext[sigma]
-                if phi.bound is not None
-                else self.s.universe[sigma]
-            )
-            return any(self.forces(sigma, phi.body, {**env, phi.var: a}) for a in pool)
-        raise EvalError(f"unknown formula node {phi!r}")
+    return term
 
 
 # ----------------------------------------------------- structure relations

@@ -1,5 +1,7 @@
 """Finite frames: builders, order helpers, the frame-spec mini-language."""
 
+import tracemalloc
+
 import pytest
 
 from kripkelab.frame import (
@@ -66,6 +68,28 @@ def test_order_is_a_partial_order():
             for c in ns:
                 if leq(f, a, b) and leq(f, b, c):
                     assert leq(f, a, c)
+
+
+def test_order_helpers_reject_an_unknown_node():
+    f = tree(2)
+    for a, b in (("zz", "e"), ("e", "zz")):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            leq(f, a, b)
+    with pytest.raises(ValueError, match="unknown node 'zz'"):
+        up_set(f, "zz")
+
+
+def test_a_long_chain_builds_without_its_pairs():
+    # the order of chain(1024) has 524,800 pairs, about 48 MB as tuples in
+    # a frozenset; a build keeps one bit mask and one up-set per node
+    tracemalloc.start()
+    try:
+        f = chain(1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert leq(f, "3", "1000") and not leq(f, "1000", "3")
 
 
 def test_up_set_and_bottom():
@@ -138,7 +162,11 @@ def test_frame_matches_the_reference_construction(spec):
         sizes = tuple(int(p.split("=")[1]) for p in params)
         ref = reference_frame.reference_family(FrameKind(name, sizes))
     assert f.nodes == ref.nodes
-    assert f.order == ref.order
+    assert sorted(f.order) == sorted(ref.order)
+    # `leq` reads one bit of the masks, not `order`
+    assert [(a, b) for a in f.nodes for b in f.nodes if leq(f, a, b)] == [
+        (a, b) for a in ref.nodes for b in ref.nodes if (a, b) in ref.order
+    ]
     assert (f.bottom, f.kind) == (ref.bottom, ref.kind)
     assert f.up == ref.up
     assert linear_extension(f) == reference_frame.linear_extension(ref)

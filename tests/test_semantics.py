@@ -353,14 +353,21 @@ def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
     s0 = structure_from_sets(f, (internal_nat(f, 2),))
     s1 = def_step(s0, DefConfig(formula_depth=1))
     evals, calls = 0, 0
-    real_eval = semantics._Ctx._eval
+    real_body = semantics._body
 
-    def counting_eval(self, sigma, phi, env):
-        nonlocal evals
-        evals += self.s is s1
-        return real_eval(self, sigma, phi, env)
+    # each node's clause runs only on a memo miss; delta0_absolute forces
+    # fresh copies of phi, so every clause is compiled while this is patched
+    def counting_body(phi):
+        body = real_body(phi)
 
-    monkeypatch.setattr(semantics._Ctx, "_eval", counting_eval)
+        def counted(ctx, sigma, env):
+            nonlocal evals
+            evals += ctx.uid == s1.uid
+            return body(ctx, sigma, env)
+
+        return counted
+
+    monkeypatch.setattr(semantics, "_body", counting_body)
     for phi in enumerate_delta0(1, ("x",)):
         for x in universe_at(s0, f.bottom):
             assert delta0_absolute(s0, s1, phi, {"x": x})
