@@ -27,9 +27,11 @@ defined one (relation maps of arity two), round count given by
 is flagged truncated and downstream reports say under-enumeration rather
 than failure.  The closure stops early once `QUIET_ROUNDS` rounds in a row
 add nothing, and a harvest is flagged stabilized when its last round added
-nothing and no cap bit.  The first round emits unions of equality atoms,
-successor shapes, and stage cuts before anything else, so the sets the lemma
-fixtures rely on precede the cap.
+nothing and no cap bit.  The last round stops as soon as it has grown the
+pool past `HARVEST_CAP` fresh maps: the harvest is decided then.  The first
+round emits unions of equality atoms, successor shapes, and stage cuts before
+anything else, so the sets the lemma fixtures rely on precede the cap.
+Harvests are interned per frame by the universes of the birth node's cone.
 """
 
 from __future__ import annotations
@@ -123,18 +125,26 @@ def _shared_empty(f: Frame) -> Structure:
 # --------------------------------------------------------- the def engine
 
 
+class _Decided(Exception):
+    """The harvest is decided; the rest of the closure is skipped."""
+
+
 def _bounded_pool():
-    """An empty pool of maps and its push, which keeps each map once, in
-    order, until the pool holds POOL_CAP maps."""
+    """An empty pool of maps, its push, which keeps each map once, in order,
+    until the pool holds POOL_CAP maps, and `stop`: once the pool holds
+    `stop[0]` maps, push raises `_Decided` whenever it adds one."""
     pool: list[int] = []
     seen: set[int] = set()
+    stop = [POOL_CAP + 1]
 
     def push(m: int) -> None:
         if m not in seen and len(pool) < POOL_CAP:
             seen.add(m)
             pool.append(m)
+            if len(pool) >= stop[0]:
+                raise _Decided
 
-    return pool, push
+    return pool, push, stop
 
 
 def _zero_decidable_zone(s: Structure, cone: tuple[str, ...]) -> dict[str, bool]:
@@ -183,8 +193,8 @@ class _Engine:
     each carries consecutive positions at a node to consecutive images at a
     node above it, cut wherever the images stop being consecutive.  When a
     node's universe is a prefix of the one above, one run covers a map of
-    arity 1 and one run per column a pair map.  `interiors` memoizes
-    `interior` per arity and goes with the engine.
+    arity 1 and one run per column a pair map; an empty node has none.
+    `interiors` memoizes `interior` per arity and goes with the engine.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -210,6 +220,8 @@ class _Engine:
         runs1, runs2 = [], []
         for k, tau in enumerate(self.cone):
             n = ns[k]
+            if not n:
+                continue
             for rho in f.up[tau]:
                 r = idx[rho]
                 img = [self.pos[rho][x.uid] for x in self.elems[tau]]
@@ -365,9 +377,9 @@ class _Engine:
 
     def run(self) -> list[int]:
         eq, mem, has, fixed, pairs = self.atom_maps()
-        self.mem, zone_map = mem, fixed[-1]
-        pool1, push1 = _bounded_pool()
-        pool2, push2 = _bounded_pool()
+        self.mem, zone_map = set(mem), fixed[-1]
+        pool1, push1, stop = _bounded_pool()
+        pool2, push2, _ = _bounded_pool()
         for m in eq:
             push1(m)
         push1(fixed[0])
@@ -389,33 +401,40 @@ class _Engine:
         binders = self.binders()
         bound = 0  # pool2[:bound] is bound already; its results are in pool1
         quiet = 0
-        for _ in range(self.cfg.formula_depth):
-            before = len(pool1) + len(pool2)
-            base1 = list(pool1)
-            base2 = list(pool2)
-            self.connectives(pool1, push1, base1, 1)
-            # pool2 is never full here: a full pool ends the loop
-            for m in base1:
-                push2(self.lift(m, 0))
-                push2(self.lift(m, 1))
-            self.connectives(pool2, push2, base2, 2)
-            for m in pool2[bound:]:
-                if len(pool1) >= POOL_CAP:
+        try:
+            for r in range(self.cfg.formula_depth):
+                before = len(pool1) + len(pool2)
+                if r == self.cfg.formula_depth - 1:
+                    # append-only pool: past HARVEST_CAP fresh maps the born ones are
+                    # fixed, and push raises only on growth, so the round is not quiet
+                    stop[0] = len(self.mem) + HARVEST_CAP + 1
+                base1 = list(pool1)
+                base2 = list(pool2)
+                self.connectives(pool1, push1, base1, 1)
+                # pool2 is never full here: a full pool ends the loop
+                for m in base1:
+                    push2(self.lift(m, 0))
+                    push2(self.lift(m, 1))
+                self.connectives(pool2, push2, base2, 2)
+                for m in pool2[bound:]:
+                    if len(pool1) >= POOL_CAP:
+                        break
+                    for dom in binders:
+                        push1(self.exists2(m, dom))
+                        push1(self.forall2(m, dom))
+                bound = len(pool2)
+                # a full pool may have lost candidates, now or in a later round
+                self.truncated = len(pool1) >= POOL_CAP or len(pool2) >= POOL_CAP
+                if self.truncated:
                     break
-                for dom in binders:
-                    push1(self.exists2(m, dom))
-                    push1(self.forall2(m, dom))
-            bound = len(pool2)
-            # a full pool may have lost candidates, now or in a later round
-            self.truncated = len(pool1) >= POOL_CAP or len(pool2) >= POOL_CAP
-            if self.truncated:
-                break
-            if len(pool1) + len(pool2) == before:
-                quiet += 1
-                if quiet >= QUIET_ROUNDS:
-                    break
-            else:
-                quiet = 0
+                if len(pool1) + len(pool2) == before:
+                    quiet += 1
+                    if quiet >= QUIET_ROUNDS:
+                        break
+                else:
+                    quiet = 0
+        except _Decided:  # the rest of the last round is lost
+            self.truncated = True
         self.stabilized = quiet >= 1 and not self.truncated
         return pool1
 
@@ -434,26 +453,26 @@ def harvest_at(
     Returns (fresh set objects in canonical order, truncated, stabilized).
     Maps matching the forced-membership profile of an existing universe
     element are dropped; that element already is the set in question.
-    Results are kept on the structure, per node and config, so repeated
-    calls return the same objects.
+    Results are interned per frame, keyed by node, config and the universes
+    of the cone (all the engine reads), so repeated calls, and structures
+    that agree on the cone, share the same objects.
     """
     f = s.frame
-    hit = s._harvest.get((sigma, cfg))
-    if hit is not None:
-        return hit
-    eng = _Engine(s, sigma, cfg)
-    maps = eng.run()
-    # the membership maps of the parameters are the profiles of the
-    # universe elements at sigma; the pool holds each map once
-    existing = set(eng.mem)
-    fresh = [m for m in maps if m not in existing]
-    born = [
-        KripkeSet(f, sigma, eng.decode(m), f"def{sigma}#{k}")
-        for k, m in enumerate(fresh[:HARVEST_CAP])
-    ]
-    truncated = eng.truncated or len(fresh) > HARVEST_CAP
-    result = s._harvest[sigma, cfg] = (born, truncated, eng.stabilized)
-    return result
+
+    def build() -> tuple[list[KripkeSet], bool, bool]:
+        eng = _Engine(s, sigma, cfg)
+        maps = eng.run()
+        # the membership maps of the parameters are the profiles of the
+        # universe elements at sigma; the pool holds each map once
+        fresh = [m for m in maps if m not in eng.mem]
+        born = [
+            KripkeSet(f, sigma, eng.decode(m), f"def{sigma}#{k}")
+            for k, m in enumerate(fresh[:HARVEST_CAP])
+        ]
+        return born, eng.truncated or len(fresh) > HARVEST_CAP, eng.stabilized
+
+    cone = tuple(tuple(x.uid for x in s.universe[tau]) for tau in up_set(f, sigma))
+    return _intern(f, ("harvest", sigma, cfg, cone), build)
 
 
 def _grow(s: Structure, candidates) -> Structure:

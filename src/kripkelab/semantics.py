@@ -188,9 +188,9 @@ class Structure:
     notes: tuple = ()
     meta: dict = field(default_factory=dict, compare=False, repr=False)
     # `uid` tells this structure's unbounded verdicts apart in the frame's
-    # forcing memo (see `forces`); `_harvest` belongs to `hierarchy.harvest_at`.
+    # forcing memo (see `forces`); definability harvests are interned per
+    # frame by cone universe (see `hierarchy.harvest_at`), not kept here.
     uid: int = field(default_factory=itertools.count().__next__, init=False, repr=False)
-    _harvest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.universe) != set(self.frame.nodes):

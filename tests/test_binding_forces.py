@@ -2,7 +2,8 @@
 reads its variable, names shadow outer ones, and subformula objects are
 shared between parents.  Checked against the memo-free reference and, on
 one-node frames, against the classical evaluator; plus the lifetime of the
-compiled code kept on each formula node."""
+compiled code kept on each formula node, and a hand-built bound that reads
+the variable it binds."""
 
 import gc
 import random
@@ -24,9 +25,10 @@ from kripkelab.formula import (
     free_vars,
     parse,
 )
+from kripkelab.construct import empty_set, internal_nat
 from kripkelab.frame import chain, fan, tree
-from kripkelab.hierarchy import DefConfig, def_step
-from kripkelab.semantics import forces, universe_at
+from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
+from kripkelab.semantics import KripkeSet, forces, universe_at
 from kripkelab.specfile import canonical_structure
 
 from reference_forces import reference_forces
@@ -221,3 +223,17 @@ def test_a_dropped_formula_frees_its_compiled_code():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_bound_is_read_in_the_outer_environment():
+    # `forall x in x`: at every node of the cone the bound is the outer x,
+    # not the element just bound to x; the generated formulas on the
+    # canonical structures do not tell the two readings apart
+    f = chain(2)
+    zero, one = empty_set(f), internal_nat(f, 1)
+    outer = KripkeSet(f, "0", {"0": (zero,), "1": (zero, one)}, "X")
+    s = structure_from_sets(f, (outer,), names={"zero": zero})
+    phi = parse("forall x in x . x = #zero")
+    # at node 1 the outer x holds one, which is not zero
+    assert not forces(s, "0", phi, {"x": outer})
+    assert not reference_forces(s, "0", phi, {"x": outer})

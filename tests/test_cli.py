@@ -240,3 +240,19 @@ def test_format_env_variable_and_override(capsys, monkeypatch):
     # the flag wins over the environment
     code, out, _ = run(capsys, "frame", "--frame", TREE2, "--format", "text")
     assert code == 0 and "bottom: e" in out
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("lemmas_tree_depth2.json", ["lemmas", "--tree-depth", "2"]),
+        ("def_tree_depth3.json", ["def", "--frame", TREE3]),
+        ("def_fan_width3_depth2.json", ["def", "--frame", "fan width=3", "--depth", "2"]),
+        ("L_tree_depth3_two.json", ["L", "--frame", TREE3, "--ordinal", "two"]),
+    ],
+    ids=["lemmas", "def-tree3", "def-fan3-depth2", "L-tree3"],
+)
+def test_structured_output_matches_its_golden_bytes(capsys, fixtures_dir, golden, argv):
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert out.encode("utf-8") == (fixtures_dir / "golden" / golden).read_bytes()

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from kripkelab.formula import parse
 from kripkelab.frame import chain, fan, tree, up_set
 from kripkelab.hierarchy import (
     _Engine,
+    HARVEST_CAP,
     constructible,
     DefConfig,
     def_along,
@@ -31,10 +34,12 @@ from kripkelab.semantics import (
     forces,
     is_end_extension,
     KripkeSet,
+    Structure,
     universe_at,
 )
-from kripkelab.specfile import canonical_structure
+from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
 
+import reference_harvest
 from util import classes, find_class, same_classes
 
 
@@ -146,6 +151,91 @@ def test_harvest_flags_name_the_limit_that_bit(base, node, depth, expected):
         base(chain(2)), node, DefConfig(formula_depth=depth)
     )
     assert (len(born), truncated, stabilized) == expected
+
+
+def _harvest_record(s, sigma, result):
+    # born sets as member positions in s's universe, node by node, and flags
+    born, truncated, stabilized = result
+    cone = s.frame.up[sigma]
+    where = {tau: {x.uid: i for i, x in enumerate(s.universe[tau])} for tau in cone}
+    sets = tuple(
+        tuple(tuple(where[tau][m.uid] for m in x.ext[tau]) for tau in cone) for x in born
+    )
+    return sets, truncated, stabilized
+
+
+def test_harvests_match_the_full_closure_reference():
+    t0 = time.monotonic()
+    one = DefConfig(formula_depth=1)
+    cases = []
+    for f in (chain(2), chain(3), tree(2), fan(3)):
+        canonical = canonical_structure(f)
+        cases += [
+            (canonical, (1, 2)),
+            (def_step(canonical, one), (1, 2)),
+            (iterate_def(empty_structure(f), 2, one), (1, 2)),
+        ]
+    # depth 4 reaches every limit of test_harvest_flags_name_the_limit_that_bit
+    g = chain(2)
+    cases += [(canonical_structure(g), (4,)), (empty_structure(g), (4,))]
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("**/*.struct"))
+    cases += [(uniformity_gap(), (1, 2))]
+    cases += [(load_structure(str(p)), (1, 2)) for p in fixtures]
+    bad, flags = [], set()
+    for s, depths in cases:
+        for depth in depths:
+            cfg = DefConfig(formula_depth=depth)
+            for sigma in s.frame.nodes:
+                got = _harvest_record(s, sigma, harvest_at(s, sigma, cfg))
+                want = _harvest_record(s, sigma, reference_harvest.harvest(s, sigma, cfg))
+                flags.add(want[1:])
+                if got != want:
+                    bad.append((s.frame.kind, depth, sigma))
+    assert not bad, bad[:5]
+    assert flags == {(False, False), (True, False), (False, True)}
+    elapsed = time.monotonic() - t0
+    assert elapsed < 20.0, f"runtime {elapsed:.1f}s exceeds the 20s budget"
+
+
+@pytest.mark.parametrize(
+    "frame, stop, full",
+    [
+        # the pool reaches HARVEST_CAP + 1 fresh maps during the round
+        (lambda: chain(3), 64, 374),
+        # the seeds alone hold 78 fresh maps: the round stops at its first
+        (lambda: fan(3), 89, 1480),
+    ],
+    ids=["chain3", "fan3"],
+)
+def test_the_last_round_stops_once_its_harvest_is_decided(frame, stop, full):
+    s = canonical_structure(frame())
+    cfg = DefConfig(formula_depth=1)
+    eng = _Engine(s, s.frame.bottom, cfg)
+    pool = eng.run()
+    assert len(pool) == stop
+    assert len(pool) - len(eng.mem) >= HARVEST_CAP + 1
+    assert (eng.truncated, eng.stabilized) == (True, False)
+    maps = reference_harvest.closure(_Engine(s, s.frame.bottom, cfg))[0]
+    assert len(maps) == full and maps[:stop] == pool
+
+
+def test_harvests_are_shared_by_structures_that_agree_on_the_cone():
+    f = tree(2)
+    cfg = DefConfig(formula_depth=1)
+    s = canonical_structure(f)
+    same = Structure(frame=f, universe=dict(s.universe), names={})
+    # an empty set born at node 1 changes the universes of its cone only
+    late = KripkeSet(f, "1", {tau: () for tau in up_set(f, "1")}, "late")
+    other = Structure(
+        frame=f,
+        universe={t: s.universe[t] + ((late,) if t in late.ext else ()) for t in f.nodes},
+        names={},
+    )
+    for sigma in f.nodes:
+        assert harvest_at(same, sigma, cfg) is harvest_at(s, sigma, cfg)
+    assert harvest_at(other, "0", cfg) is harvest_at(s, "0", cfg)
+    for sigma in ("e", "1"):
+        assert harvest_at(other, sigma, cfg) is not harvest_at(s, sigma, cfg)
 
 
 def test_constructible_numeral_stages():
