@@ -85,7 +85,7 @@ class Frame:
     bottom: str = field(init=False)
     # Per-frame tables, excluded from equality/repr: the up-sets, the
     # intern table of forced-equality class labels (semantics; node names and
-    # ints only, no sets), the forcing verdicts of all structures on the frame
+    # ints only, no sets), the forcing masks of all structures on the frame
     # keyed by formula serial (semantics; no formulas), and the interned
     # constructions (construct).  The intern table grows with the number of
     # distinct classes ever labelled and is never reset: labels stored on

@@ -14,19 +14,23 @@ are forced equal there iff their labels agree.  A set's labels are computed
 the first time a question needs them, top nodes first, and the intern table
 is one per frame (`Frame.classes`), holding node names and ints only.
 
-`forces` runs compiled code, not an interpreter.  Each formula node is
-compiled once, the first time it is forced, into its memoized forcing
-function `(ctx, sigma, env) -> bool`, built from its kind's clause and its
-children's functions.  The function is kept in the node's `_code` slot, so
-it lives and dies with the formula: it holds its children's functions and
-plain values, never a node, and no frame or module table holds code.
+`forces` runs compiled code, not an interpreter, and decides a set of nodes
+at once (global model checking).  Each formula node is compiled once, the
+first time it is forced, into its memoized function `(ctx, env) -> mask`:
+bit i is set iff `Frame.nodes[i]` forces the formula, over the nodes where
+the values of its free variables and parameters are all alive.  And and or
+are & and |, negation and implication keep the nodes whose cone misses a
+bad mask, and a quantifier walks (element, nodes where listed) pairs of its
+bound (`KripkeSet.listing`) or of the universe (`Structure.listing`).  The
+function is kept in the node's `_code` slot and holds no node; no frame or
+module table holds code.
 
-Forcing verdicts are kept per frame too (`Frame.memo`), keyed by the
-formula's serial (`formula.facts`), which no other formula ever gets.  A
-bounded formula reads extensions, labels and up-sets but never a universe,
-so one verdict serves every structure on the frame; unbounded keys carry
-`Structure.uid`.  Each node's key is built by code written for its shape
-(bounded or not, how many variables and parameters), not by a loop.
+Forcing masks are kept per frame (`Frame.memo`), one per binding, keyed by
+the formula's serial (`formula.facts`), which no other formula ever gets,
+then the uids of the values of its free variables and parameters.  A
+bounded formula reads extensions and labels but never a universe, so one
+mask serves every structure on the frame; unbounded keys carry
+`Structure.uid`.  Each key is built by code written for its shape.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ _uid_counter = itertools.count()
 class KripkeSet:
     """Immutable by convention; build the extension map fully, then freeze."""
 
-    __slots__ = ("frame", "birth", "ext", "uid", "label", "classes")
+    __slots__ = ("frame", "birth", "ext", "uid", "label", "cone", "classes", "member_labels", "listing")
 
     def __init__(
         self,
@@ -94,9 +98,11 @@ class KripkeSet:
         self.ext = {tau: tuple(ext[tau]) for tau in cone}
         self.uid = next(_uid_counter)
         self.label = label
-        # class labels per node, filled by `class_at` on first use; members
-        # predate this set, so the recursion there always ends
-        self.classes = None
+        self.cone = frame.masks[frame.pos[birth]]
+        # class labels per node, filled by `class_at` on first use (members
+        # predate this set, so the recursion there always ends), and what
+        # `forces` reads of a bound, filled on first use
+        self.classes = self.member_labels = self.listing = None
 
     def __repr__(self) -> str:
         tag = self.label or f"k{self.uid}"
@@ -118,9 +124,8 @@ def ext_at(x: KripkeSet, tau: str) -> tuple[KripkeSet, ...]:
 # ------------------------------------------------------- forced equality
 
 
-def class_at(x: KripkeSet, sigma: str) -> int:
-    """x's forced-equality class label at sigma: sets alive at sigma are
-    forced equal there iff their labels agree."""
+def _labels(x: KripkeSet) -> dict[str, int]:
+    """x's class label at each node of its cone."""
     if x.classes is None:
         f, lab = x.frame, {}
         # strict successors have strictly smaller up-sets, so they come first
@@ -129,7 +134,13 @@ def class_at(x: KripkeSet, sigma: str) -> int:
             above = tuple(lab[rho] for rho in f.up[tau] if rho != tau)
             lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
         x.classes = lab
-    if sigma not in x.classes:
+    return x.classes
+
+
+def class_at(x: KripkeSet, sigma: str) -> int:
+    """x's forced-equality class label at sigma: sets alive at sigma are
+    forced equal there iff their labels agree."""
+    if sigma not in _labels(x):
         raise ValueError(f"set born at {x.birth!r} is not alive at {sigma!r}")
     return x.classes[sigma]
 
@@ -167,7 +178,7 @@ def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     c = class_at(x, sigma)
     if sigma not in y.ext:
         raise ValueError(f"set born at {y.birth!r} is not alive at {sigma!r}")
-    return any(class_at(z, sigma) == c for z in y.ext[sigma])
+    return c in _member_labels(y)
 
 
 # ------------------------------------------------------------- structure
@@ -219,6 +230,10 @@ class Structure:
             if x.frame is not self.frame:
                 raise ValueError(f"named set {name!r} lives on a different frame")
 
+    @functools.cached_property
+    def listing(self) -> tuple[tuple[KripkeSet, int], ...]:  # see `forces`
+        return _listed(self.universe, self.frame.pos)
+
 
 def universe_at(s: Structure, sigma: str) -> tuple[KripkeSet, ...]:
     return s.universe[sigma]
@@ -231,7 +246,7 @@ class EvalError(ValueError):
     pass
 
 
-# forcing verdicts a frame keeps before `forces` resets its memo: a reset
+# forcing masks a frame keeps before `forces` resets its memo: a reset
 # also drops the verdicts a sweep keeps reusing, so the bound trades
 # re-forcing those against holding dead ones
 MEMO_CAP = 1 << 14
@@ -249,6 +264,9 @@ def forces(
     Conjunction and disjunction are local; negation, implication and
     universal quantification sweep the cone; existentials are witnessed at
     the node itself.  Bounded quantifiers range over the bound's extension.
+
+    Each free term of phi must be bound and alive at sigma: `EvalError` says
+    which is not before anything is forced, even if no clause would read it.
     """
     _require(s.frame, sigma)
     env, extra_names = env or {}, extra_names or {}
@@ -260,31 +278,38 @@ def forces(
         s.frame.memo.clear()
     ctx = _Ctx(s, extra_names)
     try:
-        return _code(phi)(ctx, sigma, env)
+        _, _, variables, names = facts(phi)
+        missing = [f"unbound variable {v!r}" for v in variables if v not in env]
+        missing += [f"unknown parameter #{p}" for p in names if p not in ctx.params]
+        if missing:
+            raise EvalError(missing[0])
+        for x in (*(env[v] for v in variables), *(ctx.params[p] for p in names)):
+            if sigma not in x.ext:
+                raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
+        return bool(_code(phi)(ctx, env) >> s.frame.pos[sigma] & 1)
     except RecursionError:
         raise EvalError("formula nests too deeply to evaluate") from None
 
 
 class _Ctx:
-    """The state of one top-level `forces` call: the structure's uid and
-    universe, its parameters (the structure's names, overridden by the extra
-    ones), and the frame with its up-sets and forcing memo."""
+    """The state of one top-level `forces` call: the structure, its uid and
+    parameters (its names, overridden by the extra ones), and frame tables."""
 
-    __slots__ = ("uid", "universe", "params", "frame", "up", "memo")
+    __slots__ = ("structure", "uid", "params", "nodes", "masks", "full", "memo")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
-        self.uid, self.universe = s.uid, s.universe
-        self.params = {**s.names, **extra}
-        self.frame, self.up, self.memo = f, f.up, f.memo
+        self.structure, self.uid, self.params = s, s.uid, {**s.names, **extra}
+        self.nodes, self.masks, self.memo = f.nodes, f.masks, f.memo
+        self.full = f.masks[f.pos[f.bottom]]
 
 
 def _code(phi: Formula):
-    """phi's memoized forcing function `(ctx, sigma, env) -> bool`.
-
-    Compiled from its children's functions the first time it is asked for
-    and kept on the node.  It holds its children's functions and plain
-    values, never a node, so it is freed with phi."""
+    """phi's memoized forcing function `(ctx, env) -> mask`: bit i is set
+    iff `nodes[i]` lies in phi's domain, the meet of the cones of the values
+    of its free variables and parameters, and forces phi.  Compiled from its
+    children's functions the first time it is asked for and kept on the
+    node; it holds no node, so it is freed with phi."""
     try:
         return phi._code
     except AttributeError:
@@ -300,25 +325,26 @@ def _code(phi: Formula):
 def _memoized(bounded: bool, nvars: int, nparams: int):
     """The maker of memoized forcing functions for one key shape.
 
-    A key is phi's serial, the node, the structure's uid unless phi is
-    bounded, then the uids of the values of phi's sorted free variables and
-    parameters, None for one nothing binds.  The maker is written out as
-    source once per shape, as `dataclasses` writes `__init__`, so building
-    a key runs no loop over names."""
+    A key is phi's serial, the structure's uid unless phi is bounded, then
+    the uids of the values of phi's sorted free variables and parameters,
+    whose cones meet in the domain.  The maker is written out as source once
+    per shape, as `dataclasses` writes `__init__`: no loop over names."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
-    key = ["serial", "sigma"] + ([] if bounded else ["ctx.uid"])
-    key += [f"env[{v}].uid if {v} in env else None" for v in vs]
-    key += [f"params[{p}].uid if {p} in params else None" for p in ps]
+    values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
+    key = ["serial"] + ([] if bounded else ["ctx.uid"])
+    key += [f"a{i}.uid" for i in range(len(values))]
+    domain = " & ".join(f"a{i}.cone" for i in range(len(values))) or "ctx.full"
     source = (
         f"def make({', '.join(['body', 'serial', *vs, *ps])}):\n"
-        "    def code(ctx, sigma, env):\n"
+        "    def code(ctx, env):\n"
         + ("        params = ctx.params\n" if ps else "")
+        + "".join(f"        a{i} = {value}\n" for i, value in enumerate(values))
         + f"        key = ({', '.join(key)},)\n"
         "        memo = ctx.memo\n"
         "        hit = memo.get(key)\n"
         "        if hit is None:\n"
-        "            hit = memo[key] = body(ctx, sigma, env)\n"
+        f"            hit = memo[key] = body(ctx, env, {domain})\n"
         "        return hit\n"
         "    return code\n"
     )
@@ -329,95 +355,109 @@ def _memoized(bounded: bool, nvars: int, nparams: int):
 
 def _body(phi: Formula):
     """The forcing clause of phi's kind over its children's compiled
-    functions, without the memo."""
+    functions, without the memo: `(ctx, env, domain) -> mask`."""
     if isinstance(phi, (Member, Eq)):
         left, right = _term(phi.left), _term(phi.right)
-        relation = forced_member if isinstance(phi, Member) else forced_equal
+        # a label is interned with its node, so x's label at tau is one of
+        # y's own labels (of its members' labels) iff x = y (x in y) at tau
+        own = lambda y: frozenset(_labels(y).values())
+        heads = _member_labels if isinstance(phi, Member) else own
 
-        def atom(ctx, sigma, env):
-            x, y = left(ctx, sigma, env), right(ctx, sigma, env)
-            return relation(ctx.frame, sigma, x, y)
+        def atom(ctx, env, d):
+            x, y = _labels(left(ctx, env)), heads(right(ctx, env))
+            nodes, out = ctx.nodes, 0
+            while d:
+                low = d & -d
+                if x[nodes[low.bit_length() - 1]] in y:
+                    out |= low
+                d ^= low
+            return out
 
         return atom
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, (And, Or, Implies)):
         left, right = _code(phi.left), _code(phi.right)
         if isinstance(phi, And):
-            return lambda ctx, sigma, env: left(ctx, sigma, env) and right(ctx, sigma, env)
-        return lambda ctx, sigma, env: left(ctx, sigma, env) or right(ctx, sigma, env)
+            return lambda ctx, env, d: (got := left(ctx, env)) and got & right(ctx, env)
+        if isinstance(phi, Or):
+            return lambda ctx, env, d: (
+                got if (got := left(ctx, env) & d) == d else (got | right(ctx, env)) & d
+            )
+        return lambda ctx, env, d: _interior(
+            ctx.masks, d, (bad := left(ctx, env) & d) and bad & ~right(ctx, env)
+        )
     if isinstance(phi, Not):
         sub = _code(phi.body)
+        return lambda ctx, env, d: _interior(ctx.masks, d, sub(ctx, env))
+    if isinstance(phi, (Forall, Exists)):
+        var, sub, listing = phi.var, _code(phi.body), _listing(phi.bound)
+        # each element strikes off the nodes it is listed at and witnesses
+        # (exists) or refutes (forall, whose verdict is then an interior)
+        flip = -1 if isinstance(phi, Forall) else 0
 
-        def negation(ctx, sigma, env):
-            for tau in ctx.up[sigma]:
-                if sub(ctx, tau, env):
-                    return False
-            return True
-
-        return negation
-    if isinstance(phi, Implies):
-        left, right = _code(phi.left), _code(phi.right)
-
-        def implication(ctx, sigma, env):
-            for tau in ctx.up[sigma]:
-                if left(ctx, tau, env) and not right(ctx, tau, env):
-                    return False
-            return True
-
-        return implication
-    if isinstance(phi, Forall):
-        var, sub, pool = phi.var, _code(phi.body), _pool(phi.bound)
-
-        def forall(ctx, sigma, env):
+        def quantifier(ctx, env, d):
             # one dict per call, rebound per element: no callee keeps it
-            inner = env.copy()
-            for tau in ctx.up[sigma]:
-                for inner[var] in pool(ctx, tau, env):
-                    if not sub(ctx, tau, inner):
-                        return False
-            return True
+            inner, todo = env.copy(), d
+            for inner[var], where in listing(ctx, env):
+                where &= todo
+                if where:
+                    todo ^= where & (sub(ctx, inner) ^ flip)
+                    if not todo:
+                        break
+            return _interior(ctx.masks, d, d ^ todo) if flip else d ^ todo
 
-        return forall
-    if isinstance(phi, Exists):
-        var, sub, pool = phi.var, _code(phi.body), _pool(phi.bound)
-
-        def exists(ctx, sigma, env):
-            inner = env.copy()
-            for inner[var] in pool(ctx, sigma, env):
-                if sub(ctx, sigma, inner):
-                    return True
-            return False
-
-        return exists
+        return quantifier
     raise EvalError(f"unknown formula node {phi!r}")
 
 
-def _pool(bound: Term | None):
-    """A quantifier's range at a node: the bound's extension there, or the
-    universe when it has none."""
+def _interior(masks: tuple[int, ...], d: int, bad: int) -> int:
+    """The nodes of the domain d whose cone misses bad."""
+    if not bad:
+        return d
+    out, todo = 0, d & ~bad
+    while todo:
+        low = todo & -todo
+        if not masks[low.bit_length() - 1] & bad:
+            out |= low
+        todo ^= low
+    return out
+
+
+def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):
+    """Each set listed in ext with the mask of the nodes it is listed at."""
+    where: dict[KripkeSet, int] = {}
+    for tau, elems in ext.items():
+        for x in elems:
+            where[x] = where.get(x, 0) | 1 << pos[tau]
+    return tuple(where.items())
+
+
+def _member_labels(y: KripkeSet) -> frozenset[int]:
+    if y.member_labels is None:
+        y.member_labels = frozenset(class_at(m, t) for t, ms in y.ext.items() for m in ms)
+    return y.member_labels
+
+
+def _listing(bound: Term | None):
+    """A quantifier's range, the bound's members or else the universe."""
     if bound is None:
-        return lambda ctx, tau, env: ctx.universe[tau]
+        return lambda ctx, env: ctx.structure.listing
     term = _term(bound)
-    return lambda ctx, tau, env: term(ctx, tau, env).ext[tau]
+
+    def listing(ctx, env):
+        y = term(ctx, env)
+        if y.listing is None:
+            y.listing = _listed(y.ext, y.frame.pos)
+        return y.listing
+
+    return listing
 
 
 def _term(t: Term):
-    """t's value at a node, which must be bound and alive there."""
-    name, is_var = t.name, isinstance(t, Var)
-
-    def term(ctx, sigma, env):
-        if is_var:
-            if name not in env:
-                raise EvalError(f"unbound variable {name!r}")
-            x = env[name]
-        else:
-            x = ctx.params.get(name)
-            if x is None:
-                raise EvalError(f"unknown parameter #{name}")
-        if sigma not in x.ext:
-            raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
-        return x
-
-    return term
+    """t's value; `forces` checked on entry that every term is bound."""
+    name = t.name
+    if isinstance(t, Var):
+        return lambda ctx, env: env[name]
+    return lambda ctx, env: ctx.params[name]
 
 
 # ----------------------------------------------------- structure relations

@@ -1,9 +1,10 @@
 """`forces` on random formulas whose binders bind: every quantifier's body
 reads its variable, names shadow outer ones, and subformula objects are
 shared between parents.  Checked against the memo-free reference and, on
-one-node frames, against the classical evaluator; plus the lifetime of the
-compiled code kept on each formula node, and a hand-built bound that reads
-the variable it binds."""
+one-node frames, against the classical evaluator; node sets queried in
+every order, with and without the memo; plus the lifetime of the compiled
+code kept on each formula node, and a hand-built bound that reads the
+variable it binds."""
 
 import gc
 import random
@@ -26,7 +27,7 @@ from kripkelab.formula import (
     parse,
 )
 from kripkelab.construct import empty_set, internal_nat
-from kripkelab.frame import chain, fan, tree
+from kripkelab.frame import chain, fan, linear_extension, tree
 from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
 from kripkelab.semantics import KripkeSet, forces, universe_at
 from kripkelab.specfile import canonical_structure
@@ -181,6 +182,48 @@ def test_binding_formulas_agree_with_the_memo_free_reference():
                     verdicts.append(got)
     assert bad == []
     assert len(verdicts) == 2 * (3 + 3 + 4) * len(formulas)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_node_sets_agree_with_the_reference_in_every_query_order():
+    # one memo entry per binding answers every node of its domain, so a
+    # mask built for some nodes must never be read for others: every node is
+    # queried bottom-first, top-first and shuffled, each order from an empty
+    # memo, with the memo kept or cleared between queries, on two structures
+    # that share the frame and its memo
+    rng = random.Random(8)
+    formulas = _Gen(29).formulas(120)
+    _check_generated(formulas)
+    bad, verdicts, partial = [], [], 0
+    for make in (lambda: tree(2), lambda: chain(3), lambda: fan(3)):
+        m = canonical_structure(make())
+        f, n = m.frame, def_step(m, DefConfig(formula_depth=1))
+        for phi in formulas:
+            # n lists sets born above the bottom, so domains are often cones
+            elems = universe_at(n, rng.choice(f.nodes))
+            env = {"x": rng.choice(elems), "y": rng.choice(elems)}
+            extra = {"p": rng.choice(elems)}
+            values = (*env.values(), *extra.values())
+            nodes = [t for t in linear_extension(f) if all(t in v.ext for v in values)]
+            partial += len(nodes) < len(f.nodes)
+            want = {
+                (s.uid, sigma): reference_forces(s, sigma, phi, env, extra)
+                for s in (m, n)
+                for sigma in nodes
+            }
+            for order in (nodes, nodes[::-1], rng.sample(nodes, len(nodes))):
+                for clear in (False, True):
+                    f.memo.clear()
+                    for sigma in order:
+                        for s in rng.sample((m, n), 2):
+                            if clear:
+                                f.memo.clear()
+                            got = forces(s, sigma, phi, env, extra)
+                            if got != want[s.uid, sigma]:
+                                bad.append((f.kind, s is n, sigma, clear, phi))
+                            verdicts.append(got)
+    assert bad == []
+    assert partial > 40
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 

@@ -4,6 +4,7 @@ leaves, end extensions, and the structural predicates."""
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -236,6 +237,33 @@ def test_eval_errors(t2):
         forces(t2, "1", parse("#a = #a"), extra_names={"a": late})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#zero = #zero \\/ #late = #late", "parameter born at '0' is dead at 'e'"),
+        ("#zero = #zero \\/ x = x", "unbound variable 'x'"),
+        ("forall u in #zero . u = x", "unbound variable 'x'"),
+    ],
+    ids=["dead-disjunct", "unbound-disjunct", "unbound-body"],
+)
+def test_terms_are_checked_before_anything_is_forced(t2, text, message):
+    # the left disjunct holds and #zero has no members, so no clause reads
+    # the bad term; it is checked on entry all the same
+    late = KripkeSet(t2.frame, "0", {"0": ()}, "late")
+    with pytest.raises(EvalError, match=message):
+        forces(t2, "e", parse(text), extra_names={"late": late})
+
+
+def test_a_sentence_on_a_long_chain_is_forced_within_its_budget():
+    # one mask per binding covers every node; a per-node memo overflowed
+    # MEMO_CAP here and repeated its cone walks, taking 3.1 s on 2 cores
+    s = canonical_structure(chain(128))
+    phi = parse("forall a . forall b in a . b in a")
+    start = time.perf_counter()
+    assert forces(s, s.frame.bottom, phi)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("text", ["exists u . u = u", "forall u . u = u", "#zero = #zero"])
 def test_forces_rejects_an_unknown_node(t2, text):
     with pytest.raises(ValueError, match="unknown node 'zz'"):
@@ -352,7 +380,7 @@ def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
     f = chain(2)
     s0 = structure_from_sets(f, (internal_nat(f, 2),))
     s1 = def_step(s0, DefConfig(formula_depth=1))
-    evals, calls = 0, 0
+    evals, bindings, unevaluated = 0, 0, []
     real_body = semantics._body
 
     # each node's clause runs only on a memo miss; delta0_absolute forces
@@ -360,21 +388,25 @@ def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
     def counting_body(phi):
         body = real_body(phi)
 
-        def counted(ctx, sigma, env):
+        def counted(ctx, env, domain):
             nonlocal evals
             evals += ctx.uid == s1.uid
-            return body(ctx, sigma, env)
+            return body(ctx, env, domain)
 
         return counted
 
     monkeypatch.setattr(semantics, "_body", counting_body)
     for phi in enumerate_delta0(1, ("x",)):
         for x in universe_at(s0, f.bottom):
+            before = evals
             assert delta0_absolute(s0, s1, phi, {"x": x})
-            calls += len(f.nodes)
-    # every n-side verdict is evaluated, none is read from s0's entries
-    assert calls == 120
-    assert evals >= calls
+            bindings += 1
+            if evals == before:
+                unevaluated.append((render(phi), x))
+    # one evaluation answers every node of a binding; each binding's n-side
+    # verdicts are evaluated, none is read from s0's entries
+    assert bindings == 60
+    assert unevaluated == []
 
 
 def _universe_sets(s):
