@@ -103,7 +103,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     phi = parse(args.formula)
     f = s.frame
     nodes = [args.node] if args.node else list(f.nodes)
-    if args.node and args.node not in f.up:
+    if args.node and args.node not in f.pos:
         raise SpecError(f"unknown node {args.node!r}")
     results = {sigma: forces(s, sigma, phi) for sigma in nodes}
     anchor = args.node or f.bottom

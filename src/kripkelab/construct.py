@@ -49,7 +49,7 @@ def one_sigma(f: Frame, sigma: str) -> KripkeSet:
     extension is {0}, so beyond sigma (and incomparably to it) the set is
     indistinguishable from 1.
     """
-    if sigma not in f.up:
+    if sigma not in f.pos:
         raise ValueError(f"unknown node {sigma!r}")
 
     def build() -> KripkeSet:

@@ -75,28 +75,32 @@ class Frame:
     per node (Warshall's closure), so the order is reflexive and transitive
     by construction.  Building checks the rest: every pair names known
     nodes, no two nodes lie on a cycle, and one node lies below all others.
-    `bottom` is that node, `up[a]` the nodes >= a in node order, and
-    `order` all pairs (a, b) with a <= b, built on first read.
+    `bottom` is that node, `succ[a]` the nodes that cover a (the edges of
+    the Hasse diagram) in node order, and `order` all pairs (a, b) with
+    a <= b, built on first read.  Every covering pair is a given pair, so
+    a given successor of a covers it unless it lies strictly above another.
     """
 
     nodes: tuple[str, ...]
     covers: InitVar[Iterable[tuple[str, str]]]
     kind: str = "explicit"
     bottom: str = field(init=False)
-    # Per-frame tables, excluded from equality/repr: the up-sets, the
-    # intern table of forced-equality class labels (semantics; node names and
-    # ints only, no sets), the forcing masks of all structures on the frame
-    # keyed by formula serial (semantics; no formulas), and the interned
-    # constructions (construct).  The intern table grows with the number of
-    # distinct classes ever labelled and is never reset: labels stored on
-    # sets point into it.
+    # Per-frame tables, excluded from equality/repr: the up-sets read so far
+    # (`up_set` fills it), the intern table of forced-equality class labels
+    # (semantics; node names and ints only, no sets), the forcing masks of
+    # all structures on the frame keyed by formula serial (semantics; no
+    # formulas), and the interned constructions (construct).  The intern
+    # table grows with the number of distinct classes ever labelled and is
+    # never reset: labels stored on sets point into it.
     up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # bit j of masks[i] is set iff nodes[i] <= nodes[j], and pos[nodes[i]] == i
+    # bit j of masks[i] is set iff nodes[i] <= nodes[j], pos[nodes[i]] == i,
+    # and succ[a] holds the nodes that cover a
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     pos: dict = field(init=False, repr=False, compare=False)
+    succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, covers: Iterable[tuple[str, str]]) -> None:
         nodes = self.nodes
@@ -109,6 +113,7 @@ class Frame:
             if a not in pos or b not in pos:
                 raise ValueError(f"order mentions unknown node in {a}<{b}")
             masks[pos[a]] |= 1 << pos[b]
+        given = [m & ~(1 << i) for i, m in enumerate(masks)]
         for k in range(len(nodes)):
             bit = 1 << k
             for i, m in enumerate(masks):
@@ -122,17 +127,23 @@ class Frame:
         full = (1 << len(nodes)) - 1
         if full not in owner:
             raise ValueError("order has no bottom element: no node lies below all others")
-        for n, m in zip(nodes, masks):
-            self.up[n] = tuple(nodes[j] for j in _bits(m))
+        succ = {}
+        for n, g in zip(nodes, given):
+            beyond = 0
+            for j in _bits(g):
+                beyond |= masks[j] & ~(1 << j)
+            succ[n] = tuple(nodes[j] for j in _bits(g & ~beyond))
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "bottom", nodes[owner[full]])
 
     @functools.cached_property
     def order(self) -> frozenset[tuple[str, str]]:
         # n(n+1)/2 pairs on a chain, so only the readers that need every
         # pair build it; `leq` reads one bit of `masks`
-        return frozenset((a, b) for a in self.nodes for b in self.up[a])
+        nodes = self.nodes
+        return frozenset((a, nodes[j]) for a, m in zip(nodes, self.masks) for j in _bits(m))
 
 
 def _bits(mask: int) -> list[int]:
@@ -142,7 +153,7 @@ def _bits(mask: int) -> list[int]:
 
 def _require(f: Frame, *nodes: str) -> None:
     for n in nodes:
-        if n not in f.up:
+        if n not in f.pos:
             raise ValueError(f"unknown node {n!r}")
 
 
@@ -152,18 +163,22 @@ def leq(f: Frame, a: str, b: str) -> bool:
 
 
 def up_set(f: Frame, a: str) -> tuple[str, ...]:
-    _require(f, a)
-    return f.up[a]
+    """The nodes >= a in node order, built from a's mask on first read."""
+    ups = f.up.get(a)
+    if ups is None:
+        _require(f, a)
+        ups = f.up[a] = tuple(f.nodes[j] for j in _bits(f.masks[f.pos[a]]))
+    return ups
 
 
 def linear_extension(f: Frame) -> list[str]:
     """The nodes ordered so that each one follows every node below it."""
     # strictly below implies a strictly larger up-set; the sort is stable
-    return sorted(f.nodes, key=lambda n: -len(f.up[n]))
+    return sorted(f.nodes, key=lambda n: -f.masks[f.pos[n]].bit_count())
 
 
 def leaves(f: Frame) -> tuple[str, ...]:
-    return tuple(n for n in f.nodes if len(f.up[n]) == 1)
+    return tuple(n for n in f.nodes if not f.succ[n])
 
 
 def build_frame(kind: FrameKind) -> Frame:
@@ -269,14 +284,7 @@ def _parse_explicit(text: str) -> Frame:
 
 def dump_frame(f: Frame) -> str:
     """Canonical dump; parses back through parse_frame_spec.  Only covering
-    pairs are listed: the nodes strictly above a node, minus everything
-    strictly above those."""
-    strict = [m & ~(1 << i) for i, m in enumerate(f.masks)]
-    covers = []
-    for a, m in zip(f.nodes, strict):
-        beyond = 0
-        for j in _bits(m):
-            beyond |= strict[j]
-        covers.extend((a, f.nodes[j]) for j in _bits(m & ~beyond))
-    pairs = " ".join(f"{a}<{b}" for a, b in sorted(covers))
+    pairs are listed."""
+    covers = sorted((a, b) for a in f.nodes for b in f.succ[a])
+    pairs = " ".join(f"{a}<{b}" for a, b in covers)
     return f"nodes: {' '.join(f.nodes)} / order: {pairs}"

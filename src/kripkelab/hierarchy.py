@@ -36,16 +36,16 @@ Harvests are interned per frame by the universes of the birth node's cone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .formula import Formula, free_vars, is_positive_in
+from .formula import Formula, free_vars, is_positive_in, parse
 from .frame import Frame, leq, linear_extension, up_set
 from .construct import (
     POWERSET_CAP,
     _intern,
     _monotone_selections,
-    empty_set,
     is_branch,
 )
 from .semantics import (
@@ -147,24 +147,12 @@ def _bounded_pool():
     return pool, push, stop
 
 
-def _zero_decidable_zone(s: Structure, cone: tuple[str, ...]) -> dict[str, bool]:
-    """The nodes of an upward-closed `cone` where emptiness is settled for
-    the whole remaining universe: every element of every later universe is
-    either forced empty or forced apart from empty."""
-    f = s.frame
-    zero = empty_set(f)
-    empty = {mu: class_at(zero, mu) for mu in cone}
-    # nodes with an element that is neither forced empty there nor forced
-    # apart from empty at every node above; each is checked once, not once
-    # per node below it
-    unsettled = {
-        rho
-        for rho in cone
-        for y in s.universe[rho]
-        if class_at(y, rho) != empty[rho]
-        and any(class_at(y, mu) == empty[mu] for mu in f.up[rho])
-    }
-    return {tau: unsettled.isdisjoint(f.up[tau]) for tau in cone}
+@functools.cache
+def _zone() -> Formula:
+    """Emptiness is decided for every later element: E(w) or not E(w), with
+    E(w) forced exactly where w is forced empty."""
+    empty = "forall v in w . ~(v = v)"
+    return parse(f"forall w . (({empty}) \\/ ~({empty}))")
 
 
 def _runs(segments) -> list[list[int]]:
@@ -222,7 +210,7 @@ class _Engine:
             n = ns[k]
             if not n:
                 continue
-            for rho in f.up[tau]:
+            for rho in up_set(f, tau):
                 r = idx[rho]
                 img = [self.pos[rho][x.uid] for x in self.elems[tau]]
                 cut = _runs((p, q, 1) for p, q in enumerate(img))
@@ -248,7 +236,6 @@ class _Engine:
         of each parameter; the remaining fixed maps; and the pair maps for
         `a in b`, `b in a` and `a = b`."""
         ins = has = eqs = selfin = zone_map = 0
-        zone = _zero_decidable_zone(self.s, self.cone)
         for k, tau in enumerate(self.cone):
             es = self.elems[tau]
             n, o = len(es), self.off[1][k]
@@ -271,7 +258,7 @@ class _Engine:
                     low = col & -col
                     has |= 1 << o + (low.bit_length() - 1) * n + j
                     col ^= low
-            if zone[tau]:
+            if forces(self.s, tau, _zone()):
                 zone_map |= (1 << n) - 1 << self.off[0][k]
 
         def column(m2: int, p: KripkeSet) -> int:
@@ -586,7 +573,7 @@ def powerset(s: Structure) -> Structure:
     topo = linear_extension(f)
 
     def selections(sigma: str):
-        cone = [tau for tau in topo if tau in f.up[sigma]]
+        cone = [tau for tau in topo if leq(f, sigma, tau)]
         # the empty choice below every node always extends, so the final
         # count bounds every partial one and one cap covers them all
         families = list(

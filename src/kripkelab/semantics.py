@@ -9,10 +9,12 @@ computed by `forced_equal`.
 Forced equality is hereditary coextensionality over the cone, a
 bisimulation, so it has a canonical labelling: at each node tau where x is
 alive, x's class label interns tau, the set of its members' labels at tau
-and x's own labels at the nodes strictly above tau.  Two sets alive at tau
-are forced equal there iff their labels agree.  A set's labels are computed
-the first time a question needs them, top nodes first, and the intern table
-is one per frame (`Frame.classes`), holding node names and ints only.
+and x's own labels at the nodes that cover tau (`Frame.succ`).  Two sets
+alive at tau are forced equal there iff their labels agree: by induction
+from the top, labels that agree at every cover agree at every node above.
+A set's labels are computed the first time a question needs them, top
+nodes first, and the intern table is one per frame (`Frame.classes`),
+holding node names and ints only.
 
 `forces` runs compiled code, not an interpreter, and decides a set of nodes
 at once (global model checking).  Each formula node is compiled once, the
@@ -86,9 +88,10 @@ class KripkeSet:
                         f"member born at {m.birth!r} is not alive at {tau!r}"
                     )
             uids[tau] = {m.uid for m in ext[tau]}
+        # inclusion is transitive, so the covering pairs decide it
         for tau in cone:
             here = uids[tau]
-            for rho in frame.up[tau]:
+            for rho in frame.succ[tau]:
                 if not here <= uids[rho]:
                     raise ValueError(
                         f"extension shrinks from {tau!r} to {rho!r}; transitions are inclusions"
@@ -128,10 +131,10 @@ def _labels(x: KripkeSet) -> dict[str, int]:
     """x's class label at each node of its cone."""
     if x.classes is None:
         f, lab = x.frame, {}
-        # strict successors have strictly smaller up-sets, so they come first
-        for tau in sorted(x.ext, key=lambda t: len(f.up[t])):
+        # covers have strictly smaller up-sets, so they come first
+        for tau in sorted(x.ext, key=lambda t: f.masks[f.pos[t]].bit_count()):
             members = tuple(sorted({class_at(m, tau) for m in x.ext[tau]}))
-            above = tuple(lab[rho] for rho in f.up[tau] if rho != tau)
+            above = tuple(lab[rho] for rho in f.succ[tau])
             lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
         x.classes = lab
     return x.classes
@@ -206,8 +209,9 @@ class Structure:
     def __post_init__(self) -> None:
         if set(self.universe) != set(self.frame.nodes):
             raise ValueError("universe must assign a tuple to every node")
+        listed: dict[str, set[int]] = {}
         for tau, elems in self.universe.items():
-            uids = set()
+            uids = listed[tau] = set()
             for x in elems:
                 if tau not in x.ext:
                     raise ValueError(f"universe element {x!r} not alive at {tau!r}")
@@ -222,9 +226,8 @@ class Structure:
                             f"{m!r} in {x!r} is missing"
                         )
         for tau in self.frame.nodes:
-            here = {x.uid for x in self.universe[tau]}
-            for rho in up_set(self.frame, tau):
-                if not here <= {x.uid for x in self.universe[rho]}:
+            for rho in self.frame.succ[tau]:
+                if not listed[tau] <= listed[rho]:
                     raise ValueError(f"universe shrinks from {tau!r} to {rho!r}")
         for name, x in self.names.items():
             if x.frame is not self.frame:

@@ -215,7 +215,7 @@ def _build_one(
         arity(1)
         a = named[args[0]]
         ext = {}
-        for tau in f.up[a.birth]:
+        for tau in a.ext:
             seen: dict[int, KripkeSet] = {}
             for m in a.ext[tau]:
                 for inner in m.ext[tau]:

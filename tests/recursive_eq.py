@@ -8,6 +8,8 @@ maps (node, smaller uid, larger uid) to the verdict.
 
 from __future__ import annotations
 
+from kripkelab.frame import up_set
+
 
 def oracle_equal(f, memo: dict, sigma: str, x, y) -> bool:
     if x.uid == y.uid:
@@ -17,7 +19,7 @@ def oracle_equal(f, memo: dict, sigma: str, x, y) -> bool:
     if hit is not None:
         return hit
     result = True
-    for tau in f.up[sigma]:
+    for tau in up_set(f, sigma):
         ex, ey = x.ext[tau], y.ext[tau]
         for a in ex:
             if not any(oracle_equal(f, memo, tau, a, b) for b in ey):

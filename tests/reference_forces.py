@@ -9,6 +9,7 @@ under a wrong key.  Forced equality comes from the recursive check in
 from __future__ import annotations
 
 from kripkelab.formula import And, Eq, Exists, Forall, Implies, Member, Not, Or, Var
+from kripkelab.frame import up_set
 
 from recursive_eq import oracle_equal, oracle_member
 
@@ -26,7 +27,7 @@ def reference_forces(s, sigma, phi, env=None, extra_names=None) -> bool:
         return s.universe[tau] if q.bound is None else term(q.bound, tau, env).ext[tau]
 
     def go(sigma, phi, env) -> bool:
-        cone = f.up[sigma]
+        cone = up_set(f, sigma)
         if isinstance(phi, Member):
             x, y = term(phi.left, sigma, env), term(phi.right, sigma, env)
             return oracle_member(f, eq_memo, sigma, x, y)

@@ -5,7 +5,8 @@ pairs and then validates it pair by pair, kept as an oracle for
 It is quartic in the number of nodes, so it only suits small frames.  The
 family node lists and covering pairs come from the same recipes as
 `kripkelab.frame.build_frame`; what this module checks is the closure, the
-validation, the bottom, the up-sets, the linear extension and the dump.
+validation, the bottom, the up-sets, the covering pairs, the linear
+extension and the dump.
 """
 
 from __future__ import annotations
@@ -121,12 +122,16 @@ def leaves(f: ReferenceFrame) -> tuple[str, ...]:
     return tuple(n for n in f.nodes if len(f.up[n]) == 1)
 
 
+def covering_pairs(f: ReferenceFrame) -> list[tuple[str, str]]:
+    """The pairs a < b with no node strictly between, sorted."""
+    return [
+        (a, b)
+        for a, b in sorted(f.order)
+        if a != b
+        and not any((a, c) in f.order and (c, b) in f.order and c not in (a, b) for c in f.nodes)
+    ]
+
+
 def dump_frame(f: ReferenceFrame) -> str:
-    covers = []
-    for a, b in sorted(f.order):
-        if a == b:
-            continue
-        if any((a, c) in f.order and (c, b) in f.order and c not in (a, b) for c in f.nodes):
-            continue
-        covers.append(f"{a}<{b}")
-    return f"nodes: {' '.join(f.nodes)} / order: {' '.join(covers)}"
+    covers = " ".join(f"{a}<{b}" for a, b in covering_pairs(f))
+    return f"nodes: {' '.join(f.nodes)} / order: {covers}"

@@ -3,11 +3,34 @@
 `harvest` runs every round of `_Engine`'s closure to the end and decodes the
 pool on the given structure, with no early stop and no interning.  It reuses
 the engine's set-up (`atom_maps`, `binders`) and its cone operations; only
-the pools and the round loop are written out here.
+the pools and the round loop are written out here.  `zero_decidable_zone`
+computes the engine's zone map by walking up-sets instead of forcing its
+sentence.
 """
 
+from kripkelab.construct import empty_set
+from kripkelab.frame import up_set
 from kripkelab.hierarchy import HARVEST_CAP, POOL_CAP, QUIET_ROUNDS, _Engine
-from kripkelab.semantics import KripkeSet
+from kripkelab.semantics import KripkeSet, class_at
+
+
+def zero_decidable_zone(s, cone) -> dict[str, bool]:
+    """The nodes of an upward-closed `cone` where emptiness is settled for
+    the whole remaining universe: every element of every later universe is
+    either forced empty or forced apart from empty."""
+    f = s.frame
+    zero = empty_set(f)
+    empty = {mu: class_at(zero, mu) for mu in cone}
+    # nodes with an element that is neither forced empty there nor forced
+    # apart from empty at every node above
+    unsettled = {
+        rho
+        for rho in cone
+        for y in s.universe[rho]
+        if class_at(y, rho) != empty[rho]
+        and any(class_at(y, mu) == empty[mu] for mu in up_set(f, rho))
+    }
+    return {tau: unsettled.isdisjoint(up_set(f, tau)) for tau in cone}
 
 
 def _pool():

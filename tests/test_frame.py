@@ -81,7 +81,7 @@ def test_order_helpers_reject_an_unknown_node():
 
 def test_a_long_chain_builds_without_its_pairs():
     # the order of chain(1024) has 524,800 pairs, about 48 MB as tuples in
-    # a frozenset; a build keeps one bit mask and one up-set per node
+    # a frozenset; a build keeps one bit mask and one tuple of covers per node
     tracemalloc.start()
     try:
         f = chain(1024)
@@ -168,7 +168,9 @@ def test_frame_matches_the_reference_construction(spec):
         (a, b) for a in ref.nodes for b in ref.nodes if (a, b) in ref.order
     ]
     assert (f.bottom, f.kind) == (ref.bottom, ref.kind)
-    assert f.up == ref.up
+    assert all(up_set(f, n) == ref.up[n] for n in f.nodes)
+    covers = reference_frame.covering_pairs(ref)
+    assert f.succ == {a: tuple(b for b in ref.nodes if (a, b) in covers) for a in ref.nodes}
     assert linear_extension(f) == reference_frame.linear_extension(ref)
     assert leaves(f) == reference_frame.leaves(ref)
     assert dump_frame(f) == reference_frame.dump_frame(ref)

@@ -12,6 +12,7 @@ from kripkelab.formula import parse
 from kripkelab.frame import chain, fan, tree, up_set
 from kripkelab.hierarchy import (
     _Engine,
+    _zone,
     HARVEST_CAP,
     constructible,
     DefConfig,
@@ -156,7 +157,7 @@ def test_harvest_flags_name_the_limit_that_bit(base, node, depth, expected):
 def _harvest_record(s, sigma, result):
     # born sets as member positions in s's universe, node by node, and flags
     born, truncated, stabilized = result
-    cone = s.frame.up[sigma]
+    cone = up_set(s.frame, sigma)
     where = {tau: {x.uid: i for i, x in enumerate(s.universe[tau])} for tau in cone}
     sets = tuple(
         tuple(tuple(where[tau][m.uid] for m in x.ext[tau]) for tau in cone) for x in born
@@ -164,8 +165,8 @@ def _harvest_record(s, sigma, result):
     return sets, truncated, stabilized
 
 
-def test_harvests_match_the_full_closure_reference():
-    t0 = time.monotonic()
+def _harvest_cases():
+    """19 structures, each with the formula depths to harvest it at."""
     one = DefConfig(formula_depth=1)
     cases = []
     for f in (chain(2), chain(3), tree(2), fan(3)):
@@ -181,6 +182,27 @@ def test_harvests_match_the_full_closure_reference():
     fixtures = sorted((Path(__file__).parent / "fixtures").glob("**/*.struct"))
     cases += [(uniformity_gap(), (1, 2))]
     cases += [(load_structure(str(p)), (1, 2)) for p in fixtures]
+    return cases
+
+
+def test_the_forced_zone_matches_the_up_set_walk():
+    # the engine's zone map forces one sentence; the oracle walks up-sets
+    bad, seen = 0, set()
+    for s, _ in _harvest_cases():
+        f = s.frame
+        for sigma in f.nodes:
+            cone = up_set(f, sigma)
+            want = reference_harvest.zero_decidable_zone(s, cone)
+            got = {tau: forces(s, tau, _zone()) for tau in cone}
+            bad += got != want
+            seen.update(got.values())
+    # both values occur, so neither constant map passes
+    assert not bad and seen == {True, False}
+
+
+def test_harvests_match_the_full_closure_reference():
+    t0 = time.monotonic()
+    cases = _harvest_cases()
     bad, flags = [], set()
     for s, depths in cases:
         for depth in depths:
@@ -345,7 +367,7 @@ def test_gfp_is_greatest_among_postfixed_points():
 
 def _oracle_disagreements(s, sigma, rng, draws, params=None):
     """Compare the engine's cone operations with their definitions, walking
-    `f.up` and locating elements by uid instead of by the run tables.  The
+    `up_set` and locating elements by uid instead of by the run tables.  The
     binder domains of `params` randomly chosen parameters are checked, or of
     all of them."""
     f = s.frame
@@ -385,12 +407,12 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
             m1, m2 = draw(arity), draw(arity)
             b1, b2 = blocks(m1, arity), blocks(m2, arity)
             want = build(
-                lambda tau, *c: all(not has(b1, r, *c) for r in f.up[tau]), arity
+                lambda tau, *c: all(not has(b1, r, *c) for r in up_set(f, tau)), arity
             )
             bad += blocks(eng.interior(m1, arity), arity) != want
             want = build(
                 lambda tau, *c: all(
-                    not has(b1, r, *c) or has(b2, r, *c) for r in f.up[tau]
+                    not has(b1, r, *c) or has(b2, r, *c) for r in up_set(f, tau)
                 ),
                 arity,
             )
@@ -412,7 +434,7 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
             bad += blocks(eng.exists2(m2, dom), 1) != want
             want = build(
                 lambda tau, a: all(
-                    has(b2, r, a, c) for r in f.up[tau] for c in members(a, r)
+                    has(b2, r, a, c) for r in up_set(f, tau) for c in members(a, r)
                 ),
                 1,
             )

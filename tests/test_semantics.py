@@ -10,7 +10,16 @@ import pytest
 
 from kripkelab import schema, semantics
 from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, Not, parse, render
-from kripkelab.frame import chain, fan, leaves, leq, linear_extension, tree, up_set
+from kripkelab.frame import (
+    chain,
+    fan,
+    leaves,
+    leq,
+    linear_extension,
+    parse_frame_spec,
+    tree,
+    up_set,
+)
 from kripkelab.construct import (
     empty_set,
     internal_nat,
@@ -130,8 +139,17 @@ def _differences(f, sets):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: chain(3), lambda: fan(3), lambda: tree(2), lambda: tree(3)],
-    ids=["chain3", "fan3", "tree2", "tree3"],
+    "make",
+    [
+        lambda: chain(3),
+        lambda: chain(6),
+        lambda: fan(3),
+        lambda: tree(2),
+        lambda: tree(3),
+        # a has two covers, b and d, and b's cover c lies above a as well
+        lambda: parse_frame_spec("nodes: a b c d / order: a<b b<c a<c a<d"),
+    ],
+    ids=["chain3", "chain6", "fan3", "tree2", "tree3", "explicit"],
 )
 def test_class_labels_match_the_recursive_oracle(make):
     for seed in range(3):
@@ -261,6 +279,15 @@ def test_a_sentence_on_a_long_chain_is_forced_within_its_budget():
     phi = parse("forall a . forall b in a . b in a")
     start = time.perf_counter()
     assert forces(s, s.frame.bottom, phi)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_long_chain_structure_is_built_within_its_budget():
+    # each set's inclusion checks walk covering pairs, not whole up-sets:
+    # over the full up-sets this build took 1.7-2.9 s on 2 cores
+    f = chain(256)
+    start = time.perf_counter()
+    canonical_structure(f)
     assert time.perf_counter() - start < 1.0
 
 
@@ -494,13 +521,54 @@ def test_bounded_reference_verdicts_agree_along_def_steps():
             lambda f, z: KripkeSet(f, "e", {"e": (z,), "0": (), "1": (z,)}),
             "from 'e' to '0'; transitions are inclusions",
         ),
+        # shrinks are reported across a covering pair
+        (lambda f, z: _on_chain3("02"), "from '0' to '1'; transitions are inclusions"),
+        (lambda f, z: _on_chain3("01"), "from '1' to '2'; transitions are inclusions"),
     ],
-    ids=["cone", "frame", "alive", "shrink"],
+    ids=["cone", "frame", "alive", "shrink", "shrink-at-a-gap", "shrink-above-birth"],
 )
 def test_kripke_set_rejects_a_malformed_extension(build, message):
     f = tree(2)
     with pytest.raises(ValueError, match=message):
         build(f, empty_set(f))
+
+
+def _on_chain3(listed: str) -> KripkeSet:
+    """A set born at '0' on chain(3) listing the empty set at `listed`."""
+    f = chain(3)
+    z = empty_set(f)
+    return KripkeSet(f, "0", {tau: (z,) if tau in listed else () for tau in f.nodes})
+
+
+@pytest.mark.parametrize(
+    "universe, names, message",
+    [
+        (lambda z, one: {"0": (z,), "1": (z,)}, {}, "must assign a tuple to every node"),
+        (
+            lambda z, one: {"0": (KripkeSet(z.frame, "1", {"1": (), "2": ()}),), "1": (), "2": ()},
+            {},
+            "not alive at '0'",
+        ),
+        (lambda z, one: {"0": (z, z), "1": (z,), "2": (z,)}, {}, "duplicate universe element"),
+        (
+            lambda z, one: {"0": (z,), "1": (one,), "2": (z, one)},
+            {},
+            "universe at '1' is not membership-closed",
+        ),
+        (lambda z, one: {"0": (), "1": (z,), "2": ()}, {}, "universe shrinks from '1' to '2'"),
+        (
+            lambda z, one: {t: () for t in z.frame.nodes},
+            {"zero": empty_set(chain(2))},
+            "named set 'zero' lives on a different frame",
+        ),
+    ],
+    ids=["missing-node", "dead", "duplicate", "not-closed", "shrink", "other-frame"],
+)
+def test_structure_rejects_a_malformed_universe(universe, names, message):
+    f = chain(3)
+    z, one = empty_set(f), internal_nat(f, 1)
+    with pytest.raises(ValueError, match=message):
+        semantics.Structure(frame=f, universe=universe(z, one), names=names)
 
 
 def test_universes_grow_and_close(t2):
