@@ -181,7 +181,8 @@ def _stage_line(head: str, x) -> str:
     return f"{head}: " + " ".join(f"{tau}={len(x.ext[tau])}" for tau in sorted(x.ext))
 
 
-def _fixpoint(args: argparse.Namespace, which: str) -> int:
+def cmd_fixpoint(args: argparse.Namespace) -> int:
+    which = args.command
     s = _load(args)
     x = _named_set(s, args.set)
     psi = parse(args.formula)
@@ -199,14 +200,6 @@ def _fixpoint(args: argparse.Namespace, which: str) -> int:
         + [_stage_line("fixpoint", fix)],
     )
     return 0
-
-
-def cmd_lfp(args: argparse.Namespace) -> int:
-    return _fixpoint(args, "lfp")
-
-
-def cmd_gfp(args: argparse.Namespace) -> int:
-    return _fixpoint(args, "gfp")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -406,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         _input_flags(p)
         p.add_argument("--set", required=True, help="names-table entry to carve from")
         p.add_argument("--formula", required=True)
-        p.set_defaults(func=cmd_lfp if which == "lfp" else cmd_gfp)
+        p.set_defaults(func=cmd_fixpoint)
 
     p = sub.add_parser("check", help="sweep one axiom schema", parents=[fmt])
     _input_flags(p)

@@ -229,13 +229,10 @@ def branch_from_bits(f: Frame, bits: str) -> KripkeSet:
             members = []
             for rho in f.nodes:
                 br = _bits_of(rho)
-                if leq(f, rho, tau) and rho != tau:
+                if not leq(f, tau, rho) or all(
+                    br[j] == bits[j] for j in range(len(bt), len(br))
+                ):
                     members.append(one_sigma(f, rho))
-                elif not leq(f, rho, tau) and not leq(f, tau, rho):
-                    members.append(one_sigma(f, rho))
-                elif leq(f, tau, rho):
-                    if all(br[j] == bits[j] for j in range(len(bt), len(br))):
-                        members.append(one_sigma(f, rho))
             ext[tau] = tuple(members)
         return KripkeSet(f, f.bottom, ext, f"branch_{bits}")
 

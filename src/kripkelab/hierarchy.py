@@ -25,12 +25,12 @@ defined one (relation maps of arity two), round count given by
 `formula_depth`, at most `POOL_CAP` maps of each arity, and at most
 `HARVEST_CAP` harvested sets per birth node.  When a cap bites, the result
 is flagged truncated and downstream reports say under-enumeration rather
-than failure.  The closure stops early once `QUIET_ROUNDS` rounds in a row
-add nothing, and a harvest is flagged stabilized when its last round added
-nothing and no cap bit.  The last round stops as soon as it has grown the
-pool past `HARVEST_CAP` fresh maps: the harvest is decided then.  The first
-round emits unions of equality atoms, successor shapes, and stage cuts before
-anything else, so the sets the lemma fixtures rely on precede the cap.
+than failure.  The closure ends after the first round that adds nothing, and
+a harvest is flagged stabilized when such a round ended it and no cap bit.
+The closure stops in whichever round grows the pool past `HARVEST_CAP` fresh
+maps: the harvest is decided then.  The first round emits unions of equality
+atoms, successor shapes, and stage cuts before anything else, so the sets the
+lemma fixtures rely on precede the cap.
 Harvests are interned per frame by the universes of the birth node's cone.
 """
 
@@ -62,7 +62,6 @@ from .semantics import (
 
 HARVEST_CAP = 56
 POOL_CAP = 2048
-QUIET_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -387,14 +386,12 @@ class _Engine:
 
         binders = self.binders()
         bound = 0  # pool2[:bound] is bound already; its results are in pool1
-        quiet = 0
+        # append-only pool: past HARVEST_CAP fresh maps the born ones are fixed,
+        # and push raises only on growth, so the round is not quiet
+        stop[0] = len(self.mem) + HARVEST_CAP + 1
         try:
-            for r in range(self.cfg.formula_depth):
+            for _ in range(self.cfg.formula_depth):
                 before = len(pool1) + len(pool2)
-                if r == self.cfg.formula_depth - 1:
-                    # append-only pool: past HARVEST_CAP fresh maps the born ones are
-                    # fixed, and push raises only on growth, so the round is not quiet
-                    stop[0] = len(self.mem) + HARVEST_CAP + 1
                 base1 = list(pool1)
                 base2 = list(pool2)
                 self.connectives(pool1, push1, base1, 1)
@@ -414,15 +411,12 @@ class _Engine:
                 self.truncated = len(pool1) >= POOL_CAP or len(pool2) >= POOL_CAP
                 if self.truncated:
                     break
+                # a quiet round has bound all of pool2; the next would repeat it
                 if len(pool1) + len(pool2) == before:
-                    quiet += 1
-                    if quiet >= QUIET_ROUNDS:
-                        break
-                else:
-                    quiet = 0
-        except _Decided:  # the rest of the last round is lost
+                    self.stabilized = True
+                    break
+        except _Decided:  # the rest of the closure is skipped
             self.truncated = True
-        self.stabilized = quiet >= 1 and not self.truncated
         return pool1
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:

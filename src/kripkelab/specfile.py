@@ -149,8 +149,6 @@ def _parse_designation(
 
 
 def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
-    from .frame import leq
-
     counts: dict[str, int] = {}
     for a in args:
         if ":" not in a:
@@ -169,10 +167,9 @@ def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
     missing = [n for n in f.nodes if n not in counts]
     if missing:
         raise SpecError(f"{what}: missing counts for nodes {missing}")
-    for a in f.nodes:
-        for b in f.nodes:
-            if leq(f, a, b) and counts[a] > counts[b]:
-                raise SpecError(f"{what}: counts must grow along the order")
+    # growth is transitive, so checking each cover checks the order
+    if any(counts[a] > counts[b] for a in f.nodes for b in f.succ[a]):
+        raise SpecError(f"{what}: counts must grow along the order")
     ext = {
         tau: tuple(C.internal_nat(f, k) for k in range(counts[tau])) for tau in f.nodes
     }

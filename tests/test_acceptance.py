@@ -63,7 +63,7 @@ from kripkelab.specfile import (
     uniformity_gap,
 )
 
-from util import classes, same_classes
+from util import same_classes
 
 CFG = DefConfig(formula_depth=1)
 

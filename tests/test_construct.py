@@ -27,7 +27,7 @@ from kripkelab.construct import (
     with_zero,
 )
 from kripkelab.formula import free_vars, params_of
-from kripkelab.frame import chain, forest, leaves, tree
+from kripkelab.frame import chain, forest, tree
 from kripkelab.hierarchy import structure_from_sets
 from kripkelab.semantics import ext_at, forced_equal, forced_member, is_ordinal
 

@@ -14,6 +14,7 @@ from kripkelab.hierarchy import (
     _Engine,
     _zone,
     HARVEST_CAP,
+    POOL_CAP,
     constructible,
     DefConfig,
     def_along,
@@ -142,7 +143,7 @@ def test_harvests_and_towers_live_on_their_structures():
         (canonical_structure, "1", 4, (12, True, False)),
         # more fresh sets than HARVEST_CAP
         (canonical_structure, "0", 1, (56, True, False)),
-        # nothing new for QUIET_ROUNDS rounds
+        # a round adds nothing
         (empty_structure, "0", 4, (1, False, True)),
     ],
     ids=["no-limit", "pair-pool-cap", "harvest-cap", "stabilized"],
@@ -220,18 +221,21 @@ def test_harvests_match_the_full_closure_reference():
 
 
 @pytest.mark.parametrize(
-    "frame, stop, full",
+    "frame, depth, stop, full",
     [
         # the pool reaches HARVEST_CAP + 1 fresh maps during the round
-        (lambda: chain(3), 64, 374),
+        (lambda: chain(3), 1, 64, 374),
         # the seeds alone hold 78 fresh maps: the round stops at its first
-        (lambda: fan(3), 89, 1480),
+        (lambda: fan(3), 1, 89, 1480),
+        # the first round decides the harvest; the rounds after it never run
+        (lambda: chain(3), 3, 64, POOL_CAP),
+        (lambda: fan(3), 2, 89, POOL_CAP),
     ],
-    ids=["chain3", "fan3"],
+    ids=["chain3", "fan3", "chain3-depth3", "fan3-depth2"],
 )
-def test_the_last_round_stops_once_its_harvest_is_decided(frame, stop, full):
+def test_the_closure_stops_once_its_harvest_is_decided(frame, depth, stop, full):
     s = canonical_structure(frame())
-    cfg = DefConfig(formula_depth=1)
+    cfg = DefConfig(formula_depth=depth)
     eng = _Engine(s, s.frame.bottom, cfg)
     pool = eng.run()
     assert len(pool) == stop
@@ -239,6 +243,26 @@ def test_the_last_round_stops_once_its_harvest_is_decided(frame, stop, full):
     assert (eng.truncated, eng.stabilized) == (True, False)
     maps = reference_harvest.closure(_Engine(s, s.frame.bottom, cfg))[0]
     assert len(maps) == full and maps[:stop] == pool
+
+
+def test_the_first_quiet_round_ends_the_closure(monkeypatch):
+    s = empty_structure(chain(2))
+    cfg = DefConfig(formula_depth=4)
+    calls = []
+    connectives = _Engine.connectives
+
+    def counted(self, pool, push, base, arity):
+        calls.append(arity)
+        connectives(self, pool, push, base, arity)
+
+    monkeypatch.setattr(_Engine, "connectives", counted)
+    eng = _Engine(s, "0", cfg)
+    pool = eng.run()
+    # each round calls connectives once per arity: one round ran, not two
+    assert calls == [1, 2]
+    want = reference_harvest.closure(_Engine(s, "0", cfg))
+    assert (pool, eng.truncated, eng.stabilized) == (want[0], *want[2:])
+    assert (eng.truncated, eng.stabilized) == (False, True)
 
 
 def test_harvests_are_shared_by_structures_that_agree_on_the_cone():

@@ -33,10 +33,11 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # __init__.py imports only to re-export
+    # the package and the tests; __init__.py imports only to re-export
     modules = sorted(Path(kripkelab.__file__).parent.glob("*.py"))
+    modules += sorted(Path(__file__).parent.glob("*.py"))
     unused = {
-        p.name: _unused_imports(p.read_text())
+        f"{p.parent.name}/{p.name}": _unused_imports(p.read_text())
         for p in modules
         if p.name != "__init__.py"
     }

@@ -4,7 +4,6 @@ import pytest
 
 from kripkelab.formula import Not, classify, enumerate_pi, parse, render
 from kripkelab.frame import chain, leaves, tree
-from kripkelab.hierarchy import DefConfig
 from kripkelab.schema import (
     _assignments,
     _scope,
@@ -22,8 +21,6 @@ from kripkelab.schema import (
 )
 from kripkelab.semantics import forces
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
-
-from conftest import FIXTURES
 
 EXPECTED_TAGS = [
     "tower-of-one-sigma",

@@ -52,7 +52,6 @@ from kripkelab.specfile import canonical_structure
 
 from recursive_eq import oracle_equal, oracle_member
 from reference_forces import reference_forces
-from util import find_class
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from kripkelab.construct import empty_set, internal_nat, one_sigma, p_hat
-from kripkelab.frame import fan, tree
+from kripkelab.frame import tree
 from kripkelab.schema import SchemaId
 from kripkelab.semantics import forced_equal, forced_member, universe_at
 from kripkelab.specfile import (
@@ -17,8 +17,7 @@ from kripkelab.specfile import (
     uniformity_gap,
 )
 
-from conftest import FIXTURES
-from util import classes, find_class
+from util import find_class
 
 BASIC = """\
 frame tree depth=2
@@ -114,6 +113,8 @@ def test_builders_cover_the_catalog():
         ("frame tree depth=2\ndesignate Shiny phi=\"x = x\"\n", "unknown schema"),
         ("frame tree depth=2\ndesignate Pairing A=ghost\n", "unknown name"),
         ("frame fan width=2\n_s = staged_nats bot:2 1:1 2:3\nuniverse _s\n",
+         "grow along the order"),
+        ("frame chain length=3\n_s = staged_nats 0:2 1:1 2:3\nuniverse _s\n",
          "grow along the order"),
         ("frame fan width=2\n_s = staged_nats bot:1\nuniverse _s\n", "missing counts"),
     ],
