@@ -72,13 +72,17 @@ class Frame:
     """A finite poset with bottom, built from its nodes and covering pairs.
 
     The pairs are closed reflexively and transitively once, on one bit mask
-    per node (Warshall's closure), so the order is reflexive and transitive
-    by construction.  Building checks the rest: every pair names known
-    nodes, no two nodes lie on a cycle, and one node lies below all others.
-    `bottom` is that node, `succ[a]` the nodes that cover a (the edges of
-    the Hasse diagram) in node order, and `order` all pairs (a, b) with
-    a <= b, built on first read.  Every covering pair is a given pair, so
-    a given successor of a covers it unless it lies strictly above another.
+    per node: each pass ORs every node's given successors' masks into its
+    own, nodes in reverse order, until a pass changes nothing.  A frame
+    listed bottom first closes in one pass and checks it with a second; any
+    order closes in at most one pass per node.  So the order is reflexive
+    and transitive by construction.  Building checks the rest: every pair
+    names known nodes, no two nodes lie on a cycle, and one node lies below
+    all others.  `bottom` is that node, `succ[a]` the nodes that cover a
+    (the edges of the Hasse diagram) in node order, and `order` all pairs
+    (a, b) with a <= b, built on first read.  Every covering pair is a given
+    pair, so a given successor of a covers it unless it lies strictly above
+    another.
     """
 
     nodes: tuple[str, ...]
@@ -97,10 +101,12 @@ class Frame:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # bit j of masks[i] is set iff nodes[i] <= nodes[j], pos[nodes[i]] == i,
-    # and succ[a] holds the nodes that cover a
+    # succ[a] holds the nodes that cover a, and runs holds one
+    # (pos[a], 1, pos[b]) per covering pair a < b, top nodes first (see hits)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     pos: dict = field(init=False, repr=False, compare=False)
     succ: dict = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, covers: Iterable[tuple[str, str]]) -> None:
         nodes = self.nodes
@@ -113,12 +119,16 @@ class Frame:
             if a not in pos or b not in pos:
                 raise ValueError(f"order mentions unknown node in {a}<{b}")
             masks[pos[a]] |= 1 << pos[b]
-        given = [m & ~(1 << i) for i, m in enumerate(masks)]
-        for k in range(len(nodes)):
-            bit = 1 << k
-            for i, m in enumerate(masks):
-                if m & bit:
-                    masks[i] = m | masks[k]
+        given = [_bits(m & ~(1 << i)) for i, m in enumerate(masks)]
+        changed = True
+        while changed:
+            changed = False
+            for i in reversed(range(len(nodes))):
+                m = masks[i]
+                for j in given[i]:
+                    m |= masks[j]
+                if m != masks[i]:
+                    masks[i], changed = m, True
         owner: dict[int, int] = {}
         for i, m in enumerate(masks):
             j = owner.setdefault(m, i)
@@ -130,12 +140,16 @@ class Frame:
         succ = {}
         for n, g in zip(nodes, given):
             beyond = 0
-            for j in _bits(g):
+            for j in g:
                 beyond |= masks[j] & ~(1 << j)
-            succ[n] = tuple(nodes[j] for j in _bits(g & ~beyond))
+            succ[n] = tuple(nodes[j] for j in g if not beyond >> j & 1)
+        # top nodes first: a node strictly above has a strictly smaller up-set
+        top = sorted(range(len(nodes)), key=lambda i: masks[i].bit_count())
+        runs = tuple((i, 1, pos[b]) for i in top for b in succ[nodes[i]])
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "bottom", nodes[owner[full]])
 
     @functools.cached_property
@@ -149,6 +163,18 @@ class Frame:
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, lowest first."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def hits(runs, bad: int) -> int:
+    """The positions whose image at some node at or above theirs lies in bad.
+    Each (src, width, tgt) run pulls one covering pair's bits down from the
+    cover, and runs come top nodes first, so every node strictly above a
+    source is hit, through a cover, before the source reads it."""
+    hit = bad
+    if hit:
+        for src, width, tgt in runs:
+            hit |= (hit >> tgt & width) << src
+    return hit
 
 
 def _require(f: Frame, *nodes: str) -> None:

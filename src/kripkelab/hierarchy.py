@@ -15,10 +15,10 @@ existential binder ORs columns of a pair map into place, one precomputed
 shift per column.  Negation, implication and the universal binder all sweep
 the cone, and all are one Heyting interior: keep the positions whose image
 at every node above lies outside a "bad" mask.  `_Engine.interior` is that
-sweep; it ORs the bad mask through run tables built once per engine and
-memoizes its results for the engine's lifetime.  Negation takes the map
-itself as the bad mask, implication `m1 & ~m2`, and the universal binder the
-positions with a missing pair in the binder's domain.
+sweep, forcing's `frame.hits` over run tables built once per engine from the
+cone's covering pairs, memoized for the engine's lifetime.  Negation takes
+the map itself as the bad mask, implication `m1 & ~m2`, and the universal
+binder the positions with a missing pair in the binder's domain.
 
 The fragment is bounded on purpose: one live bound variable besides the
 defined one (relation maps of arity two), round count given by
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .formula import Formula, free_vars, is_positive_in, parse
-from .frame import Frame, leq, linear_extension, up_set
+from .frame import Frame, hits, leq, linear_extension, up_set
 from .construct import (
     POWERSET_CAP,
     _intern,
@@ -176,12 +176,11 @@ class _Engine:
     the pair (i, j), i the defined variable, is bit `j * n + i`, so column j
     is a contiguous stretch of bits.
 
-    `runs` holds, per arity, (source shift, width mask, target shift) runs:
-    each carries consecutive positions at a node to consecutive images at a
-    node above it, cut wherever the images stop being consecutive.  When a
-    node's universe is a prefix of the one above, one run covers a map of
-    arity 1 and one run per column a pair map; an empty node has none.
-    `interiors` memoizes `interior` per arity and goes with the engine.
+    `runs` holds, per arity, `hits` runs, one group per covering pair of the
+    cone in `Frame.runs` order: each carries consecutive positions at a node
+    to consecutive images at its cover, cut where the images stop being
+    consecutive.  A prefix universe below needs one run (one per column of a
+    pair map); an empty node none.  `interiors` memoizes `interior` per arity.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -203,24 +202,22 @@ class _Engine:
             sum((1 << n**a) - 1 << o for n, o in zip(ns, off))
             for a, off in zip((1, 2), self.off)
         )
-        # runs from every cone node to itself and to every node above it
+        # one run group per covering pair of the cone, top nodes first
         runs1, runs2 = [], []
-        for k, tau in enumerate(self.cone):
-            n = ns[k]
-            if not n:
+        for a, _, b in f.runs:
+            tau, rho = f.nodes[a], f.nodes[b]
+            k = idx.get(tau)
+            if k is None or not ns[k]:
                 continue
-            for rho in up_set(f, tau):
-                r = idx[rho]
-                img = [self.pos[rho][x.uid] for x in self.elems[tau]]
-                cut = _runs((p, q, 1) for p, q in enumerate(img))
-                # column j of a pair map lands in column img[j] above
-                cut2 = _runs(
-                    (j * n + p, c * ns[r] + q, w)
-                    for j, c in enumerate(img)
-                    for p, q, w in cut
-                )
-                runs1 += [(off1[k] + p, (1 << w) - 1, off1[r] + q) for p, q, w in cut]
-                runs2 += [(off2[k] + p, (1 << w) - 1, off2[r] + q) for p, q, w in cut2]
+            n, r = ns[k], idx[rho]
+            img = [self.pos[rho][x.uid] for x in self.elems[tau]]
+            cut = _runs((p, q, 1) for p, q in enumerate(img))
+            # column j of a pair map lands in column img[j] above
+            cut2 = _runs(
+                (j * n + p, c * ns[r] + q, w) for j, c in enumerate(img) for p, q, w in cut
+            )
+            runs1 += [(off1[k] + p, (1 << w) - 1, off1[r] + q) for p, q, w in cut]
+            runs2 += [(off2[k] + p, (1 << w) - 1, off2[r] + q) for p, q, w in cut2]
         self.runs = (runs1, runs2)
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = False
@@ -284,11 +281,7 @@ class _Engine:
         memo = self.interiors[arity - 1]
         out = memo.get(bad)
         if out is None:
-            hit = 0
-            if bad:
-                for src, width, tgt in self.runs[arity - 1]:
-                    hit |= (bad >> tgt & width) << src
-            out = memo[bad] = self.full[arity - 1] ^ hit
+            out = memo[bad] = self.full[arity - 1] ^ hits(self.runs[arity - 1], bad)
         return out
 
     def imp(self, m1: int, m2: int, arity: int) -> int:
@@ -297,13 +290,15 @@ class _Engine:
     def lift(self, m: int, slot: int) -> int:
         """A map of the defined variable read as a pair map in one slot."""
         # slot 0: every column is the map; slot 1: column j is full when j
-        # is in the map
+        # is in the map.  Each node's n*n bits are built apart and placed once.
         out = 0
         for n, o1, o2 in zip(self.ns, *self.off):
             r = (1 << n) - 1
             x = m >> o1 & r
+            block = 0
             for j in range(n):
-                out |= (x if slot == 0 else r if x >> j & 1 else 0) << o2 + j * n
+                block |= (x if slot == 0 else r if x >> j & 1 else 0) << j * n
+            out |= block << o2
         return out
 
     def binders(self) -> list[tuple[tuple[int, int, int], ...]]:

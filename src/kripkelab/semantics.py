@@ -21,8 +21,9 @@ at once (global model checking).  Each formula node is compiled once, the
 first time it is forced, into its memoized function `(ctx, env) -> mask`:
 bit i is set iff `Frame.nodes[i]` forces the formula, over the nodes where
 the values of its free variables and parameters are all alive.  And and or
-are & and |, negation and implication keep the nodes whose cone misses a
-bad mask, and a quantifier walks (element, nodes where listed) pairs of its
+are & and |; negation, implication and forall keep the domain's nodes whose
+cone misses a bad mask, `d & ~hits(Frame.runs, bad)`, as the definability
+engine does; a quantifier walks (element, nodes where listed) pairs of its
 bound (`KripkeSet.listing`) or of the universe (`Structure.listing`).  The
 function is kept in the node's `_code` slot and holds no node; no frame or
 module table holds code.
@@ -58,7 +59,7 @@ from .formula import (
     parse,
     render,
 )
-from .frame import Frame, _require, up_set
+from .frame import Frame, _require, hits, up_set
 
 _uid_counter = itertools.count()
 
@@ -298,12 +299,12 @@ class _Ctx:
     """The state of one top-level `forces` call: the structure, its uid and
     parameters (its names, overridden by the extra ones), and frame tables."""
 
-    __slots__ = ("structure", "uid", "params", "nodes", "masks", "full", "memo")
+    __slots__ = ("structure", "uid", "params", "nodes", "runs", "full", "memo")
 
     def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
         f = s.frame
         self.structure, self.uid, self.params = s, s.uid, {**s.names, **extra}
-        self.nodes, self.masks, self.memo = f.nodes, f.masks, f.memo
+        self.nodes, self.runs, self.memo = f.nodes, f.runs, f.memo
         self.full = f.masks[f.pos[f.bottom]]
 
 
@@ -385,12 +386,12 @@ def _body(phi: Formula):
             return lambda ctx, env, d: (
                 got if (got := left(ctx, env) & d) == d else (got | right(ctx, env)) & d
             )
-        return lambda ctx, env, d: _interior(
-            ctx.masks, d, (bad := left(ctx, env) & d) and bad & ~right(ctx, env)
+        return lambda ctx, env, d: d & ~hits(
+            ctx.runs, (bad := left(ctx, env) & d) and bad & ~right(ctx, env)
         )
     if isinstance(phi, Not):
         sub = _code(phi.body)
-        return lambda ctx, env, d: _interior(ctx.masks, d, sub(ctx, env))
+        return lambda ctx, env, d: d & ~hits(ctx.runs, sub(ctx, env))
     if isinstance(phi, (Forall, Exists)):
         var, sub, listing = phi.var, _code(phi.body), _listing(phi.bound)
         # each element strikes off the nodes it is listed at and witnesses
@@ -406,23 +407,10 @@ def _body(phi: Formula):
                     todo ^= where & (sub(ctx, inner) ^ flip)
                     if not todo:
                         break
-            return _interior(ctx.masks, d, d ^ todo) if flip else d ^ todo
+            return d & ~hits(ctx.runs, d ^ todo) if flip else d ^ todo
 
         return quantifier
     raise EvalError(f"unknown formula node {phi!r}")
-
-
-def _interior(masks: tuple[int, ...], d: int, bad: int) -> int:
-    """The nodes of the domain d whose cone misses bad."""
-    if not bad:
-        return d
-    out, todo = 0, d & ~bad
-    while todo:
-        low = todo & -todo
-        if not masks[low.bit_length() - 1] & bad:
-            out |= low
-        todo ^= low
-    return out
 
 
 def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):
@@ -468,19 +456,19 @@ def _term(t: Term):
 
 def is_end_extension(m: Structure, n: Structure) -> bool:
     """n end-extends m: every m-universe element persists into n's universe,
-    and n forces no new members into old sets."""
+    and n forces no new members into old sets.
+
+    The second half needs no check of its own: a member that n forces into
+    an old set y at sigma is forced equal to a listed member of y there,
+    and m's universe is membership-closed (`Structure`), so that member's
+    class at sigma is already one of m's."""
     if m.frame is not n.frame:
         raise ValueError("structures live on different frames")
-    f = m.frame
-    for sigma in f.nodes:
-        old = {class_at(x, sigma) for x in m.universe[sigma]}
-        if not old <= {class_at(x, sigma) for x in n.universe[sigma]}:
-            return False
-        for y in m.universe[sigma]:
-            for x in n.universe[sigma]:
-                if forced_member(f, sigma, x, y) and class_at(x, sigma) not in old:
-                    return False
-    return True
+    return all(
+        {class_at(x, sigma) for x in m.universe[sigma]}
+        <= {class_at(x, sigma) for x in n.universe[sigma]}
+        for sigma in m.frame.nodes
+    )
 
 
 def delta0_absolute(

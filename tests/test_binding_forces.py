@@ -27,13 +27,14 @@ from kripkelab.formula import (
     parse,
 )
 from kripkelab.construct import empty_set, internal_nat
-from kripkelab.frame import chain, fan, linear_extension, tree
+from kripkelab.frame import chain, fan, linear_extension, parse_frame_spec, tree
 from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
 from kripkelab.semantics import KripkeSet, forces, universe_at
 from kripkelab.specfile import canonical_structure
 
 from reference_forces import reference_forces
 from tarski import digraph_of, tarski_eval
+from util import TOP_FIRST_DIAMOND
 
 FREE = ("x", "y")
 # binder names: fresh ones, and the free names again, which shadow them
@@ -195,7 +196,8 @@ def test_node_sets_agree_with_the_reference_in_every_query_order():
     formulas = _Gen(29).formulas(120)
     _check_generated(formulas)
     bad, verdicts, partial = [], [], 0
-    for make in (lambda: tree(2), lambda: chain(3), lambda: fan(3)):
+    diamond = lambda: parse_frame_spec(TOP_FIRST_DIAMOND)
+    for make in (lambda: tree(2), lambda: chain(3), lambda: fan(3), diamond):
         m = canonical_structure(make())
         f, n = m.frame, def_step(m, DefConfig(formula_depth=1))
         for phi in formulas:

@@ -20,6 +20,7 @@ from kripkelab.frame import (
 )
 
 import reference_frame
+from util import TOP_FIRST_DIAMOND
 
 
 def test_chain_shape():
@@ -137,8 +138,9 @@ def test_parse_frame_spec_rejects_garbage():
 
 
 # Specs whose frames are compared field by field with the reference
-# construction: every family at small sizes, a diamond, an explicit spec
-# with redundant and reflexive pairs, and a one-node spec.
+# construction: every family at small sizes, a diamond listed bottom first
+# and top first, a chain listed top first, an explicit spec with redundant
+# and reflexive pairs, and a one-node spec.
 REFERENCE_SPECS = (
     [f"chain length={n}" for n in (1, 2, 3, 5, 8)]
     + [f"tree depth={d}" for d in (1, 2, 3, 4)]
@@ -146,6 +148,8 @@ REFERENCE_SPECS = (
     + [f"forest copies={c} depth={d}" for c in (1, 2, 3) for d in (1, 2, 3)]
     + [
         "nodes: a b c d / order: a<b a<c b<d c<d",
+        TOP_FIRST_DIAMOND,
+        "nodes: 3 2 1 0 / order: 0<1 1<2 2<3",
         "nodes: r s t u v / order: r<s s<t r<t r<r t<u r<u s<u v<v t<v",
         "nodes: solo",
     ]

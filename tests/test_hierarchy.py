@@ -9,7 +9,7 @@ import pytest
 
 from kripkelab.construct import empty_set, internal_nat, one_sigma
 from kripkelab.formula import parse
-from kripkelab.frame import chain, fan, tree, up_set
+from kripkelab.frame import chain, fan, parse_frame_spec, tree, up_set
 from kripkelab.hierarchy import (
     _Engine,
     _zone,
@@ -42,7 +42,7 @@ from kripkelab.semantics import (
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
 
 import reference_harvest
-from util import classes, find_class, same_classes
+from util import TOP_FIRST_DIAMOND, classes, find_class, same_classes
 
 
 def test_def_config_validation():
@@ -469,14 +469,34 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
 def test_engine_cone_operations_match_their_definitions():
     # two definability steps make position maps that are not the identity
     # between a node and the nodes above it, so the run tables cut there
+    # (one step on the diamond listed top first, whose run order is not
+    # the reverse of its node order)
     rng = random.Random(20261018)
-    for f in (chain(3), fan(3), tree(2)):
-        s = canonical_structure(f)
-        two = def_step(def_step(s, DefConfig(formula_depth=1)), DefConfig(formula_depth=1))
+    diamond = parse_frame_spec(TOP_FIRST_DIAMOND)
+    for f, steps in ((chain(3), 2), (fan(3), 2), (tree(2), 2), (diamond, 1)):
+        s = stepped = canonical_structure(f)
+        for _ in range(steps):
+            stepped = def_step(stepped, DefConfig(formula_depth=1))
         for sigma in f.nodes:
             assert _oracle_disagreements(s, sigma, rng, draws=4) == 0, (f.kind, sigma)
-            bad = _oracle_disagreements(two, sigma, rng, draws=1, params=3)
-            assert bad == 0, (f.kind, sigma, "two steps")
+            bad = _oracle_disagreements(stepped, sigma, rng, draws=1, params=3)
+            assert bad == 0, (f.kind, sigma, steps, "steps")
+
+
+def test_lifts_on_a_long_chain_stay_within_their_budget():
+    # the bottom engine of canonical chain(64) has 4,480 positions and
+    # 313,600 pair bits; a lift builds each node's pair bits on their own
+    # and places them once (the engine oracle above checks the values)
+    s = canonical_structure(chain(64))
+    rng = random.Random(64)
+    t0 = time.monotonic()
+    eng = _Engine(s, s.frame.bottom, DefConfig())
+    for _ in range(100):
+        m = rng.getrandbits(eng.full[0].bit_length()) & eng.full[0]
+        for slot in (0, 1):
+            eng.lift(m, slot)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds the 1s budget"
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,7 @@ from kripkelab.specfile import canonical_structure
 
 from recursive_eq import oracle_equal, oracle_member
 from reference_forces import reference_forces
+from util import TOP_FIRST_DIAMOND
 
 
 @pytest.fixture(scope="module")
@@ -462,10 +463,14 @@ def test_no_verdict_leaks_between_structures_on_one_frame():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: tree(2), lambda: chain(3), lambda: fan(3)], ids=["tree2", "chain3", "fan3"]
+    "make",
+    [lambda: tree(2), lambda: chain(3), lambda: fan(3), lambda: parse_frame_spec(TOP_FIRST_DIAMOND)],
+    ids=["tree2", "chain3", "fan3", "diamond-top-first"],
 )
 def test_forces_agrees_with_the_memo_free_reference(make):
-    # two structures share each frame, so they share the frame's memo
+    # two structures share each frame, so they share the frame's memo; on
+    # the diamond listed top first, a negation or a forall read at a sees d
+    # only if the hits of b and c are complete first
     rng = random.Random(11)
     m = canonical_structure(make())
     f, n = m.frame, def_step(m, DefConfig(formula_depth=1))

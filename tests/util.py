@@ -2,6 +2,11 @@
 
 from kripkelab.semantics import forced_equal, universe_at
 
+# a diamond listed top first: every family frame lists its nodes bottom
+# first, so only a frame like this one tells "top nodes first" apart from
+# "last listed first"
+TOP_FIRST_DIAMOND = "nodes: d c b a / order: a<b a<c b<d c<d"
+
 
 def classes(frame, sigma, xs):
     """One representative per forced-equality class at sigma."""
