@@ -93,7 +93,6 @@ from .hierarchy import (
 )
 from .schema import (
     AXIOM_IDS,
-    BASE_SCHEMAS,
     EQUIVALENT_TRIO,
     CheckBounds,
     CheckReport,

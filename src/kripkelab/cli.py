@@ -252,17 +252,11 @@ def cmd_prop1(args: argparse.Namespace) -> int:
                 "file": p.name,
                 "label": row.label,
                 "trio": [[n, h] for n, h in row.trio],
-                "base": [[n, h] for n, h in row.base],
                 "agreement": row.agreement,
-                "hypothesis_met": row.hypothesis_met,
-                "note": row.note,
             }
         )
         trio = " ".join(f"{n}={'holds' if h else 'fails'}" for n, h in row.trio)
-        base = " ".join(f"{n}={'holds' if h else 'fails'}" for n, h in row.base)
-        mark = "" if not row.note else f"  [{row.note}]"
-        lines.append(f"{p.name}: {trio}{mark}")
-        lines.append(f"  base: {base}")
+        lines.append(f"{p.name}: {trio}")
     lines.append(
         f"agreements: {report.agreements}  disagreements: {report.disagreements}"
     )

@@ -54,7 +54,6 @@ from .semantics import (
     _fresh,
     alive,
     class_at,
-    ext_at,
     forces,
     is_ordinal,
     universe_at,
@@ -154,6 +153,12 @@ def _zone() -> Formula:
     return parse(f"forall w . (({empty}) \\/ ~({empty}))")
 
 
+@functools.cache
+def _patterns(n: int) -> tuple[int, int]:
+    """Bit 0 of each of n columns of n bits, and n bits spaced n - 1 apart."""
+    return sum(1 << j * n for j in range(n)), sum(1 << j * (n - 1) for j in range(n))
+
+
 def _runs(segments) -> list[list[int]]:
     """Merge (position, image, width) segments, given in position order, into
     maximal runs of consecutive positions with consecutive images."""
@@ -230,48 +235,47 @@ class _Engine:
     def atom_maps(self) -> tuple[list, list, list, list, list]:
         """Atomic maps grouped: equality with, membership in, and membership
         of each parameter; the remaining fixed maps; and the pair maps for
-        `a in b`, `b in a` and `a = b`."""
+        `a in b`, `b in a` and `a = b`.  Each node's blocks are built apart
+        and placed once."""
+        params = self.elems[self.sigma]
+        eq_p, in_p, has_p = ([0] * len(params) for _ in range(3))
         ins = has = eqs = selfin = zone_map = 0
         for k, tau in enumerate(self.cone):
             es = self.elems[tau]
-            n, o = len(es), self.off[1][k]
+            n, o1, o2 = len(es), self.off[0][k], self.off[1][k]
             # same[c]: the positions whose class label at tau is c; the
             # universe is membership-closed, so every member's class is here
             same: dict[int, int] = {}
             for i, a in enumerate(es):
                 c = class_at(a, tau)
                 same[c] = same.get(c, 0) | 1 << i
+            ins_k = has_k = eqs_k = selfin_k = 0
             for j, b in enumerate(es):
                 col = 0
                 for m in b.ext[tau]:
                     col |= same[class_at(m, tau)]
-                ins |= col << o + j * n
-                eqs |= same[class_at(b, tau)] << o + j * n
-                if col >> j & 1:
-                    selfin |= 1 << self.off[0][k] + j
+                ins_k |= col << j * n
+                eqs_k |= same[class_at(b, tau)] << j * n
+                selfin_k |= (col >> j & 1) << j
                 # has is ins transposed: one bit per member position of b
                 while col:
                     low = col & -col
-                    has |= 1 << o + (low.bit_length() - 1) * n + j
+                    has_k |= 1 << (low.bit_length() - 1) * n + j
                     col ^= low
+            ins |= ins_k << o2
+            has |= has_k << o2
+            eqs |= eqs_k << o2
+            selfin |= selfin_k << o1
+            # a parameter's columns: the positions paired with it
+            r = (1 << n) - 1
+            for t, p in enumerate(params):
+                j = self.pos[tau][p.uid] * n
+                eq_p[t] |= (eqs_k >> j & r) << o1
+                in_p[t] |= (ins_k >> j & r) << o1
+                has_p[t] |= (has_k >> j & r) << o1
             if forces(self.s, tau, _zone()):
-                zone_map |= (1 << n) - 1 << self.off[0][k]
-
-        def column(m2: int, p: KripkeSet) -> int:
-            # the positions paired with p, node by node
-            return sum(
-                (m2 >> o2 + self.pos[tau][p.uid] * n & (1 << n) - 1) << o1
-                for tau, n, o1, o2 in zip(self.cone, self.ns, *self.off)
-            )
-
-        params = self.elems[self.sigma]
-        return (
-            [column(eqs, p) for p in params],
-            [column(ins, p) for p in params],
-            [column(has, p) for p in params],
-            [self.full[0], selfin, zone_map],
-            [ins, has, eqs],
-        )
+                zone_map |= r << o1
+        return eq_p, in_p, has_p, [self.full[0], selfin, zone_map], [ins, has, eqs]
 
     # ---- cone operations
 
@@ -289,16 +293,20 @@ class _Engine:
 
     def lift(self, m: int, slot: int) -> int:
         """A map of the defined variable read as a pair map in one slot."""
-        # slot 0: every column is the map; slot 1: column j is full when j
-        # is in the map.  Each node's n*n bits are built apart and placed once.
+        # slot 0: every column is the node's block x: x times the column
+        # pattern.  Slot 1: column j is full when j is in x: a full column
+        # times x's bits spread n apart (times the step pattern moves bit
+        # i < n - 1 to i * n without carries; the top bit is moved apart).
         out = 0
         for n, o1, o2 in zip(self.ns, *self.off):
             r = (1 << n) - 1
             x = m >> o1 & r
-            block = 0
-            for j in range(n):
-                block |= (x if slot == 0 else r if x >> j & 1 else 0) << j * n
-            out |= block << o2
+            cols, steps = _patterns(n)
+            if slot == 0:
+                out |= x * cols << o2
+            elif x:
+                spread = (x & r >> 1) * steps & cols | (x >> n - 1) << (n - 1) * n
+                out |= r * spread << o2
         return out
 
     def binders(self) -> list[tuple[tuple[int, int, int], ...]]:
@@ -415,10 +423,11 @@ class _Engine:
         return pool1
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
-        return {
-            tau: tuple(x for i, x in enumerate(self.elems[tau]) if m >> o + i & 1)
-            for tau, o in zip(self.cone, self.off[0])
-        }
+        out = {}
+        for tau, n, o in zip(self.cone, self.ns, self.off[0]):
+            b = m >> o & (1 << n) - 1
+            out[tau] = tuple(x for i, x in enumerate(self.elems[tau]) if b >> i & 1)
+        return out
 
 
 def harvest_at(
@@ -578,23 +587,32 @@ def powerset(s: Structure) -> Structure:
 # ------------------------------------------------------------ fixed points
 
 
-def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
-    """One application of the operator carving {a in x : psi(a, Y)}; psi
-    reads a as its free variable x and Y as the parameter #Y."""
-    if not is_positive_in(psi, "Y"):
-        raise ValueError("formula is not positive in 'Y'")
-    if "x" not in free_vars(psi):
-        raise ValueError("formula does not mention the selection variable 'x'")
+def _carve(
+    s: Structure,
+    sigma: str,
+    phi: Formula,
+    pool: dict[str, tuple[KripkeSet, ...]],
+    extra_names: dict[str, KripkeSet] | None,
+    label: str,
+) -> KripkeSet:
+    """The set born at sigma whose extension at each node of its cone is the
+    members of pool there that force phi with x bound to them."""
     f = s.frame
     ext = {
-        tau: tuple(
-            a
-            for a in ext_at(x, tau)
-            if forces(s, tau, psi, {"x": a, "Y": ysub}, extra_names={"Y": ysub})
-        )
-        for tau in up_set(f, x.birth)
+        tau: tuple(a for a in pool[tau] if forces(s, tau, phi, {"x": a}, extra_names))
+        for tau in up_set(f, sigma)
     }
-    return KripkeSet(f, x.birth, ext, "gamma")
+    return KripkeSet(f, sigma, ext, label)
+
+
+def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
+    """One application of the operator carving {a in x : psi(a, Y)}; psi
+    reads a as its only free variable x and Y as the parameter #Y."""
+    if not is_positive_in(psi, "Y"):
+        raise ValueError("formula is not positive in 'Y'")
+    if free_vars(psi) != {"x"}:
+        raise ValueError("the only free variable must be the selection variable 'x'")
+    return _carve(s, x.birth, psi, x.ext, {"Y": ysub}, "gamma")
 
 
 def _subset_signature(x: KripkeSet) -> tuple:
@@ -633,14 +651,7 @@ def define_subset(
 ) -> KripkeSet:
     """The subset of the universe carved by one formula in the variable x at
     one birth node."""
-    f = s.frame
-    ext = {
-        tau: tuple(
-            a for a in s.universe[tau] if forces(s, tau, phi, {"x": a}, extra_names)
-        )
-        for tau in up_set(f, sigma)
-    }
-    return KripkeSet(f, sigma, ext, "carved")
+    return _carve(s, sigma, phi, s.universe, extra_names, "carved")
 
 
 def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:

@@ -342,6 +342,17 @@ def test_gamma_apply_validation():
         gamma_apply(s, three, parse("#Y = #Y"), three)
 
 
+def test_gamma_apply_refuses_a_free_variable_beside_x():
+    # a free variable Y is not the parameter #Y: it escapes the positivity
+    # check, so a non-monotone operator would iterate forever in lfp and gfp
+    f = chain(1)
+    three = internal_nat(f, 3)
+    s = structure_from_sets(f, (three,))
+    for text in ("~(x in Y)", "x in Y"):
+        with pytest.raises(ValueError, match="selection variable"):
+            gamma_apply(s, three, parse(text), three)
+
+
 def _subsets_of(x, f):
     elems = x.ext["0"]
     for r in range(len(elems) + 1):
