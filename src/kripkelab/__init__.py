@@ -34,6 +34,7 @@ from .formula import (
     enumerate_delta0,
     enumerate_pi,
     enumerate_sigma,
+    formula_stream,
     free_vars,
     is_delta0,
     is_positive_in,
@@ -51,6 +52,7 @@ from .semantics import (
     forced_equal,
     forced_member,
     forces,
+    forcing_mask,
     is_end_extension,
     is_ordinal,
     universe_at,

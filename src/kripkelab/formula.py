@@ -15,8 +15,10 @@ A quantifier body extends as far right as possible; parentheses override.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 # ---------------------------------------------------------------- terms
 
@@ -418,6 +420,7 @@ def _atoms(terms: list[Term]) -> list[Formula]:
 
 
 _BOUND_POOL = ("z", "w", "u", "v", "z1", "w1", "u1", "v1")
+_OPS = (And, Or, Implies)
 
 
 def enumerate_delta0(
@@ -437,7 +440,59 @@ def enumerate_delta0(
     pool, raise ValueError (so does a variable `q` in the Sigma and Pi
     enumerators, which add `q`): they would make two terms, and so two
     constructions, equal.
+
+    This is the list of `formula_stream`, which builds every layer but the
+    last up front and the last one only as far as it is read; its length is
+    known beforehand from the operand lists that drive the last layer.
     """
+    return list(formula_stream(max_depth, variables, params)[1])
+
+
+def enumerate_sigma(
+    max_depth: int,
+    variables: tuple[str, ...] = ("x", "y"),
+    params: tuple[str, ...] = (),
+) -> list[Formula]:
+    """Bounded formulas plus one unbounded existential wrapper."""
+    return list(formula_stream(max_depth, variables, params, (None, Exists))[1])
+
+
+def enumerate_pi(
+    max_depth: int,
+    variables: tuple[str, ...] = ("x", "y"),
+    params: tuple[str, ...] = (),
+) -> list[Formula]:
+    """Bounded formulas plus one unbounded universal wrapper."""
+    return list(formula_stream(max_depth, variables, params, (None, Forall))[1])
+
+
+def formula_stream(
+    max_depth: int,
+    variables: tuple[str, ...] = ("x", "y"),
+    params: tuple[str, ...] = (),
+    kinds: tuple[type | None, ...] = (None,),
+) -> tuple[int, Iterator[Formula]]:
+    """The enumerators' streams as a length and a lazy iterator.
+
+    `kinds` lists the parts in order: None for the bounded formulas of
+    `enumerate_delta0`, Exists or Forall for `cls q . phi` over every
+    bounded phi of depth below max_depth, with `q` a free variable of phi.
+    Names are checked on the call, before anything is read."""
+    parts = []
+    for cls in kinds:
+        if cls is None:
+            parts.append(_delta0(max_depth, variables, params))
+        elif max_depth >= 1:
+            size, inner = _delta0(max_depth - 1, variables + ("q",), params)
+            parts.append((size, map(functools.partial(cls, "q", None), inner)))
+    return sum(size for size, _ in parts), itertools.chain(*(it for _, it in parts))
+
+
+def _delta0(
+    max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
+) -> tuple[int, Iterator[Formula]]:
+    """`enumerate_delta0`'s stream: every layer but the last is built, the
+    last is a generator, and the length counts its operands."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     for kind, names in (("variable", variables), ("parameter", params)):
@@ -462,46 +517,24 @@ def enumerate_delta0(
         fresh = layer + [a for a in bound_atoms if a not in met]
         avail = stream + bound_atoms
         older = stream[: len(stream) - len(layer)]
-        pairs = itertools.chain(
-            itertools.product(layer, avail),
-            *(itertools.product((a,), fresh if a in met else avail) for a in bound_atoms),
-            itertools.product(older, fresh),
+        pairs = [
+            (layer, avail),
+            *(((a,), fresh if a in met else avail) for a in bound_atoms),
+            (older, fresh),
+        ]
+        bodies = layer + bound_atoms
+        quantifiers = (Forall, Exists) if depth <= len(_BOUND_POOL) else ()
+        binders = [functools.partial(cls, _BOUND_POOL[depth - 1]) for cls in quantifiers]
+        binds = itertools.product(bodies, binders, base_terms)
+        layer = itertools.chain(
+            map(Not, fresh),
+            (op(phi, psi) for a, b in pairs for phi in a for psi in b for op in _OPS),
+            (bind(t, body) for body, bind, t in binds),
         )
-        new: list[Formula] = [Not(phi) for phi in fresh]
-        new += [op(phi, psi) for phi, psi in pairs for op in (And, Or, Implies)]
-        if depth <= len(_BOUND_POOL):
-            v, kinds = _BOUND_POOL[depth - 1], (Forall, Exists)
-            new += [cls(v, b, body) for body in layer + bound_atoms for cls in kinds for b in base_terms]
-        layer = new
+        if depth == max_depth:
+            size = len(fresh) + len(_OPS) * sum(len(a) * len(b) for a, b in pairs)
+            size += len(binders) * len(bodies) * len(base_terms)
+            return len(stream) + size, itertools.chain(stream, layer)
+        layer = list(layer)
         stream += layer
-    return stream
-
-
-def _unbounded(
-    cls: type, max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
-) -> list[Formula]:
-    """`cls q . phi` for every bounded phi of depth below max_depth."""
-    if max_depth < 1:
-        return []
-    inner = enumerate_delta0(max_depth - 1, variables + ("q",), params)
-    return [cls("q", None, phi) for phi in inner]
-
-
-def enumerate_sigma(
-    max_depth: int,
-    variables: tuple[str, ...] = ("x", "y"),
-    params: tuple[str, ...] = (),
-) -> list[Formula]:
-    """Bounded formulas plus one unbounded existential wrapper."""
-    delta0 = enumerate_delta0(max_depth, variables, params)
-    return delta0 + _unbounded(Exists, max_depth, variables, params)
-
-
-def enumerate_pi(
-    max_depth: int,
-    variables: tuple[str, ...] = ("x", "y"),
-    params: tuple[str, ...] = (),
-) -> list[Formula]:
-    """Bounded formulas plus one unbounded universal wrapper."""
-    delta0 = enumerate_delta0(max_depth, variables, params)
-    return delta0 + _unbounded(Forall, max_depth, variables, params)
+    return len(stream), iter(stream)

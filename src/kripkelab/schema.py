@@ -2,12 +2,15 @@
 
 Every check is one question: does a node force a closed template formula?
 Schema instances plug a swept formula and swept parameters into the
-template; axiom-shaped entries have no formula slot.  A sweep builds the
-template once per swept formula and forces it at every node under every
-parameter assignment, so verdicts on the parts that read no parameter are
-shared.  Structures may carry designated instances in their notes; those
-are checked before the generic sweep, so a designed failure is the one
-reported.
+template; axiom-shaped entries have no formula slot.  A sweep reads its
+formulas from a lazy `formula_stream`, so a sweep that fails early never
+builds the rest of the last layer, and builds the template once per swept
+formula.  It forces the template once per distinct parameter assignment,
+which decides every node at once (`forcing_mask`), and reads one bit per
+(node, assignment) in scope; verdicts on the parts that read no parameter
+are shared.  Structures may carry designated instances in their notes;
+those are checked before the generic sweep, so a designed failure is the
+one reported.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .construct import (
     alpha_forest,
@@ -47,11 +50,9 @@ from .formula import (
     Or,
     Param,
     Var,
-    _unbounded,
     classify,
     enumerate_delta0,
-    enumerate_pi,
-    enumerate_sigma,
+    formula_stream,
     free_vars,
     params_of,
     parse,
@@ -81,6 +82,7 @@ from .semantics import (
     forced_equal,
     forced_member,
     forces,
+    forcing_mask,
     is_end_extension,
     universe_at,
 )
@@ -150,9 +152,10 @@ def _axiom(schema: SchemaId) -> Formula:
     return parse(_AXIOM_TEXT[schema])
 
 
-# Pi uniformity's sweep: `enumerate_pi` without the bounded formulas, which
-# are Delta0 uniformity's
-_strictly_pi = functools.partial(_unbounded, Forall)
+def _strictly_pi(max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]):
+    """Pi uniformity's sweep: `enumerate_pi` without the bounded formulas,
+    which are Delta0 uniformity's."""
+    return list(formula_stream(max_depth, variables, params, (Forall,))[1])
 
 
 @dataclass(frozen=True)
@@ -162,35 +165,36 @@ class _Shape:
     noun: str  # how error messages name the schema's instances
     classes: tuple[str, ...]  # the `classify` results allowed; () allows any
     variables: tuple[str, ...]  # the free variables allowed, also swept
-    enumerator: Callable[..., list[Formula]]  # (depth, variables, params)
+    kinds: tuple[type | None, ...]  # the parts of the swept `formula_stream`
     p_from: int  # the max_params at which #p joins the swept formulas
     takes_a: bool  # the template reads the parameter #A
 
 
 _SHAPES = {
     SchemaId.DELTA0_COMPREHENSION: _Shape(
-        "comprehension", ("Delta0",), ("x",), enumerate_delta0, 2, True
+        "comprehension", ("Delta0",), ("x",), (None,), 2, True
     ),
     SchemaId.DELTA0_BOUNDING: _Shape(
-        "Delta0Bounding", ("Delta0",), ("x", "y"), enumerate_delta0, 2, True
+        "Delta0Bounding", ("Delta0",), ("x", "y"), (None,), 2, True
     ),
     SchemaId.DELTA0_UNIFORMITY: _Shape(
-        "Delta0Uniformity", ("Delta0",), ("x", "y"), enumerate_delta0, 2, True
+        "Delta0Uniformity", ("Delta0",), ("x", "y"), (None,), 2, True
     ),
+    # strictly Pi: see `_strictly_pi`
     SchemaId.PI_UNIFORMITY: _Shape(
-        "PiUniformity", ("Delta0", "Pi"), ("x", "y"), _strictly_pi, 2, True
+        "PiUniformity", ("Delta0", "Pi"), ("x", "y"), (Forall,), 2, True
     ),
     SchemaId.SIGMA_REFLECTION: _Shape(
-        "reflection", ("Delta0", "Sigma"), (), enumerate_sigma, 1, False
+        "reflection", ("Delta0", "Sigma"), (), (None, Exists), 1, False
     ),
     SchemaId.PI_PERSISTENCE: _Shape(
-        "persistence", ("Delta0", "Pi"), (), enumerate_pi, 1, False
+        "persistence", ("Delta0", "Pi"), (), (None, Forall), 1, False
     ),
     SchemaId.EPSILON_INDUCTION: _Shape(
-        "induction", (), ("a",), enumerate_delta0, 2, False
+        "induction", (), ("a",), (None,), 2, False
     ),
     SchemaId.PI2_REFLECTION: _Shape(
-        "Pi2Reflection", ("Delta0",), ("x", "y"), enumerate_delta0, 2, False
+        "Pi2Reflection", ("Delta0",), ("x", "y"), (None,), 2, False
     ),
 }
 
@@ -276,32 +280,13 @@ def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
     )
 
 
-def _param_desc(assignment: dict[str, KripkeSet] | None) -> tuple[str, ...]:
-    if not assignment:
-        return ()
-    return tuple(
-        f"{k}={v.label or f'uid{v.uid}'}" for k, v in sorted(assignment.items())
-    )
-
-
-def _force(
-    s: Structure,
-    schema: SchemaId,
-    template: Formula,
-    phi: Formula | None,
-    assignment: dict[str, KripkeSet] | None,
-    sigma: str,
-) -> tuple | None:
-    """Force `template`, the instance built from phi, at sigma: None when it
-    holds, else the counterexample."""
-    if forces(s, sigma, template, env=None, extra_names=assignment):
-        return None
-    return (
-        schema.value,
-        render(phi) if phi is not None else "",
-        _param_desc(assignment),
-        sigma,
-    )
+def _counterexample(
+    schema: SchemaId, phi: Formula | None, assignment: dict | None, sigma: str
+) -> tuple:
+    """The report of an instance whose template sigma does not force."""
+    values = sorted((assignment or {}).items())
+    desc = tuple(f"{k}={v.label or f'uid{v.uid}'}" for k, v in values)
+    return schema.value, render(phi) if phi is not None else "", desc, sigma
 
 
 @dataclass(frozen=True)
@@ -313,12 +298,14 @@ class CheckReport:
     stats: dict = field(default_factory=dict)
 
 
-def _sweep_formulas(schema: SchemaId, bounds: CheckBounds) -> list[Formula | None]:
+def _stream(schema: SchemaId, bounds: CheckBounds) -> tuple[int, Iterator[Formula | None]]:
+    """The swept formulas, their number and a lazy stream of them; an axiom
+    sweeps one instance with no formula."""
     if schema in AXIOM_IDS:
-        return [None]
+        return 1, iter((None,))
     shape = _SHAPES[schema]
     params = ("p",) if bounds.max_params >= shape.p_from else ()
-    return list(shape.enumerator(bounds.formula_depth, shape.variables, params))
+    return formula_stream(bounds.formula_depth, shape.variables, params, shape.kinds)
 
 
 def _scope(s: Structure, bounds: CheckBounds) -> tuple[str, ...]:
@@ -327,17 +314,12 @@ def _scope(s: Structure, bounds: CheckBounds) -> tuple[str, ...]:
     return s.frame.nodes
 
 
-def _assignments(s: Structure, sigma: str, schema: SchemaId, phi: Formula | None):
-    """Parameter assignments for one formula at one node, in universe order."""
+def _param_names(schema: SchemaId, phi: Formula | None) -> list[str]:
+    """The parameters an instance's template reads, in assignment order."""
     names = sorted(params_of(phi)) if phi is not None else []
     if phi is not None and _SHAPES[schema].takes_a and "A" not in names:
         names = ["A"] + names
-    if not names:
-        yield None
-        return
-    pool = universe_at(s, sigma)
-    for values in itertools.product(pool, repeat=len(names)):
-        yield dict(zip(names, values))
+    return names
 
 
 def check_schema(
@@ -346,7 +328,10 @@ def check_schema(
     """Sweep a schema over enumerated instances plus any designated ones.
 
     Designated instances run first, so a structure built around a known gap
-    reports that gap.  The first failing instance is the counterexample."""
+    reports that gap.  The first failing instance is the counterexample:
+    formulas in stream order, then nodes in scope, then assignments from
+    the node's universe.  Each template is forced once per distinct
+    assignment, over all nodes at once, and each instance reads one bit."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -362,22 +347,32 @@ def check_schema(
         template = build_template(schema, phi)
         for sigma in (inst.node,) if inst.node is not None else nodes:
             instances += 1
-            cex = _force(s, schema, template, phi, assignment, sigma)
-            if cex is not None and failure is None:
-                failure, note = cex, inst.label or "designated instance"
+            held = forces(s, sigma, template, extra_names=assignment)
+            if not held and failure is None:
+                failure = _counterexample(schema, phi, assignment, sigma)
+                note = inst.label or "designated instance"
 
-    formulas = _sweep_formulas(schema, bounds)
+    count, formulas = _stream(schema, bounds)
     for phi in formulas:
         if failure is not None:
             break
         template = build_template(schema, phi)
+        names = _param_names(schema, phi)
+        # sets compare by identity, so a tuple of values keys an assignment
+        # as their uids would
+        masks: dict[tuple, int] = {}
         for sigma in nodes:
             if failure is not None:
                 break
-            for assignment in _assignments(s, sigma, schema, phi):
+            bit = 1 << s.frame.pos[sigma]
+            for values in itertools.product(s.universe[sigma], repeat=len(names)):
                 instances += 1
-                failure = _force(s, schema, template, phi, assignment, sigma)
-                if failure is not None:
+                mask = masks.get(values)
+                if mask is None:
+                    assignment = dict(zip(names, values))
+                    mask = masks[values] = forcing_mask(s, template, None, assignment)
+                if not mask & bit:
+                    failure = _counterexample(schema, phi, dict(zip(names, values)), sigma)
                     break
     return CheckReport(
         schema=schema,
@@ -385,7 +380,7 @@ def check_schema(
         counterexample=failure,
         note=note if failure is not None else "",
         stats={
-            "formulas": len(formulas),
+            "formulas": count,
             "nodes": len(nodes),
             "instances": instances,
             "designated": designated,

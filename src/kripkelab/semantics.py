@@ -270,9 +270,31 @@ def forces(
     the node itself.  Bounded quantifiers range over the bound's extension.
 
     Each free term of phi must be bound and alive at sigma: `EvalError` says
-    which is not before anything is forced, even if no clause would read it.
+    which is not, even if no clause would read it.  The verdict is one bit
+    of `forcing_mask`, which is 0 wherever a term is dead.
     """
     _require(s.frame, sigma)
+    if forcing_mask(s, phi, env, extra_names) >> s.frame.pos[sigma] & 1:
+        return True
+    _, _, variables, names = facts(phi)
+    params = {**s.names, **(extra_names or {})}
+    for x in (*(env[v] for v in variables), *(params[p] for p in names)):
+        if sigma not in x.ext:
+            raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
+    return False
+
+
+def forcing_mask(
+    s: Structure,
+    phi: Formula,
+    env: dict[str, KripkeSet] | None = None,
+    extra_names: dict[str, KripkeSet] | None = None,
+) -> int:
+    """The nodes that force phi under one binding: bit i is set iff
+    `Frame.nodes[i]` forces phi.  Bits outside the domain, the meet of the
+    cones of the values of phi's free variables and parameters, are 0.
+    An unbound variable, an unknown parameter or a value from another frame
+    raises before anything is forced."""
     env, extra_names = env or {}, extra_names or {}
     # class labels only compare within one frame object
     for x in (*env.values(), *extra_names.values()):
@@ -287,10 +309,7 @@ def forces(
         missing += [f"unknown parameter #{p}" for p in names if p not in ctx.params]
         if missing:
             raise EvalError(missing[0])
-        for x in (*(env[v] for v in variables), *(ctx.params[p] for p in names)):
-            if sigma not in x.ext:
-                raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
-        return bool(_code(phi)(ctx, env) >> s.frame.pos[sigma] & 1)
+        return _code(phi)(ctx, env)
     except RecursionError:
         raise EvalError("formula nests too deeply to evaluate") from None
 

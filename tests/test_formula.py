@@ -12,6 +12,7 @@ from kripkelab.formula import (
     Exists,
     facts,
     Forall,
+    formula_stream,
     free_vars,
     Implies,
     is_delta0,
@@ -174,27 +175,31 @@ ENUM_CASES = [
     for p in ((), ("p",))
     if d < 2 or len(v) + len(p) <= 2
 ] + [(3, (), ()), (1, ("x", "y", "q"), ()), (1, ("x", "y", "q"), ("p",))]
+ENUM_IDS = [f"d{d}-{''.join(v) or 'none'}{'-p' if p else ''}" for d, v, p in ENUM_CASES]
 
 
 def _renders(phis):
     return [render(phi) for phi in phis]
 
 
-@pytest.mark.parametrize(
-    "depth, variables, params",
-    ENUM_CASES,
-    ids=[f"d{d}-{''.join(v) or 'none'}{'-p' if p else ''}" for d, v, p in ENUM_CASES],
-)
+@pytest.mark.parametrize("depth, variables, params", ENUM_CASES, ids=ENUM_IDS)
 def test_enumerators_match_the_render_filtered_reference(depth, variables, params):
+    # each enumerator lists a `formula_stream`, whose length is counted from
+    # the operands of its last layer before that layer is built
+    def listed(enum, kinds):
+        phis = enum(depth, variables, params)
+        assert formula_stream(depth, variables, params, kinds)[0] == len(phis)
+        return _renders(phis)
+
     bounded = _renders(reference_delta0(depth, variables, params))
-    assert _renders(enumerate_delta0(depth, variables, params)) == bounded
+    assert listed(enumerate_delta0, (None,)) == bounded
     if "q" in variables:
         return  # the Sigma and Pi enumerators add q and refuse it as a variable
     for cls, enum in ((Exists, enumerate_sigma), (Forall, enumerate_pi)):
         wrapped = _renders(reference_unbounded(cls, depth, variables, params))
-        assert _renders(enum(depth, variables, params)) == bounded + wrapped
+        assert listed(enum, (None, cls)) == bounded + wrapped
     pi = _renders(reference_unbounded(Forall, depth, variables, params))
-    assert _renders(_strictly_pi(depth, variables, params)) == pi
+    assert listed(_strictly_pi, (Forall,)) == pi
 
 
 def test_enumeration_sizes_pin_the_deep_cases():

@@ -110,6 +110,8 @@ def test_builders_cover_the_catalog():
         ("frame tree depth=2\nx = one_sigma zz\n", "unknown node"),
         ("frame tree depth=2\nx = nat 2 3\n", "takes 1 argument"),
         ("frame tree depth=2\nx = L -1\n", "level count"),
+        ("frame chain length=1\nx = nat 20000\n", r"numeral 20000 is past NAT_CAP \(1024\)"),
+        ("frame chain length=2\nx = L 20\n", r"level count 20 is past LEVEL_CAP \(8\)"),
         ("frame tree depth=2\ndesignate Shiny phi=\"x = x\"\n", "unknown schema"),
         ("frame tree depth=2\ndesignate Pairing A=ghost\n", "unknown name"),
         ("frame fan width=2\n_s = staged_nats bot:2 1:1 2:3\nuniverse _s\n",
