@@ -13,26 +13,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .formula import parse, render
-from .frame import dump_frame, parse_frame_spec
-from .hierarchy import (
-    DefConfig,
-    constructible,
-    gfp,
-    iterate_def,
-    lfp,
-    powerset,
-)
-from .schema import CheckBounds, SchemaId, check_schema, lemma_suite, proposition1_crosscheck
-from .semantics import Structure, forces
-from .specfile import (
-    SpecError,
-    canonical_structure,
-    dump_structure_spec,
-    load_structure,
-    parse_structure_spec,
-)
+# each subcommand imports the library modules it runs, and no others
+if TYPE_CHECKING:
+    from .semantics import Structure
 
 
 def _format(args: argparse.Namespace) -> str:
@@ -50,6 +35,9 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _load(args: argparse.Namespace) -> Structure:
+    from .frame import parse_frame_spec
+    from .specfile import SpecError, canonical_structure, load_structure
+
     if getattr(args, "structure", None):
         return load_structure(Path(args.structure))
     if getattr(args, "frame", None):
@@ -68,6 +56,8 @@ def _sizes(s: Structure) -> dict[str, int]:
 
 
 def _named_set(s: Structure, name: str):
+    from .specfile import SpecError
+
     if name not in s.names:
         raise SpecError(f"unknown set name {name!r}; structure names: {sorted(s.names)}")
     return s.names[name]
@@ -77,6 +67,8 @@ def _named_set(s: Structure, name: str):
 
 
 def cmd_frame(args: argparse.Namespace) -> int:
+    from .frame import parse_frame_spec
+
     f = parse_frame_spec(args.frame)
     edges = sorted((a, b) for (a, b) in f.order if a != b)
     _emit(
@@ -99,6 +91,10 @@ def cmd_frame(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .formula import parse, render
+    from .semantics import forces
+    from .specfile import SpecError
+
     s = _load(args)
     phi = parse(args.formula)
     f = s.frame
@@ -123,6 +119,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_def(args: argparse.Namespace) -> int:
+    from .hierarchy import DefConfig, iterate_def
+
     s = _load(args)
     cfg = DefConfig(formula_depth=args.depth)
     out = iterate_def(s, args.steps, cfg)
@@ -146,6 +144,8 @@ def cmd_def(args: argparse.Namespace) -> int:
 
 
 def cmd_L(args: argparse.Namespace) -> int:
+    from .hierarchy import DefConfig, constructible
+
     s = _load(args)
     x = _named_set(s, args.ordinal)
     cfg = DefConfig(formula_depth=args.depth)
@@ -166,6 +166,8 @@ def cmd_L(args: argparse.Namespace) -> int:
 
 
 def cmd_powerset(args: argparse.Namespace) -> int:
+    from .hierarchy import powerset
+
     s = _load(args)
     out = powerset(s)
     _emit(
@@ -182,6 +184,9 @@ def _stage_line(head: str, x) -> str:
 
 
 def cmd_fixpoint(args: argparse.Namespace) -> int:
+    from .formula import parse, render
+    from .hierarchy import gfp, lfp
+
     which = args.command
     s = _load(args)
     x = _named_set(s, args.set)
@@ -203,6 +208,9 @@ def cmd_fixpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .schema import CheckBounds, SchemaId, check_schema
+    from .specfile import SpecError
+
     s = _load(args)
     try:
         schema = SchemaId(args.schema)
@@ -237,6 +245,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_prop1(args: argparse.Namespace) -> int:
+    from .schema import CheckBounds, proposition1_crosscheck
+    from .specfile import SpecError, load_structure
+
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise SpecError(f"corpus directory not found: {corpus_dir}")
@@ -274,6 +285,8 @@ def cmd_prop1(args: argparse.Namespace) -> int:
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
+    from .schema import lemma_suite
+
     rows = lemma_suite(
         tree_depth=args.tree_depth,
         def_depth=args.depth,
@@ -303,6 +316,8 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     if args.what == "frame":
+        from .frame import dump_frame, parse_frame_spec
+
         if args.frame:
             f = parse_frame_spec(args.frame)
         else:
@@ -310,6 +325,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
         text = dump_frame(f)
         _emit(args, {"cmd": "dump", "what": "frame", "text": text}, [text])
         return 0
+    from .specfile import SpecError, dump_structure_spec, parse_structure_spec
+
     if args.what == "structure":
         if not args.structure:
             raise SpecError("dump --what structure needs --structure FILE")
@@ -324,6 +341,9 @@ def cmd_dump(args: argparse.Namespace) -> int:
     if args.what == "trace":
         if not (args.set and args.formula):
             raise SpecError("dump --what trace needs --set and --formula")
+        from .formula import parse
+        from .hierarchy import gfp, lfp
+
         s = _load(args)
         x = _named_set(s, args.set)
         psi = parse(args.formula)

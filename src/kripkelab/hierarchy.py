@@ -55,6 +55,7 @@ from .semantics import (
     alive,
     class_at,
     forces,
+    forcing_mask,
     is_ordinal,
     universe_at,
 )
@@ -240,6 +241,8 @@ class _Engine:
         params = self.elems[self.sigma]
         eq_p, in_p, has_p = ([0] * len(params) for _ in range(3))
         ins = has = eqs = selfin = zone_map = 0
+        # one mask for the sentence _zone(): bit i is frame node i
+        zone, bit = forcing_mask(self.s, _zone()), self.s.frame.pos
         for k, tau in enumerate(self.cone):
             es = self.elems[tau]
             n, o1, o2 = len(es), self.off[0][k], self.off[1][k]
@@ -273,7 +276,7 @@ class _Engine:
                 eq_p[t] |= (eqs_k >> j & r) << o1
                 in_p[t] |= (ins_k >> j & r) << o1
                 has_p[t] |= (has_k >> j & r) << o1
-            if forces(self.s, tau, _zone()):
+            if zone >> bit[tau] & 1:
                 zone_map |= r << o1
         return eq_p, in_p, has_p, [self.full[0], selfin, zone_map], [ins, has, eqs]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import construct as C
 from .frame import Frame, parse_frame_spec
@@ -31,8 +32,12 @@ from .hierarchy import (
     iterate_def,
     structure_from_sets,
 )
-from .schema import DesignatedInstance, SchemaId
 from .semantics import KripkeSet, Structure, alive
+
+# schema is imported where `designate` lines are parsed, so that reading a
+# file without one does not load the checkers
+if TYPE_CHECKING:
+    from .schema import DesignatedInstance
 
 _BUILDERS = (
     "empty",
@@ -47,9 +52,11 @@ _BUILDERS = (
     "staged_nats",
 )
 
-# the largest `nat k` and `L k` a file may ask for: building the numeral and
-# reading it took 0.7 s at k = 1024 on chain length=1 and 2.3 s at 2048;
-# eight levels took 0.5 s on chain length=2 (0.8-1.0 s on three- and
+# the largest numeral times node count (`nat k`, and the largest count of
+# `staged_nats`) and the largest `L k` a file may ask for: building the
+# numeral and reading it took 0.7 s at k = 1024 on chain length=1 and 2.3 s
+# at 2048, and 14-16 s at k = 1024 on chain length=32, so the cost grows with
+# both; eight levels took 0.5 s on chain length=2 (0.8-1.0 s on three- and
 # four-node frames), nine 0.8 s and ten 1.8 s
 NAT_CAP = 1024
 LEVEL_CAP = 8
@@ -128,6 +135,8 @@ def _name_refs(builder: str, args: tuple[str, ...]) -> tuple[str, ...]:
 def _parse_designation(
     toks: list[str], names_seen: set[str], lineno: int
 ) -> DesignatedInstance:
+    from .schema import DesignatedInstance, SchemaId
+
     if not toks:
         raise SpecError(f"line {lineno}: designate needs a schema name")
     try:
@@ -155,6 +164,15 @@ def _parse_designation(
     return DesignatedInstance(schema, phi, tuple(params), node, label)
 
 
+def _cap_numeral(f: Frame, k: int, what: str) -> None:
+    """Refuse k once k times the node count is past NAT_CAP; `what` names k."""
+    n = len(f.nodes)
+    if k * n > NAT_CAP:
+        raise SpecError(
+            f"{what} is past NAT_CAP ({NAT_CAP}) on a {n}-node frame (at most {NAT_CAP // n})"
+        )
+
+
 def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
     counts: dict[str, int] = {}
     for a in args:
@@ -177,6 +195,8 @@ def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
     # growth is transitive, so checking each cover checks the order
     if any(counts[a] > counts[b] for a in f.nodes for b in f.succ[a]):
         raise SpecError(f"{what}: counts must grow along the order")
+    top = max(counts.values())
+    _cap_numeral(f, top, f"{what}: count {top}")
     ext = {
         tau: tuple(C.internal_nat(f, k) for k in range(counts[tau])) for tau in f.nodes
     }
@@ -199,8 +219,7 @@ def _build_one(
             k = int(args[0])
         except ValueError:
             raise SpecError(f"{what}: bad numeral {args[0]!r}") from None
-        if k > NAT_CAP:
-            raise SpecError(f"{what}: numeral {k} is past NAT_CAP ({NAT_CAP})")
+        _cap_numeral(f, k, f"{what}: numeral {k}")
         return C.internal_nat(f, k)
     if builder == "one_sigma":
         arity(1)
