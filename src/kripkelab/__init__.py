@@ -56,12 +56,15 @@ _EXPORTS = {
         "KripkeSet",
         "Structure",
         "delta0_absolute",
+        "empty_structure",
         "forced_equal",
         "forced_member",
         "forces",
         "forcing_mask",
+        "hereditary_closure",
         "is_end_extension",
         "is_ordinal",
+        "structure_from_sets",
         "universe_at",
     ),
     "construct": (
@@ -91,14 +94,11 @@ _EXPORTS = {
         "def_step",
         "definable_branches",
         "define_subset",
-        "empty_structure",
         "gamma_apply",
         "gfp",
-        "hereditary_closure",
         "iterate_def",
         "lfp",
         "powerset",
-        "structure_from_sets",
     ),
     "schema": (
         "AXIOM_IDS",

@@ -17,20 +17,47 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
+
+from .frame import _Frozen
+
+# Terms and formulas are plain slotted classes, grouped by field shape: one
+# base per shape writes out construction, equality (same class, same fields,
+# compared as tuples, which skip identical children), hashing and the
+# dataclass-style repr; the leaf classes only name the kind.  Constructors
+# fill the fields through the slots' own setters, which skip
+# `_Frozen.__setattr__` and cost less than `object.__setattr__`.
 
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Term(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
-    name: str
+_set_name = _Term.name.__set__
+
+
+class Var(_Term):
+    __slots__ = ()
+
+
+class Param(_Term):
+    __slots__ = ()
 
 
 Term = Var | Param
@@ -38,7 +65,7 @@ Term = Var | Param
 # -------------------------------------------------------------- formulas
 
 
-class _Node:
+class _Node(_Frozen):
     """The base of every formula class: one slot for the node's facts,
     which `facts` fills on first use, and one for its compiled forcing
     function, which `semantics` fills on first use."""
@@ -46,54 +73,109 @@ class _Node:
     __slots__ = ("_facts", "_code")
 
 
-@dataclass(frozen=True, slots=True)
-class Member(_Node):
-    left: Term
-    right: Term
+_set_facts = _Node._facts.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Eq(_Node):
-    left: Term
-    right: Term
+class _Binary(_Node):
+    """An atom over two terms or a connective over two formulas."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
+class Member(_Binary):
+    __slots__ = ()
+
+
+class Eq(_Binary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
 class Not(_Node):
-    body: "Formula"
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula"):
+        _set_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+    def __repr__(self) -> str:
+        return f"Not(body={self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+_set_body = Not.body.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binder(_Node):
+    """A quantifier: its variable, its bound term (None if unbounded) and
+    its body."""
+
+    __slots__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Term | None, body: "Formula"):
+        _set_var(self, var)
+        _set_bound(self, bound)
+        _set_binder_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.bound, self.body) == (other.var, other.bound, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.bound, self.body))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(var={self.var!r}, bound={self.bound!r}, body={self.body!r})"
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+_set_var, _set_bound = _Binder.var.__set__, _Binder.bound.__set__
+_set_binder_body = _Binder.body.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Forall(_Node):
-    var: str
-    bound: Term | None
-    body: "Formula"
+class Forall(_Binder):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(_Node):
-    var: str
-    bound: Term | None
-    body: "Formula"
-
+class Exists(_Binder):
+    __slots__ = ()
 
 Formula = Member | Eq | Not | And | Or | Implies | Forall | Exists
 
@@ -293,7 +375,7 @@ def facts(phi: Formula) -> tuple[int, bool, tuple[str, ...], tuple[str, ...]]:
     ps = {p for kid in kids for p in kid[3]}
     ps.update(t.name for t in terms if isinstance(t, Param))
     out = (next(_serials), bounded, tuple(sorted(fv)), tuple(sorted(ps)))
-    object.__setattr__(phi, "_facts", out)
+    _set_facts(phi, out)
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
 
 
 # each frame family's size parameters, in order, as frame specs name them
@@ -48,26 +47,66 @@ def _node_count(name: str, sizes: tuple[int, ...]) -> int:
     return 2 + copies * tree(depth)
 
 
-@dataclass(frozen=True)
-class FrameKind:
+class _Frozen:
+    """Assignment and deletion raise AttributeError, as on a frozen
+    dataclass; constructors fill their slots past `__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """An immutable value record over the fields its class lists in
+    `__slots__`: it compares and hashes field by field, equal only to a
+    record of its own class, and its repr is `Name(field=value, ...)`.
+    `_fill` sets the fields and keeps their values as one tuple, `_key`,
+    which equality and hashing read.  Records are plain classes, not
+    dataclasses: importing `dataclasses` and writing each class's methods
+    cost a cold run more than its own work."""
+
+    __slots__ = ("_key",)
+
+    def _fill(self, *values) -> None:
+        object.__setattr__(self, "_key", values)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrameKind(_Record):
     """A frame family name plus its size parameters."""
 
-    name: str
-    sizes: tuple[int, ...]
+    __slots__ = ("name", "sizes")
 
-    def __post_init__(self) -> None:
-        if self.name not in _FAMILIES:
-            raise ValueError(f"unknown frame kind {self.name!r}")
-        arity = len(_FAMILIES[self.name])
-        if len(self.sizes) != arity:
-            raise ValueError(f"{self.name} takes {arity} size parameter(s)")
-        if any(s < 1 for s in self.sizes):
-            raise ValueError(f"{self.name} size parameters must be >= 1, got {self.sizes}")
-        if _node_count(self.name, self.sizes) > MAX_NODES:
-            raise ValueError(f"{self.name} frame {self.sizes} has more than {MAX_NODES} nodes")
+    def __init__(self, name: str, sizes: tuple[int, ...]):
+        if name not in _FAMILIES:
+            raise ValueError(f"unknown frame kind {name!r}")
+        arity = len(_FAMILIES[name])
+        if len(sizes) != arity:
+            raise ValueError(f"{name} takes {arity} size parameter(s)")
+        if any(s < 1 for s in sizes):
+            raise ValueError(f"{name} size parameters must be >= 1, got {sizes}")
+        if _node_count(name, sizes) > MAX_NODES:
+            raise ValueError(f"{name} frame {sizes} has more than {MAX_NODES} nodes")
+        self._fill(name, sizes)
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
     """A finite poset with bottom, built from its nodes and covering pairs.
 
@@ -82,34 +121,21 @@ class Frame:
     (the edges of the Hasse diagram) in node order, and `order` all pairs
     (a, b) with a <= b, built on first read.  Every covering pair is a given
     pair, so a given successor of a covers it unless it lies strictly above
-    another.
+    another.  Frames compare by identity and do not change once built.
     """
 
-    nodes: tuple[str, ...]
-    covers: InitVar[Iterable[tuple[str, str]]]
-    kind: str = "explicit"
-    bottom: str = field(init=False)
-    # Per-frame tables, excluded from equality/repr: the up-sets read so far
-    # (`up_set` fills it), the intern table of forced-equality class labels
-    # (semantics; node names and ints only, no sets), the forcing masks of
-    # all structures on the frame keyed by formula serial (semantics; no
-    # formulas), and the interned constructions (construct).  The intern
-    # table grows with the number of distinct classes ever labelled and is
-    # never reset: labels stored on sets point into it.
-    up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    caches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # bit j of masks[i] is set iff nodes[i] <= nodes[j], pos[nodes[i]] == i,
-    # succ[a] holds the nodes that cover a, and runs holds one
-    # (pos[a], 1, pos[b]) per covering pair a < b, top nodes first (see hits)
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pos: dict = field(init=False, repr=False, compare=False)
-    succ: dict = field(init=False, repr=False, compare=False)
-    runs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, covers: Iterable[tuple[str, str]]) -> None:
-        nodes = self.nodes
+    def __init__(
+        self, nodes: tuple[str, ...], covers: Iterable[tuple[str, str]], kind: str = "explicit"
+    ):
+        self.nodes, self.kind = nodes, kind
+        # Per-frame tables: the up-sets read so far (`up_set` fills it), the
+        # intern table of forced-equality class labels (semantics; node
+        # names and ints only, no sets), the forcing masks of all structures
+        # on the frame keyed by formula serial (semantics; no formulas), and
+        # the interned constructions (construct).  The intern table grows
+        # with the number of distinct classes ever labelled and is never
+        # reset: labels stored on sets point into it.
+        self.up, self.classes, self.memo, self.caches = {}, {}, {}, {}
         pos = {n: i for i, n in enumerate(nodes)}
         if len(pos) != len(nodes):
             dup = next(n for i, n in enumerate(nodes) if pos[n] != i)
@@ -145,12 +171,12 @@ class Frame:
             succ[n] = tuple(nodes[j] for j in g if not beyond >> j & 1)
         # top nodes first: a node strictly above has a strictly smaller up-set
         top = sorted(range(len(nodes)), key=lambda i: masks[i].bit_count())
-        runs = tuple((i, 1, pos[b]) for i in top for b in succ[nodes[i]])
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "bottom", nodes[owner[full]])
+        # bit j of masks[i] is set iff nodes[i] <= nodes[j], pos[nodes[i]] == i,
+        # and runs holds one (pos[a], 1, pos[b]) per covering pair a < b, top
+        # nodes first (see hits)
+        self.masks, self.pos, self.succ = tuple(masks), pos, succ
+        self.runs = tuple((i, 1, pos[b]) for i in top for b in succ[nodes[i]])
+        self.bottom = nodes[owner[full]]
 
     @functools.cached_property
     def order(self) -> frozenset[tuple[str, str]]:

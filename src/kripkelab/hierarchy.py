@@ -1,6 +1,11 @@
 """Definability steps, constructible towers over internal sets, powersets,
 and inductive fixed points.
 
+The structures these start from are assembled in `semantics`, beside
+`Structure` (`hereditary_closure`, `structure_from_sets`,
+`empty_structure`), so a process that only loads a structure file without
+`L` lines never imports this module.
+
 The definability engine works per birth node.  It represents a candidate
 definable subset as a map: one int holding a bitmask over the universe at
 every cone node (or over its pairs, for maps of two variables), each node in
@@ -37,11 +42,10 @@ Harvests are interned per frame by the universes of the birth node's cone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .formula import Formula, free_vars, is_positive_in, parse
-from .frame import Frame, hits, leq, linear_extension, up_set
+from .frame import Frame, _Record, hits, leq, linear_extension, up_set
 from .construct import (
     POWERSET_CAP,
     _intern,
@@ -54,9 +58,11 @@ from .semantics import (
     _fresh,
     alive,
     class_at,
+    empty_structure,
     forces,
     forcing_mask,
     is_ordinal,
+    structure_from_sets,
     universe_at,
 )
 
@@ -64,57 +70,13 @@ HARVEST_CAP = 56
 POOL_CAP = 2048
 
 
-@dataclass(frozen=True)
-class DefConfig:
-    formula_depth: int = 4
+class DefConfig(_Record):
+    __slots__ = ("formula_depth",)
 
-    def __post_init__(self) -> None:
-        if self.formula_depth < 1:
+    def __init__(self, formula_depth: int = 4):
+        if formula_depth < 1:
             raise ValueError("formula_depth must be >= 1")
-
-
-# ------------------------------------------------------ structure assembly
-
-
-def hereditary_closure(
-    sets: tuple[KripkeSet, ...], seeds: tuple[KripkeSet, ...] = ()
-) -> dict[str, tuple[KripkeSet, ...]]:
-    """Per-node universe holding the given sets and all members, recursively.
-
-    The members of each seed (not the seed itself) come first, node by node.
-    """
-    if not sets and not seeds:
-        raise ValueError("need at least one set")
-    f = (seeds + sets)[0].frame
-    per_node: dict[str, dict[int, KripkeSet]] = {tau: {} for tau in f.nodes}
-
-    def add(x: KripkeSet, tau: str) -> None:
-        if x.uid in per_node[tau]:
-            return
-        per_node[tau][x.uid] = x
-        for m in x.ext[tau]:
-            add(m, tau)
-
-    for tau in f.nodes:
-        for x in seeds:
-            if alive(x, tau):
-                for m in x.ext[tau]:
-                    add(m, tau)
-        for x in sets:
-            if alive(x, tau):
-                add(x, tau)
-    return {tau: tuple(per_node[tau].values()) for tau in f.nodes}
-
-
-def structure_from_sets(
-    f: Frame, sets: tuple[KripkeSet, ...], names: dict[str, KripkeSet] | None = None
-) -> Structure:
-    universe = hereditary_closure(sets) if sets else {tau: () for tau in f.nodes}
-    return Structure(frame=f, universe=universe, names=dict(names or {}))
-
-
-def empty_structure(f: Frame) -> Structure:
-    return structure_from_sets(f, ())
+        self._fill(formula_depth)
 
 
 def _shared_empty(f: Frame) -> Structure:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -60,7 +59,7 @@ from .formula import (
     render,
     substitute,
 )
-from .frame import Frame, chain, forest, leaves, leq, tree, up_set
+from .frame import Frame, _Record, chain, forest, leaves, leq, tree, up_set
 from .hierarchy import (
     DefConfig,
     constructible,
@@ -68,22 +67,22 @@ from .hierarchy import (
     def_step,
     definable_branches,
     define_subset,
-    empty_structure,
     gamma_apply,
     gfp,
     lfp,
-    structure_from_sets,
 )
 from .semantics import (
     KripkeSet,
     Structure,
     class_at,
     delta0_absolute,
+    empty_structure,
     forced_equal,
     forced_member,
     forces,
     forcing_mask,
     is_end_extension,
+    structure_from_sets,
     universe_at,
 )
 
@@ -108,32 +107,35 @@ AXIOM_IDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CheckBounds:
-    formula_depth: int = 1
-    max_params: int = 1
-    node_scope: str = "all"
+class CheckBounds(_Record):
+    __slots__ = ("formula_depth", "max_params", "node_scope")
 
-    def __post_init__(self) -> None:
-        if self.formula_depth < 0 or self.max_params < 0:
+    def __init__(self, formula_depth: int = 1, max_params: int = 1, node_scope: str = "all"):
+        if formula_depth < 0 or max_params < 0:
             raise ValueError("formula_depth and max_params must be >= 0")
-        if self.node_scope not in ("all", "bottom"):
+        if node_scope not in ("all", "bottom"):
             raise ValueError("node_scope must be 'all' or 'bottom'")
+        self._fill(formula_depth, max_params, node_scope)
 
 
-@dataclass(frozen=True)
-class DesignatedInstance:
+class DesignatedInstance(_Record):
     """A handpicked schema instance carried in a structure's notes.
 
     `params` maps template parameter names to names-table entries; `node`
     pins the evaluation node, defaulting to the scope of the enclosing
     check."""
 
-    schema: SchemaId
-    phi: str | None = None
-    params: tuple[tuple[str, str], ...] = ()
-    node: str | None = None
-    label: str = ""
+    __slots__ = ("schema", "phi", "params", "node", "label")
+
+    def __init__(
+        self,
+        schema: SchemaId,
+        phi: str | None = None,
+        params: tuple[tuple[str, str], ...] = (),
+        node: str | None = None,
+        label: str = "",
+    ):
+        self._fill(schema, phi, params, node, label)
 
 
 _AXIOM_TEXT = {
@@ -158,16 +160,21 @@ def _strictly_pi(max_depth: int, variables: tuple[str, ...], params: tuple[str, 
     return list(formula_stream(max_depth, variables, params, (Forall,))[1])
 
 
-@dataclass(frozen=True)
-class _Shape:
+class _Shape(_Record):
     """What a schema with a formula slot accepts there, and what it sweeps."""
 
-    noun: str  # how error messages name the schema's instances
-    classes: tuple[str, ...]  # the `classify` results allowed; () allows any
-    variables: tuple[str, ...]  # the free variables allowed, also swept
-    kinds: tuple[type | None, ...]  # the parts of the swept `formula_stream`
-    p_from: int  # the max_params at which #p joins the swept formulas
-    takes_a: bool  # the template reads the parameter #A
+    __slots__ = ("noun", "classes", "variables", "kinds", "p_from", "takes_a")
+
+    def __init__(
+        self,
+        noun: str,  # how error messages name the schema's instances
+        classes: tuple[str, ...],  # the `classify` results allowed; () allows any
+        variables: tuple[str, ...],  # the free variables allowed, also swept
+        kinds: tuple[type | None, ...],  # the parts of the swept `formula_stream`
+        p_from: int,  # the max_params at which #p joins the swept formulas
+        takes_a: bool,  # the template reads the parameter #A
+    ):
+        self._fill(noun, classes, variables, kinds, p_from, takes_a)
 
 
 _SHAPES = {
@@ -289,13 +296,18 @@ def _counterexample(
     return schema.value, render(phi) if phi is not None else "", desc, sigma
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    schema: SchemaId
-    holds: bool
-    counterexample: tuple | None = None
-    note: str = ""
-    stats: dict = field(default_factory=dict)
+class CheckReport(_Record):
+    __slots__ = ("schema", "holds", "counterexample", "note", "stats")
+
+    def __init__(
+        self,
+        schema: SchemaId,
+        holds: bool,
+        counterexample: tuple | None = None,
+        note: str = "",
+        stats: dict | None = None,
+    ):
+        self._fill(schema, holds, counterexample, note, {} if stats is None else stats)
 
 
 def _stream(schema: SchemaId, bounds: CheckBounds) -> tuple[int, Iterator[Formula | None]]:
@@ -403,18 +415,18 @@ EQUIVALENT_TRIO = (
 )
 
 
-@dataclass(frozen=True)
-class Prop1Row:
-    label: str
-    trio: tuple[tuple[str, bool], ...]
-    agreement: bool
+class Prop1Row(_Record):
+    __slots__ = ("label", "trio", "agreement")
+
+    def __init__(self, label: str, trio: tuple[tuple[str, bool], ...], agreement: bool):
+        self._fill(label, trio, agreement)
 
 
-@dataclass(frozen=True)
-class Prop1Report:
-    rows: tuple[Prop1Row, ...]
-    agreements: int
-    disagreements: int
+class Prop1Report(_Record):
+    __slots__ = ("rows", "agreements", "disagreements")
+
+    def __init__(self, rows: tuple[Prop1Row, ...], agreements: int, disagreements: int):
+        self._fill(rows, agreements, disagreements)
 
 
 def proposition1_crosscheck(
@@ -444,12 +456,17 @@ def proposition1_crosscheck(
 # ----------------------------------------------------------- lemma battery
 
 
-@dataclass(frozen=True)
-class LemmaResult:
-    tag: str
-    status: str  # "holds" | "fails" | "under-enumeration"
-    checked: int
-    note: str = ""
+class LemmaResult(_Record):
+    __slots__ = ("tag", "status", "checked", "note")
+
+    def __init__(
+        self,
+        tag: str,
+        status: str,  # "holds" | "fails" | "under-enumeration"
+        checked: int,
+        note: str = "",
+    ):
+        self._fill(tag, status, checked, note)
 
 
 def _result(

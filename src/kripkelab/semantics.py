@@ -34,13 +34,16 @@ then the uids of the values of its free variables and parameters.  A
 bounded formula reads extensions and labels but never a universe, so one
 mask serves every structure on the frame; unbounded keys carry
 `Structure.uid`.  Each key is built by code written for its shape.
+
+Structures are assembled here too: `hereditary_closure` closes sets under
+membership node by node, and `structure_from_sets` and `empty_structure`
+build a `Structure` on it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .formula import (
     Eq,
@@ -188,30 +191,35 @@ def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
 # ------------------------------------------------------------- structure
 
 
-@dataclass(frozen=True, eq=False)
+_structure_uids = itertools.count()
+
+
 class Structure:
     """A frame, a monotone universe map, and a table of named sets.
 
     Universe members must be alive where listed and closed under membership.
     Named sets only need to be alive somewhere on the frame; they are not
-    required to sit inside the universe.
+    required to sit inside the universe.  Structures compare by identity and
+    are not changed once built, except for the flags kept in `meta`.
     """
 
-    frame: Frame
-    universe: dict[str, tuple[KripkeSet, ...]]
-    names: dict[str, KripkeSet]
-    notes: tuple = ()
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
-    # `uid` tells this structure's unbounded verdicts apart in the frame's
-    # forcing memo (see `forces`); definability harvests are interned per
-    # frame by cone universe (see `hierarchy.harvest_at`), not kept here.
-    uid: int = field(default_factory=itertools.count().__next__, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if set(self.universe) != set(self.frame.nodes):
+    def __init__(
+        self,
+        frame: Frame,
+        universe: dict[str, tuple[KripkeSet, ...]],
+        names: dict[str, KripkeSet],
+        notes: tuple = (),
+    ):
+        self.frame, self.universe, self.names, self.notes = frame, universe, names, notes
+        self.meta = {}  # the flags a builder sets: truncated, stabilized
+        # `uid` tells this structure's unbounded verdicts apart in the frame's
+        # forcing memo (see `forces`); definability harvests are interned per
+        # frame by cone universe (see `hierarchy.harvest_at`), not kept here.
+        self.uid = next(_structure_uids)
+        if set(universe) != set(frame.nodes):
             raise ValueError("universe must assign a tuple to every node")
         listed: dict[str, set[int]] = {}
-        for tau, elems in self.universe.items():
+        for tau, elems in universe.items():
             uids = listed[tau] = set()
             for x in elems:
                 if tau not in x.ext:
@@ -226,12 +234,12 @@ class Structure:
                             f"universe at {tau!r} is not membership-closed: "
                             f"{m!r} in {x!r} is missing"
                         )
-        for tau in self.frame.nodes:
-            for rho in self.frame.succ[tau]:
+        for tau in frame.nodes:
+            for rho in frame.succ[tau]:
                 if not listed[tau] <= listed[rho]:
                     raise ValueError(f"universe shrinks from {tau!r} to {rho!r}")
-        for name, x in self.names.items():
-            if x.frame is not self.frame:
+        for name, x in names.items():
+            if x.frame is not frame:
                 raise ValueError(f"named set {name!r} lives on a different frame")
 
     @functools.cached_property
@@ -241,6 +249,50 @@ class Structure:
 
 def universe_at(s: Structure, sigma: str) -> tuple[KripkeSet, ...]:
     return s.universe[sigma]
+
+
+# ------------------------------------------------------ structure assembly
+
+
+def hereditary_closure(
+    sets: tuple[KripkeSet, ...], seeds: tuple[KripkeSet, ...] = ()
+) -> dict[str, tuple[KripkeSet, ...]]:
+    """Per-node universe holding the given sets and all members, recursively.
+
+    The members of each seed (not the seed itself) come first, node by node.
+    """
+    if not sets and not seeds:
+        raise ValueError("need at least one set")
+    f = (seeds + sets)[0].frame
+    per_node: dict[str, dict[int, KripkeSet]] = {tau: {} for tau in f.nodes}
+
+    def add(x: KripkeSet, tau: str) -> None:
+        if x.uid in per_node[tau]:
+            return
+        per_node[tau][x.uid] = x
+        for m in x.ext[tau]:
+            add(m, tau)
+
+    for tau in f.nodes:
+        for x in seeds:
+            if alive(x, tau):
+                for m in x.ext[tau]:
+                    add(m, tau)
+        for x in sets:
+            if alive(x, tau):
+                add(x, tau)
+    return {tau: tuple(per_node[tau].values()) for tau in f.nodes}
+
+
+def structure_from_sets(
+    f: Frame, sets: tuple[KripkeSet, ...], names: dict[str, KripkeSet] | None = None
+) -> Structure:
+    universe = hereditary_closure(sets) if sets else {tau: () for tau in f.nodes}
+    return Structure(frame=f, universe=universe, names=dict(names or {}))
+
+
+def empty_structure(f: Frame) -> Structure:
+    return structure_from_sets(f, ())
 
 
 # ---------------------------------------------------------------- forces

@@ -20,22 +20,15 @@ Parsing and dumping round-trip exactly.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import construct as C
-from .frame import Frame, parse_frame_spec
-from .hierarchy import (
-    DefConfig,
-    _shared_empty,
-    hereditary_closure,
-    iterate_def,
-    structure_from_sets,
-)
-from .semantics import KripkeSet, Structure, alive
+from .frame import Frame, _Record, parse_frame_spec
+from .semantics import KripkeSet, Structure, alive, hereditary_closure, structure_from_sets
 
-# schema is imported where `designate` lines are parsed, so that reading a
-# file without one does not load the checkers
+# schema is imported where `designate` lines are parsed, and hierarchy where
+# an `L` line is built, so that reading a file without them loads neither the
+# checkers nor the definability engine
 if TYPE_CHECKING:
     from .schema import DesignatedInstance
 
@@ -53,21 +46,30 @@ _BUILDERS = (
 )
 
 # the largest numeral times node count (`nat k`, and the largest count of
-# `staged_nats`) and the largest `L k` a file may ask for: building the
-# numeral and reading it took 0.7 s at k = 1024 on chain length=1 and 2.3 s
-# at 2048, and 14-16 s at k = 1024 on chain length=32, so the cost grows with
-# both; eight levels took 0.5 s on chain length=2 (0.8-1.0 s on three- and
-# four-node frames), nine 0.8 s and ten 1.8 s
+# `staged_nats`): building the numeral and reading it took 0.7 s at k = 1024
+# on chain length=1 and 2.3 s at 2048, and 14-16 s at k = 1024 on chain
+# length=32, so the cost grows with both
 NAT_CAP = 1024
+# the largest `L k`, and the largest k times node count: eight levels took
+# 0.5 s on chain length=2, nine 0.8 s and ten 1.8 s; eight took 0.7 s on tree
+# depth=2, 1.9 s on chain length=4, 2.7 s on tree depth=3 and 5.7 s on chain
+# length=8, and on chain length=32 three took 0.1 s and four 1.9 s (2 cores,
+# Python 3.11)
 LEVEL_CAP = 8
+LEVEL_NODE_CAP = 24
 
 
-@dataclass(frozen=True)
-class StructSpec:
-    frame_text: str
-    entries: tuple[tuple[str, str, tuple[str, ...]], ...]
-    universe_seeds: tuple[str, ...] = ()
-    designations: tuple[DesignatedInstance, ...] = ()
+class StructSpec(_Record):
+    __slots__ = ("frame_text", "entries", "universe_seeds", "designations")
+
+    def __init__(
+        self,
+        frame_text: str,
+        entries: tuple[tuple[str, str, tuple[str, ...]], ...],
+        universe_seeds: tuple[str, ...] = (),
+        designations: tuple[DesignatedInstance, ...] = (),
+    ):
+        self._fill(frame_text, entries, universe_seeds, designations)
 
 
 class SpecError(ValueError):
@@ -266,6 +268,14 @@ def _build_one(
             raise SpecError(f"{what}: level count must be >= 0")
         if levels > LEVEL_CAP:
             raise SpecError(f"{what}: level count {levels} is past LEVEL_CAP ({LEVEL_CAP})")
+        n = len(f.nodes)
+        if levels * n > LEVEL_NODE_CAP:
+            raise SpecError(
+                f"{what}: level count {levels} is past LEVEL_NODE_CAP ({LEVEL_NODE_CAP}) "
+                f"on a {n}-node frame (at most {LEVEL_NODE_CAP // n})"
+            )
+        from .hierarchy import DefConfig, _shared_empty, iterate_def
+
         stepped = iterate_def(_shared_empty(f), levels, DefConfig(formula_depth=2))
         return KripkeSet(f, f.bottom, dict(stepped.universe), f"L{levels}")
     if builder == "staged_nats":

@@ -24,7 +24,6 @@ from kripkelab.hierarchy import (
     gamma_apply,
     gfp,
     harvest_at,
-    hereditary_closure,
     iterate_def,
     lfp,
     powerset,
@@ -34,6 +33,7 @@ from kripkelab.semantics import (
     forced_equal,
     forced_member,
     forces,
+    hereditary_closure,
     is_end_extension,
     KripkeSet,
     Structure,

@@ -1,7 +1,6 @@
 """Forcing semantics: equality, membership, persistence, decidability at
 leaves, end extensions, and the structural predicates."""
 
-import dataclasses
 import itertools
 import random
 import time
@@ -390,10 +389,9 @@ def test_a_sweep_leaves_no_dropped_template_in_the_frame_tables(monkeypatch):
     assert report.stats["instances"] > 100
     assert len(built) > 20
     f, templates = s.frame, {id(t) for t in built}
-    tables = [getattr(f, fld.name) for fld in dataclasses.fields(f)]
     kept = [
         render(obj)
-        for table in tables
+        for table in vars(f).values()
         if isinstance(table, dict)
         for obj in _reachable(table)
         if id(obj) in templates

@@ -117,6 +117,11 @@ def test_builders_cover_the_catalog():
         ("frame chain length=32\n_s = staged_nats " + " ".join(f"{i}:33" for i in range(32)),
          r"count 33 is past NAT_CAP"),
         ("frame chain length=2\nx = L 20\n", r"level count 20 is past LEVEL_CAP \(8\)"),
+        # the level cap counts nodes too: L 8 takes 2.7 s on tree depth=3 and
+        # 5.7 s on chain length=8
+        ("frame chain length=8\nx = L 8\n",
+         r"level count 8 is past LEVEL_NODE_CAP \(24\) on a 8-node frame \(at most 3\)"),
+        ("frame tree depth=3\nx = L 4\n", r"level count 4 is past LEVEL_NODE_CAP \(24\)"),
         ("frame tree depth=2\ndesignate Shiny phi=\"x = x\"\n", "unknown schema"),
         ("frame tree depth=2\ndesignate Pairing A=ghost\n", "unknown name"),
         ("frame fan width=2\n_s = staged_nats bot:2 1:1 2:3\nuniverse _s\n",
@@ -134,6 +139,11 @@ def test_spec_errors(text, fragment):
 def test_the_numeral_cap_admits_its_bound():
     x = build_structure(parse_structure_spec("frame chain length=32\nx = nat 32\n")).names["x"]
     assert len(x.ext["0"]) == 32
+
+
+def test_the_level_cap_admits_its_bound():
+    x = build_structure(parse_structure_spec("frame chain length=8\nx = L 3\n")).names["x"]
+    assert x.label == "L3"
 
 
 def test_gap_fixture_matches_the_shipped_file(fixtures_dir):
