@@ -51,10 +51,6 @@ def _input_flags(p: argparse.ArgumentParser) -> None:
     given.add_argument("--structure", help="structure spec file")
 
 
-def _sizes(s: Structure) -> dict[str, int]:
-    return {tau: len(s.universe[tau]) for tau in s.frame.nodes}
-
-
 def _named_set(s: Structure, name: str):
     from .specfile import SpecError
 
@@ -118,63 +114,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0 if forced else 1
 
 
+def _emit_sizes(args: argparse.Namespace, cmd: str, s: Structure, extra: dict, flags=()) -> None:
+    """Emit s's universe size at each node, after the payload's `extra`
+    keys, then each of the meta `flags` as a boolean in both formats."""
+    sizes = {tau: len(s.universe[tau]) for tau in s.frame.nodes}
+    shown = {flag: bool(s.meta.get(flag)) for flag in flags}
+    _emit(
+        args,
+        {"cmd": cmd, **extra, "sizes": sizes, **shown},
+        [f"{tau}: {n}" for tau, n in sizes.items()]
+        + [f"{flag}: {v}" for flag, v in shown.items()],
+    )
+
+
 def cmd_def(args: argparse.Namespace) -> int:
     from .hierarchy import DefConfig, iterate_def
 
-    s = _load(args)
-    cfg = DefConfig(formula_depth=args.depth)
-    out = iterate_def(s, args.steps, cfg)
-    _emit(
-        args,
-        {
-            "cmd": "def",
-            "steps": args.steps,
-            "depth": args.depth,
-            "sizes": _sizes(out),
-            "truncated": bool(out.meta.get("truncated")),
-            "stabilized": bool(out.meta.get("stabilized")),
-        },
-        [f"{tau}: {len(out.universe[tau])}" for tau in out.frame.nodes]
-        + [
-            f"truncated: {bool(out.meta.get('truncated'))}",
-            f"stabilized: {bool(out.meta.get('stabilized'))}",
-        ],
-    )
+    out = iterate_def(_load(args), args.steps, DefConfig(formula_depth=args.depth))
+    extra = {"steps": args.steps, "depth": args.depth}
+    _emit_sizes(args, "def", out, extra, ("truncated", "stabilized"))
     return 0
 
 
 def cmd_L(args: argparse.Namespace) -> int:
     from .hierarchy import DefConfig, constructible
 
-    s = _load(args)
-    x = _named_set(s, args.ordinal)
-    cfg = DefConfig(formula_depth=args.depth)
-    tower = constructible(x, cfg)
-    _emit(
-        args,
-        {
-            "cmd": "L",
-            "ordinal": args.ordinal,
-            "depth": args.depth,
-            "sizes": _sizes(tower),
-            "truncated": bool(tower.meta.get("truncated")),
-        },
-        [f"{tau}: {len(tower.universe[tau])}" for tau in tower.frame.nodes]
-        + [f"truncated: {bool(tower.meta.get('truncated'))}"],
-    )
+    x = _named_set(_load(args), args.ordinal)
+    tower = constructible(x, DefConfig(formula_depth=args.depth))
+    extra = {"ordinal": args.ordinal, "depth": args.depth}
+    _emit_sizes(args, "L", tower, extra, ("truncated",))
     return 0
 
 
 def cmd_powerset(args: argparse.Namespace) -> int:
     from .hierarchy import powerset
 
-    s = _load(args)
-    out = powerset(s)
-    _emit(
-        args,
-        {"cmd": "powerset", "sizes": _sizes(out)},
-        [f"{tau}: {len(out.universe[tau])}" for tau in out.frame.nodes],
-    )
+    _emit_sizes(args, "powerset", powerset(_load(args)), {})
     return 0
 
 
@@ -183,19 +158,26 @@ def _stage_line(head: str, x) -> str:
     return f"{head}: " + " ".join(f"{tau}={len(x.ext[tau])}" for tau in sorted(x.ext))
 
 
-def cmd_fixpoint(args: argparse.Namespace) -> int:
-    from .formula import parse, render
+def _fixpoint(args: argparse.Namespace, mode: str):
+    """The operator formula, and the `mode` fixed point of it carved from
+    the named set with its trace of stages."""
+    from .formula import parse
     from .hierarchy import gfp, lfp
 
-    which = args.command
     s = _load(args)
     x = _named_set(s, args.set)
     psi = parse(args.formula)
-    fix, trace = (lfp if which == "lfp" else gfp)(s, x, psi)
+    return (psi, *(lfp if mode == "lfp" else gfp)(s, x, psi))
+
+
+def cmd_fixpoint(args: argparse.Namespace) -> int:
+    from .formula import render
+
+    psi, fix, trace = _fixpoint(args, args.command)
     _emit(
         args,
         {
-            "cmd": which,
+            "cmd": args.command,
             "set": args.set,
             "formula": render(psi),
             "sizes": {tau: len(fix.ext[tau]) for tau in sorted(fix.ext)},
@@ -341,13 +323,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
     if args.what == "trace":
         if not (args.set and args.formula):
             raise SpecError("dump --what trace needs --set and --formula")
-        from .formula import parse
-        from .hierarchy import gfp, lfp
-
-        s = _load(args)
-        x = _named_set(s, args.set)
-        psi = parse(args.formula)
-        _, trace = (lfp if args.mode == "lfp" else gfp)(s, x, psi)
+        _, _, trace = _fixpoint(args, args.mode)
         _emit(
             args,
             {

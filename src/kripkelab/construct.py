@@ -186,13 +186,9 @@ def make_xi(collection: tuple[KripkeSet, ...]) -> KripkeSet:
     def build() -> KripkeSet:
         ext = {}
         for tau in f.nodes:
-            seen: dict[int, KripkeSet] = {}
-            for x in collection:
-                seen[x.uid] = x
-            for x in collection:
-                for m in x.ext[tau]:
-                    seen[m.uid] = m
-            ext[tau] = tuple(seen.values())
+            # sets compare by identity, so a dict keeps each one's first occurrence
+            members = (m for x in collection for m in x.ext[tau])
+            ext[tau] = tuple(dict.fromkeys(itertools.chain(collection, members)))
         return KripkeSet(f, f.bottom, ext, "xi")
 
     return _intern(f, ("xi", tuple(sorted(x.uid for x in collection))), build)
@@ -327,10 +323,7 @@ def alpha_forest(f: Frame, k: int = 3) -> KripkeSet:
             + tuple(with_zero(p_hat_sub(f, n)) for n in range(1, c + 1))
             + tuple(alpha_sub(f, n) for n in range(1, c + 1))
         )
-        seen: dict[int, KripkeSet] = {}
-        for m in members:
-            seen[m.uid] = m
-        ext = tuple(seen.values())
+        ext = tuple(dict.fromkeys(members))
         return KripkeSet(f, f.bottom, {t: ext for t in f.nodes}, "alpha")
 
     return _intern(f, ("alpha_forest", k), build)

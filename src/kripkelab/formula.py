@@ -19,34 +19,21 @@ import functools
 import itertools
 from typing import Iterator
 
-from .frame import _Frozen
+from .frame import _Record
 
-# Terms and formulas are plain slotted classes, grouped by field shape: one
-# base per shape writes out construction, equality (same class, same fields,
-# compared as tuples, which skip identical children), hashing and the
-# dataclass-style repr; the leaf classes only name the kind.  Constructors
-# fill the fields through the slots' own setters, which skip
-# `_Frozen.__setattr__` and cost less than `object.__setattr__`.
+# Terms and formulas are value records (`frame._Record`) grouped by field
+# shape: one base per shape declares the fields as slots and a constructor
+# that fills them through the slots' own setters, which skip `__setattr__`
+# and cost less than `object.__setattr__`.  The leaf classes name the kind.
 
 # ---------------------------------------------------------------- terms
 
 
-class _Term(_Frozen):
+class _Term(_Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set_name(self, name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 _set_name = _Term.name.__set__
@@ -65,10 +52,10 @@ Term = Var | Param
 # -------------------------------------------------------------- formulas
 
 
-class _Node(_Frozen):
-    """The base of every formula class: one slot for the node's facts,
-    which `facts` fills on first use, and one for its compiled forcing
-    function, which `semantics` fills on first use."""
+class _Node(_Record):
+    """The base of every formula class: private slots, not fields, for the
+    node's facts and its compiled forcing function, which `facts` and
+    `semantics` fill on first use."""
 
     __slots__ = ("_facts", "_code")
 
@@ -84,17 +71,6 @@ class _Binary(_Node):
     def __init__(self, left, right):
         _set_left(self, left)
         _set_right(self, right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
@@ -126,17 +102,6 @@ class Not(_Node):
     def __init__(self, body: "Formula"):
         _set_body(self, body)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.body,) == (other.body,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
-    def __repr__(self) -> str:
-        return f"Not(body={self.body!r})"
-
 
 _set_body = Not.body.__set__
 
@@ -152,19 +117,6 @@ class _Binder(_Node):
         _set_bound(self, bound)
         _set_binder_body(self, body)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.var, self.bound, self.body) == (other.var, other.bound, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.bound, self.body))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(var={self.var!r}, bound={self.bound!r}, body={self.body!r})"
-        )
-
 
 _set_var, _set_bound = _Binder.var.__set__, _Binder.bound.__set__
 _set_binder_body = _Binder.body.__set__
@@ -176,6 +128,7 @@ class Forall(_Binder):
 
 class Exists(_Binder):
     __slots__ = ()
+
 
 Formula = Member | Eq | Not | And | Or | Implies | Forall | Exists
 
@@ -469,19 +422,12 @@ def is_positive_in(phi: Formula, name: str, positive: bool = True) -> bool:
         return positive or not (mentions(phi.left) or mentions(phi.right))
     if isinstance(phi, Not):
         return is_positive_in(phi.body, name, not positive)
-    if isinstance(phi, Implies):
-        return is_positive_in(phi.left, name, not positive) and is_positive_in(
-            phi.right, name, positive
-        )
-    if isinstance(phi, (And, Or)):
-        return is_positive_in(phi.left, name, positive) and is_positive_in(
-            phi.right, name, positive
-        )
+    if isinstance(phi, (And, Or, Implies)):
+        left = positive != isinstance(phi, Implies)
+        return is_positive_in(phi.left, name, left) and is_positive_in(phi.right, name, positive)
     # A bound occurrence acts like v in t -> ... for forall, v in t /\ ... for exists.
-    if mentions(phi.bound):
-        bound_ok = positive if isinstance(phi, Exists) else not positive
-        if not bound_ok:
-            return False
+    if mentions(phi.bound) and positive != isinstance(phi, Exists):
+        return False
     return is_positive_in(phi.body, name, positive)
 
 
@@ -503,6 +449,11 @@ def _atoms(terms: list[Term]) -> list[Formula]:
 
 _BOUND_POOL = ("z", "w", "u", "v", "z1", "w1", "u1", "v1")
 _OPS = (And, Or, Implies)
+# The most formulas a layer below the last, which is listed in full, may
+# have: the depth-2 layer over x, y and #p (1.95 million, the largest a
+# `check --depth 3` lists) takes 2.3 s and 224 MB peak RSS on one core
+# (Python 3.11); the depth-3 layer over x alone has 11.6 million.
+LAYER_CAP = 1 << 21
 
 
 def enumerate_delta0(
@@ -559,7 +510,7 @@ def formula_stream(
     `kinds` lists the parts in order: None for the bounded formulas of
     `enumerate_delta0`, Exists or Forall for `cls q . phi` over every
     bounded phi of depth below max_depth, with `q` a free variable of phi.
-    Names are checked on the call, before anything is read."""
+    Names and layer sizes are checked on the call, before anything is read."""
     parts = []
     for cls in kinds:
         if cls is None:
@@ -573,8 +524,9 @@ def formula_stream(
 def _delta0(
     max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
 ) -> tuple[int, Iterator[Formula]]:
-    """`enumerate_delta0`'s stream: every layer but the last is built, the
-    last is a generator, and the length counts its operands."""
+    """`enumerate_delta0`'s stream.  Each layer is counted from its operands;
+    all but the last are then built, or refused past LAYER_CAP, and the last
+    is a generator."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     for kind, names in (("variable", variables), ("parameter", params)):
@@ -613,10 +565,15 @@ def _delta0(
             (op(phi, psi) for a, b in pairs for phi in a for psi in b for op in _OPS),
             (bind(t, body) for body, bind, t in binds),
         )
+        size = len(fresh) + len(_OPS) * sum(len(a) * len(b) for a, b in pairs)
+        size += len(binders) * len(bodies) * len(base_terms)
         if depth == max_depth:
-            size = len(fresh) + len(_OPS) * sum(len(a) * len(b) for a, b in pairs)
-            size += len(binders) * len(bodies) * len(base_terms)
             return len(stream) + size, itertools.chain(stream, layer)
+        if size > LAYER_CAP:
+            raise ValueError(
+                f"the depth-{depth} formula layer has {size:,} formulas, past "
+                f"LAYER_CAP ({LAYER_CAP:,}); lower the depth"
+            )
         layer = list(layer)
         stream += layer
     return len(stream), iter(stream)

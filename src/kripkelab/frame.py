@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Iterable
 
 
@@ -47,46 +48,44 @@ def _node_count(name: str, sizes: tuple[int, ...]) -> int:
     return 2 + copies * tree(depth)
 
 
-class _Frozen:
-    """Assignment and deletion raise AttributeError, as on a frozen
-    dataclass; constructors fill their slots past `__setattr__`."""
+class _Record:
+    """The one value base of formula nodes and records.  A class's fields
+    are the slots it and its bases declare whose names do not start with
+    `_`, base classes first, listed once as `_fields`.  A record equals only
+    a record of its own class with equal fields, hashes its fields, prints
+    as `Name(field=value, ...)` and refuses assignment and deletion, like a
+    frozen dataclass; constructors fill their slots past `__setattr__`.
+    Importing `dataclasses` would cost a cold run more than its own work."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        slots = [vars(klass).get("__slots__", ()) for klass in reversed(cls.__mro__)]
+        cls._fields = fields = tuple(n for names in slots for n in names if not n.startswith("_"))
+        if fields:
+            cls._values = operator.attrgetter(*fields)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Record(_Frozen):
-    """An immutable value record over the fields its class lists in
-    `__slots__`: it compares and hashes field by field, equal only to a
-    record of its own class, and its repr is `Name(field=value, ...)`.
-    `_fill` sets the fields and keeps their values as one tuple, `_key`,
-    which equality and hashing read.  Records are plain classes, not
-    dataclasses: importing `dataclasses` and writing each class's methods
-    cost a cold run more than its own work."""
-
-    __slots__ = ("_key",)
-
-    def _fill(self, *values) -> None:
-        object.__setattr__(self, "_key", values)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class FrameKind(_Record):

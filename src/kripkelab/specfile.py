@@ -231,23 +231,16 @@ def _build_one(
     if builder == "pair":
         arity(2)
         x, y = named[args[0]], named[args[1]]
-        ext = {}
-        for tau in f.nodes:
-            members = tuple(m for m in (x, y) if alive(m, tau))
-            if len(members) == 2 and members[0].uid == members[1].uid:
-                members = members[:1]
-            ext[tau] = members
+        # sets compare by identity, so a dict keeps each one's first occurrence
+        ext = {tau: tuple(dict.fromkeys(m for m in (x, y) if alive(m, tau))) for tau in f.nodes}
         return KripkeSet(f, f.bottom, ext, f"pair({args[0]},{args[1]})")
     if builder == "union":
         arity(1)
         a = named[args[0]]
-        ext = {}
-        for tau in a.ext:
-            seen: dict[int, KripkeSet] = {}
-            for m in a.ext[tau]:
-                for inner in m.ext[tau]:
-                    seen.setdefault(inner.uid, inner)
-            ext[tau] = tuple(seen.values())
+        ext = {
+            tau: tuple(dict.fromkeys(inner for m in a.ext[tau] for inner in m.ext[tau]))
+            for tau in a.ext
+        }
         return KripkeSet(f, a.birth, ext, f"union({args[0]})")
     if builder == "branch":
         arity(1)

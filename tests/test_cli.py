@@ -168,6 +168,18 @@ def test_check_exit_codes(capsys):
     assert code == 2 and "EpsilonInduction" in err
 
 
+def test_check_refuses_a_formula_layer_too_large_to_build(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "check", "--frame", "chain length=1",
+                         "--schema", "Delta0Comprehension", "--depth", "5")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the depth-3 formula layer has 11,587,630 formulas, past "
+        "LAYER_CAP (2,097,152); lower the depth\n"
+    )
+    assert time.monotonic() - t0 < 5.0
+
+
 def test_check_designated_instance_from_structure(capsys, fixtures_dir):
     path = str(fixtures_dir / "uniformity_gap.struct")
     code, out, _ = run(capsys, "check", "--structure", path,

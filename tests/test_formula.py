@@ -1,5 +1,8 @@
 """Formula AST, parser, renderer, and the syntactic classifiers."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from kripkelab.formula import (
@@ -15,6 +18,7 @@ from kripkelab.formula import (
     formula_stream,
     free_vars,
     Implies,
+    LAYER_CAP,
     is_delta0,
     is_positive_in,
     Member,
@@ -207,6 +211,30 @@ def test_enumeration_sizes_pin_the_deep_cases():
     assert len(enumerate_delta0(2, ("x",), ("p",))) == 117419
     # keeping only newly met bound atoms as operands gives 1,116 here
     assert len(enumerate_delta0(3, ())) == 1344
+
+
+def test_a_layer_past_the_cap_is_refused_before_it_is_built():
+    # depth 4 over x lists the depth-3 layer, 11.6 million formulas (17 s
+    # and 1.25 GB), before its first formula is read
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="depth-3 formula layer has 11,587,630 formulas"):
+            formula_stream(4, ("x",))
+        elapsed = time.monotonic() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 8 << 20
+    with pytest.raises(ValueError, match="LAYER_CAP"):
+        enumerate_pi(5, ("x",))
+
+
+def test_the_layer_cap_admits_every_layer_a_depth_3_sweep_lists():
+    # a depth-3 sweep lists up to its depth-2 layer, and x, y and #p are the
+    # most base terms a sweep has; counted from its operands, not built
+    widest = formula_stream(2, ("x", "y"), ("p",))[0] - formula_stream(1, ("x", "y"), ("p",))[0]
+    assert widest == 1953770 <= LAYER_CAP
 
 
 @pytest.mark.parametrize(
