@@ -23,7 +23,10 @@ if TYPE_CHECKING:
 def _format(args: argparse.Namespace) -> str:
     if getattr(args, "format", None):
         return args.format
-    return os.environ.get("KRIPKELAB_FORMAT", "text")
+    fmt = os.environ.get("KRIPKELAB_FORMAT", "text")
+    if fmt not in ("text", "structured"):
+        raise ValueError(f"KRIPKELAB_FORMAT must be 'text' or 'structured', got {fmt!r}")
+    return fmt
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -427,6 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.format = _format(args)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

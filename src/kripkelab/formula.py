@@ -509,7 +509,8 @@ def formula_stream(
 
     `kinds` lists the parts in order: None for the bounded formulas of
     `enumerate_delta0`, Exists or Forall for `cls q . phi` over every
-    bounded phi of depth below max_depth, with `q` a free variable of phi.
+    bounded phi of depth below max_depth over the variables and `q`,
+    whether or not phi mentions `q`, so some wrappers bind nothing.
     Names and layer sizes are checked on the call, before anything is read."""
     parts = []
     for cls in kinds:

@@ -1,16 +1,17 @@
 """Axiom-schema checks over forcing structures.
 
 Every check is one question: does a node force a closed template formula?
-Schema instances plug a swept formula and swept parameters into the
-template; axiom-shaped entries have no formula slot.  A sweep reads its
-formulas from a lazy `formula_stream`, so a sweep that fails early never
-builds the rest of the last layer, and builds the template once per swept
-formula.  It forces the template once per distinct parameter assignment,
-which decides every node at once (`forcing_mask`), and reads one bit per
-(node, assignment) in scope; verdicts on the parts that read no parameter
-are shared.  Structures may carry designated instances in their notes;
-those are checked before the generic sweep, so a designed failure is the
-one reported.
+One catalogue entry per schema holds all of it: the noun its messages use,
+the slot its instance formula fills (the classes and free variables
+allowed, and what a sweep reads there) and its template, a function of
+that formula; an axiom has no slot, and its text is parsed on first use.
+A sweep reads its formulas from a lazy `formula_stream`, so one that fails
+early never builds the rest of the last layer.  It forces each template
+once per distinct assignment of its parameters, which decides every node
+at once (`forcing_mask`), and reads one bit per (node, assignment) in
+scope.  Structures may carry designated instances in their notes; those
+are checked before the generic sweep, so a designed failure is the one
+reported.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import itertools
 import random
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .construct import (
     alpha_forest,
@@ -102,11 +103,6 @@ class SchemaId(Enum):
     PI2_REFLECTION = "Pi2Reflection"
 
 
-AXIOM_IDS = frozenset(
-    {SchemaId.EXTENSIONALITY, SchemaId.PAIRING, SchemaId.UNION, SchemaId.EMPTY_SET}
-)
-
-
 class CheckBounds(_Record):
     __slots__ = ("formula_depth", "max_params", "node_scope")
 
@@ -138,72 +134,107 @@ class DesignatedInstance(_Record):
         self._fill(schema, phi, params, node, label)
 
 
-_AXIOM_TEXT = {
-    SchemaId.EXTENSIONALITY: (
-        "forall a . forall b . "
-        "((((forall z in a . z in b)) /\\ ((forall z in b . z in a))) -> a = b)"
-    ),
-    SchemaId.PAIRING: "forall a . forall b . exists c . (a in c /\\ b in c)",
-    SchemaId.UNION: "forall a . exists c . forall z in a . forall w in z . w in c",
-    SchemaId.EMPTY_SET: "exists c . forall z in c . ~(z = z)",
-}
+class _Entry(_Record):
+    """One schema: the noun its error messages use, its template as a
+    function of the instance formula, and that formula's slot: the
+    `classify` classes allowed (() allows any), the free variables allowed
+    and swept, the parts of the swept `formula_stream`, and the max_params
+    at which #p joins them.  An axiom has no slot: `classes` is None."""
 
-
-@functools.cache
-def _axiom(schema: SchemaId) -> Formula:
-    return parse(_AXIOM_TEXT[schema])
-
-
-def _strictly_pi(max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]):
-    """Pi uniformity's sweep: `enumerate_pi` without the bounded formulas,
-    which are Delta0 uniformity's."""
-    return list(formula_stream(max_depth, variables, params, (Forall,))[1])
-
-
-class _Shape(_Record):
-    """What a schema with a formula slot accepts there, and what it sweeps."""
-
-    __slots__ = ("noun", "classes", "variables", "kinds", "p_from", "takes_a")
+    __slots__ = ("noun", "template", "classes", "variables", "kinds", "p_from")
 
     def __init__(
         self,
-        noun: str,  # how error messages name the schema's instances
-        classes: tuple[str, ...],  # the `classify` results allowed; () allows any
-        variables: tuple[str, ...],  # the free variables allowed, also swept
-        kinds: tuple[type | None, ...],  # the parts of the swept `formula_stream`
-        p_from: int,  # the max_params at which #p joins the swept formulas
-        takes_a: bool,  # the template reads the parameter #A
+        noun: str,
+        template: Callable[[Formula | None], Formula],
+        classes: tuple[str, ...] | None = None,
+        variables: tuple[str, ...] = (),
+        kinds: tuple[type | None, ...] = (None,),
+        p_from: int = 2,
     ):
-        self._fill(noun, classes, variables, kinds, p_from, takes_a)
+        self._fill(noun, template, classes, variables, kinds, p_from)
 
 
-_SHAPES = {
-    SchemaId.DELTA0_COMPREHENSION: _Shape(
-        "comprehension", ("Delta0",), ("x",), (None,), 2, True
+def _sentence(text: str) -> Callable[[None], Formula]:
+    """An axiom's template: its text, parsed on first use rather than at
+    import, which every cold `check` would pay for."""
+    return functools.cache(lambda phi: parse(text))
+
+
+def _uniformity(phi: Formula) -> Formula:
+    return Implies(
+        Forall("B", None, Exists("x", Param("A"), Forall("y", Var("B"), phi))),
+        Exists("x", Param("A"), Forall("y", None, phi)),
+    )
+
+
+# a template binds its slot's variables and names never among them, so a
+# formula that passes the variables check cannot be captured
+_CATALOGUE = {
+    SchemaId.EXTENSIONALITY: _Entry("Extensionality", _sentence(
+        "forall a . forall b . "
+        "((((forall z in a . z in b)) /\\ ((forall z in b . z in a))) -> a = b)"
+    )),
+    SchemaId.PAIRING: _Entry(
+        "Pairing", _sentence("forall a . forall b . exists c . (a in c /\\ b in c)")
     ),
-    SchemaId.DELTA0_BOUNDING: _Shape(
-        "Delta0Bounding", ("Delta0",), ("x", "y"), (None,), 2, True
+    SchemaId.UNION: _Entry(
+        "Union", _sentence("forall a . exists c . forall z in a . forall w in z . w in c")
     ),
-    SchemaId.DELTA0_UNIFORMITY: _Shape(
-        "Delta0Uniformity", ("Delta0",), ("x", "y"), (None,), 2, True
+    SchemaId.EMPTY_SET: _Entry("EmptySet", _sentence("exists c . forall z in c . ~(z = z)")),
+    SchemaId.DELTA0_COMPREHENSION: _Entry(
+        "comprehension",
+        lambda phi: Exists("c", None, And(
+            Forall("x", Var("c"), And(Member(Var("x"), Param("A")), phi)),
+            Forall("x", Param("A"), Implies(phi, Member(Var("x"), Var("c")))),
+        )),
+        ("Delta0",), ("x",),
     ),
-    # strictly Pi: see `_strictly_pi`
-    SchemaId.PI_UNIFORMITY: _Shape(
-        "PiUniformity", ("Delta0", "Pi"), ("x", "y"), (Forall,), 2, True
+    SchemaId.DELTA0_BOUNDING: _Entry(
+        "Delta0Bounding",
+        lambda phi: Implies(
+            Forall("x", Param("A"), Exists("y", None, phi)),
+            Exists("B", None, Forall("x", Param("A"), Exists("y", Var("B"), phi))),
+        ),
+        ("Delta0",), ("x", "y"),
     ),
-    SchemaId.SIGMA_REFLECTION: _Shape(
-        "reflection", ("Delta0", "Sigma"), (), (None, Exists), 1, False
+    SchemaId.DELTA0_UNIFORMITY: _Entry("Delta0Uniformity", _uniformity, ("Delta0",), ("x", "y")),
+    # strictly Pi: the bounded formulas are Delta0 uniformity's
+    SchemaId.PI_UNIFORMITY: _Entry(
+        "PiUniformity", _uniformity, ("Delta0", "Pi"), ("x", "y"), (Forall,)
     ),
-    SchemaId.PI_PERSISTENCE: _Shape(
-        "persistence", ("Delta0", "Pi"), (), (None, Forall), 1, False
+    SchemaId.SIGMA_REFLECTION: _Entry(
+        "reflection",
+        lambda phi: Implies(phi, Exists("A", None, relativize(phi, Var("A")))),
+        ("Delta0", "Sigma"), (), (None, Exists), 1,
     ),
-    SchemaId.EPSILON_INDUCTION: _Shape(
-        "induction", (), ("a",), (None,), 2, False
+    SchemaId.PI_PERSISTENCE: _Entry(
+        "persistence",
+        lambda phi: Implies(Forall("A", None, relativize(phi, Var("A"))), phi),
+        ("Delta0", "Pi"), (), (None, Forall), 1,
     ),
-    SchemaId.PI2_REFLECTION: _Shape(
-        "Pi2Reflection", ("Delta0",), ("x", "y"), (None,), 2, False
+    SchemaId.EPSILON_INDUCTION: _Entry(
+        "induction",
+        lambda phi: Implies(
+            Forall("a", None, Implies(Forall("b", Var("a"), substitute(phi, "a", Var("b"))), phi)),
+            Forall("a", None, phi),
+        ),
+        (), ("a",),
+    ),
+    SchemaId.PI2_REFLECTION: _Entry(
+        "Pi2Reflection",
+        lambda phi: Implies(
+            Forall("x", None, Exists("y", None, phi)),
+            Forall("A", None, Exists("B", None, And(
+                Forall("z", Var("A"), Member(Var("z"), Var("B"))),
+                Forall("x", Var("B"), Exists("y", Var("B"), phi)),
+            ))),
+        ),
+        ("Delta0",), ("x", "y"),
     ),
 }
+
+AXIOM_IDS = frozenset(sc for sc, entry in _CATALOGUE.items() if entry.classes is None)
 
 _FRAGMENTS = {
     ("Delta0",): "be bounded formulas",
@@ -212,79 +243,25 @@ _FRAGMENTS = {
 }
 
 
-def _validate_instance(schema: SchemaId, phi: Formula | None) -> None:
-    # a template binds its shape's variables, which are the formula's
-    # slots, and other names that are never among them, so a formula that
-    # passes the variables check cannot be captured
-    if schema in AXIOM_IDS:
-        if phi is not None:
-            raise ValueError(f"{schema.value} takes no instance formula")
-        return
-    shape = _SHAPES.get(schema)
-    if shape is None:
-        raise ValueError(f"unknown schema {schema}")
-    if phi is None:
-        raise ValueError(f"{schema.value} needs an instance formula")
-    if shape.classes and classify(phi) not in shape.classes:
-        raise ValueError(f"{shape.noun} instances must {_FRAGMENTS[shape.classes]}")
-    if not free_vars(phi) <= set(shape.variables):
-        if not shape.variables:
-            raise ValueError(f"{shape.noun} instances must be sentences")
-        allowed = " and ".join(shape.variables)
-        raise ValueError(f"{shape.noun} instances may mention {allowed} only")
-
-
 def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
-    """The closed formula whose forcing decides one schema instance."""
-    _validate_instance(schema, phi)
-    if schema in AXIOM_IDS:
-        return _axiom(schema)
-    if schema is SchemaId.DELTA0_COMPREHENSION:
-        return Exists(
-            "c",
-            None,
-            And(
-                Forall("x", Var("c"), And(Member(Var("x"), Param("A")), phi)),
-                Forall("x", Param("A"), Implies(phi, Member(Var("x"), Var("c")))),
-            ),
-        )
-    if schema is SchemaId.DELTA0_BOUNDING:
-        return Implies(
-            Forall("x", Param("A"), Exists("y", None, phi)),
-            Exists("B", None, Forall("x", Param("A"), Exists("y", Var("B"), phi))),
-        )
-    if schema in (SchemaId.DELTA0_UNIFORMITY, SchemaId.PI_UNIFORMITY):
-        return Implies(
-            Forall("B", None, Exists("x", Param("A"), Forall("y", Var("B"), phi))),
-            Exists("x", Param("A"), Forall("y", None, phi)),
-        )
-    if schema is SchemaId.SIGMA_REFLECTION:
-        return Implies(phi, Exists("A", None, relativize(phi, Var("A"))))
-    if schema is SchemaId.PI_PERSISTENCE:
-        return Implies(Forall("A", None, relativize(phi, Var("A"))), phi)
-    if schema is SchemaId.EPSILON_INDUCTION:
-        step = Forall(
-            "a",
-            None,
-            Implies(Forall("b", Var("a"), substitute(phi, "a", Var("b"))), phi),
-        )
-        return Implies(step, Forall("a", None, phi))
-    # validated above: only Pi2 reflection is left
-    return Implies(
-        Forall("x", None, Exists("y", None, phi)),
-        Forall(
-            "A",
-            None,
-            Exists(
-                "B",
-                None,
-                And(
-                    Forall("z", Var("A"), Member(Var("z"), Var("B"))),
-                    Forall("x", Var("B"), Exists("y", Var("B"), phi)),
-                ),
-            ),
-        ),
-    )
+    """The closed formula whose forcing decides one schema instance, once
+    phi is checked against the schema's slot."""
+    entry = _CATALOGUE.get(schema)
+    if entry is None:
+        raise ValueError(f"unknown schema {schema}")
+    if entry.classes is None:
+        if phi is not None:
+            raise ValueError(f"{entry.noun} takes no instance formula")
+    elif phi is None:
+        raise ValueError(f"{schema.value} needs an instance formula")
+    elif entry.classes and classify(phi) not in entry.classes:
+        raise ValueError(f"{entry.noun} instances must {_FRAGMENTS[entry.classes]}")
+    elif not free_vars(phi) <= set(entry.variables):
+        if not entry.variables:
+            raise ValueError(f"{entry.noun} instances must be sentences")
+        allowed = " and ".join(entry.variables)
+        raise ValueError(f"{entry.noun} instances may mention {allowed} only")
+    return entry.template(phi)
 
 
 def _counterexample(
@@ -313,25 +290,17 @@ class CheckReport(_Record):
 def _stream(schema: SchemaId, bounds: CheckBounds) -> tuple[int, Iterator[Formula | None]]:
     """The swept formulas, their number and a lazy stream of them; an axiom
     sweeps one instance with no formula."""
-    if schema in AXIOM_IDS:
+    entry = _CATALOGUE[schema]
+    if entry.classes is None:
         return 1, iter((None,))
-    shape = _SHAPES[schema]
-    params = ("p",) if bounds.max_params >= shape.p_from else ()
-    return formula_stream(bounds.formula_depth, shape.variables, params, shape.kinds)
+    params = ("p",) if bounds.max_params >= entry.p_from else ()
+    return formula_stream(bounds.formula_depth, entry.variables, params, entry.kinds)
 
 
 def _scope(s: Structure, bounds: CheckBounds) -> tuple[str, ...]:
     if bounds.node_scope == "bottom":
         return (s.frame.bottom,)
     return s.frame.nodes
-
-
-def _param_names(schema: SchemaId, phi: Formula | None) -> list[str]:
-    """The parameters an instance's template reads, in assignment order."""
-    names = sorted(params_of(phi)) if phi is not None else []
-    if phi is not None and _SHAPES[schema].takes_a and "A" not in names:
-        names = ["A"] + names
-    return names
 
 
 def check_schema(
@@ -369,7 +338,7 @@ def check_schema(
         if failure is not None:
             break
         template = build_template(schema, phi)
-        names = _param_names(schema, phi)
+        names = sorted(params_of(template))  # assignments try #A, then #p
         # sets compare by identity, so a tuple of values keys an assignment
         # as their uids would
         masks: dict[tuple, int] = {}

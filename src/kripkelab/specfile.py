@@ -137,7 +137,8 @@ def _name_refs(builder: str, args: tuple[str, ...]) -> tuple[str, ...]:
 def _parse_designation(
     toks: list[str], names_seen: set[str], lineno: int
 ) -> DesignatedInstance:
-    from .schema import DesignatedInstance, SchemaId
+    from .formula import parse
+    from .schema import DesignatedInstance, SchemaId, build_template
 
     if not toks:
         raise SpecError(f"line {lineno}: designate needs a schema name")
@@ -163,6 +164,11 @@ def _parse_designation(
             if val not in names_seen:
                 raise SpecError(f"line {lineno}: unknown name {val!r}")
             params.append((key, val))
+    # checked here, so every command that reads the file refuses it, not only `check`
+    try:
+        build_template(schema, None if phi is None else parse(phi))
+    except ValueError as err:
+        raise SpecError(f"line {lineno}: designate {schema.value}: {err}") from None
     return DesignatedInstance(schema, phi, tuple(params), node, label)
 
 
@@ -278,6 +284,9 @@ def _build_one(
 
 def build_structure(spec: StructSpec) -> Structure:
     f = parse_frame_spec(spec.frame_text)
+    for d in spec.designations:
+        if d.node is not None and d.node not in f.nodes:
+            raise SpecError(f"designate {d.schema.value}: unknown node {d.node!r}")
     named: dict[str, KripkeSet] = {}
     for name, builder, args in spec.entries:
         named[name] = _build_one(f, builder, args, named, f"name {name!r}")
@@ -298,22 +307,33 @@ def load_structure(path: str) -> Structure:
         return build_structure(parse_structure_spec(fh.read()))
 
 
+# what shlex reads specially: whitespace, quotes, the escape and comments
+_SPECIAL = frozenset(" \t\r\n\"'\\#")
+
+
+def _quote(value: str, always: bool = False) -> str:
+    """value as one token that shlex reads back as is: bare if it can be,
+    else (or if `always`) double-quoted with `\\` and `"` escaped."""
+    if value and not always and not _SPECIAL & set(value):
+        return value
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dump_structure_spec(spec: StructSpec) -> str:
     lines = [f"frame {spec.frame_text}"]
     for name, builder, args in spec.entries:
-        lines.append(f"{name} = {builder}" + ("" if not args else " " + " ".join(args)))
+        lines.append(" ".join(map(_quote, (name, "=", builder, *args))))
     if spec.universe_seeds:
-        lines.append("universe " + " ".join(spec.universe_seeds))
+        lines.append(" ".join(map(_quote, ("universe", *spec.universe_seeds))))
     for d in spec.designations:
-        parts = [f"designate {d.schema.value}"]
+        parts = ["designate", d.schema.value]
         if d.phi is not None:
-            parts.append(f'phi="{d.phi}"')
-        for k, v in d.params:
-            parts.append(f"{k}={v}")
+            parts.append("phi=" + _quote(d.phi, always=True))
+        parts += (f"{_quote(k)}={_quote(v)}" for k, v in d.params)
         if d.node is not None:
-            parts.append(f"node={d.node}")
+            parts.append("node=" + _quote(d.node))
         if d.label:
-            parts.append(f'label="{d.label}"')
+            parts.append("label=" + _quote(d.label, always=True))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -10,34 +10,49 @@ import functools
 import itertools
 
 from kripkelab.formula import (
+    Forall,
     enumerate_delta0,
     enumerate_pi,
     enumerate_sigma,
+    formula_stream,
     params_of,
     parse,
 )
 from kripkelab.schema import (
-    AXIOM_IDS,
     CheckReport,
     DesignatedInstance,
     SchemaId,
-    _SHAPES,
     _counterexample,
     _scope,
-    _strictly_pi,
     build_template,
 )
 from kripkelab.semantics import forces, universe_at
 
+
+def strictly_pi(max_depth, variables, params):
+    """Pi uniformity's sweep: `enumerate_pi` without the bounded formulas,
+    which are Delta0 uniformity's."""
+    return list(formula_stream(max_depth, variables, params, (Forall,))[1])
+
+
+# per schema with a formula slot: its enumerator, its variables, and the
+# max_params at which #p joins the swept formulas
 ENUMERATORS = {
-    SchemaId.DELTA0_COMPREHENSION: enumerate_delta0,
-    SchemaId.DELTA0_BOUNDING: enumerate_delta0,
-    SchemaId.DELTA0_UNIFORMITY: enumerate_delta0,
-    SchemaId.PI_UNIFORMITY: _strictly_pi,
-    SchemaId.SIGMA_REFLECTION: enumerate_sigma,
-    SchemaId.PI_PERSISTENCE: enumerate_pi,
-    SchemaId.EPSILON_INDUCTION: enumerate_delta0,
-    SchemaId.PI2_REFLECTION: enumerate_delta0,
+    SchemaId.DELTA0_COMPREHENSION: (enumerate_delta0, ("x",), 2),
+    SchemaId.DELTA0_BOUNDING: (enumerate_delta0, ("x", "y"), 2),
+    SchemaId.DELTA0_UNIFORMITY: (enumerate_delta0, ("x", "y"), 2),
+    SchemaId.PI_UNIFORMITY: (strictly_pi, ("x", "y"), 2),
+    SchemaId.SIGMA_REFLECTION: (enumerate_sigma, (), 1),
+    SchemaId.PI_PERSISTENCE: (enumerate_pi, (), 1),
+    SchemaId.EPSILON_INDUCTION: (enumerate_delta0, ("a",), 2),
+    SchemaId.PI2_REFLECTION: (enumerate_delta0, ("x", "y"), 2),
+}
+# the schemas whose templates read the parameter #A
+READS_A = {
+    SchemaId.DELTA0_COMPREHENSION,
+    SchemaId.DELTA0_BOUNDING,
+    SchemaId.DELTA0_UNIFORMITY,
+    SchemaId.PI_UNIFORMITY,
 }
 
 
@@ -49,16 +64,16 @@ def _formulas(enum, depth, variables, params):
 
 
 def _sweep_formulas(schema, bounds):
-    if schema in AXIOM_IDS:
+    if schema not in ENUMERATORS:
         return [None]
-    shape = _SHAPES[schema]
-    params = ("p",) if bounds.max_params >= shape.p_from else ()
-    return _formulas(ENUMERATORS[schema], bounds.formula_depth, shape.variables, params)
+    enum, variables, p_from = ENUMERATORS[schema]
+    params = ("p",) if bounds.max_params >= p_from else ()
+    return _formulas(enum, bounds.formula_depth, variables, params)
 
 
 def _assignments(s, sigma, schema, phi):
     names = sorted(params_of(phi)) if phi is not None else []
-    if phi is not None and _SHAPES[schema].takes_a and "A" not in names:
+    if phi is not None and schema in READS_A and "A" not in names:
         names = ["A"] + names
     if not names:
         yield None

@@ -260,6 +260,16 @@ def test_format_env_variable_and_override(capsys, monkeypatch):
     assert code == 0 and "bottom: e" in out
 
 
+def test_an_unknown_format_in_the_environment_exits_2_before_the_command(capsys, monkeypatch):
+    monkeypatch.setenv("KRIPKELAB_FORMAT", "json")
+    code, out, err = run(capsys, "frame", "--frame", TREE2)
+    assert code == 2 and out == ""
+    assert err == "error: KRIPKELAB_FORMAT must be 'text' or 'structured', got 'json'\n"
+    # the flag wins, so the environment is not read
+    code, out, _ = run(capsys, "frame", "--frame", TREE2, "--format", "structured")
+    assert code == 0 and json.loads(out)["bottom"] == "e"
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -267,10 +277,17 @@ def test_format_env_variable_and_override(capsys, monkeypatch):
         ("def_tree_depth3.json", ["def", "--frame", TREE3]),
         ("def_fan_width3_depth2.json", ["def", "--frame", "fan width=3", "--depth", "2"]),
         ("L_tree_depth3_two.json", ["L", "--frame", TREE3, "--ordinal", "two"]),
+        ("prop1_corpus.json", ["prop1", "--corpus", "{fixtures}/corpus"]),
+        (
+            "check_gap_bounding_bottom.json",
+            ["check", "--structure", "{fixtures}/uniformity_gap.struct",
+             "--schema", "Delta0Bounding", "--scope", "bottom"],
+        ),
     ],
-    ids=["lemmas", "def-tree3", "def-fan3-depth2", "L-tree3"],
+    ids=["lemmas", "def-tree3", "def-fan3-depth2", "L-tree3", "prop1-corpus", "check-gap"],
 )
 def test_structured_output_matches_its_golden_bytes(capsys, fixtures_dir, golden, argv):
+    argv = [arg.format(fixtures=fixtures_dir) for arg in argv]
     code, out, _ = run(capsys, *argv, "--format", "structured")
     assert code == 0
     assert out.encode("utf-8") == (fixtures_dir / "golden" / golden).read_bytes()

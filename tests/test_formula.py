@@ -33,10 +33,10 @@ from kripkelab.formula import (
     substitute,
     Var,
 )
-from kripkelab.schema import _strictly_pi
 
 import recursive_facts
 from reference_enumerate import reference_delta0, reference_unbounded
+from reference_sweep import strictly_pi
 
 ROUND_TRIP = [
     "x in y",
@@ -203,7 +203,7 @@ def test_enumerators_match_the_render_filtered_reference(depth, variables, param
         wrapped = _renders(reference_unbounded(cls, depth, variables, params))
         assert listed(enum, (None, cls)) == bounded + wrapped
     pi = _renders(reference_unbounded(Forall, depth, variables, params))
-    assert listed(_strictly_pi, (Forall,)) == pi
+    assert listed(strictly_pi, (Forall,)) == pi
 
 
 def test_enumeration_sizes_pin_the_deep_cases():

@@ -5,15 +5,12 @@ import time
 
 import pytest
 
-from kripkelab.formula import Not, classify, enumerate_pi, parse, render
+from kripkelab.formula import Not, classify, enumerate_pi, params_of, parse, render
 from kripkelab.frame import chain, fan, leaves, tree
 from kripkelab.hierarchy import def_step, empty_structure, powerset
 from kripkelab.schema import (
-    _axiom,
-    _param_names,
     _scope,
     _stream,
-    _strictly_pi,
     build_template,
     check_schema,
     CheckBounds,
@@ -26,7 +23,7 @@ from kripkelab.schema import (
 from kripkelab.semantics import forces
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
 
-from reference_sweep import reference_check
+from reference_sweep import reference_check, strictly_pi
 
 EXPECTED_TAGS = [
     "tower-of-one-sigma",
@@ -141,7 +138,7 @@ def test_instance_rejections_name_their_schema(schema, wrong_class, class_messag
 )
 def test_strictly_pi_is_enumerate_pi_without_its_bounded_formulas(depth, variables, params):
     want = [phi for phi in enumerate_pi(depth, variables, params) if classify(phi) == "Pi"]
-    assert [render(phi) for phi in _strictly_pi(depth, variables, params)] == [
+    assert [render(phi) for phi in strictly_pi(depth, variables, params)] == [
         render(phi) for phi in want
     ]
 
@@ -235,7 +232,7 @@ def _agreement_sweep(s, bounds):
     for phi in _stream(bounding, bounds)[1]:
         tb = build_template(bounding, phi)
         tu = build_template(uniformity, Not(phi))
-        names = _param_names(bounding, phi)
+        names = sorted(params_of(tb))
         for sigma in nodes:
             for values in itertools.product(s.universe[sigma], repeat=len(names)):
                 assignment = dict(zip(names, values))
@@ -282,7 +279,8 @@ def test_no_finite_structure_meets_the_base_theory(fixtures_dir):
         canon = canonical_structure(f)
         v1 = powerset(empty_structure(f))
         structs += [canon, def_step(canon), v1, powerset(v1)]
-    pairing, empty_set = _axiom(SchemaId.PAIRING), _axiom(SchemaId.EMPTY_SET)
+    pairing = build_template(SchemaId.PAIRING, None)
+    empty_set = build_template(SchemaId.EMPTY_SET, None)
     for s in structs:
         for leaf in leaves(s.frame):
             axiom = pairing if s.universe[leaf] else empty_set

@@ -4,7 +4,7 @@ import pytest
 
 from kripkelab.construct import empty_set, internal_nat, one_sigma, p_hat
 from kripkelab.frame import tree
-from kripkelab.schema import SchemaId
+from kripkelab.schema import DesignatedInstance, SchemaId
 from kripkelab.semantics import forced_equal, forced_member, universe_at
 from kripkelab.specfile import (
     build_structure,
@@ -13,6 +13,7 @@ from kripkelab.specfile import (
     load_structure,
     parse_structure_spec,
     SpecError,
+    StructSpec,
     UNIFORMITY_GAP_TEXT,
     uniformity_gap,
 )
@@ -45,6 +46,62 @@ def test_hash_inside_a_quoted_value_is_not_a_comment():
     dumped = dump_structure_spec(spec)
     assert parse_structure_spec(dumped) == spec
     assert dump_structure_spec(parse_structure_spec(dumped)) == dumped
+
+
+# each value goes in every slot a dump writes it to; a designation's
+# formula must fit its schema, so formulas are tried on their own below
+TRICKY = {
+    "double-quote": 'say "hi"',
+    "backslash": "back\\slash",
+    "trailing-backslash": "ends\\",
+    "hash": "a#b",
+    "leading-hash": "#lead",
+    "space": "two words",
+    "tab": "tab\there",
+    "single-quote": "it's",
+    "empty": "",
+    "non-ascii": "Δ₀ café",
+    "plain": "x",
+}
+
+
+@pytest.mark.parametrize("value", TRICKY.values(), ids=TRICKY.keys())
+def test_a_dump_parses_back_to_the_same_spec(value):
+    inst = DesignatedInstance(SchemaId.DELTA0_BOUNDING, "y in #p", ((value, value),), value, value)
+    spec = StructSpec("chain length=1", ((value, "nat", (value,)),), (value,), (inst,))
+    assert parse_structure_spec(dump_structure_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("phi", ["x in #p", "x = x", "x in y /\\ y = x", "forall z in x . z in y"])
+def test_a_dumped_formula_parses_back(phi):
+    spec = StructSpec("chain length=1", (), (), (DesignatedInstance(SchemaId.PI2_REFLECTION, phi),))
+    text = dump_structure_spec(spec)
+    assert parse_structure_spec(text) == spec
+    # a formula is always quoted, as before its escapes were added
+    assert text.endswith(' phi="' + phi.replace("\\", "\\\\") + '"\n')
+
+
+@pytest.mark.parametrize(
+    "designation, message",
+    [
+        ('designate Pairing phi="y in x"', "line 2: designate Pairing: Pairing takes no instance formula"),
+        (
+            'designate Delta0Bounding phi="exists q . q in x"',
+            "line 2: designate Delta0Bounding: Delta0Bounding instances must be bounded formulas",
+        ),
+        (
+            'designate Delta0Bounding phi="y in x" node=ghost',
+            "designate Delta0Bounding: unknown node 'ghost'",
+        ),
+    ],
+    ids=["axiom-with-phi", "unbounded-phi", "unknown-node"],
+)
+def test_a_malformed_designation_is_refused_at_load(tmp_path, designation, message):
+    path = tmp_path / "bad.struct"
+    path.write_text(f"frame chain length=1\n{designation}\n", encoding="utf-8")
+    with pytest.raises(SpecError) as err:
+        load_structure(str(path))
+    assert str(err.value) == message
 
 
 def test_build_structure_binds_names():

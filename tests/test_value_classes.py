@@ -29,7 +29,7 @@ from kripkelab.schema import (
     Prop1Report,
     Prop1Row,
     SchemaId,
-    _Shape,
+    _Entry,
 )
 from kripkelab.specfile import StructSpec
 
@@ -86,9 +86,10 @@ REPRS = [
         "phi='y in x', params=(('A', '_W'),), node='bot', label='gap')",
     ),
     (
-        _Shape("comprehension", ("Delta0",), ("x",), (None, Exists), 2, True),
-        "_Shape(noun='comprehension', classes=('Delta0',), variables=('x',), "
-        "kinds=(None, <class 'kripkelab.formula.Exists'>), p_from=2, takes_a=True)",
+        _Entry("comprehension", Not, ("Delta0",), ("x",), (None, Exists), 2),
+        "_Entry(noun='comprehension', template=<class 'kripkelab.formula.Not'>, "
+        "classes=('Delta0',), variables=('x',), "
+        "kinds=(None, <class 'kripkelab.formula.Exists'>), p_from=2)",
     ),
     (
         CheckReport(SchemaId.PAIRING, True, None, "n", {"instances": 3}),
