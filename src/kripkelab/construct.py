@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 
 from .formula import Formula, parse
 from .frame import Frame, leq, linear_extension, up_set
@@ -80,13 +81,18 @@ def p_hat(f: Frame) -> KripkeSet:
     return _intern(f, ("phat",), build)
 
 
+def _t_uids(f: Frame) -> frozenset[int]:
+    """The uids of the delayed ones, the members a selection may pick."""
+    return _intern(f, ("tuids",), lambda: frozenset(m.uid for m in t_family(f)))
+
+
 def subset_of_t(
     f: Frame, ext: dict[str, tuple[KripkeSet, ...]], label: str = ""
 ) -> KripkeSet:
     """A monotone selection from the delayed ones, given per node, born at
     the bottom."""
-    allowed = {m.uid for m in t_family(f)}
-    for tau, members in ext.items():
+    allowed = _t_uids(f)
+    for members in ext.values():
         for m in members:
             if m.uid not in allowed:
                 raise ValueError(f"{m!r} is not one of the delayed ones")
@@ -105,37 +111,98 @@ def t_classes_at(f: Frame, tau: str) -> tuple[tuple[KripkeSet, ...], ...]:
 POWERSET_CAP = 1 << 16
 
 
-def _monotone_selections(f: Frame, nodes: list[str], groups: dict):
-    """Every monotone choice of groups along `nodes`, a linear extension of
-    an upward-closed set: each node picks some of its groups (tuples of
-    sets), and must pick every group holding a set picked at a node below.
+class _ChoiceTable:
+    """Each node's monotone choices from its groups (tuples of sets), keyed
+    by the mask of groups the nodes below force it to pick.
 
-    Yields {node: the picked groups' sets, in group order}, lazily and depth
-    first: the first node varies slowest, and each node tries the fewest
-    extra groups first.
+    Groups are bit positions.  `options` holds, per node and required mask,
+    the picked masks and member tuples read so far, in the order
+    `itertools.combinations` takes the free groups, and the generator of
+    the rest; `tuples` keeps one member tuple per distinct member sequence,
+    so every selection that picks the same members, at any node, shares one
+    tuple object.
     """
-    index = {
-        tau: {m.uid: i for i, g in enumerate(groups[tau]) for m in g} for tau in nodes
-    }
-    below = {
-        tau: [rho for rho in nodes[:k] if leq(f, rho, tau)] for k, tau in enumerate(nodes)
-    }
-    chosen: dict[str, tuple[KripkeSet, ...]] = {}
 
-    def walk(k: int):
-        if k == len(nodes):
-            yield dict(chosen)
-            return
-        tau = nodes[k]
-        required = {index[tau][m.uid] for rho in below[tau] for m in chosen[rho]}
-        free = [i for i in range(len(groups[tau])) if i not in required]
+    def __init__(self, f: Frame, groups: dict) -> None:
+        self.f = f
+        self.groups = groups
+        self.options: dict[tuple[str, int], tuple[list, list, Iterator]] = {}
+        self.tuples: dict[tuple[KripkeSet, ...], tuple[KripkeSet, ...]] = {}
+
+    def choices(self, tau: str, required: int) -> Iterator:
+        """tau's picks that hold `required`, produced on first read and kept
+        for every later one, so a wide node yields only what is read."""
+        key = (tau, required)
+        if key not in self.options:
+            masks: list[int] = []
+            members: list[tuple[KripkeSet, ...]] = []
+            self.options[key] = (masks, members, self._generate(tau, required, masks, members))
+        masks, members, rest = self.options[key]
+        # a walk holds a node once on its stack, so no read overlaps another:
+        # the kept picks run out before `rest` appends the next one
+        return itertools.chain(zip(masks, members), rest)
+
+    def _generate(self, tau: str, required: int, masks: list, members: list):
+        groups = self.groups[tau]
+        bits = [1 << i for i in range(len(groups))]
+        fixed = tuple(i for i, bit in enumerate(bits) if required & bit)
+        free = [i for i, bit in enumerate(bits) if not required & bit]
         for r in range(len(free) + 1):
             for extra in itertools.combinations(free, r):
-                picked = sorted(required.union(extra))
-                chosen[tau] = tuple(m for i in picked for m in groups[tau][i])
-                yield from walk(k + 1)
+                picked = map(groups.__getitem__, sorted(fixed + extra))
+                got = tuple(itertools.chain.from_iterable(picked))
+                # the free groups' bits are not in `required`, so adding them ORs them in
+                masks.append(required + sum(map(bits.__getitem__, extra)))
+                members.append(self.tuples.setdefault(got, got))
+                yield masks[-1], members[-1]
 
-    return walk(0)
+    def selections(self, nodes: list[str]):
+        """Every monotone choice of groups along `nodes`, a linear extension
+        of an upward-closed set: each node picks some of its groups, and
+        must pick every group holding a set picked at a node below.
+
+        Yields {node: the picked groups' sets, in group order}, lazily and
+        depth first: the first node varies slowest, and each node tries the
+        fewest extra groups first.
+        """
+        f, groups, n = self.f, self.groups, len(nodes)
+        index = {tau: {m.uid: i for i, g in enumerate(groups[tau]) for m in g} for tau in nodes}
+        # picks only grow upward, so a node's lower covers force all it must
+        # pick, and in an upward-closed set they are its covers in the frame;
+        # per cover: its position, the mask each of its groups forces here,
+        # and a memo from its picked mask to the mask that forces
+        covers = [
+            [
+                (j, tuple(_or(1 << index[tau][m.uid] for m in g) for g in groups[rho]), {})
+                for j, rho in enumerate(nodes[:k])
+                if tau in f.succ[rho]
+            ]
+            for k, tau in enumerate(nodes)
+        ]
+        picks = [0] * n
+        chosen: list[tuple[KripkeSet, ...]] = [()] * n
+        stack = [self.choices(nodes[0], 0)]
+        while stack:
+            option = next(stack[-1], None)
+            if option is None:
+                stack.pop()
+                continue
+            k = len(stack) - 1
+            picks[k], chosen[k] = option
+            if k + 1 == n:
+                yield dict(zip(nodes, chosen))
+                continue
+            required = 0
+            for j, forced, memo in covers[k + 1]:
+                pick = picks[j]
+                if pick not in memo:
+                    memo[pick] = _or(g for i, g in enumerate(forced) if pick >> i & 1)
+                required |= memo[pick]
+            stack.append(self.choices(nodes[k + 1], required))
+
+
+def _or(masks) -> int:
+    return functools.reduce(int.__or__, masks, 0)
 
 
 def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...]:
@@ -151,21 +218,22 @@ def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...
         groups = {tau: t_classes_at(f, tau) for tau in f.nodes}
     else:
         groups = {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes}
-    selections = _monotone_selections(f, linear_extension(f), groups)
+    selections = _ChoiceTable(f, groups).selections(linear_extension(f))
     if not quotient:
         selections = list(itertools.islice(selections, POWERSET_CAP + 1))
         if len(selections) > POWERSET_CAP:
             raise ValueError("too many literal families to enumerate; use quotient=True")
+    # the groups hold only delayed ones, so `subset_of_t`'s member check would always pass
     return tuple(
-        subset_of_t(f, ext, label=f"bfam{k}") for k, ext in enumerate(selections)
+        KripkeSet(f, f.bottom, ext, f"bfam{k}") for k, ext in enumerate(selections)
     )
 
 
 def with_zero(x: KripkeSet) -> KripkeSet:
     """Adjoin 0 to a collection of delayed ones, preserving the birth node."""
     f = x.frame
-    allowed = {m.uid for m in t_family(f)}
-    for tau, members in x.ext.items():
+    allowed = _t_uids(f)
+    for members in x.ext.values():
         if any(m.uid not in allowed for m in members):
             raise ValueError("with_zero expects a collection of delayed ones")
 

@@ -48,8 +48,8 @@ from .formula import Formula, free_vars, is_positive_in, parse
 from .frame import Frame, _Record, hits, leq, linear_extension, up_set
 from .construct import (
     POWERSET_CAP,
+    _ChoiceTable,
     _intern,
-    _monotone_selections,
     is_branch,
 )
 from .semantics import (
@@ -533,6 +533,8 @@ def powerset(s: Structure) -> Structure:
     """All monotone selections from the universe, born at every node."""
     f = s.frame
     singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
+    # one table for every cone: a node's choices depend only on what it must pick
+    table = _ChoiceTable(f, singletons)
     topo = linear_extension(f)
 
     def selections(sigma: str):
@@ -540,7 +542,7 @@ def powerset(s: Structure) -> Structure:
         # the empty choice below every node always extends, so the final
         # count bounds every partial one and one cap covers them all
         families = list(
-            islice(_monotone_selections(f, cone, singletons), POWERSET_CAP + 1)
+            islice(table.selections(cone), POWERSET_CAP + 1)
         )
         if len(families) > POWERSET_CAP:
             raise ValueError("powerset too large to enumerate; shrink the structure")

@@ -58,7 +58,6 @@ from .formula import (
     parse,
     relativize,
     render,
-    substitute,
 )
 from .frame import Frame, _Record, chain, forest, leaves, leq, tree, up_set
 from .hierarchy import (
@@ -216,7 +215,8 @@ _CATALOGUE = {
     SchemaId.EPSILON_INDUCTION: _Entry(
         "induction",
         lambda phi: Implies(
-            Forall("a", None, Implies(Forall("b", Var("a"), substitute(phi, "a", Var("b"))), phi)),
+            # the bound is read before `a` is rebound, so phi needs no renamed copy
+            Forall("a", None, Implies(Forall("a", Var("a"), phi), phi)),
             Forall("a", None, phi),
         ),
         (), ("a",),

@@ -82,7 +82,6 @@ class KripkeSet:
         cone = up_set(frame, birth)
         if set(ext) != set(cone):
             raise ValueError(f"extension map must cover exactly the cone of {birth!r}")
-        uids = {}
         for tau in cone:
             for m in ext[tau]:
                 if m.frame is not frame:
@@ -91,12 +90,17 @@ class KripkeSet:
                     raise ValueError(
                         f"member born at {m.birth!r} is not alive at {tau!r}"
                     )
-            uids[tau] = {m.uid for m in ext[tau]}
-        # inclusion is transitive, so the covering pairs decide it
+        # inclusion is transitive, so the covering pairs decide it, and a
+        # tuple a node shares with its cover is included in it; sets compare
+        # by identity, so a set of the members stands for their uids
         for tau in cone:
-            here = uids[tau]
+            here, members = ext[tau], None
             for rho in frame.succ[tau]:
-                if not here <= uids[rho]:
+                if ext[rho] is here:
+                    continue
+                if members is None:
+                    members = set(here)
+                if not members.issubset(ext[rho]):
                     raise ValueError(
                         f"extension shrinks from {tau!r} to {rho!r}; transitions are inclusions"
                     )

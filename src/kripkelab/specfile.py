@@ -137,7 +137,7 @@ def _name_refs(builder: str, args: tuple[str, ...]) -> tuple[str, ...]:
 def _parse_designation(
     toks: list[str], names_seen: set[str], lineno: int
 ) -> DesignatedInstance:
-    from .formula import parse
+    from .formula import params_of, parse
     from .schema import DesignatedInstance, SchemaId, build_template
 
     if not toks:
@@ -150,10 +150,14 @@ def _parse_designation(
     params: list[tuple[str, str]] = []
     node: str | None = None
     label = ""
+    keys: set[str] = set()
     for tok in toks[1:]:
         if "=" not in tok:
             raise SpecError(f"line {lineno}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
+        if key in keys:
+            raise SpecError(f"line {lineno}: designate {schema.value}: key {key!r} given twice")
+        keys.add(key)
         if key == "phi":
             phi = val
         elif key == "node":
@@ -166,9 +170,18 @@ def _parse_designation(
             params.append((key, val))
     # checked here, so every command that reads the file refuses it, not only `check`
     try:
-        build_template(schema, None if phi is None else parse(phi))
+        reads = params_of(build_template(schema, None if phi is None else parse(phi)))
     except ValueError as err:
         raise SpecError(f"line {lineno}: designate {schema.value}: {err}") from None
+    # a parameter the template does not read would only fail at `check`;
+    # one left out falls back to the names table there
+    for key, _ in params:
+        if key not in reads:
+            wanted = ", ".join(f"#{p}" for p in sorted(reads)) or "none"
+            raise SpecError(
+                f"line {lineno}: designate {schema.value}: "
+                f"the template reads no parameter #{key} (it reads {wanted})"
+            )
     return DesignatedInstance(schema, phi, tuple(params), node, label)
 
 

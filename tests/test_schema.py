@@ -5,7 +5,18 @@ import time
 
 import pytest
 
-from kripkelab.formula import Not, classify, enumerate_pi, params_of, parse, render
+from kripkelab.formula import (
+    Forall,
+    Implies,
+    Not,
+    Var,
+    classify,
+    enumerate_pi,
+    params_of,
+    parse,
+    render,
+    substitute,
+)
 from kripkelab.frame import chain, fan, leaves, tree
 from kripkelab.hierarchy import def_step, empty_structure, powerset
 from kripkelab.schema import (
@@ -21,7 +32,13 @@ from kripkelab.schema import (
     SchemaId,
 )
 from kripkelab.semantics import forces
-from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
+from kripkelab.specfile import (
+    build_structure,
+    canonical_structure,
+    load_structure,
+    parse_structure_spec,
+    uniformity_gap,
+)
 
 from reference_sweep import reference_check, strictly_pi
 
@@ -149,6 +166,53 @@ def test_check_schema_epsilon_induction_holds(t2):
     assert report.holds and report.counterexample is None
     assert report.stats["instances"] == 60
     assert report.stats["nodes"] == 3
+
+
+def test_epsilon_induction_binds_a_over_a_around_phi_itself():
+    phi = parse("forall z in a . z in a")
+    hypothesis = build_template(SchemaId.EPSILON_INDUCTION, phi).left.body.left
+    assert isinstance(hypothesis, Forall)
+    assert hypothesis.var == "a" and hypothesis.bound == Var("a")
+    assert hypothesis.body is phi
+
+
+# induction formulas that bind `a` or `b` themselves
+EPSILON_PHIS = [
+    "forall b in a . forall z in b . z in a",
+    "exists b in a . b = b",
+    "forall b in a . exists a in b . ~(a = b)",
+    "exists a . a in a",
+    "(forall a in a . exists b in a . b = b) \\/ ~(exists b in a . b = b)",
+]
+
+
+def _substituted(phi):
+    """Epsilon induction's instance with the hypothesis over a renamed copy."""
+    hypothesis = Forall("b", Var("a"), substitute(phi, "a", Var("b")))
+    return Implies(Forall("a", None, Implies(hypothesis, phi)), Forall("a", None, phi))
+
+
+@pytest.mark.parametrize("text", EPSILON_PHIS)
+def test_a_designated_epsilon_instance_binding_a_or_b_keeps_its_verdict(text):
+    spec = parse_structure_spec(
+        f'frame fan width=2\nx = nat 2\np = phat0\ndesignate EpsilonInduction phi="{text}"\n'
+    )
+    assert spec.designations[0].phi == text
+    s = build_structure(spec)
+    phi = parse(text)
+    ours = build_template(SchemaId.EPSILON_INDUCTION, phi)
+    theirs = _substituted(phi)
+    # the hypothesis alone, at every node for every set alive there
+    for sigma in s.frame.nodes:
+        for x in s.universe[sigma]:
+            env = {"a": x}
+            assert forces(s, sigma, ours.left.body.left, env) == forces(
+                s, sigma, theirs.left.body.left, env
+            ), (sigma, x)
+    # and the instance as `check` decides it: induction holds on these frames
+    report = check_schema(s, SchemaId.EPSILON_INDUCTION, CheckBounds(0, 0))
+    assert report.stats["designated"] == 1
+    assert report.holds and all(forces(s, sigma, theirs) for sigma in s.frame.nodes)
 
 
 def test_check_schema_pairing_fails_on_a_finite_universe(t2):

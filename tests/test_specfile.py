@@ -49,7 +49,8 @@ def test_hash_inside_a_quoted_value_is_not_a_comment():
 
 
 # each value goes in every slot a dump writes it to; a designation's
-# formula must fit its schema, so formulas are tried on their own below
+# formula must fit its schema, so formulas are tried on their own below, and
+# its parameter keys must be parameters its template reads, so the key is #p
 TRICKY = {
     "double-quote": 'say "hi"',
     "backslash": "back\\slash",
@@ -67,7 +68,7 @@ TRICKY = {
 
 @pytest.mark.parametrize("value", TRICKY.values(), ids=TRICKY.keys())
 def test_a_dump_parses_back_to_the_same_spec(value):
-    inst = DesignatedInstance(SchemaId.DELTA0_BOUNDING, "y in #p", ((value, value),), value, value)
+    inst = DesignatedInstance(SchemaId.DELTA0_BOUNDING, "y in #p", (("p", value),), value, value)
     spec = StructSpec("chain length=1", ((value, "nat", (value,)),), (value,), (inst,))
     assert parse_structure_spec(dump_structure_spec(spec)) == spec
 
@@ -99,6 +100,36 @@ def test_a_dumped_formula_parses_back(phi):
 def test_a_malformed_designation_is_refused_at_load(tmp_path, designation, message):
     path = tmp_path / "bad.struct"
     path.write_text(f"frame chain length=1\n{designation}\n", encoding="utf-8")
+    with pytest.raises(SpecError) as err:
+        load_structure(str(path))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "designation, message",
+    [
+        (
+            'designate Delta0Uniformity phi="y in x" B=_W node=bot',
+            "line 3: designate Delta0Uniformity: the template reads no parameter #B (it reads #A)",
+        ),
+        (
+            'designate Delta0Uniformity phi="y in x" A=_W A=_W',
+            "line 3: designate Delta0Uniformity: key 'A' given twice",
+        ),
+        (
+            'designate Delta0Uniformity phi="y in x" phi="x in y" A=_W',
+            "line 3: designate Delta0Uniformity: key 'phi' given twice",
+        ),
+        (
+            "designate Pairing A=_W",
+            "line 3: designate Pairing: the template reads no parameter #A (it reads none)",
+        ),
+    ],
+    ids=["unread-key", "repeated-key", "repeated-phi", "axiom-with-key"],
+)
+def test_designation_keys_are_checked_against_the_template(tmp_path, designation, message):
+    path = tmp_path / "bad.struct"
+    path.write_text(f"frame fan width=2\n_W = nat 2\n{designation}\n", encoding="utf-8")
     with pytest.raises(SpecError) as err:
         load_structure(str(path))
     assert str(err.value) == message
