@@ -116,17 +116,17 @@ class _ChoiceTable:
     by the mask of groups the nodes below force it to pick.
 
     Groups are bit positions.  `options` holds, per node and required mask,
-    the picked masks and member tuples read so far, in the order
-    `itertools.combinations` takes the free groups, and the generator of
-    the rest; `tuples` keeps one member tuple per distinct member sequence,
-    so every selection that picks the same members, at any node, shares one
-    tuple object.
+    a never-read `tee` copy of its (picked mask, member tuple) stream, in
+    the order `itertools.combinations` takes the free groups, which keeps
+    every pair any copy has read; `tuples` keeps one member tuple per
+    distinct member sequence, so every selection that picks the same
+    members, at any node, shares one tuple object.
     """
 
     def __init__(self, f: Frame, groups: dict) -> None:
         self.f = f
         self.groups = groups
-        self.options: dict[tuple[str, int], tuple[list, list, Iterator]] = {}
+        self.options: dict[tuple[str, int], Iterator] = {}
         self.tuples: dict[tuple[KripkeSet, ...], tuple[KripkeSet, ...]] = {}
 
     def choices(self, tau: str, required: int) -> Iterator:
@@ -134,15 +134,10 @@ class _ChoiceTable:
         for every later one, so a wide node yields only what is read."""
         key = (tau, required)
         if key not in self.options:
-            masks: list[int] = []
-            members: list[tuple[KripkeSet, ...]] = []
-            self.options[key] = (masks, members, self._generate(tau, required, masks, members))
-        masks, members, rest = self.options[key]
-        # a walk holds a node once on its stack, so no read overlaps another:
-        # the kept picks run out before `rest` appends the next one
-        return itertools.chain(zip(masks, members), rest)
+            self.options[key] = itertools.tee(self._generate(tau, required), 1)[0]
+        return self.options[key].__copy__()  # `copy.copy` would import a module
 
-    def _generate(self, tau: str, required: int, masks: list, members: list):
+    def _generate(self, tau: str, required: int):
         groups = self.groups[tau]
         bits = [1 << i for i in range(len(groups))]
         fixed = tuple(i for i, bit in enumerate(bits) if required & bit)
@@ -152,9 +147,7 @@ class _ChoiceTable:
                 picked = map(groups.__getitem__, sorted(fixed + extra))
                 got = tuple(itertools.chain.from_iterable(picked))
                 # the free groups' bits are not in `required`, so adding them ORs them in
-                masks.append(required + sum(map(bits.__getitem__, extra)))
-                members.append(self.tuples.setdefault(got, got))
-                yield masks[-1], members[-1]
+                yield required + sum(map(bits.__getitem__, extra)), self.tuples.setdefault(got, got)
 
     def selections(self, nodes: list[str]):
         """Every monotone choice of groups along `nodes`, a linear extension

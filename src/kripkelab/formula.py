@@ -449,10 +449,10 @@ def _atoms(terms: list[Term]) -> list[Formula]:
 
 _BOUND_POOL = ("z", "w", "u", "v", "z1", "w1", "u1", "v1")
 _OPS = (And, Or, Implies)
-# The most formulas a layer below the last, which is listed in full, may
-# have: the depth-2 layer over x, y and #p (1.95 million, the largest a
-# `check --depth 3` lists) takes 2.3 s and 224 MB peak RSS on one core
-# (Python 3.11); the depth-3 layer over x alone has 11.6 million.
+# The most formulas any layer, the last too, may have: the depth-2 layer
+# over x, y and #p (1.95 million, the widest a sweep reads) takes 2.3 s and
+# 224 MB peak RSS on one core (Python 3.11); the depth-3 layer over x alone
+# has 11.6 million.
 LAYER_CAP = 1 << 21
 
 
@@ -525,9 +525,9 @@ def formula_stream(
 def _delta0(
     max_depth: int, variables: tuple[str, ...], params: tuple[str, ...]
 ) -> tuple[int, Iterator[Formula]]:
-    """`enumerate_delta0`'s stream.  Each layer is counted from its operands;
-    all but the last are then built, or refused past LAYER_CAP, and the last
-    is a generator."""
+    """`enumerate_delta0`'s stream.  Each layer is counted from its operands
+    and refused past LAYER_CAP; all but the last are then built, and the
+    last is a generator."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     for kind, names in (("variable", variables), ("parameter", params)):
@@ -568,13 +568,13 @@ def _delta0(
         )
         size = len(fresh) + len(_OPS) * sum(len(a) * len(b) for a, b in pairs)
         size += len(binders) * len(bodies) * len(base_terms)
-        if depth == max_depth:
-            return len(stream) + size, itertools.chain(stream, layer)
         if size > LAYER_CAP:
             raise ValueError(
                 f"the depth-{depth} formula layer has {size:,} formulas, past "
                 f"LAYER_CAP ({LAYER_CAP:,}); lower the depth"
             )
+        if depth == max_depth:
+            return len(stream) + size, itertools.chain(stream, layer)
         layer = list(layer)
         stream += layer
     return len(stream), iter(stream)

@@ -582,17 +582,13 @@ def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> Kr
     return _carve(s, x.birth, psi, x.ext, {"Y": ysub}, "gamma")
 
 
-def _subset_signature(x: KripkeSet) -> tuple:
-    return tuple((tau, tuple(m.uid for m in x.ext[tau])) for tau in sorted(x.ext))
-
-
 def _fixed_point(
     s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet
 ) -> tuple[KripkeSet, list[KripkeSet]]:
     trace = [stage]
     while True:
         nxt = gamma_apply(s, x, psi, stage)
-        if _subset_signature(nxt) == _subset_signature(stage):
+        if nxt.ext == stage.ext:  # both cover x's cone; sets compare by identity
             return stage, trace
         stage = nxt
         trace.append(stage)

@@ -20,6 +20,7 @@ Parsing and dumping round-trip exactly.
 from __future__ import annotations
 
 import shlex
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from . import construct as C
@@ -31,19 +32,6 @@ from .semantics import KripkeSet, Structure, alive, hereditary_closure, structur
 # checkers nor the definability engine
 if TYPE_CHECKING:
     from .schema import DesignatedInstance
-
-_BUILDERS = (
-    "empty",
-    "nat",
-    "one_sigma",
-    "pair",
-    "union",
-    "branch",
-    "phat",
-    "phat0",
-    "L",
-    "staged_nats",
-)
 
 # the largest numeral times node count (`nat k`, and the largest count of
 # `staged_nats`): building the numeral and reading it took 0.7 s at k = 1024
@@ -116,9 +104,12 @@ def parse_structure_spec(text: str) -> StructSpec:
         name, builder, args = toks[0], toks[2], tuple(toks[3:])
         if name in names_seen:
             raise SpecError(f"line {lineno}: name {name!r} bound twice")
-        if builder not in _BUILDERS:
+        entry = _BUILDERS.get(builder)
+        if entry is None:
             raise SpecError(f"line {lineno}: unknown builder {builder!r}")
-        for ref in _name_refs(builder, args):
+        if entry.arity is not None and len(args) != entry.arity:
+            raise SpecError(f"line {lineno}: builder {builder!r} takes {entry.arity} argument(s)")
+        for ref in args if entry.refs else ():
             if ref not in names_seen:
                 raise SpecError(f"line {lineno}: unknown name {ref!r}")
         names_seen.add(name)
@@ -126,12 +117,6 @@ def parse_structure_spec(text: str) -> StructSpec:
     if frame_text is None:
         raise SpecError("no frame line found")
     return StructSpec(frame_text, tuple(entries), seeds, tuple(designations))
-
-
-def _name_refs(builder: str, args: tuple[str, ...]) -> tuple[str, ...]:
-    if builder in ("pair", "union"):
-        return args
-    return ()
 
 
 def _parse_designation(
@@ -194,7 +179,57 @@ def _cap_numeral(f: Frame, k: int, what: str) -> None:
         )
 
 
-def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
+def _number(text: str, what: str, noun: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{what}: bad {noun} {text!r}") from None
+
+
+def _nat(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
+    k = _number(args[0], what, "numeral")
+    _cap_numeral(f, k, f"{what}: numeral {k}")
+    return C.internal_nat(f, k)
+
+
+def _one_sigma(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
+    if args[0] not in f.nodes:
+        raise SpecError(f"{what}: unknown node {args[0]!r}")
+    return C.one_sigma(f, args[0])
+
+
+def _pair(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
+    x, y = named[args[0]], named[args[1]]
+    # sets compare by identity, so a dict keeps each one's first occurrence
+    ext = {tau: tuple(dict.fromkeys(m for m in (x, y) if alive(m, tau))) for tau in f.nodes}
+    return KripkeSet(f, f.bottom, ext, f"pair({args[0]},{args[1]})")
+
+
+def _union(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
+    a = named[args[0]]
+    ext = {tau: tuple(dict.fromkeys(i for m in a.ext[tau] for i in m.ext[tau])) for tau in a.ext}
+    return KripkeSet(f, a.birth, ext, f"union({args[0]})")
+
+
+def _levels(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
+    levels = _number(args[0], what, "level count")
+    if levels < 0:
+        raise SpecError(f"{what}: level count must be >= 0")
+    if levels > LEVEL_CAP:
+        raise SpecError(f"{what}: level count {levels} is past LEVEL_CAP ({LEVEL_CAP})")
+    n = len(f.nodes)
+    if levels * n > LEVEL_NODE_CAP:
+        raise SpecError(
+            f"{what}: level count {levels} is past LEVEL_NODE_CAP ({LEVEL_NODE_CAP}) "
+            f"on a {n}-node frame (at most {LEVEL_NODE_CAP // n})"
+        )
+    from .hierarchy import DefConfig, _shared_empty, iterate_def
+
+    stepped = iterate_def(_shared_empty(f), levels, DefConfig(formula_depth=2))
+    return KripkeSet(f, f.bottom, dict(stepped.universe), f"L{levels}")
+
+
+def _staged_nats(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSet:
     counts: dict[str, int] = {}
     for a in args:
         if ":" not in a:
@@ -204,10 +239,7 @@ def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
             raise SpecError(f"{what}: unknown node {node!r}")
         if node in counts:
             raise SpecError(f"{what}: node {node!r} listed twice")
-        try:
-            counts[node] = int(num)
-        except ValueError:
-            raise SpecError(f"{what}: bad count {num!r}") from None
+        counts[node] = _number(num, what, "count")
         if counts[node] < 0:
             raise SpecError(f"{what}: counts must be >= 0")
     missing = [n for n in f.nodes if n not in counts]
@@ -224,75 +256,29 @@ def _staged_nats(f: Frame, args: tuple[str, ...], what: str) -> KripkeSet:
     return KripkeSet(f, f.bottom, ext, "staged")
 
 
-def _build_one(
-    f: Frame, builder: str, args: tuple[str, ...], named: dict[str, KripkeSet], what: str
-) -> KripkeSet:
-    def arity(n: int) -> None:
-        if len(args) != n:
-            raise SpecError(f"{what}: builder {builder!r} takes {n} argument(s)")
+class _Builder(_Record):
+    """A builder's argument count (None takes any), checked when the line is
+    read; its build(frame, args, sets named so far, what names the entry);
+    and whether its arguments name earlier entries, also checked then."""
 
-    if builder == "empty":
-        arity(0)
-        return C.empty_set(f)
-    if builder == "nat":
-        arity(1)
-        try:
-            k = int(args[0])
-        except ValueError:
-            raise SpecError(f"{what}: bad numeral {args[0]!r}") from None
-        _cap_numeral(f, k, f"{what}: numeral {k}")
-        return C.internal_nat(f, k)
-    if builder == "one_sigma":
-        arity(1)
-        if args[0] not in f.nodes:
-            raise SpecError(f"{what}: unknown node {args[0]!r}")
-        return C.one_sigma(f, args[0])
-    if builder == "pair":
-        arity(2)
-        x, y = named[args[0]], named[args[1]]
-        # sets compare by identity, so a dict keeps each one's first occurrence
-        ext = {tau: tuple(dict.fromkeys(m for m in (x, y) if alive(m, tau))) for tau in f.nodes}
-        return KripkeSet(f, f.bottom, ext, f"pair({args[0]},{args[1]})")
-    if builder == "union":
-        arity(1)
-        a = named[args[0]]
-        ext = {
-            tau: tuple(dict.fromkeys(inner for m in a.ext[tau] for inner in m.ext[tau]))
-            for tau in a.ext
-        }
-        return KripkeSet(f, a.birth, ext, f"union({args[0]})")
-    if builder == "branch":
-        arity(1)
-        return C.branch_from_bits(f, args[0])
-    if builder == "phat":
-        arity(0)
-        return C.p_hat(f)
-    if builder == "phat0":
-        arity(0)
-        return C.with_zero(C.p_hat(f))
-    if builder == "L":
-        arity(1)
-        try:
-            levels = int(args[0])
-        except ValueError:
-            raise SpecError(f"{what}: bad level count {args[0]!r}") from None
-        if levels < 0:
-            raise SpecError(f"{what}: level count must be >= 0")
-        if levels > LEVEL_CAP:
-            raise SpecError(f"{what}: level count {levels} is past LEVEL_CAP ({LEVEL_CAP})")
-        n = len(f.nodes)
-        if levels * n > LEVEL_NODE_CAP:
-            raise SpecError(
-                f"{what}: level count {levels} is past LEVEL_NODE_CAP ({LEVEL_NODE_CAP}) "
-                f"on a {n}-node frame (at most {LEVEL_NODE_CAP // n})"
-            )
-        from .hierarchy import DefConfig, _shared_empty, iterate_def
+    __slots__ = ("arity", "build", "refs")
 
-        stepped = iterate_def(_shared_empty(f), levels, DefConfig(formula_depth=2))
-        return KripkeSet(f, f.bottom, dict(stepped.universe), f"L{levels}")
-    if builder == "staged_nats":
-        return _staged_nats(f, args, what)
-    raise SpecError(f"{what}: unknown builder {builder!r}")
+    def __init__(self, arity: int | None, build: Callable[..., KripkeSet], refs: bool = False):
+        self._fill(arity, build, refs)
+
+
+_BUILDERS = {
+    "empty": _Builder(0, lambda f, *_: C.empty_set(f)),
+    "nat": _Builder(1, _nat),
+    "one_sigma": _Builder(1, _one_sigma),
+    "pair": _Builder(2, _pair, refs=True),
+    "union": _Builder(1, _union, refs=True),
+    "branch": _Builder(1, lambda f, args, *_: C.branch_from_bits(f, args[0])),
+    "phat": _Builder(0, lambda f, *_: C.p_hat(f)),
+    "phat0": _Builder(0, lambda f, *_: C.with_zero(C.p_hat(f))),
+    "L": _Builder(1, _levels),
+    "staged_nats": _Builder(None, _staged_nats),
+}
 
 
 def build_structure(spec: StructSpec) -> Structure:
@@ -302,7 +288,7 @@ def build_structure(spec: StructSpec) -> Structure:
             raise SpecError(f"designate {d.schema.value}: unknown node {d.node!r}")
     named: dict[str, KripkeSet] = {}
     for name, builder, args in spec.entries:
-        named[name] = _build_one(f, builder, args, named, f"name {name!r}")
+        named[name] = _BUILDERS[builder].build(f, args, named, f"name {name!r}")
     public = tuple(x for nm, x in named.items() if not nm.startswith("_"))
     seeds = tuple(named[nm] for nm in spec.universe_seeds)
     universe = (

@@ -180,6 +180,27 @@ def test_check_refuses_a_formula_layer_too_large_to_build(capsys):
     assert time.monotonic() - t0 < 5.0
 
 
+def test_check_refuses_a_last_layer_too_large_to_read(capsys):
+    # the depth-3 layer is the last one the sweep reads; it has 41 billion formulas
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "check", "--frame", "chain length=1",
+                         "--schema", "Delta0Bounding", "--depth", "3")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the depth-3 formula layer has 41,375,521,342 formulas, past "
+        "LAYER_CAP (2,097,152); lower the depth\n"
+    )
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_dump_refuses_a_wrong_builder_arity(capsys, tmp_path):
+    path = tmp_path / "bad.struct"
+    path.write_text("frame chain length=1\nx = nat 2 3\n", encoding="utf-8")
+    code, out, err = run(capsys, "dump", "--what", "structure", "--structure", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: builder 'nat' takes 1 argument(s)\n"
+
+
 def test_check_designated_instance_from_structure(capsys, fixtures_dir):
     path = str(fixtures_dir / "uniformity_gap.struct")
     code, out, _ = run(capsys, "check", "--structure", path,

@@ -230,6 +230,16 @@ def test_a_layer_past_the_cap_is_refused_before_it_is_built():
         enumerate_pi(5, ("x",))
 
 
+def test_the_last_layer_is_capped_too():
+    # the depth-3 layer over x is the stream's last, lazy layer; it is
+    # counted and refused before the stream is read
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="depth-3 formula layer has 11,587,630 formulas"):
+        formula_stream(3, ("x",))
+    assert time.monotonic() - t0 < 1.0
+    assert len(enumerate_delta0(3, ())) == 1344
+
+
 def test_the_layer_cap_admits_every_layer_a_depth_3_sweep_lists():
     # a depth-3 sweep lists up to its depth-2 layer, and x, y and #p are the
     # most base terms a sweep has; counted from its operands, not built

@@ -1,5 +1,8 @@
 """Structure files: grammar, builders, privacy rules, and round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from kripkelab.construct import empty_set, internal_nat, one_sigma, p_hat
@@ -7,6 +10,7 @@ from kripkelab.frame import tree
 from kripkelab.schema import DesignatedInstance, SchemaId
 from kripkelab.semantics import forced_equal, forced_member, universe_at
 from kripkelab.specfile import (
+    _BUILDERS,
     build_structure,
     canonical_structure,
     dump_structure_spec,
@@ -222,6 +226,34 @@ def test_builders_cover_the_catalog():
 def test_spec_errors(text, fragment):
     with pytest.raises(SpecError, match=fragment):
         build_structure(parse_structure_spec(text))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x = nat 2 3", "line 2: builder 'nat' takes 1 argument(s)"),
+        ("x = empty 1", "line 2: builder 'empty' takes 0 argument(s)"),
+        # the count is checked before the names it would read
+        ("x = pair a", "line 2: builder 'pair' takes 2 argument(s)"),
+    ],
+)
+def test_a_wrong_argument_count_is_refused_when_the_line_is_read(line, message):
+    with pytest.raises(SpecError) as err:
+        parse_structure_spec(f"frame tree depth=2\n{line}\n")
+    assert str(err.value) == message
+
+
+def test_the_readme_lists_the_builder_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme[readme.index("Builders, one entry each"):].split(".  ", 1)[0]
+    listed = dict(re.findall(r"`(\w+)((?: <[^>]+>)*)`", sentence))
+    assert listed.keys() == _BUILDERS.keys()
+    for name, placeholders in listed.items():
+        args = re.findall(r"<([^>]+)>", placeholders)
+        if _BUILDERS[name].arity is None:
+            assert len(args) == 1 and args[0].endswith("..."), name
+        else:
+            assert len(args) == _BUILDERS[name].arity, name
 
 
 def test_the_numeral_cap_admits_its_bound():
