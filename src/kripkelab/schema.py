@@ -7,11 +7,11 @@ allowed, and what a sweep reads there) and its template, a function of
 that formula; an axiom has no slot, and its text is parsed on first use.
 A sweep reads its formulas from a lazy `formula_stream`, so one that fails
 early never builds the rest of the last layer.  It forces each template
-once per distinct assignment of its parameters, which decides every node
-at once (`forcing_mask`), and reads one bit per (node, assignment) in
-scope.  Structures may carry designated instances in their notes; those
-are checked before the generic sweep, so a designed failure is the one
-reported.
+once, over every assignment of its parameters at every node (a
+`semantics.Sweep` mask with one node block per assignment), and reads one
+bit per (node, assignment) in scope.  Structures may carry designated
+instances in their notes; those are checked before the generic sweep, each
+through `forces`, so a designed failure is the one reported.
 """
 
 from __future__ import annotations
@@ -74,13 +74,13 @@ from .hierarchy import (
 from .semantics import (
     KripkeSet,
     Structure,
+    Sweep,
     class_at,
     delta0_absolute,
     empty_structure,
     forced_equal,
     forced_member,
     forces,
-    forcing_mask,
     is_end_extension,
     structure_from_sets,
     universe_at,
@@ -311,8 +311,11 @@ def check_schema(
     Designated instances run first, so a structure built around a known gap
     reports that gap.  The first failing instance is the counterexample:
     formulas in stream order, then nodes in scope, then assignments from
-    the node's universe.  Each template is forced once per distinct
-    assignment, over all nodes at once, and each instance reads one bit."""
+    the node's universe.  Each template is forced once, over all
+    assignments at all nodes, and each instance reads one bit of that mask:
+    a node whose assignments all hold is read in one step, and only a
+    failing node is walked in assignment order.  The sweeps, and the masks
+    they keep, are dropped on return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -334,27 +337,31 @@ def check_schema(
                 note = inst.label or "designated instance"
 
     count, formulas = _stream(schema, bounds)
+    sweeps: dict[tuple[str, ...], Sweep] = {}
     for phi in formulas:
         if failure is not None:
             break
         template = build_template(schema, phi)
-        names = sorted(params_of(template))  # assignments try #A, then #p
-        # sets compare by identity, so a tuple of values keys an assignment
-        # as their uids would
-        masks: dict[tuple, int] = {}
+        names = tuple(sorted(params_of(template)))  # assignments try #A, then #p
+        sweep = sweeps.get(names)
+        if sweep is None:
+            sweep = sweeps[names] = Sweep(s, names)
+        held = None
         for sigma in nodes:
-            if failure is not None:
-                break
-            bit = 1 << s.frame.pos[sigma]
+            here, listed = sweep.scope(sigma)
+            if not here:
+                continue
+            if held is None:
+                held = sweep.forcing_mask(template)
+            if held & listed == listed:
+                instances += here
+                continue
             for values in itertools.product(s.universe[sigma], repeat=len(names)):
                 instances += 1
-                mask = masks.get(values)
-                if mask is None:
-                    assignment = dict(zip(names, values))
-                    mask = masks[values] = forcing_mask(s, template, None, assignment)
-                if not mask & bit:
+                if not held >> sweep.position(values, sigma) & 1:
                     failure = _counterexample(schema, phi, dict(zip(names, values)), sigma)
                     break
+            break
     return CheckReport(
         schema=schema,
         holds=failure is None,

@@ -35,6 +35,19 @@ bounded formula reads extensions and labels but never a universe, so one
 mask serves every structure on the frame; unbounded keys carry
 `Structure.uid`.  Each key is built by code written for its shape.
 
+A `Sweep` decides every assignment of some parameters at once: each
+parameter is an axis over the structure's distinct universe elements, and
+a sweep mask holds one block of len(nodes) bits per tuple of values, axis
+0 least significant.  The clauses are the same compiled ones, kept in a
+second slot (`_sweep`); `hits` walks the frame's runs with the width set
+to the block-stride pattern, so one pass pulls every block down.  Only the
+atom, the listing and the domain differ: an atom reads a node-mask
+relation per pair of values, spread over the blocks; a quantifier bounded
+by an axis walks each member of each value with its per-block listing
+mask; a domain spreads each value's cone.  The sweep owns its masks, in
+two tables each bounded by SWEEP_BITS mask bits, and they go with it: a
+sweep never writes the frame's memo.
+
 Structures are assembled here too: `hereditary_closure` closes sets under
 membership node by node, and `structure_from_sets` and `empty_structure`
 build a `Structure` on it.
@@ -124,12 +137,6 @@ def alive(x: KripkeSet, sigma: str) -> bool:
     # a set's cone is exactly its extension's keys
     _require(x.frame, sigma)
     return sigma in x.ext
-
-
-def ext_at(x: KripkeSet, tau: str) -> tuple[KripkeSet, ...]:
-    if not alive(x, tau):
-        raise ValueError(f"set born at {x.birth!r} has no extension at {tau!r}")
-    return x.ext[tau]
 
 
 # ------------------------------------------------------- forced equality
@@ -310,6 +317,12 @@ class EvalError(ValueError):
 # also drops the verdicts a sweep keeps reusing, so the bound trades
 # re-forcing those against holding dead ones
 MEMO_CAP = 1 << 14
+# mask bits each of a `Sweep`'s two tables holds before it is dropped:
+# Delta0 Comprehension at depth 1 with two parameters over V_3 on fan(2)
+# (5,329 blocks of 3 bits) peaked at 19.0 MB RSS in 0.6 s with this bound,
+# 17.9 MB in 0.6 s with half of it and 232 MB in 0.8 s with none (2 cores,
+# Python 3.11)
+SWEEP_BITS = 1 << 24
 
 
 def forces(
@@ -383,6 +396,191 @@ class _Ctx:
         self.full = f.masks[f.pos[f.bottom]]
 
 
+class _Axis:
+    """One swept parameter, j-th of `axes`: its values are the sweep's
+    elements, and as `cone` it holds the bits where its value is alive."""
+
+    __slots__ = ("uid", "cone", "elems", "low", "high", "step")
+
+    def __init__(self, elems: list[KripkeSet], j: int, axes: int, n: int):
+        m = len(elems)
+        stride = m**j  # blocks from one value of the axis to the next
+        self.elems, self.step = elems, stride * n
+        # the blocks below one stride, and one bit per run of m strides
+        self.low, self.high = _spaced(stride, n), _spaced(m ** (axes - j - 1), stride * m * n)
+        self.cone = self.spread([x.cone for x in elems])
+        self.uid = next(_uid_counter)
+
+    def spread(self, masks: list[int]) -> int:
+        """Node mask i of masks in every block where the axis takes its
+        i-th element."""
+        return _concat([mask * self.low for mask in masks], self.step) * self.high
+
+    def blocks(self, i: int) -> int:
+        """Bit 0 of every block where the axis takes its i-th element."""
+        return (self.low << i * self.step) * self.high
+
+
+def _spaced(count: int, step: int) -> int:
+    """count set bits, step apart from bit 0 up."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1) if count > 1 else count
+
+
+def _concat(chunks: list[int], width: int) -> int:
+    """Chunk i shifted to bit i * width, each below 1 << width; joined in
+    pairs, so each round copies the bits once."""
+    while len(chunks) > 1:
+        if len(chunks) % 2:
+            chunks.append(0)
+        chunks = [a | b << width for a, b in zip(chunks[::2], chunks[1::2])]
+        width *= 2
+    return chunks[0] if chunks else 0
+
+
+def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) -> int:
+    """The nodes where x is a member of (equal to) y, read as `_atom` does."""
+    heads, out = (_member_labels if member else _own_labels)(y), 0
+    for tau, c in _labels(x).items():
+        if c in heads:
+            out |= 1 << pos[tau]
+    return out
+
+
+class Sweep:
+    """Forcing under every assignment of some parameters at once.
+
+    Each name is an axis over the structure's distinct universe elements, in
+    `Structure.listing` order.  A sweep mask holds one block of len(nodes)
+    bits per tuple of values, axis 0 least significant, and bit
+    `position(values, sigma)` is what `forcing_mask` with the names bound to
+    values gives at sigma.  The clauses are `forcing_mask`'s, over wider
+    masks: `hits` pulls every block down at once through runs whose width
+    is the block-stride pattern; an atom reads a node-mask relation per pair
+    of values, spread over the blocks where the axes take them; a quantifier
+    whose bound is an axis walks every member of every value with its
+    per-block listing mask; and a domain spreads each value's cone.
+
+    The sweep keeps formula masks in `memo` and the masks built from values
+    alone (relations, axis ranges, node scopes) in `tables`, never in the
+    frame's memo; each table is dropped when it would pass SWEEP_BITS mask
+    bits, and both go with the sweep.  With no names a sweep is one
+    `forcing_mask` call, on the frame's memo."""
+
+    __slots__ = (
+        "structure", "names", "params", "runs", "full", "pattern", "width",
+        "index", "memo", "cap", "tables", "held",
+    )
+
+    def __init__(self, s: Structure, names: tuple[str, ...]):
+        f, elems = s.frame, [x for x, _ in s.listing]
+        n, k = len(f.nodes), len(names)
+        self.structure, self.names = s, names
+        self.pattern = pattern = _spaced(len(elems) ** k, n)
+        self.width = len(elems) ** k * n
+        self.runs = tuple((src, pattern, tgt) for src, _, tgt in f.runs)
+        self.full = f.masks[f.pos[f.bottom]] * pattern
+        self.index = {x: i for i, x in enumerate(elems)}
+        axes = {name: _Axis(elems, j, k, n) for j, name in enumerate(names)}
+        self.params = {**s.names, **axes}
+        # formula masks, each `width` bits, and the masks built from values
+        # alone: relations, axis ranges and node scopes
+        self.memo, self.cap = {}, max(1, SWEEP_BITS // max(1, self.width))
+        self.tables, self.held = {}, 0
+
+    def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
+        """phi's sweep mask; raises as `forcing_mask` does."""
+        s, env = self.structure, env or {}
+        if not self.names:
+            return forcing_mask(s, phi, env)
+        # `forcing_mask`'s checks, written out again so that it calls no
+        # helper per binding
+        for x in env.values():
+            if x.frame is not s.frame:
+                raise ValueError("bound set lives on a different frame")
+        try:
+            _, _, variables, names = facts(phi)
+            missing = [f"unbound variable {v!r}" for v in variables if v not in env]
+            missing += [f"unknown parameter #{p}" for p in names if p not in self.params]
+            if missing:
+                raise EvalError(missing[0])
+            return _sweep_code(phi)(self, env)
+        except RecursionError:
+            raise EvalError("formula nests too deeply to evaluate") from None
+
+    def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
+        """The bit of sigma under the names bound to values."""
+        block, stride = 0, 1
+        for x in values:
+            block += self.index[x] * stride
+            stride *= len(self.index)
+        return block * len(self.structure.frame.nodes) + self.structure.frame.pos[sigma]
+
+    def scope(self, sigma: str) -> tuple[int, int]:
+        """How many assignments sigma's universe gives the names, and their
+        bits at sigma."""
+        got = self.tables.get(sigma)
+        if got is None:
+            s, listed = self.structure, self.pattern
+            here = set(s.universe[sigma])
+            for name in self.names:
+                axis = self.params[name]
+                listed &= axis.spread([x in here for x in axis.elems])
+            got = (len(here) ** len(self.names), listed << s.frame.pos[sigma])
+            self._table(sigma, got, self.width)
+        return got
+
+    def _table(self, key, value, bits: int):
+        """Keep a mask built from values alone, dropping every such mask
+        first if they would pass SWEEP_BITS bits."""
+        if self.held + bits > SWEEP_BITS:
+            self.tables.clear()
+            self.held = 0
+        self.held += bits
+        self.tables[key] = value
+
+    def relation(self, member: bool, x, y) -> int:
+        """The bits where x is a member of (equal to) y: for each pair of
+        values, the nodes where the first is in (equals) the second, spread
+        over the blocks where x and y take them."""
+        key = ("in" if member else "=", x.uid, y.uid)
+        got = self.tables.get(key)
+        if got is None:
+            pos = self.structure.frame.pos
+            if x.__class__ is not _Axis:
+                if y.__class__ is not _Axis:
+                    got = _nodes_where(member, x, y, pos) * self.pattern
+                else:
+                    got = y.spread([_nodes_where(member, x, b, pos) for b in y.elems])
+            elif y.__class__ is not _Axis or x is y:
+                got = x.spread([_nodes_where(member, a, a if x is y else y, pos) for a in x.elems])
+            else:
+                got = 0
+                for i, a in enumerate(x.elems):
+                    row = y.spread([_nodes_where(member, a, b, pos) for b in y.elems])
+                    got |= row & x.blocks(i) * ((1 << len(pos)) - 1)
+            self._table(key, got, self.width)
+        return got
+
+    def listing(self, y):
+        """A quantifier's range: each member of y's values (each universe
+        element for None) with the bits where it is listed.  The range of an
+        axis is gathered once and kept; a set's is spread as it is read."""
+        if y is None:
+            return ((x, nodes * self.pattern) for x, nodes in self.structure.listing)
+        if y.__class__ is not _Axis:
+            return ((x, nodes * self.pattern) for x, nodes in _members_listed(y))
+        got = self.tables.get(y.uid)
+        if got is None:
+            # each member's node masks, one per value of the axis
+            table: dict[KripkeSet, list[int]] = {}
+            for i, b in enumerate(y.elems):
+                for x, nodes in _members_listed(b):
+                    table.setdefault(x, [0] * len(y.elems))[i] = nodes
+            got = tuple((x, y.spread(masks)) for x, masks in table.items())
+            self._table(y.uid, got, len(got) * self.width)
+        return got
+
+
 def _code(phi: Formula):
     """phi's memoized forcing function `(ctx, env) -> mask`: bit i is set
     iff `nodes[i]` lies in phi's domain, the meet of the cones of the values
@@ -400,20 +598,43 @@ def _code(phi: Formula):
     return code
 
 
+def _sweep_code(phi: Formula):
+    """phi's memoized function over a sweep, `(sweep, env) -> mask`: `_code`
+    over masks with one block per assignment, kept in the node's `_sweep`
+    slot.  Its memo is the sweep's, which holds one structure, so no key
+    carries a structure uid."""
+    try:
+        return phi._sweep
+    except AttributeError:
+        pass
+    serial, _, variables, names = facts(phi)
+    make = _memoized(True, len(variables), len(names), True)
+    code = make(_body(phi, True), serial, *variables, *names)
+    object.__setattr__(phi, "_sweep", code)
+    return code
+
+
 @functools.cache
-def _memoized(bounded: bool, nvars: int, nparams: int):
+def _memoized(bounded: bool, nvars: int, nparams: int, sweep: bool = False):
     """The maker of memoized forcing functions for one key shape.
 
     A key is phi's serial, the structure's uid unless phi is bounded, then
     the uids of the values of phi's sorted free variables and parameters,
-    whose cones meet in the domain.  The maker is written out as source once
-    per shape, as `dataclasses` writes `__init__`: no loop over names."""
+    whose cones meet in the domain.  In a sweep a set's cone is spread over
+    every block (an axis's `cone` already covers them), and the memo is
+    dropped before it holds `Sweep.cap` masks.  The maker is written out as
+    source once per shape, as `dataclasses` writes `__init__`: no loop over
+    names."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
     values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
     key = ["serial"] + ([] if bounded else ["ctx.uid"])
     key += [f"a{i}.uid" for i in range(len(values))]
-    domain = " & ".join(f"a{i}.cone" for i in range(len(values))) or "ctx.full"
+    cones = [f"a{i}.cone" for i in range(len(values))]
+    drop = ""
+    if sweep:
+        cones = [f"({c} if a{i}.__class__ is Axis else {c} * ctx.pattern)" for i, c in enumerate(cones)]
+        drop = "            if len(memo) >= ctx.cap:\n                memo.clear()\n"
     source = (
         f"def make({', '.join(['body', 'serial', *vs, *ps])}):\n"
         "    def code(ctx, env):\n"
@@ -423,38 +644,26 @@ def _memoized(bounded: bool, nvars: int, nparams: int):
         "        memo = ctx.memo\n"
         "        hit = memo.get(key)\n"
         "        if hit is None:\n"
-        f"            hit = memo[key] = body(ctx, env, {domain})\n"
+        + drop
+        + f"            hit = memo[key] = body(ctx, env, {' & '.join(cones) or 'ctx.full'})\n"
         "        return hit\n"
         "    return code\n"
     )
-    scope: dict = {}
+    scope: dict = {"Axis": _Axis}
     exec(source, scope)
     return scope["make"]
 
 
-def _body(phi: Formula):
+def _body(phi: Formula, sweep: bool = False):
     """The forcing clause of phi's kind over its children's compiled
-    functions, without the memo: `(ctx, env, domain) -> mask`."""
+    functions, without the memo: `(ctx, env, domain) -> mask`.  A sweep's
+    clauses are these, over its children's sweep functions; only the atom
+    and the listing differ."""
+    code = _sweep_code if sweep else _code
     if isinstance(phi, (Member, Eq)):
-        left, right = _term(phi.left), _term(phi.right)
-        # a label is interned with its node, so x's label at tau is one of
-        # y's own labels (of its members' labels) iff x = y (x in y) at tau
-        own = lambda y: frozenset(_labels(y).values())
-        heads = _member_labels if isinstance(phi, Member) else own
-
-        def atom(ctx, env, d):
-            x, y = _labels(left(ctx, env)), heads(right(ctx, env))
-            nodes, out = ctx.nodes, 0
-            while d:
-                low = d & -d
-                if x[nodes[low.bit_length() - 1]] in y:
-                    out |= low
-                d ^= low
-            return out
-
-        return atom
+        return (_sweep_atom if sweep else _atom)(phi)
     if isinstance(phi, (And, Or, Implies)):
-        left, right = _code(phi.left), _code(phi.right)
+        left, right = code(phi.left), code(phi.right)
         if isinstance(phi, And):
             return lambda ctx, env, d: (got := left(ctx, env)) and got & right(ctx, env)
         if isinstance(phi, Or):
@@ -465,10 +674,11 @@ def _body(phi: Formula):
             ctx.runs, (bad := left(ctx, env) & d) and bad & ~right(ctx, env)
         )
     if isinstance(phi, Not):
-        sub = _code(phi.body)
+        sub = code(phi.body)
         return lambda ctx, env, d: d & ~hits(ctx.runs, sub(ctx, env))
     if isinstance(phi, (Forall, Exists)):
-        var, sub, listing = phi.var, _code(phi.body), _listing(phi.bound)
+        var, sub = phi.var, code(phi.body)
+        listing = (_sweep_listing if sweep else _listing)(phi.bound)
         # each element strikes off the nodes it is listed at and witnesses
         # (exists) or refutes (forall, whose verdict is then an interior)
         flip = -1 if isinstance(phi, Forall) else 0
@@ -488,6 +698,30 @@ def _body(phi: Formula):
     raise EvalError(f"unknown formula node {phi!r}")
 
 
+def _atom(phi: Member | Eq):
+    left, right = _term(phi.left), _term(phi.right)
+    # a label is interned with its node, so x's label at tau is one of
+    # y's own labels (of its members' labels) iff x = y (x in y) at tau
+    heads = _member_labels if isinstance(phi, Member) else _own_labels
+
+    def atom(ctx, env, d):
+        x, y = _labels(left(ctx, env)), heads(right(ctx, env))
+        nodes, out = ctx.nodes, 0
+        while d:
+            low = d & -d
+            if x[nodes[low.bit_length() - 1]] in y:
+                out |= low
+            d ^= low
+        return out
+
+    return atom
+
+
+def _sweep_atom(phi: Member | Eq):
+    left, right, member = _term(phi.left), _term(phi.right), isinstance(phi, Member)
+    return lambda ctx, env, d: d & ctx.relation(member, left(ctx, env), right(ctx, env))
+
+
 def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):
     """Each set listed in ext with the mask of the nodes it is listed at."""
     where: dict[KripkeSet, int] = {}
@@ -503,6 +737,16 @@ def _member_labels(y: KripkeSet) -> frozenset[int]:
     return y.member_labels
 
 
+def _members_listed(y: KripkeSet):
+    if y.listing is None:
+        y.listing = _listed(y.ext, y.frame.pos)
+    return y.listing
+
+
+def _own_labels(y: KripkeSet) -> frozenset[int]:
+    return frozenset(_labels(y).values())
+
+
 def _listing(bound: Term | None):
     """A quantifier's range, the bound's members or else the universe."""
     if bound is None:
@@ -516,6 +760,14 @@ def _listing(bound: Term | None):
         return y.listing
 
     return listing
+
+
+def _sweep_listing(bound: Term | None):
+    """A quantifier's range over a sweep (`Sweep.listing`)."""
+    if bound is None:
+        return lambda ctx, env: ctx.listing(None)
+    term = _term(bound)
+    return lambda ctx, env: ctx.listing(term(ctx, env))
 
 
 def _term(t: Term):

@@ -57,6 +57,15 @@ class StructSpec(_Record):
         universe_seeds: tuple[str, ...] = (),
         designations: tuple[DesignatedInstance, ...] = (),
     ):
+        # a spec built by hand gets the checks a parsed line gets
+        names_seen: set[str] = set()
+        for i, entry in enumerate(entries, start=1):
+            _check_entry(entry, names_seen, f"entry {i}")
+        refs = [("universe", nm) for nm in universe_seeds]
+        refs += [(f"designate {d.schema.value}", nm) for d in designations for _, nm in d.params]
+        for where, nm in refs:
+            if nm not in names_seen:
+                raise SpecError(f"{where}: unknown name {nm!r}")
         self._fill(frame_text, entries, universe_seeds, designations)
 
 
@@ -101,22 +110,32 @@ def parse_structure_spec(text: str) -> StructSpec:
             continue
         if len(toks) < 3 or toks[1] != "=":
             raise SpecError(f"line {lineno}: expected `name = builder args...`")
-        name, builder, args = toks[0], toks[2], tuple(toks[3:])
-        if name in names_seen:
-            raise SpecError(f"line {lineno}: name {name!r} bound twice")
-        entry = _BUILDERS.get(builder)
-        if entry is None:
-            raise SpecError(f"line {lineno}: unknown builder {builder!r}")
-        if entry.arity is not None and len(args) != entry.arity:
-            raise SpecError(f"line {lineno}: builder {builder!r} takes {entry.arity} argument(s)")
-        for ref in args if entry.refs else ():
-            if ref not in names_seen:
-                raise SpecError(f"line {lineno}: unknown name {ref!r}")
-        names_seen.add(name)
-        entries.append((name, builder, args))
+        entry = (toks[0], toks[2], tuple(toks[3:]))
+        _check_entry(entry, names_seen, f"line {lineno}")
+        entries.append(entry)
     if frame_text is None:
         raise SpecError("no frame line found")
     return StructSpec(frame_text, tuple(entries), seeds, tuple(designations))
+
+
+def _check_entry(
+    entry: tuple[str, str, tuple[str, ...]], names_seen: set[str], where: str
+) -> None:
+    """Refuse a rebound name, an unknown builder, a wrong argument count or
+    a reference to a name not bound before; then add the entry's name to
+    names_seen.  Messages start with `where`."""
+    name, builder, args = entry
+    if name in names_seen:
+        raise SpecError(f"{where}: name {name!r} bound twice")
+    spec = _BUILDERS.get(builder)
+    if spec is None:
+        raise SpecError(f"{where}: unknown builder {builder!r}")
+    if spec.arity is not None and len(args) != spec.arity:
+        raise SpecError(f"{where}: builder {builder!r} takes {spec.arity} argument(s)")
+    for ref in args if spec.refs else ():
+        if ref not in names_seen:
+            raise SpecError(f"{where}: unknown name {ref!r}")
+    names_seen.add(name)
 
 
 def _parse_designation(

@@ -1,7 +1,7 @@
 """The schema sweep with one `forces` call per (node, assignment) over
 eagerly built formula lists, kept as an oracle for
-`kripkelab.schema.check_schema`, which forces each template once per
-assignment over all nodes and reads the stream lazily.
+`kripkelab.schema.check_schema`, which forces each template once over all
+assignments at all nodes and reads the stream lazily.
 """
 
 from __future__ import annotations

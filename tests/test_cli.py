@@ -201,6 +201,29 @@ def test_dump_refuses_a_wrong_builder_arity(capsys, tmp_path):
     assert err == "error: line 2: builder 'nat' takes 1 argument(s)\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("x", "nat", ("2", "3")), "entry 1: builder 'nat' takes 1 argument(s)"),
+        (("x", "widget", ()), "entry 1: unknown builder 'widget'"),
+        (("x", "nat", ()), "entry 1: builder 'nat' takes 1 argument(s)"),
+    ],
+    ids=["extra-argument", "unknown-builder", "missing-argument"],
+)
+def test_a_hand_built_spec_exits_2(capsys, monkeypatch, tmp_path, entry, message):
+    # the file's text is replaced by a spec no parsed line could give
+    from kripkelab import specfile
+
+    monkeypatch.setattr(
+        specfile, "parse_structure_spec", lambda text: specfile.StructSpec("chain length=1", (entry,))
+    )
+    path = tmp_path / "any.struct"
+    path.write_text("frame chain length=1\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--structure", str(path), "#x = #x")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_designated_instance_from_structure(capsys, fixtures_dir):
     path = str(fixtures_dir / "uniformity_gap.struct")
     code, out, _ = run(capsys, "check", "--structure", path,

@@ -29,7 +29,7 @@ from kripkelab.construct import (
 from kripkelab.formula import free_vars, params_of
 from kripkelab.frame import chain, forest, tree
 from kripkelab.hierarchy import structure_from_sets
-from kripkelab.semantics import ext_at, forced_equal, forced_member, is_ordinal
+from kripkelab.semantics import forced_equal, forced_member, is_ordinal
 
 from util import classes, same_classes
 
@@ -38,7 +38,7 @@ def test_numerals_are_nested():
     f = chain(1)
     zero = empty_set(f)
     three = internal_nat(f, 3)
-    members = ext_at(three, "0")
+    members = three.ext["0"]
     assert len(classes(f, "0", members)) == 3
     for k in range(3):
         assert forced_member(f, "0", internal_nat(f, k), three)
@@ -52,8 +52,8 @@ def test_one_sigma_cone_pattern():
     f = tree(2)
     zero = empty_set(f)
     d0 = one_sigma(f, "0")
-    assert ext_at(d0, "e") == () and ext_at(d0, "0") == ()
-    assert len(ext_at(d0, "1")) == 1
+    assert d0.ext["e"] == () and d0.ext["0"] == ()
+    assert len(d0.ext["1"]) == 1
     # dies exactly at its own leaf, stays undecided below
     assert forced_equal(f, "0", d0, zero)
     assert not forced_equal(f, "e", d0, zero)
@@ -82,7 +82,7 @@ def test_t_classes_at_collapse_counts():
 def test_p_hat_collects_the_family():
     f = tree(2)
     q = p_hat(f)
-    assert same_classes(f, "e", ext_at(q, "e"), t_family(f))
+    assert same_classes(f, "e", q.ext["e"], t_family(f))
 
 
 def test_subset_of_t_rejects_outsiders():
@@ -108,7 +108,7 @@ def test_with_zero_prepends_zero():
     b = branch_from_bits(f, "0")
     staged = with_zero(b)
     assert forced_member(f, "e", empty_set(f), staged)
-    for m in ext_at(b, "e"):
+    for m in b.ext["e"]:
         assert forced_member(f, "e", m, staged)
     assert with_zero(b) is with_zero(b)
 
@@ -141,9 +141,9 @@ def test_tree_depth_guard():
 def test_branch_from_bits_shape():
     f = tree(3)
     b = branch_from_bits(f, "00")
-    sizes = {tau: len(ext_at(b, tau)) for tau in f.nodes}
+    sizes = {tau: len(b.ext[tau]) for tau in f.nodes}
     assert sizes == {"e": 3, "0": 6, "1": 6, "00": 7, "01": 7, "10": 7, "11": 7}
-    at_root = ext_at(b, "e")
+    at_root = b.ext["e"]
     assert {m.uid for m in at_root} == {
         one_sigma(f, "e").uid, one_sigma(f, "0").uid, one_sigma(f, "00").uid
     }
@@ -186,7 +186,7 @@ def test_forest_helpers():
     with pytest.raises(ValueError, match="no subtree"):
         p_hat_sub(ff, 3)
     q1 = p_hat_sub(ff, 1)
-    members = ext_at(q1, "bb")
+    members = q1.ext["bb"]
     want = {one_sigma(ff, "bb").uid} | {one_sigma(ff, t).uid for t in subtree_nodes(ff, 1)}
     assert {m.uid for m in members} == want
 

@@ -38,7 +38,6 @@ from kripkelab.semantics import (
     alive,
     delta0_absolute,
     EvalError,
-    ext_at,
     forced_equal,
     forced_member,
     forces,
@@ -582,7 +581,7 @@ def test_universes_grow_and_close(t2):
             assert here <= there
         for x in universe_at(t2, sigma):
             assert alive(x, sigma)
-            for m in ext_at(x, sigma):
+            for m in x.ext[sigma]:
                 assert m.uid in {u.uid for u in universe_at(t2, sigma)}
 
 

@@ -243,6 +243,41 @@ def test_a_wrong_argument_count_is_refused_when_the_line_is_read(line, message):
     assert str(err.value) == message
 
 
+# entries a hand-built spec may hold that no parsed line can: each was
+# once built as given (`nat 2`) or failed with a bare KeyError or IndexError
+HAND_BUILT = {
+    "extra-argument": (("x", "nat", ("2", "3")), "entry 1: builder 'nat' takes 1 argument(s)"),
+    "unknown-builder": (("x", "widget", ()), "entry 1: unknown builder 'widget'"),
+    "missing-argument": (("x", "nat", ()), "entry 1: builder 'nat' takes 1 argument(s)"),
+}
+
+
+@pytest.mark.parametrize("entry, message", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_a_hand_built_spec_is_checked_as_a_parsed_line_is(entry, message):
+    with pytest.raises(SpecError) as err:
+        build_structure(StructSpec("chain length=1", (entry,)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (("chain length=1", (("x", "empty", ()), ("x", "empty", ()))), "entry 2: name 'x' bound twice"),
+        (("chain length=1", (("p", "pair", ("a", "a")),)), "entry 1: unknown name 'a'"),
+        (("chain length=1", (("x", "empty", ()),), ("ghost",)), "universe: unknown name 'ghost'"),
+        (
+            ("chain length=1", (), (), (DesignatedInstance(SchemaId.PAIRING, None, (("A", "W"),)),)),
+            "designate Pairing: unknown name 'W'",
+        ),
+    ],
+    ids=["rebound", "pair-reference", "universe-seed", "designation"],
+)
+def test_a_hand_built_spec_refuses_names_it_does_not_bind(spec, message):
+    with pytest.raises(SpecError) as err:
+        StructSpec(*spec)
+    assert str(err.value) == message
+
+
 def test_the_readme_lists_the_builder_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     sentence = readme[readme.index("Builders, one entry each"):].split(".  ", 1)[0]
