@@ -54,10 +54,10 @@ Term = Var | Param
 
 class _Node(_Record):
     """The base of every formula class: private slots, not fields, for the
-    node's facts and its compiled forcing functions (one per binding, one
-    per sweep), which `facts` and `semantics` fill on first use."""
+    node's facts and its compiled forcing function (one for a single binding
+    and a sweep alike), which `facts` and `semantics` fill on first use."""
 
-    __slots__ = ("_facts", "_code", "_sweep")
+    __slots__ = ("_facts", "_code")
 
 
 _set_facts = _Node._facts.__set__

@@ -22,31 +22,38 @@ first time it is forced, into its memoized function `(ctx, env) -> mask`:
 bit i is set iff `Frame.nodes[i]` forces the formula, over the nodes where
 the values of its free variables and parameters are all alive.  And and or
 are & and |; negation, implication and forall keep the domain's nodes whose
-cone misses a bad mask, `d & ~hits(Frame.runs, bad)`, as the definability
-engine does; a quantifier walks (element, nodes where listed) pairs of its
-bound (`KripkeSet.listing`) or of the universe (`Structure.listing`).  The
-function is kept in the node's `_code` slot and holds no node; no frame or
-module table holds code.
+cone misses a bad mask, `d & ~hits(ctx.runs, bad)`, as the definability
+engine does; a quantifier walks the (element, nodes where listed) pairs
+that the context lists for its bound, or for the universe.  The function is
+kept in the node's `_code` slot and holds no node; no frame, sweep or module
+table holds code.
 
 Forcing masks are kept per frame (`Frame.memo`), one per binding, keyed by
 the formula's serial (`formula.facts`), which no other formula ever gets,
 then the uids of the values of its free variables and parameters.  A
 bounded formula reads extensions and labels but never a universe, so one
-mask serves every structure on the frame; unbounded keys carry
-`Structure.uid`.  Each key is built by code written for its shape.
+mask serves every structure on the frame; unbounded keys carry the
+structure's uid.  Each key is built by code written for its shape.  A call
+drops the memo on entry once it holds MEMO_CAP masks.
 
 A `Sweep` decides every assignment of some parameters at once: each
 parameter is an axis over the structure's distinct universe elements, and
 a sweep mask holds one block of len(nodes) bits per tuple of values, axis
-0 least significant.  The clauses are the same compiled ones, kept in a
-second slot (`_sweep`); `hits` walks the frame's runs with the width set
-to the block-stride pattern, so one pass pulls every block down.  Only the
-atom, the listing and the domain differ: an atom reads a node-mask
-relation per pair of values, spread over the blocks; a quantifier bounded
-by an axis walks each member of each value with its per-block listing
-mask; a domain spreads each value's cone.  The sweep owns its masks, in
-two tables each bounded by SWEEP_BITS mask bits, and they go with it: a
-sweep never writes the frame's memo.
+0 least significant.  The one compiled function per node serves both: a
+single binding (`_Ctx`) and a sweep (its subclass `Sweep`) are two contexts
+of the same clauses, and each supplies the three things that differ.  The
+atom: one binding walks the domain's nodes over class labels, a sweep reads
+a node-mask relation per pair of values, spread over the blocks.  A
+quantifier's range: one binding lists the members of its bound (of the
+universe) with their nodes (`KripkeSet.listing`, `Structure.listing`), a
+sweep spreads that listing over the blocks, or for an axis walks each
+member of each value with its per-block listing mask.  A value's cone: the
+context's `pattern` spreads it over the domain (1 for one binding; an
+axis's cone already covers the blocks).  A sweep's `runs` have the
+block-stride pattern as their width, so `hits` pulls every block down in
+one pass.  The sweep owns its masks, in a memo dropped on entry once it
+holds SWEEP_BITS bits and in value tables dropped before they pass that,
+and they go with it: a sweep never writes the frame's memo.
 
 Structures are assembled here too: `hereditary_closure` closes sets under
 membership node by node, and `structure_from_sets` and `empty_structure`
@@ -313,15 +320,16 @@ class EvalError(ValueError):
     pass
 
 
-# forcing masks a frame keeps before `forces` resets its memo: a reset
-# also drops the verdicts a sweep keeps reusing, so the bound trades
-# re-forcing those against holding dead ones
+# forcing masks a frame's memo holds before a call drops it on entry: a
+# reset also drops the verdicts a schema sweep keeps reusing, so the bound
+# trades re-forcing those against holding dead ones
 MEMO_CAP = 1 << 14
-# mask bits each of a `Sweep`'s two tables holds before it is dropped:
-# Delta0 Comprehension at depth 1 with two parameters over V_3 on fan(2)
-# (5,329 blocks of 3 bits) peaked at 19.0 MB RSS in 0.6 s with this bound,
-# 17.9 MB in 0.6 s with half of it and 232 MB in 0.8 s with none (2 cores,
-# Python 3.11)
+# mask bits in each of a `Sweep`'s two tables: its memo is dropped on entry
+# to a call once it holds this many, its value tables before they would
+# pass it.  Delta0 Comprehension at depth 1 with two parameters over V_3 on
+# fan(2) (5,329 blocks of 3 bits) peaked at 20.9 MB RSS in 1.0-1.3 s with
+# this bound, 19.4 MB in 1.0-1.2 s with half of it and 232 MB in 1.3-1.5 s
+# with none (2 cores, Python 3.11)
 SWEEP_BITS = 1 << 24
 
 
@@ -364,14 +372,21 @@ def forcing_mask(
     cones of the values of phi's free variables and parameters, are 0.
     An unbound variable, an unknown parameter or a value from another frame
     raises before anything is forced."""
-    env, extra_names = env or {}, extra_names or {}
+    extra_names = extra_names or {}
+    return _force(_Ctx(s, extra_names), phi, env or {}, extra_names.values())
+
+
+def _force(ctx: _Ctx, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int:
+    """phi's mask in ctx, one binding or a sweep, after the checks that
+    `forcing_mask` promises.  The memo is dropped on entry once it holds
+    `ctx.cap` masks, never in the middle of a call, whose masks are read
+    again."""
     # class labels only compare within one frame object
-    for x in (*env.values(), *extra_names.values()):
-        if x.frame is not s.frame:
+    for x in (*env.values(), *extra):
+        if x.frame is not ctx.structure.frame:
             raise ValueError("bound set lives on a different frame")
-    if len(s.frame.memo) >= MEMO_CAP:
-        s.frame.memo.clear()
-    ctx = _Ctx(s, extra_names)
+    if len(ctx.memo) >= ctx.cap:
+        ctx.memo.clear()
     try:
         _, _, variables, names = facts(phi)
         missing = [f"unbound variable {v!r}" for v in variables if v not in env]
@@ -385,15 +400,41 @@ def forcing_mask(
 
 class _Ctx:
     """The state of one top-level `forces` call: the structure, its uid and
-    parameters (its names, overridden by the extra ones), and frame tables."""
+    parameters (its names, overridden by the extra ones), and frame tables.
+    It supplies what the compiled clauses read of a binding: the atom, a
+    quantifier's range, and `pattern`, by which a value's cone is spread
+    over the domain (1: one block of nodes)."""
 
-    __slots__ = ("structure", "uid", "params", "nodes", "runs", "full", "memo")
+    __slots__ = ("structure", "uid", "params", "nodes", "runs", "full", "memo", "cap")
+    pattern = 1
 
-    def __init__(self, s: Structure, extra: dict[str, KripkeSet]):
+    def __init__(self, s: Structure, extra: dict):
         f = s.frame
         self.structure, self.uid, self.params = s, s.uid, {**s.names, **extra}
-        self.nodes, self.runs, self.memo = f.nodes, f.runs, f.memo
+        self.nodes, self.runs, self.memo, self.cap = f.nodes, f.runs, f.memo, MEMO_CAP
         self.full = f.masks[f.pos[f.bottom]]
+
+    def atom(self, member: bool, x: KripkeSet, y: KripkeSet, d: int) -> int:
+        """The nodes of d where x is a member of (equal to) y."""
+        # a label is interned with its node, so x's label at tau is one of
+        # y's own labels (of its members' labels) iff x = y (x in y) at tau
+        x, y = _labels(x), (_member_labels if member else _own_labels)(y)
+        nodes, out = self.nodes, 0
+        while d:
+            low = d & -d
+            if x[nodes[low.bit_length() - 1]] in y:
+                out |= low
+            d ^= low
+        return out
+
+    def listing(self, y: KripkeSet | None):
+        """A quantifier's range: each member of y (each universe element
+        for None) with the nodes where it is listed."""
+        if y is None:
+            return self.structure.listing
+        if y.listing is None:
+            y.listing = _listed(y.ext, y.frame.pos)
+        return y.listing
 
 
 class _Axis:
@@ -438,7 +479,7 @@ def _concat(chunks: list[int], width: int) -> int:
 
 
 def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) -> int:
-    """The nodes where x is a member of (equal to) y, read as `_atom` does."""
+    """The nodes where x is a member of (equal to) y, read as `_Ctx.atom` does."""
     heads, out = (_member_labels if member else _own_labels)(y), 0
     for tau, c in _labels(x).items():
         if c in heads:
@@ -446,42 +487,40 @@ def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) 
     return out
 
 
-class Sweep:
+class Sweep(_Ctx):
     """Forcing under every assignment of some parameters at once.
 
     Each name is an axis over the structure's distinct universe elements, in
     `Structure.listing` order.  A sweep mask holds one block of len(nodes)
     bits per tuple of values, axis 0 least significant, and bit
     `position(values, sigma)` is what `forcing_mask` with the names bound to
-    values gives at sigma.  The clauses are `forcing_mask`'s, over wider
-    masks: `hits` pulls every block down at once through runs whose width
-    is the block-stride pattern; an atom reads a node-mask relation per pair
-    of values, spread over the blocks where the axes take them; a quantifier
-    whose bound is an axis walks every member of every value with its
-    per-block listing mask; and a domain spreads each value's cone.
+    values gives at sigma.  A sweep is a context of the same compiled
+    clauses as one binding, over wider masks: `hits` pulls every block down
+    at once through runs whose width is the block-stride pattern; an atom
+    reads a node-mask relation per pair of values, spread over the blocks
+    where the axes take them; a quantifier whose bound is an axis walks
+    every member of every value with its per-block listing mask; and a
+    set's cone is spread over every block by `pattern`.
 
-    The sweep keeps formula masks in `memo` and the masks built from values
-    alone (relations, axis ranges, node scopes) in `tables`, never in the
-    frame's memo; each table is dropped when it would pass SWEEP_BITS mask
-    bits, and both go with the sweep.  With no names a sweep is one
-    `forcing_mask` call, on the frame's memo."""
+    The sweep keeps formula masks in `memo`, dropped on entry to a call once
+    it holds `cap` masks (SWEEP_BITS bits), and the masks built from values
+    alone (relations, axis ranges, node scopes) in `tables`, dropped when
+    they would pass SWEEP_BITS bits; neither is the frame's memo, and both
+    go with the sweep.  With no names a sweep is one `forcing_mask` call, on
+    the frame's memo."""
 
-    __slots__ = (
-        "structure", "names", "params", "runs", "full", "pattern", "width",
-        "index", "memo", "cap", "tables", "held",
-    )
+    __slots__ = ("names", "pattern", "width", "index", "tables", "held")
 
     def __init__(self, s: Structure, names: tuple[str, ...]):
         f, elems = s.frame, [x for x, _ in s.listing]
         n, k = len(f.nodes), len(names)
-        self.structure, self.names = s, names
+        super().__init__(s, {name: _Axis(elems, j, k, n) for j, name in enumerate(names)})
+        self.names = names
         self.pattern = pattern = _spaced(len(elems) ** k, n)
         self.width = len(elems) ** k * n
         self.runs = tuple((src, pattern, tgt) for src, _, tgt in f.runs)
-        self.full = f.masks[f.pos[f.bottom]] * pattern
+        self.full *= pattern
         self.index = {x: i for i, x in enumerate(elems)}
-        axes = {name: _Axis(elems, j, k, n) for j, name in enumerate(names)}
-        self.params = {**s.names, **axes}
         # formula masks, each `width` bits, and the masks built from values
         # alone: relations, axis ranges and node scopes
         self.memo, self.cap = {}, max(1, SWEEP_BITS // max(1, self.width))
@@ -489,23 +528,13 @@ class Sweep:
 
     def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
         """phi's sweep mask; raises as `forcing_mask` does."""
-        s, env = self.structure, env or {}
         if not self.names:
-            return forcing_mask(s, phi, env)
-        # `forcing_mask`'s checks, written out again so that it calls no
-        # helper per binding
-        for x in env.values():
-            if x.frame is not s.frame:
-                raise ValueError("bound set lives on a different frame")
-        try:
-            _, _, variables, names = facts(phi)
-            missing = [f"unbound variable {v!r}" for v in variables if v not in env]
-            missing += [f"unknown parameter #{p}" for p in names if p not in self.params]
-            if missing:
-                raise EvalError(missing[0])
-            return _sweep_code(phi)(self, env)
-        except RecursionError:
-            raise EvalError("formula nests too deeply to evaluate") from None
+            return forcing_mask(self.structure, phi, env)
+        return _force(self, phi, env or {})
+
+    def atom(self, member: bool, x, y, d: int) -> int:
+        """The bits of d where x is a member of (equal to) y."""
+        return d & self.relation(member, x, y)
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
         """The bit of sigma under the names bound to values."""
@@ -565,16 +594,14 @@ class Sweep:
         """A quantifier's range: each member of y's values (each universe
         element for None) with the bits where it is listed.  The range of an
         axis is gathered once and kept; a set's is spread as it is read."""
-        if y is None:
-            return ((x, nodes * self.pattern) for x, nodes in self.structure.listing)
         if y.__class__ is not _Axis:
-            return ((x, nodes * self.pattern) for x, nodes in _members_listed(y))
+            return ((x, nodes * self.pattern) for x, nodes in super().listing(y))
         got = self.tables.get(y.uid)
         if got is None:
             # each member's node masks, one per value of the axis
             table: dict[KripkeSet, list[int]] = {}
             for i, b in enumerate(y.elems):
-                for x, nodes in _members_listed(b):
+                for x, nodes in super().listing(b):
                     table.setdefault(x, [0] * len(y.elems))[i] = nodes
             got = tuple((x, y.spread(masks)) for x, masks in table.items())
             self._table(y.uid, got, len(got) * self.width)
@@ -583,10 +610,12 @@ class Sweep:
 
 def _code(phi: Formula):
     """phi's memoized forcing function `(ctx, env) -> mask`: bit i is set
-    iff `nodes[i]` lies in phi's domain, the meet of the cones of the values
-    of its free variables and parameters, and forces phi.  Compiled from its
-    children's functions the first time it is asked for and kept on the
-    node; it holds no node, so it is freed with phi."""
+    iff bit i lies in phi's domain, the meet of the cones of the values of
+    its free variables and parameters, and forces phi.  One function serves
+    a single binding (`_Ctx`, bit i is `nodes[i]`) and a `Sweep` (a block
+    of nodes per assignment).  Compiled from its children's functions the
+    first time it is asked for and kept on the node; it holds no node, so
+    it is freed with phi."""
     try:
         return phi._code
     except AttributeError:
@@ -598,43 +627,25 @@ def _code(phi: Formula):
     return code
 
 
-def _sweep_code(phi: Formula):
-    """phi's memoized function over a sweep, `(sweep, env) -> mask`: `_code`
-    over masks with one block per assignment, kept in the node's `_sweep`
-    slot.  Its memo is the sweep's, which holds one structure, so no key
-    carries a structure uid."""
-    try:
-        return phi._sweep
-    except AttributeError:
-        pass
-    serial, _, variables, names = facts(phi)
-    make = _memoized(True, len(variables), len(names), True)
-    code = make(_body(phi, True), serial, *variables, *names)
-    object.__setattr__(phi, "_sweep", code)
-    return code
-
-
 @functools.cache
-def _memoized(bounded: bool, nvars: int, nparams: int, sweep: bool = False):
+def _memoized(bounded: bool, nvars: int, nparams: int):
     """The maker of memoized forcing functions for one key shape.
 
-    A key is phi's serial, the structure's uid unless phi is bounded, then
-    the uids of the values of phi's sorted free variables and parameters,
-    whose cones meet in the domain.  In a sweep a set's cone is spread over
-    every block (an axis's `cone` already covers them), and the memo is
-    dropped before it holds `Sweep.cap` masks.  The maker is written out as
-    source once per shape, as `dataclasses` writes `__init__`: no loop over
-    names."""
+    A key is phi's serial, the context's structure uid unless phi is
+    bounded, then the uids of the values of phi's sorted free variables and
+    parameters, whose cones meet in the domain.  A set's cone is spread by
+    `ctx.pattern`; an axis's `cone` already covers every block.  The maker
+    is written out as source once per shape, as `dataclasses` writes
+    `__init__`: no loop over names."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
     values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
     key = ["serial"] + ([] if bounded else ["ctx.uid"])
     key += [f"a{i}.uid" for i in range(len(values))]
-    cones = [f"a{i}.cone" for i in range(len(values))]
-    drop = ""
-    if sweep:
-        cones = [f"({c} if a{i}.__class__ is Axis else {c} * ctx.pattern)" for i, c in enumerate(cones)]
-        drop = "            if len(memo) >= ctx.cap:\n                memo.clear()\n"
+    cones = [
+        f"(a{i}.cone if a{i}.__class__ is Axis else a{i}.cone * ctx.pattern)"
+        for i in range(len(values))
+    ]
     source = (
         f"def make({', '.join(['body', 'serial', *vs, *ps])}):\n"
         "    def code(ctx, env):\n"
@@ -644,8 +655,7 @@ def _memoized(bounded: bool, nvars: int, nparams: int, sweep: bool = False):
         "        memo = ctx.memo\n"
         "        hit = memo.get(key)\n"
         "        if hit is None:\n"
-        + drop
-        + f"            hit = memo[key] = body(ctx, env, {' & '.join(cones) or 'ctx.full'})\n"
+        f"            hit = memo[key] = body(ctx, env, {' & '.join(cones) or 'ctx.full'})\n"
         "        return hit\n"
         "    return code\n"
     )
@@ -654,16 +664,15 @@ def _memoized(bounded: bool, nvars: int, nparams: int, sweep: bool = False):
     return scope["make"]
 
 
-def _body(phi: Formula, sweep: bool = False):
+def _body(phi: Formula):
     """The forcing clause of phi's kind over its children's compiled
-    functions, without the memo: `(ctx, env, domain) -> mask`.  A sweep's
-    clauses are these, over its children's sweep functions; only the atom
-    and the listing differ."""
-    code = _sweep_code if sweep else _code
+    functions, without the memo: `(ctx, env, domain) -> mask`.  The context
+    supplies the atom and a quantifier's range."""
     if isinstance(phi, (Member, Eq)):
-        return (_sweep_atom if sweep else _atom)(phi)
+        left, right, member = _term(phi.left), _term(phi.right), isinstance(phi, Member)
+        return lambda ctx, env, d: ctx.atom(member, left(ctx, env), right(ctx, env), d)
     if isinstance(phi, (And, Or, Implies)):
-        left, right = code(phi.left), code(phi.right)
+        left, right = _code(phi.left), _code(phi.right)
         if isinstance(phi, And):
             return lambda ctx, env, d: (got := left(ctx, env)) and got & right(ctx, env)
         if isinstance(phi, Or):
@@ -674,11 +683,11 @@ def _body(phi: Formula, sweep: bool = False):
             ctx.runs, (bad := left(ctx, env) & d) and bad & ~right(ctx, env)
         )
     if isinstance(phi, Not):
-        sub = code(phi.body)
+        sub = _code(phi.body)
         return lambda ctx, env, d: d & ~hits(ctx.runs, sub(ctx, env))
     if isinstance(phi, (Forall, Exists)):
-        var, sub = phi.var, code(phi.body)
-        listing = (_sweep_listing if sweep else _listing)(phi.bound)
+        var, sub = phi.var, _code(phi.body)
+        bound = None if phi.bound is None else _term(phi.bound)  # None: the universe
         # each element strikes off the nodes it is listed at and witnesses
         # (exists) or refutes (forall, whose verdict is then an interior)
         flip = -1 if isinstance(phi, Forall) else 0
@@ -686,7 +695,7 @@ def _body(phi: Formula, sweep: bool = False):
         def quantifier(ctx, env, d):
             # one dict per call, rebound per element: no callee keeps it
             inner, todo = env.copy(), d
-            for inner[var], where in listing(ctx, env):
+            for inner[var], where in ctx.listing(bound and bound(ctx, env)):
                 where &= todo
                 if where:
                     todo ^= where & (sub(ctx, inner) ^ flip)
@@ -696,30 +705,6 @@ def _body(phi: Formula, sweep: bool = False):
 
         return quantifier
     raise EvalError(f"unknown formula node {phi!r}")
-
-
-def _atom(phi: Member | Eq):
-    left, right = _term(phi.left), _term(phi.right)
-    # a label is interned with its node, so x's label at tau is one of
-    # y's own labels (of its members' labels) iff x = y (x in y) at tau
-    heads = _member_labels if isinstance(phi, Member) else _own_labels
-
-    def atom(ctx, env, d):
-        x, y = _labels(left(ctx, env)), heads(right(ctx, env))
-        nodes, out = ctx.nodes, 0
-        while d:
-            low = d & -d
-            if x[nodes[low.bit_length() - 1]] in y:
-                out |= low
-            d ^= low
-        return out
-
-    return atom
-
-
-def _sweep_atom(phi: Member | Eq):
-    left, right, member = _term(phi.left), _term(phi.right), isinstance(phi, Member)
-    return lambda ctx, env, d: d & ctx.relation(member, left(ctx, env), right(ctx, env))
 
 
 def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):
@@ -737,37 +722,8 @@ def _member_labels(y: KripkeSet) -> frozenset[int]:
     return y.member_labels
 
 
-def _members_listed(y: KripkeSet):
-    if y.listing is None:
-        y.listing = _listed(y.ext, y.frame.pos)
-    return y.listing
-
-
 def _own_labels(y: KripkeSet) -> frozenset[int]:
     return frozenset(_labels(y).values())
-
-
-def _listing(bound: Term | None):
-    """A quantifier's range, the bound's members or else the universe."""
-    if bound is None:
-        return lambda ctx, env: ctx.structure.listing
-    term = _term(bound)
-
-    def listing(ctx, env):
-        y = term(ctx, env)
-        if y.listing is None:
-            y.listing = _listed(y.ext, y.frame.pos)
-        return y.listing
-
-    return listing
-
-
-def _sweep_listing(bound: Term | None):
-    """A quantifier's range over a sweep (`Sweep.listing`)."""
-    if bound is None:
-        return lambda ctx, env: ctx.listing(None)
-    term = _term(bound)
-    return lambda ctx, env: ctx.listing(term(ctx, env))
 
 
 def _term(t: Term):

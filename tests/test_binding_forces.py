@@ -29,7 +29,7 @@ from kripkelab.formula import (
 from kripkelab.construct import empty_set, internal_nat
 from kripkelab.frame import chain, fan, linear_extension, parse_frame_spec, tree
 from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
-from kripkelab.semantics import KripkeSet, forces, universe_at
+from kripkelab.semantics import KripkeSet, Sweep, forces, forcing_mask, universe_at
 from kripkelab.specfile import canonical_structure
 
 from reference_forces import reference_forces
@@ -253,21 +253,37 @@ def test_binding_formulas_are_classical_on_one_node():
 
 
 def test_a_dropped_formula_frees_its_compiled_code():
+    # forced under one binding, then swept over #two with x bound while the
+    # sweep stays alive: neither the frame memo nor the sweep's memo and
+    # tables may hold a closure
     s = canonical_structure(chain(3))
-    phi = parse("forall z in #two . exists w in x . ~(z = w) \\/ (exists q . z in q)")
-    verdict = forces(s, "0", phi, {"x": s.names["one"]})
-    assert verdict == reference_forces(s, "0", phi, {"x": s.names["one"]})
-    refs = [weakref.ref(semantics._code(node)) for node in _nodes(phi)]
-    assert len(refs) == 7
-    # reference counting alone must free the code: no cycle through a node
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del phi
-        assert [r() for r in refs] == [None] * len(refs)
-    finally:
-        if enabled:
-            gc.enable()
+    env, two = {"x": s.names["one"]}, s.names["two"]
+    for swept in (False, True):
+        phi = parse("forall z in #two . exists w in x . ~(z = w) \\/ (exists q . z in q)")
+        if swept:
+            sweep = Sweep(s, ("two",))
+            held = sweep.forcing_mask(phi, env)
+        refs = [weakref.ref(semantics._code(node)) for node in _nodes(phi)]
+        assert len(refs) == 7
+        verdict = forces(s, "0", phi, env)
+        assert verdict == reference_forces(s, "0", phi, env)
+        if swept:
+            # the closures the sweep compiled are the ones `forces` and one
+            # assignment of #two then run, and the two verdict bits agree
+            mask = forcing_mask(s, phi, env, {"two": two})
+            assert all(semantics._code(node) is r() for node, r in zip(_nodes(phi), refs))
+            assert held >> sweep.position((two,), "0") & 1 == mask >> s.frame.pos["0"] & 1
+            assert mask >> s.frame.pos["0"] & 1 == verdict
+        # reference counting alone must free the code: no cycle through a node
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del phi
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+    assert sweep.memo and sweep.tables
 
 
 def test_a_bound_is_read_in_the_outer_environment():
