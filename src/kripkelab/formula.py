@@ -130,6 +130,33 @@ class Exists(_Binder):
     __slots__ = ()
 
 
+class Hole(_Node):
+    """A formula left open, so that a template is built around it once and
+    forced with each swept formula in its place.  The hole reads the
+    formula that fills it (`semantics.Fill`) from the variable `name`, one
+    the parser cannot produce, relativized to `dom` unless that is None.
+    Its facts are set here: unbounded, as a filling may be, with `name`,
+    the slot's `variables` and a variable dom as free variables, `params`
+    and a parameter dom as parameters.  So every node above the hole keys
+    its masks by the filling, and every other node keeps one key for all
+    the formulas of a sweep."""
+
+    __slots__ = ("name", "variables", "params", "dom")
+
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[str, ...],
+        params: tuple[str, ...],
+        dom: Term | None = None,
+    ):
+        self._fill(name, variables, params, dom)
+        fv, ps = {name, *variables}, set(params)
+        if dom is not None:
+            (fv if isinstance(dom, Var) else ps).add(dom.name)
+        _set_facts(self, (next(_serials), False, tuple(sorted(fv)), tuple(sorted(ps))))
+
+
 Formula = Member | Eq | Not | And | Or | Implies | Forall | Exists
 
 _BINARY = {And: "/\\", Or: "\\/", Implies: "->"}
@@ -373,9 +400,12 @@ def substitute(phi: Formula, var: str, t: Term) -> Formula:
 
 
 def relativize(phi: Formula, dom: Term) -> Formula:
-    """Bound every unbounded quantifier by `dom`."""
-    if isinstance(phi, (Member, Eq)):
+    """Bound every unbounded quantifier by `dom`.  A bounded formula is its
+    own relativization, and a hole's is a hole for its filling's."""
+    if is_delta0(phi):
         return phi
+    if isinstance(phi, Hole):
+        return phi if phi.dom is not None else Hole(phi.name, phi.variables, phi.params, dom)
     if isinstance(phi, Not):
         return Not(relativize(phi.body, dom))
     if isinstance(phi, (And, Or, Implies)):

@@ -539,14 +539,17 @@ def powerset(s: Structure) -> Structure:
 
     def selections(sigma: str):
         cone = [tau for tau in topo if leq(f, sigma, tau)]
-        # the empty choice below every node always extends, so the final
-        # count bounds every partial one and one cap covers them all
-        families = list(
-            islice(table.selections(cone), POWERSET_CAP + 1)
-        )
-        if len(families) > POWERSET_CAP:
-            raise ValueError("powerset too large to enumerate; shrink the structure")
-        return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
+        # each set of the elements listed in the cone, cut down to each
+        # node's universe, is a selection of its own: past log2(POWERSET_CAP)
+        # such elements the count is over the cap before any is listed
+        listed = {y for tau in cone for y in s.universe[tau]}
+        if 1 << len(listed) <= POWERSET_CAP:
+            # the empty choice below every node always extends, so the final
+            # count bounds every partial one and one cap covers them all
+            families = list(islice(table.selections(cone), POWERSET_CAP + 1))
+            if len(families) <= POWERSET_CAP:
+                return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
+        raise ValueError("powerset too large to enumerate; shrink the structure")
 
     return _grow(s, selections)
 

@@ -6,12 +6,19 @@ the slot its instance formula fills (the classes and free variables
 allowed, and what a sweep reads there) and its template, a function of
 that formula; an axiom has no slot, and its text is parsed on first use.
 A sweep reads its formulas from a lazy `formula_stream`, so one that fails
-early never builds the rest of the last layer.  It forces each template
-once, over every assignment of its parameters at every node (a
-`semantics.Sweep` mask with one node block per assignment), and reads one
-bit per (node, assignment) in scope.  Structures may carry designated
-instances in their notes; those are checked before the generic sweep, each
-through `forces`, so a designed failure is the one reported.
+early never builds the rest of the last layer.  It builds the template
+once per parameter shape of the swept formulas, around a `formula.Hole`
+that stands for the instance formula, so the template's nodes are compiled
+once per check.  Each swept formula is checked against the slot, compiles
+only its own new nodes and is bound to the hole as a variable is
+(`semantics.Fill`): the template nodes above the hole key their masks by
+it, and every other node's masks serve the whole sweep.  The template is
+forced once per formula, over every assignment of its parameters at every
+node (a `semantics.Sweep` mask with one node block per assignment), and
+the sweep reads one bit per (node, assignment) in scope.  Structures may
+carry designated instances in their notes; those are checked before the
+generic sweep, each through `forces` on a template built around its own
+formula, so a designed failure is the one reported.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .formula import (
     Exists,
     Forall,
     Formula,
+    Hole,
     Implies,
     Member,
     Not,
@@ -52,6 +60,7 @@ from .formula import (
     Var,
     classify,
     enumerate_delta0,
+    facts,
     formula_stream,
     free_vars,
     params_of,
@@ -73,6 +82,7 @@ from .hierarchy import (
 )
 from .semantics import (
     KripkeSet,
+    Fill,
     Structure,
     Sweep,
     class_at,
@@ -246,6 +256,11 @@ _FRAGMENTS = {
 def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
     """The closed formula whose forcing decides one schema instance, once
     phi is checked against the schema's slot."""
+    return _slot(schema, phi).template(phi)
+
+
+def _slot(schema: SchemaId, phi: Formula | None) -> _Entry:
+    """The schema's catalogue entry, once phi is checked against its slot."""
     entry = _CATALOGUE.get(schema)
     if entry is None:
         raise ValueError(f"unknown schema {schema}")
@@ -261,7 +276,7 @@ def build_template(schema: SchemaId, phi: Formula | None) -> Formula:
             raise ValueError(f"{entry.noun} instances must be sentences")
         allowed = " and ".join(entry.variables)
         raise ValueError(f"{entry.noun} instances may mention {allowed} only")
-    return entry.template(phi)
+    return entry
 
 
 def _counterexample(
@@ -314,8 +329,8 @@ def check_schema(
     the node's universe.  Each template is forced once, over all
     assignments at all nodes, and each instance reads one bit of that mask:
     a node whose assignments all hold is read in one step, and only a
-    failing node is walked in assignment order.  The sweeps, and the masks
-    they keep, are dropped on return."""
+    failing node is walked in assignment order.  The templates, the sweeps
+    and the masks they keep are dropped on return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -337,22 +352,30 @@ def check_schema(
                 note = inst.label or "designated instance"
 
     count, formulas = _stream(schema, bounds)
-    sweeps: dict[tuple[str, ...], Sweep] = {}
+    # per parameter shape of the swept formulas, () or ("p",): the hole, the
+    # template built around it and the sweep over the template's parameters
+    shapes: dict[tuple[str, ...], tuple[Hole | None, Formula, Sweep]] = {}
     for phi in formulas:
         if failure is not None:
             break
-        template = build_template(schema, phi)
-        names = tuple(sorted(params_of(template)))  # assignments try #A, then #p
-        sweep = sweeps.get(names)
-        if sweep is None:
-            sweep = sweeps[names] = Sweep(s, names)
+        entry = _slot(schema, phi)
+        shape = () if phi is None else facts(phi)[3]
+        got = shapes.get(shape)
+        if got is None:
+            hole = None if phi is None else Hole("%", entry.variables, shape)
+            template = entry.template(hole)
+            names = tuple(sorted(params_of(template)))  # assignments try #A, then #p
+            got = shapes[shape] = hole, template, Sweep(s, names)
+        hole, template, sweep = got
+        names = sweep.names
         held = None
         for sigma in nodes:
             here, listed = sweep.scope(sigma)
             if not here:
                 continue
             if held is None:
-                held = sweep.forcing_mask(template)
+                env = {} if hole is None else {hole.name: Fill(s.frame, phi)}
+                held = sweep.forcing_mask(template, env)
             if held & listed == listed:
                 instances += here
                 continue

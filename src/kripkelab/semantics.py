@@ -55,6 +55,14 @@ one pass.  The sweep owns its masks, in a memo dropped on entry once it
 holds SWEEP_BITS bits and in value tables dropped before they pass that,
 and they go with it: a sweep never writes the frame's memo.
 
+A template built once around a `formula.Hole` is forced with one formula
+after another in its place: env binds the hole's name to a `Fill` of the
+formula, as it binds a variable to a set.  A fill's fresh uid keys the
+masks of every node above the hole, and its cone is the whole frame, so it
+narrows no domain.  The hole's function is not memoized: it meets the
+formula's own mask, kept under the formula's serial, with its domain, so
+no mask is kept twice.
+
 Structures are assembled here too: `hereditary_closure` closes sets under
 membership node by node, and `structure_from_sets` and `empty_structure`
 build a `Structure` on it.
@@ -70,6 +78,7 @@ from .formula import (
     Exists,
     Forall,
     Formula,
+    Hole,
     Implies,
     And,
     Or,
@@ -80,6 +89,7 @@ from .formula import (
     facts,
     is_delta0,
     parse,
+    relativize,
     render,
 )
 from .frame import Frame, _require, hits, up_set
@@ -621,22 +631,25 @@ def _code(phi: Formula):
     except AttributeError:
         pass
     serial, bounded, variables, names = facts(phi)
-    make = _memoized(bounded, len(variables), len(names))
+    # a hole's mask is its filling's, kept in the memo under the filling
+    make = _memoized(bounded, len(variables), len(names), phi.__class__ is not Hole)
     code = make(_body(phi), serial, *variables, *names)
     object.__setattr__(phi, "_code", code)
     return code
 
 
 @functools.cache
-def _memoized(bounded: bool, nvars: int, nparams: int):
-    """The maker of memoized forcing functions for one key shape.
+def _memoized(bounded: bool, nvars: int, nparams: int, memo: bool):
+    """The maker of memoized forcing functions for one key shape (with
+    memo False, of functions that only meet the body with the domain).
 
     A key is phi's serial, the context's structure uid unless phi is
     bounded, then the uids of the values of phi's sorted free variables and
     parameters, whose cones meet in the domain.  A set's cone is spread by
     `ctx.pattern`; an axis's `cone` already covers every block.  The maker
     is written out as source once per shape, as `dataclasses` writes
-    `__init__`: no loop over names."""
+    `__init__`: no loop over names, and compiled under a file name of its
+    own, so a profile tells the shapes apart."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
     values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
@@ -646,28 +659,33 @@ def _memoized(bounded: bool, nvars: int, nparams: int):
         f"(a{i}.cone if a{i}.__class__ is Axis else a{i}.cone * ctx.pattern)"
         for i in range(len(values))
     ]
+    call = f"body(ctx, env, {' & '.join(cones) or 'ctx.full'})"
+    result = (
+        f"        key = ({', '.join(key)},)\n"
+        "        memo = ctx.memo\n"
+        "        hit = memo.get(key)\n"
+        "        if hit is None:\n"
+        f"            hit = memo[key] = {call}\n"
+        "        return hit\n"
+    ) if memo else f"        return {call}\n"
     source = (
         f"def make({', '.join(['body', 'serial', *vs, *ps])}):\n"
         "    def code(ctx, env):\n"
         + ("        params = ctx.params\n" if ps else "")
         + "".join(f"        a{i} = {value}\n" for i, value in enumerate(values))
-        + f"        key = ({', '.join(key)},)\n"
-        "        memo = ctx.memo\n"
-        "        hit = memo.get(key)\n"
-        "        if hit is None:\n"
-        f"            hit = memo[key] = body(ctx, env, {' & '.join(cones) or 'ctx.full'})\n"
-        "        return hit\n"
-        "    return code\n"
+        + result
+        + "    return code\n"
     )
+    name = f"<forcing bounded={int(bounded)} vars={nvars} params={nparams}"
     scope: dict = {"Axis": _Axis}
-    exec(source, scope)
+    exec(compile(source, name + ("" if memo else " memo=0") + ">", "exec"), scope)
     return scope["make"]
 
 
 def _body(phi: Formula):
     """The forcing clause of phi's kind over its children's compiled
     functions, without the memo: `(ctx, env, domain) -> mask`.  The context
-    supplies the atom and a quantifier's range."""
+    supplies the atom and a quantifier's range; env, a hole's filling."""
     if isinstance(phi, (Member, Eq)):
         left, right, member = _term(phi.left), _term(phi.right), isinstance(phi, Member)
         return lambda ctx, env, d: ctx.atom(member, left(ctx, env), right(ctx, env), d)
@@ -704,7 +722,33 @@ def _body(phi: Formula):
             return d & ~hits(ctx.runs, d ^ todo) if flip else d ^ todo
 
         return quantifier
+    if isinstance(phi, Hole):
+        name, dom = phi.name, phi.dom
+        if dom is None:
+            return lambda ctx, env, d: d & env[name].code(ctx, env)
+        return lambda ctx, env, d: d & env[name].within(dom)(ctx, env)
     raise EvalError(f"unknown formula node {phi!r}")
+
+
+class Fill:
+    """What a `Hole` is bound to in env: the formula that fills it.  Its
+    fresh `uid` keys every mask above the hole, so each swept formula gets
+    its own; its `cone` is the frame's full node mask, so it narrows no
+    domain; `code` is the formula's forcing function, and `within` gives
+    that of its relativization to a term, compiled on first use."""
+
+    __slots__ = ("frame", "uid", "cone", "phi", "code", "relativized")
+
+    def __init__(self, frame: Frame, phi: Formula):
+        self.frame, self.uid, self.phi = frame, next(_uid_counter), phi
+        self.cone = frame.masks[frame.pos[frame.bottom]]
+        self.code, self.relativized = _code(phi), {}
+
+    def within(self, dom: Term):
+        got = self.relativized.get(dom)
+        if got is None:
+            got = self.relativized[dom] = _code(relativize(self.phi, dom))
+        return got
 
 
 def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):

@@ -321,6 +321,13 @@ def test_powerset_growth_and_limit():
         # selections from the bottom: each element is chosen at both
         # nodes, at the top only, or at neither
         powerset(structure_from_sets(g, (internal_nat(g, 10),)))
+    wide = structure_from_sets(f, (internal_nat(f, 40),))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="powerset too large"):
+        # forty-one elements: at least 2^41 selections, refused before any
+        # is listed (listing the cap's worth first took 0.33 s and 42 MB)
+        powerset(wide)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_define_subset_carves_pointwise():

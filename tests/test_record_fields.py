@@ -48,6 +48,7 @@ SHAPES = {
     ("left", "right"): (F.Member, F.Eq, F.And, F.Or, F.Implies),
     ("body",): (F.Not,),
     ("var", "bound", "body"): (F.Forall, F.Exists),
+    ("name", "variables", "params", "dom"): (F.Hole,),
 }
 
 

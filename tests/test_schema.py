@@ -5,10 +5,12 @@ import time
 
 import pytest
 
+from kripkelab import semantics
 from kripkelab.formula import (
     Forall,
     Implies,
     Not,
+    Param,
     Var,
     classify,
     enumerate_pi,
@@ -258,15 +260,59 @@ def test_check_schema_matches_the_per_node_reference_sweep(fixtures_dir):
     structures = [canonical_structure(f) for f in (tree(2), chain(3), fan(3))]
     structures += [load_structure(p) for p in corpus] + [uniformity_gap()]
     assert len(structures) == 7
+    # plus V_2 over chain(2) and over fan(2), at depth 1
+    wide = []
+    for f in (chain(2), fan(2)):
+        v = empty_structure(f)
+        for _ in range(2):
+            v = powerset(v)
+        wide.append(v)
     # a sweep that raises compares by its error text
     disagreements = []
     for bounds in (CheckBounds(1, 1), CheckBounds(1, 2), CheckBounds(2, 1, "bottom")):
         for schema in SchemaId:
-            for i, s in enumerate(structures):
+            for i, s in enumerate(structures + (wide if bounds.formula_depth == 1 else [])):
                 got = _outcome(check_schema, s, schema, bounds)
                 if got != _outcome(reference_check, s, schema, bounds):
                     disagreements.append((i, schema.value, bounds))
     assert disagreements == []
+
+
+def _nodes(formulas) -> set[int]:
+    """The ids of the distinct formula nodes of the formulas."""
+    seen, todo = set(), list(formulas)
+    while todo:
+        phi = todo.pop()
+        if id(phi) not in seen and not isinstance(phi, (Var, Param)):
+            seen.add(id(phi))
+            todo += [getattr(phi, k) for k in ("left", "right", "body") if hasattr(phi, k)]
+    return seen
+
+
+def test_a_hole_template_is_compiled_once_per_check(monkeypatch):
+    # each swept formula compiles its own new nodes only: the template is
+    # built around a hole once per parameter shape and compiled once
+    compiled = []
+    real_body = semantics._body
+
+    def body(phi):
+        compiled.append(phi)
+        return real_body(phi)
+
+    monkeypatch.setattr(semantics, "_body", body)
+    s, bounds = canonical_structure(chain(3)), CheckBounds(1, 2)
+    report = check_schema(s, SchemaId.PI2_REFLECTION, bounds)
+    # the swept formulas: the stream up to the failing one
+    _, stream = _stream(SchemaId.PI2_REFLECTION, bounds)
+    swept = []
+    for phi in stream:
+        swept.append(phi)
+        if render(phi) == report.counterexample[1]:
+            break
+    shapes = {params_of(phi) for phi in swept}
+    template = build_template(SchemaId.PI2_REFLECTION, parse("x in y"))
+    assert len(swept) > 3 and len(shapes) == 2
+    assert len(compiled) <= len(_nodes(swept)) + len(shapes) * len(_nodes([template]))
 
 
 def test_gap_bounding_scope_contrast():

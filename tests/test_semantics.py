@@ -8,7 +8,15 @@ import time
 import pytest
 
 from kripkelab import schema, semantics
-from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, Not, parse, render
+from kripkelab.formula import (
+    enumerate_delta0,
+    enumerate_pi,
+    enumerate_sigma,
+    Hole,
+    Not,
+    parse,
+    render,
+)
 from kripkelab.frame import (
     chain,
     fan,
@@ -372,30 +380,54 @@ def _reachable(table):
 
 
 def test_a_sweep_leaves_no_dropped_template_in_the_frame_tables(monkeypatch):
-    # the sweep builds one template per swept formula and drops it after
-    # forcing it; verdicts are keyed by formula serial, so no frame table
-    # may keep a template alive
-    built = []
+    # the sweep builds each template once around a hole and binds the hole
+    # to one swept formula at a time; verdicts are keyed by formula serial
+    # and value uids, so no frame table may keep a template, a hole or a
+    # swept formula alive
+    compiled, swept = [], []
+    real_body, real_fill = semantics._body, schema.Fill
 
-    def build(schema_id, phi):
-        built.append(build_template(schema_id, phi))
-        return built[-1]
+    def body(phi):
+        compiled.append(phi)
+        return real_body(phi)
 
-    monkeypatch.setattr(schema, "build_template", build)
+    def fill(frame, phi):
+        swept.append(phi)
+        return real_fill(frame, phi)
+
+    monkeypatch.setattr(semantics, "_body", body)
+    monkeypatch.setattr(schema, "Fill", fill)
     s = canonical_structure(chain(3))
     bounds = CheckBounds(formula_depth=1, max_params=2)
     report = check_schema(s, SchemaId.SIGMA_REFLECTION, bounds)
     assert report.stats["instances"] > 100
-    assert len(built) > 20
-    f, templates = s.frame, {id(t) for t in built}
+    assert len(swept) > 20
+    # every formula read before the failure reads #p, so one template was
+    # built, around the hole and its relativization
+    assert sum(isinstance(phi, Hole) for phi in compiled) == 2
+    f, nodes = s.frame, {id(phi) for phi in compiled + swept}
     kept = [
-        render(obj)
+        repr(obj)
         for table in vars(f).values()
         if isinstance(table, dict)
         for obj in _reachable(table)
-        if id(obj) in templates
+        if id(obj) in nodes
     ]
     assert kept == []
+
+
+def test_each_memo_shape_is_compiled_under_a_file_name_of_its_own(t2):
+    # a profiler keys a function by file, line and name: shapes that shared
+    # one file name would merge their counts
+    atom, sentence = parse("x in y"), parse("forall a . a in #zero")
+    x = universe_at(t2, t2.frame.bottom)[0]
+    forces(t2, t2.frame.bottom, atom, {"x": x, "y": x})
+    forces(t2, t2.frame.bottom, sentence)
+    names = {phi._code.__code__.co_filename for phi in (atom, sentence)}
+    assert names == {
+        "<forcing bounded=1 vars=2 params=0>",
+        "<forcing bounded=0 vars=0 params=1>",
+    }
 
 
 def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
