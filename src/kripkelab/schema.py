@@ -15,7 +15,8 @@ only its own new nodes and is bound to the hole as a variable is
 it, and every other node's masks serve the whole sweep.  The template is
 forced once per formula, over every assignment of its parameters at every
 node (a `semantics.Sweep` mask with one node block per assignment), and
-the sweep reads one bit per (node, assignment) in scope.  Structures may
+the sweep reads one bit per (node, assignment) in scope.  Every sweep a
+check makes owns its memo, so no check writes the frame's.  Structures may
 carry designated instances in their notes; those are checked before the
 generic sweep, each through `forces` on a template built around its own
 formula, so a designed failure is the one reported.
@@ -330,7 +331,8 @@ def check_schema(
     assignments at all nodes, and each instance reads one bit of that mask:
     a node whose assignments all hold is read in one step, and only a
     failing node is walked in assignment order.  The templates, the sweeps
-    and the masks they keep are dropped on return."""
+    and the masks they keep, in memos of their own, are dropped on
+    return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0

@@ -28,32 +28,35 @@ that the context lists for its bound, or for the universe.  The function is
 kept in the node's `_code` slot and holds no node; no frame, sweep or module
 table holds code.
 
-Forcing masks are kept per frame (`Frame.memo`), one per binding, keyed by
-the formula's serial (`formula.facts`), which no other formula ever gets,
-then the uids of the values of its free variables and parameters.  A
-bounded formula reads extensions and labels but never a universe, so one
-mask serves every structure on the frame; unbounded keys carry the
-structure's uid.  Each key is built by code written for its shape.  A call
-drops the memo on entry once it holds MEMO_CAP masks.
-
-A `Sweep` decides every assignment of some parameters at once: each
+Every call is made in a `Sweep`, the one context of the compiled clauses.
+A sweep decides every assignment of some parameters at once: each
 parameter is an axis over the structure's distinct universe elements, and
 a sweep mask holds one block of len(nodes) bits per tuple of values, axis
-0 least significant.  The one compiled function per node serves both: a
-single binding (`_Ctx`) and a sweep (its subclass `Sweep`) are two contexts
-of the same clauses, and each supplies the three things that differ.  The
-atom: one binding walks the domain's nodes over class labels, a sweep reads
-a node-mask relation per pair of values, spread over the blocks.  A
-quantifier's range: one binding lists the members of its bound (of the
-universe) with their nodes (`KripkeSet.listing`, `Structure.listing`), a
-sweep spreads that listing over the blocks, or for an axis walks each
-member of each value with its per-block listing mask.  A value's cone: the
-context's `pattern` spreads it over the domain (1 for one binding; an
-axis's cone already covers the blocks).  A sweep's `runs` have the
-block-stride pattern as their width, so `hits` pulls every block down in
-one pass.  The sweep owns its masks, in a memo dropped on entry once it
-holds SWEEP_BITS bits and in value tables dropped before they pass that,
-and they go with it: a sweep never writes the frame's memo.
+0 least significant.  With no parameters it is one binding: one block of
+nodes, `pattern` 1 and the frame's own `runs`.  The context supplies the
+three things the clauses read.  The atom: the nodes where one value is in
+(equals) the other, read over class labels (`_nodes_where`) and spread
+over the blocks by `pattern`; a relation per pair of values where an axis
+is involved.  A quantifier's range: the members of its bound (of the
+universe) with their nodes (`KripkeSet.listing`, `Structure.listing`),
+spread the same way, or for an axis each member of each value with its
+per-block listing mask.  A value's cone: `pattern` spreads it over the
+domain (an axis's cone already covers the blocks).  A sweep's `runs` have
+the block-stride pattern as their width, so `hits` pulls every block down
+in one pass.
+
+Each context's masks are keyed by the formula's serial (`formula.facts`),
+which no other formula ever gets, then the uids of the values of its free
+variables and parameters.  A bounded formula reads extensions and labels
+but never a universe, so one mask serves every structure on the frame;
+unbounded keys carry the structure's uid.  Each key is built by code
+written for its shape.  Who holds the masks is settled in one place:
+`forcing_mask`, and so `forces`, gives its one-binding context the frame's
+memo (`Frame.memo`), which later calls on the frame read again; every
+other sweep owns its memo, and its value tables, and they go with it, so
+a schema check never writes the frame's memo.  A call drops its memo on
+entry once it holds the context's `cap`: MEMO_CAP masks with no axes,
+SWEEP_BITS bits with them.
 
 A template built once around a `formula.Hole` is forced with one formula
 after another in its place: env binds the hole's name to a `Fill` of the
@@ -240,9 +243,10 @@ class Structure:
     ):
         self.frame, self.universe, self.names, self.notes = frame, universe, names, notes
         self.meta = {}  # the flags a builder sets: truncated, stabilized
-        # `uid` tells this structure's unbounded verdicts apart in the frame's
-        # forcing memo (see `forces`); definability harvests are interned per
-        # frame by cone universe (see `hierarchy.harvest_at`), not kept here.
+        # `uid` tells this structure's unbounded verdicts apart in a forcing
+        # memo, the frame's or a sweep's (see `Sweep`); definability
+        # harvests are interned per frame by cone universe (see
+        # `hierarchy.harvest_at`), not kept here.
         self.uid = next(_structure_uids)
         if set(universe) != set(frame.nodes):
             raise ValueError("universe must assign a tuple to every node")
@@ -330,13 +334,14 @@ class EvalError(ValueError):
     pass
 
 
-# forcing masks a frame's memo holds before a call drops it on entry: a
-# reset also drops the verdicts a schema sweep keeps reusing, so the bound
-# trades re-forcing those against holding dead ones
+# forcing masks a memo with no axes, the frame's or a schema check's own,
+# holds before a call drops it on entry: a reset also drops the verdicts
+# later calls keep reusing, so the bound trades re-forcing those against
+# holding dead ones
 MEMO_CAP = 1 << 14
-# mask bits in each of a `Sweep`'s two tables: its memo is dropped on entry
-# to a call once it holds this many, its value tables before they would
-# pass it.  Delta0 Comprehension at depth 1 with two parameters over V_3 on
+# mask bits in each of the two tables of a `Sweep` with axes: its memo is
+# dropped on entry to a call once it holds this many, its value tables
+# before they would pass it.  Delta0 Comprehension at depth 1 with two parameters over V_3 on
 # fan(2) (5,329 blocks of 3 bits) peaked at 20.9 MB RSS in 1.0-1.3 s with
 # this bound, 19.4 MB in 1.0-1.2 s with half of it and 232 MB in 1.3-1.5 s
 # with none (2 cores, Python 3.11)
@@ -383,14 +388,17 @@ def forcing_mask(
     An unbound variable, an unknown parameter or a value from another frame
     raises before anything is forced."""
     extra_names = extra_names or {}
-    return _force(_Ctx(s, extra_names), phi, env or {}, extra_names.values())
+    ctx = Sweep(s, (), extra_names)
+    # the one context whose masks outlive it: they serve later calls on the
+    # frame, such as `is_branch` at each node of one family
+    ctx.memo = s.frame.memo
+    return _force(ctx, phi, env or {}, extra_names.values())
 
 
-def _force(ctx: _Ctx, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int:
-    """phi's mask in ctx, one binding or a sweep, after the checks that
-    `forcing_mask` promises.  The memo is dropped on entry once it holds
-    `ctx.cap` masks, never in the middle of a call, whose masks are read
-    again."""
+def _force(ctx: Sweep, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int:
+    """phi's mask in ctx after the checks that `forcing_mask` promises.
+    The memo is dropped on entry once it holds `ctx.cap` masks, never in
+    the middle of a call, whose masks are read again."""
     # class labels only compare within one frame object
     for x in (*env.values(), *extra):
         if x.frame is not ctx.structure.frame:
@@ -406,45 +414,6 @@ def _force(ctx: _Ctx, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int:
         return _code(phi)(ctx, env)
     except RecursionError:
         raise EvalError("formula nests too deeply to evaluate") from None
-
-
-class _Ctx:
-    """The state of one top-level `forces` call: the structure, its uid and
-    parameters (its names, overridden by the extra ones), and frame tables.
-    It supplies what the compiled clauses read of a binding: the atom, a
-    quantifier's range, and `pattern`, by which a value's cone is spread
-    over the domain (1: one block of nodes)."""
-
-    __slots__ = ("structure", "uid", "params", "nodes", "runs", "full", "memo", "cap")
-    pattern = 1
-
-    def __init__(self, s: Structure, extra: dict):
-        f = s.frame
-        self.structure, self.uid, self.params = s, s.uid, {**s.names, **extra}
-        self.nodes, self.runs, self.memo, self.cap = f.nodes, f.runs, f.memo, MEMO_CAP
-        self.full = f.masks[f.pos[f.bottom]]
-
-    def atom(self, member: bool, x: KripkeSet, y: KripkeSet, d: int) -> int:
-        """The nodes of d where x is a member of (equal to) y."""
-        # a label is interned with its node, so x's label at tau is one of
-        # y's own labels (of its members' labels) iff x = y (x in y) at tau
-        x, y = _labels(x), (_member_labels if member else _own_labels)(y)
-        nodes, out = self.nodes, 0
-        while d:
-            low = d & -d
-            if x[nodes[low.bit_length() - 1]] in y:
-                out |= low
-            d ^= low
-        return out
-
-    def listing(self, y: KripkeSet | None):
-        """A quantifier's range: each member of y (each universe element
-        for None) with the nodes where it is listed."""
-        if y is None:
-            return self.structure.listing
-        if y.listing is None:
-            y.listing = _listed(y.ext, y.frame.pos)
-        return y.listing
 
 
 class _Axis:
@@ -489,7 +458,9 @@ def _concat(chunks: list[int], width: int) -> int:
 
 
 def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) -> int:
-    """The nodes where x is a member of (equal to) y, read as `_Ctx.atom` does."""
+    """The nodes where x is a member of (equal to) y: a label is interned
+    with its node, so x's label at tau is one of y's members' labels (of
+    y's own labels) iff x is in (equals) y at tau."""
     heads, out = (_member_labels if member else _own_labels)(y), 0
     for tau, c in _labels(x).items():
         if c in heads:
@@ -497,54 +468,57 @@ def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) 
     return out
 
 
-class Sweep(_Ctx):
-    """Forcing under every assignment of some parameters at once.
+class Sweep:
+    """Forcing under every assignment of some parameters at once: the one
+    context the compiled clauses are called with (see the module notes).
 
     Each name is an axis over the structure's distinct universe elements, in
     `Structure.listing` order.  A sweep mask holds one block of len(nodes)
     bits per tuple of values, axis 0 least significant, and bit
     `position(values, sigma)` is what `forcing_mask` with the names bound to
-    values gives at sigma.  A sweep is a context of the same compiled
-    clauses as one binding, over wider masks: `hits` pulls every block down
-    at once through runs whose width is the block-stride pattern; an atom
-    reads a node-mask relation per pair of values, spread over the blocks
-    where the axes take them; a quantifier whose bound is an axis walks
-    every member of every value with its per-block listing mask; and a
-    set's cone is spread over every block by `pattern`.
+    values gives at sigma.  With no names a sweep is one binding: one block,
+    `pattern` 1 and the frame's own `runs`; `extra` is laid over the
+    structure's names either way.
 
-    The sweep keeps formula masks in `memo`, dropped on entry to a call once
-    it holds `cap` masks (SWEEP_BITS bits), and the masks built from values
-    alone (relations, axis ranges, node scopes) in `tables`, dropped when
-    they would pass SWEEP_BITS bits; neither is the frame's memo, and both
-    go with the sweep.  With no names a sweep is one `forcing_mask` call, on
-    the frame's memo."""
+    A sweep keeps formula masks in its own `memo`, dropped on entry to a
+    call once it holds `cap` masks: MEMO_CAP with no names, SWEEP_BITS bits
+    with them; `forcing_mask` alone hands it the frame's memo instead.  The
+    masks built from values alone (relations and ranges of an axis, node
+    scopes) go in `tables`, dropped when they would pass SWEEP_BITS bits.
+    Both go with the sweep."""
 
-    __slots__ = ("names", "pattern", "width", "index", "tables", "held")
+    __slots__ = (
+        "structure", "uid", "params", "names", "pattern", "width", "index",
+        "runs", "full", "memo", "cap", "tables", "held",
+    )
 
-    def __init__(self, s: Structure, names: tuple[str, ...]):
-        f, elems = s.frame, [x for x, _ in s.listing]
-        n, k = len(f.nodes), len(names)
-        super().__init__(s, {name: _Axis(elems, j, k, n) for j, name in enumerate(names)})
-        self.names = names
-        self.pattern = pattern = _spaced(len(elems) ** k, n)
-        self.width = len(elems) ** k * n
-        self.runs = tuple((src, pattern, tgt) for src, _, tgt in f.runs)
-        self.full *= pattern
-        self.index = {x: i for i, x in enumerate(elems)}
-        # formula masks, each `width` bits, and the masks built from values
-        # alone: relations, axis ranges and node scopes
-        self.memo, self.cap = {}, max(1, SWEEP_BITS // max(1, self.width))
+    def __init__(self, s: Structure, names: tuple[str, ...], extra: dict | None = None):
+        f = s.frame
+        self.structure, self.uid, self.names = s, s.uid, names
+        self.params = {**s.names, **(extra or {})}
+        self.pattern, self.width, self.index, self.runs = 1, len(f.nodes), {}, f.runs
+        self.full, self.memo, self.cap = f.masks[f.pos[f.bottom]], {}, MEMO_CAP
         self.tables, self.held = {}, 0
+        if names:
+            elems = [x for x, _ in s.listing]
+            n, k = len(f.nodes), len(names)
+            self.params.update((name, _Axis(elems, j, k, n)) for j, name in enumerate(names))
+            self.pattern = pattern = _spaced(len(elems) ** k, n)
+            self.width = len(elems) ** k * n
+            self.index = {x: i for i, x in enumerate(elems)}
+            self.runs = tuple((src, pattern, tgt) for src, _, tgt in f.runs)
+            self.full *= pattern
+            self.cap = max(1, SWEEP_BITS // max(1, self.width))
 
     def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
         """phi's sweep mask; raises as `forcing_mask` does."""
-        if not self.names:
-            return forcing_mask(self.structure, phi, env)
         return _force(self, phi, env or {})
 
     def atom(self, member: bool, x, y, d: int) -> int:
         """The bits of d where x is a member of (equal to) y."""
-        return d & self.relation(member, x, y)
+        if x.__class__ is _Axis or y.__class__ is _Axis:
+            return d & self.relation(member, x, y)
+        return d & _nodes_where(member, x, y, self.structure.frame.pos) * self.pattern
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
         """The bit of sigma under the names bound to values."""
@@ -578,18 +552,16 @@ class Sweep(_Ctx):
         self.tables[key] = value
 
     def relation(self, member: bool, x, y) -> int:
-        """The bits where x is a member of (equal to) y: for each pair of
-        values, the nodes where the first is in (equals) the second, spread
-        over the blocks where x and y take them."""
+        """The bits where x is a member of (equal to) y, one of them an
+        axis: for each pair of values, the nodes where the first is in
+        (equals) the second, spread over the blocks where x and y take
+        them."""
         key = ("in" if member else "=", x.uid, y.uid)
         got = self.tables.get(key)
         if got is None:
             pos = self.structure.frame.pos
             if x.__class__ is not _Axis:
-                if y.__class__ is not _Axis:
-                    got = _nodes_where(member, x, y, pos) * self.pattern
-                else:
-                    got = y.spread([_nodes_where(member, x, b, pos) for b in y.elems])
+                got = y.spread([_nodes_where(member, x, b, pos) for b in y.elems])
             elif y.__class__ is not _Axis or x is y:
                 got = x.spread([_nodes_where(member, a, a if x is y else y, pos) for a in x.elems])
             else:
@@ -604,28 +576,30 @@ class Sweep(_Ctx):
         """A quantifier's range: each member of y's values (each universe
         element for None) with the bits where it is listed.  The range of an
         axis is gathered once and kept; a set's is spread as it is read."""
-        if y.__class__ is not _Axis:
-            return ((x, nodes * self.pattern) for x, nodes in super().listing(y))
-        got = self.tables.get(y.uid)
-        if got is None:
-            # each member's node masks, one per value of the axis
-            table: dict[KripkeSet, list[int]] = {}
-            for i, b in enumerate(y.elems):
-                for x, nodes in super().listing(b):
-                    table.setdefault(x, [0] * len(y.elems))[i] = nodes
-            got = tuple((x, y.spread(masks)) for x, masks in table.items())
-            self._table(y.uid, got, len(got) * self.width)
-        return got
+        if y.__class__ is _Axis:
+            got = self.tables.get(y.uid)
+            if got is None:
+                # each member's node masks, one per value of the axis
+                table: dict[KripkeSet, list[int]] = {}
+                for i, b in enumerate(y.elems):
+                    for x, nodes in _listing(b):
+                        table.setdefault(x, [0] * len(y.elems))[i] = nodes
+                got = tuple((x, y.spread(masks)) for x, masks in table.items())
+                self._table(y.uid, got, len(got) * self.width)
+            return got
+        got = self.structure.listing if y is None else _listing(y)
+        pattern = self.pattern
+        return got if pattern == 1 else ((x, nodes * pattern) for x, nodes in got)
 
 
 def _code(phi: Formula):
     """phi's memoized forcing function `(ctx, env) -> mask`: bit i is set
     iff bit i lies in phi's domain, the meet of the cones of the values of
     its free variables and parameters, and forces phi.  One function serves
-    a single binding (`_Ctx`, bit i is `nodes[i]`) and a `Sweep` (a block
-    of nodes per assignment).  Compiled from its children's functions the
-    first time it is asked for and kept on the node; it holds no node, so
-    it is freed with phi."""
+    every `Sweep`: one with no axes is one binding (bit i is `nodes[i]`),
+    one with axes has a block of nodes per assignment.  Compiled from its
+    children's functions the first time it is asked for and kept on the
+    node; it holds no node, so it is freed with phi."""
     try:
         return phi._code
     except AttributeError:
@@ -645,11 +619,12 @@ def _memoized(bounded: bool, nvars: int, nparams: int, memo: bool):
 
     A key is phi's serial, the context's structure uid unless phi is
     bounded, then the uids of the values of phi's sorted free variables and
-    parameters, whose cones meet in the domain.  A set's cone is spread by
-    `ctx.pattern`; an axis's `cone` already covers every block.  The maker
-    is written out as source once per shape, as `dataclasses` writes
-    `__init__`: no loop over names, and compiled under a file name of its
-    own, so a profile tells the shapes apart."""
+    parameters, whose cones meet in the domain; it is looked up in
+    `ctx.memo`, whichever memo the context holds (see `Sweep`).  A set's
+    cone is spread by `ctx.pattern`; an axis's `cone` already covers every
+    block.  The maker is written out as source once per shape, as
+    `dataclasses` writes `__init__`: no loop over names, and compiled under
+    a file name of its own, so a profile tells the shapes apart."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
     values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
@@ -749,6 +724,13 @@ class Fill:
         if got is None:
             got = self.relativized[dom] = _code(relativize(self.phi, dom))
         return got
+
+
+def _listing(y: KripkeSet):
+    """Each member of y with the nodes where it is listed, kept on y."""
+    if y.listing is None:
+        y.listing = _listed(y.ext, y.frame.pos)
+    return y.listing
 
 
 def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):

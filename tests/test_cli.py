@@ -318,6 +318,7 @@ def test_an_unknown_format_in_the_environment_exits_2_before_the_command(capsys,
     "golden, argv",
     [
         ("lemmas_tree_depth2.json", ["lemmas", "--tree-depth", "2"]),
+        ("lemmas_tree_depth3.json", ["lemmas", "--tree-depth", "3"]),
         ("def_tree_depth3.json", ["def", "--frame", TREE3]),
         ("def_fan_width3_depth2.json", ["def", "--frame", "fan width=3", "--depth", "2"]),
         ("L_tree_depth3_two.json", ["L", "--frame", TREE3, "--ordinal", "two"]),
@@ -328,7 +329,10 @@ def test_an_unknown_format_in_the_environment_exits_2_before_the_command(capsys,
              "--schema", "Delta0Bounding", "--scope", "bottom"],
         ),
     ],
-    ids=["lemmas", "def-tree3", "def-fan3-depth2", "L-tree3", "prop1-corpus", "check-gap"],
+    ids=[
+        "lemmas", "lemmas-tree3", "def-tree3", "def-fan3-depth2", "L-tree3",
+        "prop1-corpus", "check-gap",
+    ],
 )
 def test_structured_output_matches_its_golden_bytes(capsys, fixtures_dir, golden, argv):
     argv = [arg.format(fixtures=fixtures_dir) for arg in argv]

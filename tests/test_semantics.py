@@ -337,8 +337,6 @@ def _memo_sweep(f):
     """Every schema at depth 1 with 2 parameters, and on tree(2) the
     branch-hood verdict of every family at every node."""
     s = canonical_structure(f)
-    # s and es share the frame and so its one memo: one sentinel covers both
-    f.memo["sentinel"] = None
     reports = [
         check_schema(s, schema, CheckBounds(formula_depth=1, max_params=2))
         for schema in SchemaId
@@ -350,16 +348,26 @@ def _memo_sweep(f):
         assert len(families) == 34
         q = p_hat(f)
         got.append([is_branch(es, sigma, b, q) for b in families for sigma in f.nodes])
-    # the sentinel goes only when `forces` resets a memo
-    return got, "sentinel" not in f.memo
+    return got
 
 
 @pytest.mark.parametrize("make", [lambda: tree(2), lambda: fan(3)], ids=["tree2", "fan3"])
 def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
     # a fresh frame per sweep, so the second reads no verdict of the first
-    want, _ = _memo_sweep(make())
+    want = _memo_sweep(make())
     monkeypatch.setattr(semantics, "MEMO_CAP", 8)
-    got, was_reset = _memo_sweep(make())
+    # `_force` drops a memo on entry; count the drops of a memo that a
+    # schema check's own context holds, not the frame's
+    drops, force = [], semantics._force
+
+    def counted(ctx, phi, env, extra=()):
+        if len(ctx.memo) >= ctx.cap and ctx.memo is not ctx.structure.frame.memo:
+            drops.append(ctx)
+        return force(ctx, phi, env, extra)
+
+    monkeypatch.setattr(semantics, "_force", counted)
+    got = _memo_sweep(make())
+    was_reset = bool(drops)
     assert got == want
     assert was_reset
 

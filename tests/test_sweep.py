@@ -147,6 +147,18 @@ def test_a_sweep_leaves_the_frame_memo_as_it_found_it():
     report = check_schema(s, SchemaId.DELTA0_COMPREHENSION, CheckBounds(1, 2))
     assert report.holds and report.stats["instances"] > 1000
     assert memo == before and all(memo[k] is v for k, v in before.items())
+    # and every schema, with and without parameters: the axioms and the
+    # formulas swept without #p get sweeps with no axes, one binding each,
+    # and those own their memos too
+    leaks = []
+    for bounds in (CheckBounds(1, 0), CheckBounds(1, 2)):
+        for schema in SchemaId:
+            s = canonical_structure(chain(3))
+            assert not s.notes and not s.frame.memo
+            check_schema(s, schema, bounds)
+            if s.frame.memo:
+                leaks.append((schema.value, bounds.max_params, len(s.frame.memo)))
+    assert leaks == []
 
 
 def test_a_sweep_memo_bounded_small_changes_no_report(monkeypatch):
