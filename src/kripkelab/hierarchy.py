@@ -7,23 +7,22 @@ The structures these start from are assembled in `semantics`, beside
 `L` lines never imports this module.
 
 The definability engine works per birth node.  It represents a candidate
-definable subset as a map: one int holding a bitmask over the universe at
-every cone node (or over its pairs, for maps of two variables), each node in
-its own fixed block of bits.  It seeds the pool with atomic membership and
-equality maps and closes under the connective and quantifier operations
-round by round.  Maps are saturated under forced equality automatically
-because the atoms are, so distinct maps denote semantically distinct sets
-and map equality is an exact deduplication rule.
+definable subset as a map: one int laid out as a sweep mask
+(`semantics._Layout`), a bit per element of each cone node's universe, or
+per pair for maps of two variables.  It seeds the pool with atomic
+membership and equality maps and closes under the connective and
+quantifier operations round by round.  Maps are saturated under forced
+equality automatically because the atoms are, so distinct maps denote
+semantically distinct sets and map equality is an exact deduplication rule.
 
 Conjunction and disjunction are `&` and `|` on the whole map, and the
 existential binder ORs columns of a pair map into place, one precomputed
-shift per column.  Negation, implication and the universal binder all sweep
-the cone, and all are one Heyting interior: keep the positions whose image
-at every node above lies outside a "bad" mask.  `_Engine.interior` is that
-sweep, forcing's `frame.hits` over run tables built once per engine from the
-cone's covering pairs, memoized for the engine's lifetime.  Negation takes
-the map itself as the bad mask, implication `m1 & ~m2`, and the universal
-binder the positions with a missing pair in the binder's domain.
+shift per column.  Negation, implication and the universal binder are one
+Heyting interior: keep the positions whose image at every node above lies
+outside a "bad" mask, forcing's `frame.hits` over the layout's runs,
+memoized for the engine's lifetime.  Negation takes the map itself as the
+bad mask, implication `m1 & ~m2`, and the universal binder the positions
+with a missing pair in the binder's domain.
 
 The fragment is bounded on purpose: one live bound variable besides the
 defined one (relation maps of arity two), round count given by
@@ -42,7 +41,7 @@ Harvests are interned per frame by the universes of the birth node's cone.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, islice
+from itertools import islice
 
 from .formula import Formula, free_vars, is_positive_in, parse
 from .frame import Frame, _Record, hits, leq, linear_extension, up_set
@@ -56,8 +55,8 @@ from .semantics import (
     KripkeSet,
     Structure,
     _fresh,
+    _Layout,
     alive,
-    class_at,
     empty_structure,
     forces,
     forcing_mask,
@@ -116,39 +115,16 @@ def _zone() -> Formula:
     return parse(f"forall w . (({empty}) \\/ ~({empty}))")
 
 
-@functools.cache
-def _patterns(n: int) -> tuple[int, int]:
-    """Bit 0 of each of n columns of n bits, and n bits spaced n - 1 apart."""
-    return sum(1 << j * n for j in range(n)), sum(1 << j * (n - 1) for j in range(n))
-
-
-def _runs(segments) -> list[list[int]]:
-    """Merge (position, image, width) segments, given in position order, into
-    maximal runs of consecutive positions with consecutive images."""
-    out: list[list[int]] = []
-    for p, q, w in segments:
-        if out and p - out[-1][0] == q - out[-1][1] == out[-1][2]:
-            out[-1][2] += w
-        else:
-            out.append([p, q, w])
-    return out
-
-
 class _Engine:
     """Bitmask closure over one birth node of one base structure.
 
-    A map is one int over the whole cone.  The k-th cone node owns `n` bits
-    at `off[0][k]` for maps of the defined variable alone (arity 1) and `n*n`
-    bits at `off[1][k]` for pair maps (arity 2), with n the size of the
-    universe there; `block` reads one node's bits.  Pair maps are j-major:
-    the pair (i, j), i the defined variable, is bit `j * n + i`, so column j
-    is a contiguous stretch of bits.
-
-    `runs` holds, per arity, `hits` runs, one group per covering pair of the
-    cone in `Frame.runs` order: each carries consecutive positions at a node
-    to consecutive images at its cover, cut where the images stop being
-    consecutive.  A prefix universe below needs one run (one per column of a
-    pair map); an empty node none.  `interiors` memoizes `interior` per arity.
+    A map is one int over the whole cone, laid out by `layouts[0]` for the
+    defined variable alone (arity 1) and `layouts[1]` for pairs (arity 2),
+    `semantics._Layout`s over the cone.  In a pair (i, j) the defined
+    variable i is the low digit: bit `j * n + i`, n the size of the universe
+    there, so column j is a contiguous stretch of bits.  At the bottom a map
+    is the sweep mask of its formula, #A the defined variable, or #A for j
+    and #B for i.  `interiors` memoizes `interior` per arity.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -157,90 +133,32 @@ class _Engine:
         self.sigma = sigma
         self.cfg = cfg
         self.cone = up_set(f, sigma)
-        idx = {tau: k for k, tau in enumerate(self.cone)}
-        self.elems = {tau: s.universe[tau] for tau in self.cone}
-        self.pos = {
-            tau: {x.uid: i for i, x in enumerate(self.elems[tau])} for tau in self.cone
-        }
-        self.ns = ns = tuple(len(self.elems[tau]) for tau in self.cone)
-        self.off = off1, off2 = tuple(
-            tuple(accumulate((n**a for n in ns[:-1]), initial=0)) for a in (1, 2)
-        )
-        self.full = tuple(
-            sum((1 << n**a) - 1 << o for n, o in zip(ns, off))
-            for a, off in zip((1, 2), self.off)
-        )
-        # one run group per covering pair of the cone, top nodes first
-        runs1, runs2 = [], []
-        for a, _, b in f.runs:
-            tau, rho = f.nodes[a], f.nodes[b]
-            k = idx.get(tau)
-            if k is None or not ns[k]:
-                continue
-            n, r = ns[k], idx[rho]
-            img = [self.pos[rho][x.uid] for x in self.elems[tau]]
-            cut = _runs((p, q, 1) for p, q in enumerate(img))
-            # column j of a pair map lands in column img[j] above
-            cut2 = _runs(
-                (j * n + p, c * ns[r] + q, w) for j, c in enumerate(img) for p, q, w in cut
-            )
-            runs1 += [(off1[k] + p, (1 << w) - 1, off1[r] + q) for p, q, w in cut]
-            runs2 += [(off2[k] + p, (1 << w) - 1, off2[r] + q) for p, q, w in cut2]
-        self.runs = (runs1, runs2)
+        self.layouts = tuple(_Layout(f, s.universe, self.cone, k) for k in (1, 2))
+        self.full = tuple(lay.full for lay in self.layouts)
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = False
         self.stabilized = False
 
     def block(self, m: int, k: int, arity: int) -> int:
         """The bits of map `m` at the k-th cone node."""
-        return m >> self.off[arity - 1][k] & (1 << self.ns[k] ** arity) - 1
+        _, n, _, off, _ = self.layouts[arity - 1].cells[k]
+        return m >> off & (1 << n**arity) - 1
 
     def atom_maps(self) -> tuple[list, list, list, list, list]:
         """Atomic maps grouped: equality with, membership in, and membership
         of each parameter; the remaining fixed maps; and the pair maps for
-        `a in b`, `b in a` and `a = b`.  Each node's blocks are built apart
-        and placed once."""
-        params = self.elems[self.sigma]
-        eq_p, in_p, has_p = ([0] * len(params) for _ in range(3))
-        ins = has = eqs = selfin = zone_map = 0
+        `a in b`, `b in a` and `a = b`."""
+        ones, pairs = self.layouts
+        params = self.s.universe[self.sigma]
         # one mask for the sentence _zone(): bit i is frame node i
-        zone, bit = forcing_mask(self.s, _zone()), self.s.frame.pos
-        for k, tau in enumerate(self.cone):
-            es = self.elems[tau]
-            n, o1, o2 = len(es), self.off[0][k], self.off[1][k]
-            # same[c]: the positions whose class label at tau is c; the
-            # universe is membership-closed, so every member's class is here
-            same: dict[int, int] = {}
-            for i, a in enumerate(es):
-                c = class_at(a, tau)
-                same[c] = same.get(c, 0) | 1 << i
-            ins_k = has_k = eqs_k = selfin_k = 0
-            for j, b in enumerate(es):
-                col = 0
-                for m in b.ext[tau]:
-                    col |= same[class_at(m, tau)]
-                ins_k |= col << j * n
-                eqs_k |= same[class_at(b, tau)] << j * n
-                selfin_k |= (col >> j & 1) << j
-                # has is ins transposed: one bit per member position of b
-                while col:
-                    low = col & -col
-                    has_k |= 1 << (low.bit_length() - 1) * n + j
-                    col ^= low
-            ins |= ins_k << o2
-            has |= has_k << o2
-            eqs |= eqs_k << o2
-            selfin |= selfin_k << o1
-            # a parameter's columns: the positions paired with it
-            r = (1 << n) - 1
-            for t, p in enumerate(params):
-                j = self.pos[tau][p.uid] * n
-                eq_p[t] |= (eqs_k >> j & r) << o1
-                in_p[t] |= (ins_k >> j & r) << o1
-                has_p[t] |= (has_k >> j & r) << o1
-            if zone >> bit[tau] & 1:
-                zone_map |= r << o1
-        return eq_p, in_p, has_p, [self.full[0], selfin, zone_map], [ins, has, eqs]
+        zone = ones.spread(forcing_mask(self.s, _zone()))
+        return (
+            [ones.relation(False, 0, p) for p in params],
+            [ones.relation(True, 0, p) for p in params],
+            [ones.relation(True, p, 0) for p in params],
+            [ones.full, ones.relation(True, 0, 0), zone],
+            [pairs.relation(True, 1, 0), pairs.relation(True, 0, 1), pairs.relation(False, 1, 0)],
+        )
 
     # ---- cone operations
 
@@ -250,48 +168,32 @@ class _Engine:
         memo = self.interiors[arity - 1]
         out = memo.get(bad)
         if out is None:
-            out = memo[bad] = self.full[arity - 1] ^ hits(self.runs[arity - 1], bad)
+            lay = self.layouts[arity - 1]
+            out = memo[bad] = lay.full ^ hits(lay.runs, bad)
         return out
 
     def imp(self, m1: int, m2: int, arity: int) -> int:
         return self.interior(m1 & ~m2, arity)
 
     def lift(self, m: int, slot: int) -> int:
-        """A map of the defined variable read as a pair map in one slot."""
-        # slot 0: every column is the node's block x: x times the column
-        # pattern.  Slot 1: column j is full when j is in x: a full column
-        # times x's bits spread n apart (times the step pattern moves bit
-        # i < n - 1 to i * n without carries; the top bit is moved apart).
-        out = 0
-        for n, o1, o2 in zip(self.ns, *self.off):
-            r = (1 << n) - 1
-            x = m >> o1 & r
-            cols, steps = _patterns(n)
-            if slot == 0:
-                out |= x * cols << o2
-            elif x:
-                spread = (x & r >> 1) * steps & cols | (x >> n - 1) << (n - 1) * n
-                out |= r * spread << o2
-        return out
+        """A map of the defined variable read as a pair map in one slot:
+        slot 0 is the defined variable, the low digit."""
+        return self.layouts[1].lift(m, 1 - slot)
 
     def binders(self) -> list[tuple[tuple[int, int, int], ...]]:
         """Domains of the second variable: the defined variable's members,
         the universe, then each parameter's members.  A domain is a list of
         (column shift, column mask, target shift) triples, one per nonempty
         column: the positions i whose domain holds the column's element."""
-        params = self.elems[self.sigma]
-        own, every = [], []
-        each: list[list[tuple[int, int, int]]] = [[] for _ in params]
-        for tau, n, o1, o2 in zip(self.cone, self.ns, *self.off):
-            pos, r = self.pos[tau], (1 << n) - 1
-            cols = [0] * n
-            for i, x in enumerate(self.elems[tau]):
-                for m in x.ext[tau]:
-                    cols[pos[m.uid]] |= 1 << i
-            own += [(o2 + j * n, c, o1) for j, c in enumerate(cols) if c]
+        ones, pairs = self.layouts
+        params = self.s.universe[self.sigma]
+        own, every, each = [], [], [[] for _ in params]
+        for (tau, n, _, o1, _), (_, _, _, o2, _) in zip(ones.cells, pairs.cells):
+            index, listed, r = ones.index[tau], ones.listed[tau], (1 << n) - 1
+            own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
             every += [(o2 + j * n, r, o1) for j in range(n)]
             for dom, p in zip(each, params):
-                dom += [(o2 + pos[m.uid] * n, r, o1) for m in p.ext[tau]]
+                dom += [(o2 + index[m] * n, r, o1) for m in p.ext[tau]]
         return [tuple(d) for d in [own, every] + each]
 
     def exists2(self, m2: int, dom) -> int:
@@ -389,9 +291,9 @@ class _Engine:
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
         out = {}
-        for tau, n, o in zip(self.cone, self.ns, self.off[0]):
-            b = m >> o & (1 << n) - 1
-            out[tau] = tuple(x for i, x in enumerate(self.elems[tau]) if b >> i & 1)
+        for tau, n, _, off, _ in self.layouts[0].cells:
+            b = m >> off & (1 << n) - 1
+            out[tau] = tuple(x for i, x in enumerate(self.s.universe[tau]) if b >> i & 1)
         return out
 
 

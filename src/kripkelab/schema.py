@@ -14,8 +14,9 @@ only its own new nodes and is bound to the hole as a variable is
 (`semantics.Fill`): the template nodes above the hole key their masks by
 it, and every other node's masks serve the whole sweep.  The template is
 forced once per formula, over every assignment of its parameters at every
-node (a `semantics.Sweep` mask with one node block per assignment), and
-the sweep reads one bit per (node, assignment) in scope.  Every sweep a
+node (a `semantics.Sweep` mask, whose block at a node holds one bit per
+assignment from that node's universe), and the sweep reads one bit per
+(node, assignment) in scope.  Every sweep a
 check makes owns its memo, so no check writes the frame's.  Structures may
 carry designated instances in their notes; those are checked before the
 generic sweep, each through `forces` on a template built around its own
@@ -329,8 +330,9 @@ def check_schema(
     formulas in stream order, then nodes in scope, then assignments from
     the node's universe.  Each template is forced once, over all
     assignments at all nodes, and each instance reads one bit of that mask:
-    a node whose assignments all hold is read in one step, and only a
-    failing node is walked in assignment order.  The templates, the sweeps
+    a node's assignments are one block of bits in product order, read in
+    one step when all hold; only a failing node is walked, in assignment
+    order, to its first failing assignment.  The templates, the sweeps
     and the masks they keep, in memos of their own, are dropped on
     return."""
     nodes = _scope(s, bounds)

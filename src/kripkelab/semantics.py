@@ -19,31 +19,26 @@ holding node names and ints only.
 `forces` runs compiled code, not an interpreter, and decides a set of nodes
 at once (global model checking).  Each formula node is compiled once, the
 first time it is forced, into its memoized function `(ctx, env) -> mask`:
-bit i is set iff `Frame.nodes[i]` forces the formula, over the nodes where
-the values of its free variables and parameters are all alive.  And and or
-are & and |; negation, implication and forall keep the domain's nodes whose
-cone misses a bad mask, `d & ~hits(ctx.runs, bad)`, as the definability
-engine does; a quantifier walks the (element, nodes where listed) pairs
-that the context lists for its bound, or for the universe.  The function is
-kept in the node's `_code` slot and holds no node; no frame, sweep or module
-table holds code.
+a bit is set iff its node forces the formula, within the domain where the
+values of its free variables and parameters are all alive.  And and or are
+& and |; negation, implication and forall keep the domain's bits whose
+cone misses a bad mask, `d & ~hits(ctx.runs, bad)`; a quantifier walks the
+(element, bits where listed) pairs that the context lists for its bound,
+or for the universe.  The function is kept in the node's `_code` slot and
+holds no node; no frame, sweep or module table holds code.
 
 Every call is made in a `Sweep`, the one context of the compiled clauses.
-A sweep decides every assignment of some parameters at once: each
-parameter is an axis over the structure's distinct universe elements, and
-a sweep mask holds one block of len(nodes) bits per tuple of values, axis
-0 least significant.  With no parameters it is one binding: one block of
-nodes, `pattern` 1 and the frame's own `runs`.  The context supplies the
-three things the clauses read.  The atom: the nodes where one value is in
-(equals) the other, read over class labels (`_nodes_where`) and spread
-over the blocks by `pattern`; a relation per pair of values where an axis
-is involved.  A quantifier's range: the members of its bound (of the
-universe) with their nodes (`KripkeSet.listing`, `Structure.listing`),
-spread the same way, or for an axis each member of each value with its
-per-block listing mask.  A value's cone: `pattern` spreads it over the
-domain (an axis's cone already covers the blocks).  A sweep's `runs` have
-the block-stride pattern as their width, so `hits` pulls every block down
-in one pass.
+With no parameters a sweep is one binding: bit i is `Frame.nodes[i]`.  A
+sweep with parameters decides all their assignments at once, one digit of
+a `_Layout` per parameter: node tau owns one bit per tuple over its own
+universe.  The definability engine lays out its maps the same way, so an
+engine map is the sweep mask of its formula.  The context supplies what
+the clauses read: the atom (`_nodes_where` over class labels, or the
+layout's position tables where an axis is involved), a quantifier's range
+(`KripkeSet.listing`, `Structure.listing`, or an axis's `_Layout.members`)
+and the `runs`.  A node mask, such as a set's cone, is spread over the
+layout once per sweep through its `tables`, and a set's range once per
+bound, which keeps spreads off the hot path of short formulas.
 
 Each context's masks are keyed by the formula's serial (`formula.facts`),
 which no other formula ever gets, then the uids of the values of its free
@@ -53,8 +48,8 @@ unbounded keys carry the structure's uid.  Each key is built by code
 written for its shape.  Who holds the masks is settled in one place:
 `forcing_mask`, and so `forces`, gives its one-binding context the frame's
 memo (`Frame.memo`), which later calls on the frame read again; every
-other sweep owns its memo, and its value tables, and they go with it, so
-a schema check never writes the frame's memo.  A call drops its memo on
+other sweep owns its memo, and its tables, and they go with it, so a
+schema check never writes the frame's memo.  A call drops its memo on
 entry once it holds the context's `cap`: MEMO_CAP masks with no axes,
 SWEEP_BITS bits with them.
 
@@ -339,12 +334,12 @@ class EvalError(ValueError):
 # later calls keep reusing, so the bound trades re-forcing those against
 # holding dead ones
 MEMO_CAP = 1 << 14
-# mask bits in each of the two tables of a `Sweep` with axes: its memo is
-# dropped on entry to a call once it holds this many, its value tables
-# before they would pass it.  Delta0 Comprehension at depth 1 with two parameters over V_3 on
-# fan(2) (5,329 blocks of 3 bits) peaked at 20.9 MB RSS in 1.0-1.3 s with
-# this bound, 19.4 MB in 1.0-1.2 s with half of it and 232 MB in 1.3-1.5 s
-# with none (2 cores, Python 3.11)
+# mask bits, a mask as wide as its layout, in each of the two tables of a
+# `Sweep` with axes: its memo is dropped on entry to a call once it holds
+# this many, its value tables before they would pass it.  Delta0 Comprehension
+# at depth 1 with two parameters over V_3 on fan(2) (3 nodes of 73^2 bits)
+# peaked at 20.9 MB RSS in 1.0-1.3 s with this bound, 19.4 MB in 1.0-1.2 s
+# with half of it and 232 MB in 1.3-1.5 s with none (2 cores, Python 3.11)
 SWEEP_BITS = 1 << 24
 
 
@@ -417,44 +412,181 @@ def _force(ctx: Sweep, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int
 
 
 class _Axis:
-    """One swept parameter, j-th of `axes`: its values are the sweep's
-    elements, and as `cone` it holds the bits where its value is alive."""
+    """One swept parameter: a digit of its sweep's layout.  Its values are
+    read where a universe lists them, so its cone is the whole frame."""
 
-    __slots__ = ("uid", "cone", "elems", "low", "high", "step")
+    __slots__ = ("uid", "cone", "digit")
 
-    def __init__(self, elems: list[KripkeSet], j: int, axes: int, n: int):
-        m = len(elems)
-        stride = m**j  # blocks from one value of the axis to the next
-        self.elems, self.step = elems, stride * n
-        # the blocks below one stride, and one bit per run of m strides
-        self.low, self.high = _spaced(stride, n), _spaced(m ** (axes - j - 1), stride * m * n)
-        self.cone = self.spread([x.cone for x in elems])
-        self.uid = next(_uid_counter)
-
-    def spread(self, masks: list[int]) -> int:
-        """Node mask i of masks in every block where the axis takes its
-        i-th element."""
-        return _concat([mask * self.low for mask in masks], self.step) * self.high
-
-    def blocks(self, i: int) -> int:
-        """Bit 0 of every block where the axis takes its i-th element."""
-        return (self.low << i * self.step) * self.high
+    def __init__(self, digit: int, cone: int):
+        self.uid, self.cone, self.digit = next(_uid_counter), cone, digit
 
 
-def _spaced(count: int, step: int) -> int:
-    """count set bits, step apart from bit 0 up."""
-    return ((1 << count * step) - 1) // ((1 << step) - 1) if count > 1 else count
+@functools.cache
+def _digits(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Per digit d of k over n elements: its stride, and its period, one
+    bit per n strides."""
+    return tuple(
+        (n ** (k - 1 - d), ((1 << n**k) - 1) // ((1 << n ** (k - d)) - 1) if n > 1 else n)
+        for d in range(k)
+    )
 
 
-def _concat(chunks: list[int], width: int) -> int:
-    """Chunk i shifted to bit i * width, each below 1 << width; joined in
-    pairs, so each round copies the bits once."""
-    while len(chunks) > 1:
-        if len(chunks) % 2:
-            chunks.append(0)
-        chunks = [a | b << width for a, b in zip(chunks[::2], chunks[1::2])]
-        width *= 2
-    return chunks[0] if chunks else 0
+def _fill(x: int, digit: tuple[int, int]) -> int:
+    """The positions of a node whose digit is in x."""
+    stride, period = digit
+    if stride > 1:  # each element's bit becomes a stride of bits
+        x = int(f"{x:b}".translate({48: "0" * stride, 49: "1" * stride}), 2)
+    return x * period
+
+
+class _Layout:
+    """The masks of every sweep with names and the definability engine's
+    maps: over the up-closed `nodes`, node tau owns one bit per k-tuple over
+    its universe U(tau), from `off[tau]` on.  Digit 0 of a tuple is the most
+    significant, so a block runs in `itertools.product` order.  `cells`
+    holds per node tau, |U(tau)|, its offset in a one-digit map, `off[tau]`
+    and its digits' patterns.  `runs` are `hits` runs per covering pair in
+    `Frame.runs` order, each carrying consecutive positions to consecutive
+    images at the cover.  Per node, one bit per element: `index` places an
+    element; `same` maps a class label, `holders` a member's class and
+    `listed` a member to the elements that have it."""
+
+    __slots__ = (
+        "frame", "universe", "k", "cells", "off", "bits", "full", "runs",
+        "index", "same", "holders", "listed",
+    )
+
+    def __init__(self, frame: Frame, universe: dict, nodes: tuple[str, ...], k: int):
+        self.frame, self.universe, self.k = frame, universe, k
+        self.off, self.index, self.same, self.holders, self.listed = {}, {}, {}, {}, {}
+        cells, one, off = [], 0, 0
+        for tau in nodes:
+            elems = universe[tau]
+            cells.append((tau, len(elems), one, off, _digits(len(elems), k)))
+            self.off[tau], one, off = off, one + len(elems), off + len(elems) ** k
+            index = self.index[tau] = {x: i for i, x in enumerate(elems)}
+            same, holders, listed = self.same[tau], self.holders[tau], self.listed[tau] = {}, {}, {}
+            for x, i in index.items():
+                c, bit = _labels(x)[tau], 1 << i
+                same[c] = same.get(c, 0) | bit
+                for m in x.ext[tau]:
+                    listed[m] = listed.get(m, 0) | bit
+            for m, bits in listed.items():
+                c = m.classes[tau]  # x's labels are built from its members'
+                holders[c] = holders.get(c, 0) | bits
+        self.cells, self.bits, self.full = tuple(cells), off, (1 << off) - 1
+        runs = []
+        for a, _, b in frame.runs:
+            tau, rho = frame.nodes[a], frame.nodes[b]
+            if not universe[tau] or tau not in self.off:
+                continue
+            img = [self.index[rho][x] for x in universe[tau]]
+            cut, step, above = [[0, 0, 1]], 1, 1
+            for _ in range(k):
+                segments, cut = cut, []
+                for j, c in enumerate(img):
+                    for p, q, w in segments:
+                        p, q = j * step + p, c * above + q
+                        if cut and p - cut[-1][0] == q - cut[-1][1] == cut[-1][2]:
+                            cut[-1][2] += w
+                        else:
+                            cut.append([p, q, w])
+                step, above = step * len(img), above * len(universe[rho])
+            runs += [(self.off[tau] + p, (1 << w) - 1, self.off[rho] + q) for p, q, w in cut]
+        self.runs = tuple(runs)
+
+    def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
+        """The bit of the tuple of values, each listed at sigma, at sigma."""
+        index, block = self.index[sigma], 0
+        for x in values:
+            block = block * len(index) + index[x]
+        return self.off[sigma] + block
+
+    def spread(self, nodes: int) -> int:
+        """Every position at the nodes of a node mask (bit i:
+        `Frame.nodes[i]`)."""
+        out, pos = 0, self.frame.pos
+        for tau, n, _, off, _ in self.cells:
+            if nodes >> pos[tau] & 1:
+                out |= (1 << n**self.k) - 1 << off
+        return out
+
+    def lift(self, col: int, digit: int) -> int:
+        """The positions whose digit is in col, a map of one digit over the
+        same nodes (itself, with one digit)."""
+        if self.k == 1:
+            return col
+        out = 0
+        for _, n, one, off, digits in self.cells:
+            x = col >> one & (1 << n) - 1
+            if x:
+                out |= _fill(x, digits[digit]) << off
+        return out
+
+    def relation(self, member: bool, x, y) -> int:
+        """The positions where x is a member of (equal to) y, each of x and
+        y a set or a digit, not both sets."""
+        out, holds = 0, self.holders if member else self.same  # by class
+        if x.__class__ is int and y.__class__ is int:
+            # per value of the higher digit, a column over the lower
+            hi, lo = min(x, y), max(x, y)
+            for tau, _, shift, off, digits in self.cells:
+                table, same, (s, _) = holds[tau], self.same[tau], digits[hi]
+                row = _fill(1, digits[hi])
+                for i, a in enumerate(self.universe[tau]):
+                    if x == hi or not member:  # holding (equal to) a
+                        col = table.get(a.classes[tau], 0)
+                    else:  # in a
+                        col = 0
+                        for m in a.ext[tau]:
+                            col |= same.get(m.classes[tau], 0)
+                    if x == y:
+                        out |= (col & 1 << i) << shift
+                    elif col:
+                        out |= (_fill(col, digits[lo]) & row << i * s) << off
+            return self.lift(out, x) if x == y else out
+        if x.__class__ is not int or not member:  # one class per node
+            labels = _labels(y if x.__class__ is int else x)
+            for tau, _, shift, _, _ in self.cells:
+                out |= holds[tau].get(labels.get(tau), 0) << shift
+        else:  # the elements in the set y
+            labels = _labels(y)  # and so its members'
+            for tau, _, shift, _, _ in self.cells:
+                for m in y.ext[tau] if tau in labels else ():
+                    out |= self.same[tau].get(m.classes[tau], 0) << shift
+        return self.lift(out, y if x.__class__ is not int else x)
+
+    def members(self, digit: int) -> tuple[tuple[KripkeSet, int], ...]:
+        """Each set an element lists, with the positions whose digit lists
+        it."""
+        cols: dict[KripkeSet, int] = {}
+        for tau, _, one, _, _ in self.cells:
+            for m, col in self.listed[tau].items():
+                cols[m] = cols.get(m, 0) | col << one
+        return tuple((m, self.lift(col, digit)) for m, col in cols.items())
+
+
+class _Tables(dict):
+    """A sweep's masks built from values alone, keyed by what they are
+    built from; an int key is a node mask (bit i: `Frame.nodes[i]`) and
+    reads as its positions in the layout, spread on first read.  `keep`
+    drops every mask first when they would pass SWEEP_BITS bits."""
+
+    __slots__ = ("layout", "held")
+
+    def __init__(self, layout: _Layout | None):
+        self.layout, self.held = layout, 0
+
+    def __missing__(self, nodes: int) -> int:
+        return self.keep(nodes, self.layout.spread(nodes), self.layout.bits)
+
+    def keep(self, key, value, bits: int):
+        if self.held + bits > SWEEP_BITS:
+            self.clear()
+            self.held = 0
+        self.held += bits
+        self[key] = value
+        return value
 
 
 def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) -> int:
@@ -472,43 +604,34 @@ class Sweep:
     """Forcing under every assignment of some parameters at once: the one
     context the compiled clauses are called with (see the module notes).
 
-    Each name is an axis over the structure's distinct universe elements, in
-    `Structure.listing` order.  A sweep mask holds one block of len(nodes)
-    bits per tuple of values, axis 0 least significant, and bit
-    `position(values, sigma)` is what `forcing_mask` with the names bound to
-    values gives at sigma.  With no names a sweep is one binding: one block,
-    `pattern` 1 and the frame's own `runs`; `extra` is laid over the
+    With names, its masks are laid out by one `_Layout` over the frame, a
+    digit per name, `names[0]` the most significant: bit `position(values,
+    sigma)`, for values listed at sigma, is what `forcing_mask` with the
+    names bound to values gives at sigma.  With no names a sweep is one
+    binding, with no layout: bit i is `nodes[i]`.  `extra` is laid over the
     structure's names either way.
 
     A sweep keeps formula masks in its own `memo`, dropped on entry to a
     call once it holds `cap` masks: MEMO_CAP with no names, SWEEP_BITS bits
     with them; `forcing_mask` alone hands it the frame's memo instead.  The
-    masks built from values alone (relations and ranges of an axis, node
-    scopes) go in `tables`, dropped when they would pass SWEEP_BITS bits.
-    Both go with the sweep."""
+    masks built from values alone go in `tables`.  Both go with it."""
 
     __slots__ = (
-        "structure", "uid", "params", "names", "pattern", "width", "index",
-        "runs", "full", "memo", "cap", "tables", "held",
+        "structure", "uid", "params", "names", "layout", "runs", "full", "memo", "cap", "tables",
     )
 
     def __init__(self, s: Structure, names: tuple[str, ...], extra: dict | None = None):
         f = s.frame
         self.structure, self.uid, self.names = s, s.uid, names
         self.params = {**s.names, **(extra or {})}
-        self.pattern, self.width, self.index, self.runs = 1, len(f.nodes), {}, f.runs
-        self.full, self.memo, self.cap = f.masks[f.pos[f.bottom]], {}, MEMO_CAP
-        self.tables, self.held = {}, 0
+        self.layout, self.runs, self.full = None, f.runs, f.masks[f.pos[f.bottom]]
+        self.memo, self.cap = {}, MEMO_CAP
         if names:
-            elems = [x for x, _ in s.listing]
-            n, k = len(f.nodes), len(names)
-            self.params.update((name, _Axis(elems, j, k, n)) for j, name in enumerate(names))
-            self.pattern = pattern = _spaced(len(elems) ** k, n)
-            self.width = len(elems) ** k * n
-            self.index = {x: i for i, x in enumerate(elems)}
-            self.runs = tuple((src, pattern, tgt) for src, _, tgt in f.runs)
-            self.full *= pattern
-            self.cap = max(1, SWEEP_BITS // max(1, self.width))
+            self.params.update((name, _Axis(d, self.full)) for d, name in enumerate(names))
+            self.layout = lay = _Layout(f, s.universe, f.nodes, len(names))
+            self.runs, self.full = lay.runs, lay.full
+            self.cap = max(1, SWEEP_BITS // max(1, lay.bits))
+        self.tables = _Tables(self.layout)
 
     def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
         """phi's sweep mask; raises as `forcing_mask` does."""
@@ -518,78 +641,47 @@ class Sweep:
         """The bits of d where x is a member of (equal to) y."""
         if x.__class__ is _Axis or y.__class__ is _Axis:
             return d & self.relation(member, x, y)
-        return d & _nodes_where(member, x, y, self.structure.frame.pos) * self.pattern
+        nodes = _nodes_where(member, x, y, self.structure.frame.pos)
+        return d & (nodes if self.layout is None else self.tables[nodes])
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
-        """The bit of sigma under the names bound to values."""
-        block, stride = 0, 1
-        for x in values:
-            block += self.index[x] * stride
-            stride *= len(self.index)
-        return block * len(self.structure.frame.nodes) + self.structure.frame.pos[sigma]
+        """The bit of sigma under the names bound to values, each listed at
+        sigma."""
+        lay = self.layout
+        return self.structure.frame.pos[sigma] if lay is None else lay.position(values, sigma)
 
     def scope(self, sigma: str) -> tuple[int, int]:
         """How many assignments sigma's universe gives the names, and their
         bits at sigma."""
-        got = self.tables.get(sigma)
-        if got is None:
-            s, listed = self.structure, self.pattern
-            here = set(s.universe[sigma])
-            for name in self.names:
-                axis = self.params[name]
-                listed &= axis.spread([x in here for x in axis.elems])
-            got = (len(here) ** len(self.names), listed << s.frame.pos[sigma])
-            self._table(sigma, got, self.width)
-        return got
-
-    def _table(self, key, value, bits: int):
-        """Keep a mask built from values alone, dropping every such mask
-        first if they would pass SWEEP_BITS bits."""
-        if self.held + bits > SWEEP_BITS:
-            self.tables.clear()
-            self.held = 0
-        self.held += bits
-        self.tables[key] = value
+        count = len(self.structure.universe[sigma]) ** len(self.names)
+        return count, (1 << count) - 1 << self.position((), sigma)
 
     def relation(self, member: bool, x, y) -> int:
         """The bits where x is a member of (equal to) y, one of them an
-        axis: for each pair of values, the nodes where the first is in
-        (equals) the second, spread over the blocks where x and y take
-        them."""
+        axis."""
         key = ("in" if member else "=", x.uid, y.uid)
         got = self.tables.get(key)
         if got is None:
-            pos = self.structure.frame.pos
-            if x.__class__ is not _Axis:
-                got = y.spread([_nodes_where(member, x, b, pos) for b in y.elems])
-            elif y.__class__ is not _Axis or x is y:
-                got = x.spread([_nodes_where(member, a, a if x is y else y, pos) for a in x.elems])
-            else:
-                got = 0
-                for i, a in enumerate(x.elems):
-                    row = y.spread([_nodes_where(member, a, b, pos) for b in y.elems])
-                    got |= row & x.blocks(i) * ((1 << len(pos)) - 1)
-            self._table(key, got, self.width)
+            a, b = (v.digit if v.__class__ is _Axis else v for v in (x, y))
+            got = self.tables.keep(key, self.layout.relation(member, a, b), self.layout.bits)
         return got
 
     def listing(self, y):
         """A quantifier's range: each member of y's values (each universe
-        element for None) with the bits where it is listed.  The range of an
-        axis is gathered once and kept; a set's is spread as it is read."""
-        if y.__class__ is _Axis:
-            got = self.tables.get(y.uid)
-            if got is None:
-                # each member's node masks, one per value of the axis
-                table: dict[KripkeSet, list[int]] = {}
-                for i, b in enumerate(y.elems):
-                    for x, nodes in _listing(b):
-                        table.setdefault(x, [0] * len(y.elems))[i] = nodes
-                got = tuple((x, y.spread(masks)) for x, masks in table.items())
-                self._table(y.uid, got, len(got) * self.width)
-            return got
-        got = self.structure.listing if y is None else _listing(y)
-        pattern = self.pattern
-        return got if pattern == 1 else ((x, nodes * pattern) for x, nodes in got)
+        element for None) with the bits where it is listed, spread over the
+        layout once per bound."""
+        if self.layout is None:
+            return self.structure.listing if y is None else _listing(y)
+        key = ("range", y and y.uid)
+        got = self.tables.get(key)
+        if got is None:
+            if y.__class__ is _Axis:
+                got = self.layout.members(y.digit)
+            else:
+                listed = self.structure.listing if y is None else _listing(y)
+                got = tuple((x, self.tables[nodes]) for x, nodes in listed)
+            self.tables.keep(key, got, len(got) * self.layout.bits)
+        return got
 
 
 def _code(phi: Formula):
@@ -597,9 +689,10 @@ def _code(phi: Formula):
     iff bit i lies in phi's domain, the meet of the cones of the values of
     its free variables and parameters, and forces phi.  One function serves
     every `Sweep`: one with no axes is one binding (bit i is `nodes[i]`),
-    one with axes has a block of nodes per assignment.  Compiled from its
-    children's functions the first time it is asked for and kept on the
-    node; it holds no node, so it is freed with phi."""
+    one with axes has a bit per node and assignment from its universe
+    (`_Layout`).  Compiled from its children's functions the first time it
+    is asked for and kept on the node; it holds no node, so it is freed
+    with phi."""
     try:
         return phi._code
     except AttributeError:
@@ -620,21 +713,20 @@ def _memoized(bounded: bool, nvars: int, nparams: int, memo: bool):
     A key is phi's serial, the context's structure uid unless phi is
     bounded, then the uids of the values of phi's sorted free variables and
     parameters, whose cones meet in the domain; it is looked up in
-    `ctx.memo`, whichever memo the context holds (see `Sweep`).  A set's
-    cone is spread by `ctx.pattern`; an axis's `cone` already covers every
-    block.  The maker is written out as source once per shape, as
-    `dataclasses` writes `__init__`: no loop over names, and compiled under
-    a file name of its own, so a profile tells the shapes apart."""
+    `ctx.memo`, whichever memo the context holds (see `Sweep`).  The meet
+    of the cones, a node mask, is the domain with no layout and is spread
+    over the layout by `ctx.tables`.  The maker is written out as source
+    once per shape, as `dataclasses` writes `__init__`: no loop over names,
+    and compiled under a file name of its own, so a profile tells the
+    shapes apart."""
     vs = [f"v{i}" for i in range(nvars)]
     ps = [f"p{i}" for i in range(nparams)]
     values = [f"env[{v}]" for v in vs] + [f"params[{p}]" for p in ps]
     key = ["serial"] + ([] if bounded else ["ctx.uid"])
     key += [f"a{i}.uid" for i in range(len(values))]
-    cones = [
-        f"(a{i}.cone if a{i}.__class__ is Axis else a{i}.cone * ctx.pattern)"
-        for i in range(len(values))
-    ]
-    call = f"body(ctx, env, {' & '.join(cones) or 'ctx.full'})"
+    cones = " & ".join(f"a{i}.cone" for i in range(len(values)))
+    spread = f"{cones} if ctx.layout is None else ctx.tables[{cones}]"
+    call = f"body(ctx, env, {spread if cones else 'ctx.full'})"
     result = (
         f"        key = ({', '.join(key)},)\n"
         "        memo = ctx.memo\n"
@@ -652,7 +744,7 @@ def _memoized(bounded: bool, nvars: int, nparams: int, memo: bool):
         + "    return code\n"
     )
     name = f"<forcing bounded={int(bounded)} vars={nvars} params={nparams}"
-    scope: dict = {"Axis": _Axis}
+    scope: dict = {}
     exec(compile(source, name + ("" if memo else " memo=0") + ">", "exec"), scope)
     return scope["make"]
 

@@ -1,8 +1,10 @@
-"""Sweep masks: every swept template forced once over a node block per
-assignment.  Each block is checked against `forcing_mask` for its
-assignment, and the binding generator's formulas against the memo-free
-reference; plus empty universes, the frame memo a sweep leaves alone, a
-tiny memo bound, and the time of a wide two-parameter sweep."""
+"""Sweep masks: every swept template forced once over one bit per node
+and assignment from that node's universe.  Each assignment's bits are
+checked against `forcing_mask` for it, and the binding generator's
+formulas against the memo-free reference; the definability engine's maps
+are sweep masks; plus empty universes, the frame memo a sweep leaves
+alone, a tiny memo bound, and all twelve reports of a wide two-parameter
+sweep and their time."""
 
 import itertools
 import math
@@ -12,9 +14,9 @@ import time
 import pytest
 
 from kripkelab import semantics
-from kripkelab.formula import Param, params_of, substitute
+from kripkelab.formula import Not, Param, params_of, parse, substitute
 from kripkelab.frame import chain, fan, tree
-from kripkelab.hierarchy import empty_structure, powerset
+from kripkelab.hierarchy import DefConfig, _Engine, empty_structure, powerset
 from kripkelab.schema import CheckBounds, SchemaId, _stream, build_template, check_schema
 from kripkelab.semantics import KripkeSet, Sweep, forcing_mask, structure_from_sets
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
@@ -55,10 +57,19 @@ def _elements(s):
     return [x for x, _ in s.listing]
 
 
-def _block(sweep, held, values, f):
-    """The node mask of one assignment's block."""
-    start = sweep.position(values, f.nodes[0]) - f.pos[f.nodes[0]]
-    return held >> start & (1 << len(f.nodes)) - 1
+def _listed_at(s, values):
+    """The nodes whose universe lists every value."""
+    return [sigma for sigma in s.frame.nodes if all(x in s.universe[sigma] for x in values)]
+
+
+def _block(sweep, held, values, s):
+    """One assignment's node mask, read through `Sweep.position` at the
+    nodes whose universe lists it, and the mask of those nodes."""
+    got = where = 0
+    for sigma in _listed_at(s, values):
+        got |= (held >> sweep.position(values, sigma) & 1) << s.frame.pos[sigma]
+        where |= 1 << s.frame.pos[sigma]
+    return got, where
 
 
 def test_every_sweep_block_is_the_forcing_mask_of_its_assignment(fixtures_dir):
@@ -76,28 +87,30 @@ def test_every_sweep_block_is_the_forcing_mask_of_its_assignment(fixtures_dir):
                 swept.add(len(names))
                 for values in itertools.product(elems, repeat=len(names)):
                     want = forcing_mask(s, template, None, dict(zip(names, values)))
-                    got = _block(sweep, held, values, f)
-                    assert got == want, (label, schema, depth, params, phi, values)
+                    got, where = _block(sweep, held, values, s)
+                    assert got == want & where, (label, schema, depth, params, phi, values)
                     blocks += 1
-                # no bit past the last block
-                assert held >> len(elems) ** len(names) * len(f.nodes) == 0
+                # no bit past the last block: a node owns a bit per tuple
+                # over its own universe
+                end = sum(len(s.universe[tau]) ** len(names) for tau in f.nodes)
+                assert held >> end == 0
     assert swept == {0, 1, 2}
     assert blocks > 10_000
 
 
 def _generated_blocks(s, phi, names, env):
-    """Check every block of a sweep over names against the reference at
-    each node where all values are alive; elsewhere the bit must be 0."""
+    """Check every bit of a sweep over names against the reference at each
+    node whose universe lists the assignment and where every bound value is
+    alive; where one is dead the bit must be 0."""
     f, elems = s.frame, _elements(s)
     sweep = Sweep(s, names)
     held = sweep.forcing_mask(phi, env)
     verdicts = []
     for values in itertools.product(elems, repeat=len(names)):
-        got = _block(sweep, held, values, f)
         extra = dict(zip(names, values))
-        for sigma in f.nodes:
-            bit = got >> f.pos[sigma] & 1
-            if all(sigma in x.ext for x in (*env.values(), *values)):
+        for sigma in _listed_at(s, values):
+            bit = held >> sweep.position(values, sigma) & 1
+            if all(sigma in x.ext for x in env.values()):
                 want = reference_forces(s, sigma, phi, env, extra)
                 assert bit == want, (f.kind, sigma, phi, names)
                 verdicts.append(want)
@@ -169,13 +182,70 @@ def test_a_sweep_memo_bounded_small_changes_no_report(monkeypatch):
     assert [check_schema(s, sc, bounds) for sc in SchemaId] == want
 
 
+# every schema's report at CheckBounds(1, 2) on V_3 over fan(2): verdict,
+# counterexample, then formulas and instances (3 nodes, none designated)
+V3_REPORTS = {
+    SchemaId.EXTENSIONALITY: (True, None, 1, 3),
+    SchemaId.PAIRING: (False, ("Pairing", "", (), "bot"), 1, 1),
+    SchemaId.UNION: (True, None, 1, 3),
+    SchemaId.EMPTY_SET: (True, None, 1, 3),
+    SchemaId.DELTA0_COMPREHENSION: (True, None, 189, 2_706_183),
+    SchemaId.DELTA0_BOUNDING: (
+        False, ("Delta0Bounding", "x in y", ("A=powbot",), "bot"), 795, 6
+    ),
+    SchemaId.DELTA0_UNIFORMITY: (
+        False, ("Delta0Uniformity", "y in #p", ("A=powbot", "p=powbot"), "bot"), 795, 16_505
+    ),
+    SchemaId.SIGMA_REFLECTION: (
+        False, ("SigmaReflection", "exists q . (#p in q)", ("p=powbot",), "bot"), 27, 4_601
+    ),
+    SchemaId.PI_PERSISTENCE: (
+        False, ("PiPersistence", "forall q . (q in #p)", ("p=powbot",), "bot"), 27, 4_387
+    ),
+    SchemaId.PI_UNIFORMITY: (
+        False, ("PiUniformity", "forall q . (y in #p)", ("A=powbot", "p=powbot"), "bot"), 26, 16_943
+    ),
+    SchemaId.EPSILON_INDUCTION: (True, None, 189, 37_071),
+    SchemaId.PI2_REFLECTION: (False, ("Pi2Reflection", "#p in y", ("p=powbot",), "bot"), 795, 665),
+}
+
+
 def test_a_two_parameter_sweep_over_v3_stays_within_its_budget():
     # V_3 over fan(2) lists 73 elements at every node, so the two-parameter
     # templates have 5,329 assignments; forcing each one took 142 s on
-    # 2 cores (Python 3.11), the sweep 0.6-1.3 s
+    # 2 cores (Python 3.11) for Delta0 Comprehension alone, the sweep
+    # 0.6-1.3 s, and all twelve schemas 1.4-2.0 s
     s = _v(3, fan(2))
     start = time.perf_counter()
-    report = check_schema(s, SchemaId.DELTA0_COMPREHENSION, CheckBounds(1, 2))
+    reports = {schema: check_schema(s, schema, CheckBounds(1, 2)) for schema in SchemaId}
     assert time.perf_counter() - start < 30.0
-    assert report.holds and report.counterexample is None
-    assert report.stats == {"formulas": 189, "nodes": 3, "instances": 2_706_183, "designated": 0}
+    for schema, (holds, cex, formulas, instances) in V3_REPORTS.items():
+        report = reports[schema]
+        assert (report.holds, report.counterexample) == (holds, cex), schema
+        stats = {"formulas": formulas, "nodes": 3, "instances": instances, "designated": 0}
+        assert report.stats == stats, schema
+
+
+def test_an_engine_map_is_the_sweep_mask_of_its_formula():
+    # at the bottom, whose cone is the whole frame, the engine's maps of
+    # one variable are sweeps over #A and its pair maps sweeps over #A and
+    # #B, the defined variable being #A in the first and #B in the second
+    compared = []
+    for f in (chain(3), fan(3), tree(2)):
+        s = canonical_structure(f)
+        eng = _Engine(s, f.bottom, DefConfig())
+        eq, mem, has, fixed, pairs = eng.atom_maps()
+        one, two = Sweep(s, ("A",)), Sweep(s, ("A", "B"))
+        params = s.universe[f.bottom]
+        for name, p in s.names.items():
+            t = params.index(p)
+            for m, text in ((eq[t], "#A = #p"), (mem[t], "#A in #p"), (has[t], "#p in #A")):
+                phi = parse(text.replace("#p", f"#{name}"))
+                compared.append((f.kind, name, text, m == one.forcing_mask(phi)))
+                negated = one.forcing_mask(Not(phi))
+                compared.append((f.kind, name, "~" + text, eng.interior(m, 1) == negated))
+        compared.append((f.kind, "#A in #A", fixed[1] == one.forcing_mask(parse("#A in #A"))))
+        for m, text in zip(pairs, ("#B in #A", "#A in #B", "#B = #A")):
+            compared.append((f.kind, text, m == two.forcing_mask(parse(text))))
+    assert len(compared) == 180
+    assert [c for c in compared if not c[-1]] == []
