@@ -17,10 +17,9 @@ from .semantics import KripkeSet, Structure, _fresh, class_at, forced_member, fo
 
 
 def _intern(f: Frame, key: tuple, build):
-    pool = f.caches.setdefault("constructs", {})
-    if key not in pool:
-        pool[key] = build()
-    return pool[key]
+    if key not in f.constructs:
+        f.constructs[key] = build()
+    return f.constructs[key]
 
 
 def empty_set(f: Frame) -> KripkeSet:

@@ -131,10 +131,10 @@ class Frame:
         # intern table of forced-equality class labels (semantics; node
         # names and ints only, no sets), the forcing masks of all structures
         # on the frame keyed by formula serial (semantics; no formulas), and
-        # the interned constructions (construct).  The intern table grows
-        # with the number of distinct classes ever labelled and is never
-        # reset: labels stored on sets point into it.
-        self.up, self.classes, self.memo, self.caches = {}, {}, {}, {}
+        # the one pool of interned sets, harvests and towers (construct).
+        # The intern table grows with the number of distinct classes ever
+        # labelled and is never reset: labels stored on sets point into it.
+        self.up, self.classes, self.memo, self.constructs = {}, {}, {}, {}
         pos = {n: i for i, n in enumerate(nodes)}
         if len(pos) != len(nodes):
             dup = next(n for i, n in enumerate(nodes) if pos[n] != i)

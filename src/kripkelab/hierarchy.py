@@ -7,13 +7,14 @@ The structures these start from are assembled in `semantics`, beside
 `L` lines never imports this module.
 
 The definability engine works per birth node.  It represents a candidate
-definable subset as a map: one int laid out as a sweep mask
-(`semantics._Layout`), a bit per element of each cone node's universe, or
-per pair for maps of two variables.  It seeds the pool with atomic
-membership and equality maps and closes under the connective and
-quantifier operations round by round.  Maps are saturated under forced
-equality automatically because the atoms are, so distinct maps denote
-semantically distinct sets and map equality is an exact deduplication rule.
+definable subset as a map: one int laid out as a sweep mask by the
+engine's one `semantics._Layout`, a bit per element of each cone node's
+universe, or per pair for maps of two variables.  It seeds the pool with
+the pair maps of `a in b`, `b in a` and `a = b`, and every atom of one
+variable cut from them, and closes under the connective and quantifier
+operations round by round.  Maps are saturated under forced equality
+automatically because the atoms are, so distinct maps denote semantically
+distinct sets and map equality is an exact deduplication rule.
 
 Conjunction and disjunction are `&` and `|` on the whole map, and the
 existential binder ORs columns of a pair map into place, one precomputed
@@ -118,46 +119,53 @@ def _zone() -> Formula:
 class _Engine:
     """Bitmask closure over one birth node of one base structure.
 
-    A map is one int over the whole cone, laid out by `layouts[0]` for the
-    defined variable alone (arity 1) and `layouts[1]` for pairs (arity 2),
-    `semantics._Layout`s over the cone.  In a pair (i, j) the defined
-    variable i is the low digit: bit `j * n + i`, n the size of the universe
-    there, so column j is a contiguous stretch of bits.  At the bottom a map
-    is the sweep mask of its formula, #A the defined variable, or #A for j
-    and #B for i.  `interiors` memoizes `interior` per arity.
+    A map is one int over the whole cone, laid out by `layout`, the one
+    `semantics._Layout` over the cone: the defined variable alone (arity 1)
+    has one digit, a pair (arity 2) two.  In a pair (i, j) the defined
+    variable i is the low digit: bit `j * n + i`, n the size of the
+    universe there, so column j is a contiguous stretch of bits.  At the
+    bottom a map is the sweep mask of its formula, #A the defined variable,
+    or #A for j and #B for i.  `interiors` memoizes `interior` per arity.
+    `binders` are the domains of the second variable: the defined
+    variable's members, the universe, then each parameter's members; a
+    parameter's `columns` domain holds it alone.  A domain is a list of
+    (column shift, column mask, target shift) triples, one per nonempty
+    column: the positions i whose domain holds the column's element.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
-        self.s = s
-        self.f = f = s.frame
-        self.sigma = sigma
-        self.cfg = cfg
-        self.cone = up_set(f, sigma)
-        self.layouts = tuple(_Layout(f, s.universe, self.cone, k) for k in (1, 2))
-        self.full = tuple(lay.full for lay in self.layouts)
+        self.s, self.cfg, self.cone = s, cfg, up_set(s.frame, sigma)
+        self.layout = lay = _Layout(s.frame, s.universe, self.cone, 2)
+        self.full = lay.full
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.truncated = False
-        self.stabilized = False
-
-    def block(self, m: int, k: int, arity: int) -> int:
-        """The bits of map `m` at the k-th cone node."""
-        _, n, _, off, _ = self.layouts[arity - 1].cells[k]
-        return m >> off & (1 << n**arity) - 1
+        self.truncated = self.stabilized = False
+        params = s.universe[sigma]
+        own, every, each, self.columns = [], [], [[] for _ in params], [[] for _ in params]
+        for tau, (n, (o1, o2), _) in lay.cells.items():
+            index, listed, r = lay.index[tau], lay.listed[tau], (1 << n) - 1
+            own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
+            every += [(o2 + j * n, r, o1) for j in range(n)]
+            for dom, col, p in zip(each, self.columns, params):
+                dom += [(o2 + index[m] * n, r, o1) for m in p.ext[tau]]
+                col.append((o2 + index[p] * n, r, o1))
+        self.binders = [own, every, *each]
 
     def atom_maps(self) -> tuple[list, list, list, list, list]:
         """Atomic maps grouped: equality with, membership in, and membership
         of each parameter; the remaining fixed maps; and the pair maps for
-        `a in b`, `b in a` and `a = b`."""
-        ones, pairs = self.layouts
-        params = self.s.universe[self.sigma]
+        `a in b`, `b in a` and `a = b`.  Every map of one variable is cut
+        from two digits: a parameter's are its column of the pair maps,
+        and the zone's the pairs at its nodes, bound over the universe."""
+        lay, cut = self.layout, self.exists2
+        pairs = [lay.relation(True, 1, 0), lay.relation(True, 0, 1), lay.relation(False, 1, 0)]
+        ins, has, eqs = pairs
         # one mask for the sentence _zone(): bit i is frame node i
-        zone = ones.spread(forcing_mask(self.s, _zone()))
+        zone = cut(lay.spread(forcing_mask(self.s, _zone())), self.binders[1])
         return (
-            [ones.relation(False, 0, p) for p in params],
-            [ones.relation(True, 0, p) for p in params],
-            [ones.relation(True, p, 0) for p in params],
-            [ones.full, ones.relation(True, 0, 0), zone],
-            [pairs.relation(True, 1, 0), pairs.relation(True, 0, 1), pairs.relation(False, 1, 0)],
+            *([cut(m, col) for col in self.columns] for m in (eqs, ins, has)),
+            # #A in #A is 0: no set is a member of itself (`_Layout.relation`)
+            [self.full[0], 0, zone],
+            pairs,
         )
 
     # ---- cone operations
@@ -168,8 +176,7 @@ class _Engine:
         memo = self.interiors[arity - 1]
         out = memo.get(bad)
         if out is None:
-            lay = self.layouts[arity - 1]
-            out = memo[bad] = lay.full ^ hits(lay.runs, bad)
+            out = memo[bad] = self.full[arity - 1] ^ hits(self.layout.runs[arity - 1], bad)
         return out
 
     def imp(self, m1: int, m2: int, arity: int) -> int:
@@ -178,23 +185,7 @@ class _Engine:
     def lift(self, m: int, slot: int) -> int:
         """A map of the defined variable read as a pair map in one slot:
         slot 0 is the defined variable, the low digit."""
-        return self.layouts[1].lift(m, 1 - slot)
-
-    def binders(self) -> list[tuple[tuple[int, int, int], ...]]:
-        """Domains of the second variable: the defined variable's members,
-        the universe, then each parameter's members.  A domain is a list of
-        (column shift, column mask, target shift) triples, one per nonempty
-        column: the positions i whose domain holds the column's element."""
-        ones, pairs = self.layouts
-        params = self.s.universe[self.sigma]
-        own, every, each = [], [], [[] for _ in params]
-        for (tau, n, _, o1, _), (_, _, _, o2, _) in zip(ones.cells, pairs.cells):
-            index, listed, r = ones.index[tau], ones.listed[tau], (1 << n) - 1
-            own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
-            every += [(o2 + j * n, r, o1) for j in range(n)]
-            for dom, p in zip(each, params):
-                dom += [(o2 + index[m] * n, r, o1) for m in p.ext[tau]]
-        return [tuple(d) for d in [own, every] + each]
+        return self.layout.lift(m, 1 - slot)
 
     def exists2(self, m2: int, dom) -> int:
         """Bind the second variable at the node: i stays when some j in its
@@ -254,7 +245,6 @@ class _Engine:
         for m in pairs:
             push2(m)
 
-        binders = self.binders()
         bound = 0  # pool2[:bound] is bound already; its results are in pool1
         # append-only pool: past HARVEST_CAP fresh maps the born ones are fixed,
         # and push raises only on growth, so the round is not quiet
@@ -273,7 +263,7 @@ class _Engine:
                 for m in pool2[bound:]:
                     if len(pool1) >= POOL_CAP:
                         break
-                    for dom in binders:
+                    for dom in self.binders:
                         push1(self.exists2(m, dom))
                         push1(self.forall2(m, dom))
                 bound = len(pool2)
@@ -291,8 +281,8 @@ class _Engine:
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
         out = {}
-        for tau, n, _, off, _ in self.layouts[0].cells:
-            b = m >> off & (1 << n) - 1
+        for tau, (n, (one, _), _) in self.layout.cells.items():
+            b = m >> one & (1 << n) - 1
             out[tau] = tuple(x for i, x in enumerate(self.s.universe[tau]) if b >> i & 1)
         return out
 

@@ -16,11 +16,11 @@ it, and every other node's masks serve the whole sweep.  The template is
 forced once per formula, over every assignment of its parameters at every
 node (a `semantics.Sweep` mask, whose block at a node holds one bit per
 assignment from that node's universe), and the sweep reads one bit per
-(node, assignment) in scope.  Every sweep a
-check makes owns its memo, so no check writes the frame's.  Structures may
-carry designated instances in their notes; those are checked before the
-generic sweep, each through `forces` on a template built around its own
-formula, so a designed failure is the one reported.
+(node, assignment) in scope.  Structures may carry designated instances in
+their notes; those are checked first, each forced on a template built
+around its own formula in a sweep with no names, so a designed failure is
+the one reported.  Every sweep a check makes owns its memo, so no check
+writes the frame's.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .formula import (
     relativize,
     render,
 )
-from .frame import Frame, _Record, chain, forest, leaves, leq, tree, up_set
+from .frame import Frame, _Record, _require, chain, forest, leaves, leq, tree, up_set
 from .hierarchy import (
     DefConfig,
     constructible,
@@ -87,6 +87,7 @@ from .semantics import (
     Fill,
     Structure,
     Sweep,
+    _require_alive,
     class_at,
     delta0_absolute,
     empty_structure,
@@ -347,13 +348,16 @@ def check_schema(
         designated += 1
         phi = parse(inst.phi) if inst.phi is not None else None
         assignment = {k: s.names[v] for k, v in inst.params} or None
-        template = build_template(schema, phi)
+        template, sweep = build_template(schema, phi), Sweep(s, (), assignment)
+        held = sweep.forcing_mask(template)  # a sweep with no names: bit i is node i
         for sigma in (inst.node,) if inst.node is not None else nodes:
             instances += 1
-            held = forces(s, sigma, template, extra_names=assignment)
-            if not held and failure is None:
-                failure = _counterexample(schema, phi, assignment, sigma)
-                note = inst.label or "designated instance"
+            _require(s.frame, sigma)
+            if not held >> s.frame.pos[sigma] & 1:
+                _require_alive(template, sigma, {}, sweep.params)
+                if failure is None:
+                    failure = _counterexample(schema, phi, assignment, sigma)
+                    note = inst.label or "designated instance"
 
     count, formulas = _stream(schema, bounds)
     # per parameter shape of the swept formulas, () or ("p",): the hole, the

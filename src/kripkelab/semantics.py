@@ -29,16 +29,17 @@ holds no node; no frame, sweep or module table holds code.
 
 Every call is made in a `Sweep`, the one context of the compiled clauses.
 With no parameters a sweep is one binding: bit i is `Frame.nodes[i]`.  A
-sweep with parameters decides all their assignments at once, one digit of
-a `_Layout` per parameter: node tau owns one bit per tuple over its own
-universe.  The definability engine lays out its maps the same way, so an
-engine map is the sweep mask of its formula.  The context supplies what
-the clauses read: the atom (`_nodes_where` over class labels, or the
-layout's position tables where an axis is involved), a quantifier's range
-(`KripkeSet.listing`, `Structure.listing`, or an axis's `_Layout.members`)
-and the `runs`.  A node mask, such as a set's cone, is spread over the
-layout once per sweep through its `tables`, and a set's range once per
-bound, which keeps spreads off the hot path of short formulas.
+sweep with parameters decides all their assignments at once, one digit of a
+`_Layout` per parameter: node tau owns one bit per tuple over its own
+universe.  A definability engine's one layout serves its maps of one and
+two digits, so an engine map is the sweep mask of its formula.  The context
+supplies what the clauses read: the atom (`_nodes_where` over class labels,
+or the layout's position tables where an axis is involved), a quantifier's
+range (`KripkeSet.listing`, `Structure.listing`, or an axis's
+`_Layout.members`) and the `runs`.  A node mask, such as a set's cone, is
+spread over the layout once per sweep through its `tables`, and a set's
+range once per bound, which keeps spreads off the hot path of short
+formulas.
 
 Each context's masks are keyed by the formula's serial (`formula.facts`),
 which no other formula ever gets, then the uids of the values of its free
@@ -47,11 +48,11 @@ but never a universe, so one mask serves every structure on the frame;
 unbounded keys carry the structure's uid.  Each key is built by code
 written for its shape.  Who holds the masks is settled in one place:
 `forcing_mask`, and so `forces`, gives its one-binding context the frame's
-memo (`Frame.memo`), which later calls on the frame read again; every
-other sweep owns its memo, and its tables, and they go with it, so a
-schema check never writes the frame's memo.  A call drops its memo on
-entry once it holds the context's `cap`: MEMO_CAP masks with no axes,
-SWEEP_BITS bits with them.
+memo (`Frame.memo`), which later calls on the frame read again; every other
+sweep owns its memo, and its tables, and they go with it, so a schema
+check, designated instances included, never writes the frame's memo.  A
+call drops its memo on entry once it holds the context's `cap`: MEMO_CAP
+masks with no axes, SWEEP_BITS bits with them.
 
 A template built once around a `formula.Hole` is forced with one formula
 after another in its place: env binds the hole's name to a `Fill` of the
@@ -363,12 +364,16 @@ def forces(
     _require(s.frame, sigma)
     if forcing_mask(s, phi, env, extra_names) >> s.frame.pos[sigma] & 1:
         return True
+    _require_alive(phi, sigma, env or {}, {**s.names, **(extra_names or {})})
+    return False
+
+
+def _require_alive(phi: Formula, sigma: str, env: dict, params: dict) -> None:
+    """Raise `EvalError` if the value of a free term of phi is dead at sigma."""
     _, _, variables, names = facts(phi)
-    params = {**s.names, **(extra_names or {})}
     for x in (*(env[v] for v in variables), *(params[p] for p in names)):
         if sigma not in x.ext:
             raise EvalError(f"parameter born at {x.birth!r} is dead at {sigma!r}")
-    return False
 
 
 def forcing_mask(
@@ -440,31 +445,33 @@ def _fill(x: int, digit: tuple[int, int]) -> int:
 
 
 class _Layout:
-    """The masks of every sweep with names and the definability engine's
-    maps: over the up-closed `nodes`, node tau owns one bit per k-tuple over
-    its universe U(tau), from `off[tau]` on.  Digit 0 of a tuple is the most
-    significant, so a block runs in `itertools.product` order.  `cells`
-    holds per node tau, |U(tau)|, its offset in a one-digit map, `off[tau]`
-    and its digits' patterns.  `runs` are `hits` runs per covering pair in
-    `Frame.runs` order, each carrying consecutive positions to consecutive
-    images at the cover.  Per node, one bit per element: `index` places an
-    element; `same` maps a class label, `holders` a member's class and
-    `listed` a member to the elements that have it."""
+    """The masks of every sweep with names and a definability engine's maps:
+    over the up-closed `nodes`, node tau owns one bit per d-tuple over its
+    universe U(tau) in a map of d digits, for each d up to k.  Digit 0 of a
+    tuple is the most significant, so a block runs in `itertools.product`
+    order.  `cells` maps node tau to |U(tau)|, its offset in a map of each
+    digit count d (at d - 1) and its k digits' patterns.  Per digit count d
+    (at d - 1) a map has `bits` positions, `full` sets them all, and `runs`
+    are `hits` runs per covering pair in `Frame.runs` order, each carrying
+    consecutive positions to consecutive images at the cover.  Per node, one
+    bit per element: `index` places an element; `same` maps a class label,
+    `holders` a member's class and `listed` a member to the elements that
+    have it."""
 
     __slots__ = (
-        "frame", "universe", "k", "cells", "off", "bits", "full", "runs",
+        "frame", "universe", "k", "cells", "bits", "full", "runs",
         "index", "same", "holders", "listed",
     )
 
     def __init__(self, frame: Frame, universe: dict, nodes: tuple[str, ...], k: int):
         self.frame, self.universe, self.k = frame, universe, k
-        self.off, self.index, self.same, self.holders, self.listed = {}, {}, {}, {}, {}
-        cells, one, off = [], 0, 0
+        self.cells, self.index, self.same, self.holders, self.listed = {}, {}, {}, {}, {}
+        width = (0,) * k
         for tau in nodes:
-            elems = universe[tau]
-            cells.append((tau, len(elems), one, off, _digits(len(elems), k)))
-            self.off[tau], one, off = off, one + len(elems), off + len(elems) ** k
-            index = self.index[tau] = {x: i for i, x in enumerate(elems)}
+            index = self.index[tau] = {x: i for i, x in enumerate(universe[tau])}
+            n = len(index)
+            self.cells[tau] = n, width, _digits(n, k)
+            width = tuple(w + n ** (d + 1) for d, w in enumerate(width))
             same, holders, listed = self.same[tau], self.holders[tau], self.listed[tau] = {}, {}, {}
             for x, i in index.items():
                 c, bit = _labels(x)[tau], 1 << i
@@ -474,15 +481,16 @@ class _Layout:
             for m, bits in listed.items():
                 c = m.classes[tau]  # x's labels are built from its members'
                 holders[c] = holders.get(c, 0) | bits
-        self.cells, self.bits, self.full = tuple(cells), off, (1 << off) - 1
-        runs = []
+        self.bits, self.full = width, tuple((1 << w) - 1 for w in width)
+        self.runs = [[] for _ in range(k)]
         for a, _, b in frame.runs:
             tau, rho = frame.nodes[a], frame.nodes[b]
-            if not universe[tau] or tau not in self.off:
+            if not universe[tau] or tau not in self.cells:
                 continue
             img = [self.index[rho][x] for x in universe[tau]]
+            src, tgt = self.cells[tau][1], self.cells[rho][1]
             cut, step, above = [[0, 0, 1]], 1, 1
-            for _ in range(k):
+            for d in range(k):
                 segments, cut = cut, []
                 for j, c in enumerate(img):
                     for p, q, w in segments:
@@ -492,45 +500,44 @@ class _Layout:
                         else:
                             cut.append([p, q, w])
                 step, above = step * len(img), above * len(universe[rho])
-            runs += [(self.off[tau] + p, (1 << w) - 1, self.off[rho] + q) for p, q, w in cut]
-        self.runs = tuple(runs)
+                self.runs[d] += [(src[d] + p, (1 << w) - 1, tgt[d] + q) for p, q, w in cut]
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
         """The bit of the tuple of values, each listed at sigma, at sigma."""
         index, block = self.index[sigma], 0
         for x in values:
             block = block * len(index) + index[x]
-        return self.off[sigma] + block
+        return self.cells[sigma][1][-1] + block
 
     def spread(self, nodes: int) -> int:
-        """Every position at the nodes of a node mask (bit i:
+        """Every position of k digits at the nodes of a node mask (bit i:
         `Frame.nodes[i]`)."""
         out, pos = 0, self.frame.pos
-        for tau, n, _, off, _ in self.cells:
+        for tau, (n, offs, _) in self.cells.items():
             if nodes >> pos[tau] & 1:
-                out |= (1 << n**self.k) - 1 << off
+                out |= (1 << n**self.k) - 1 << offs[-1]
         return out
 
     def lift(self, col: int, digit: int) -> int:
-        """The positions whose digit is in col, a map of one digit over the
-        same nodes (itself, with one digit)."""
-        if self.k == 1:
-            return col
+        """The positions of k digits whose digit is in col, a map of one
+        digit."""
         out = 0
-        for _, n, one, off, digits in self.cells:
-            x = col >> one & (1 << n) - 1
+        for n, offs, digits in self.cells.values():
+            x = col >> offs[0] & (1 << n) - 1
             if x:
-                out |= _fill(x, digits[digit]) << off
+                out |= _fill(x, digits[digit]) << offs[-1]
         return out
 
     def relation(self, member: bool, x, y) -> int:
-        """The positions where x is a member of (equal to) y, each of x and
-        y a set or a digit, not both sets."""
+        """The positions of k digits where x is a member of (equal to) y,
+        each of x and y a set or a digit, not both sets."""
         out, holds = 0, self.holders if member else self.same  # by class
         if x.__class__ is int and y.__class__ is int:
+            if x == y:  # a class label is interned after its members': no set is in itself
+                return 0 if member else self.full[-1]
             # per value of the higher digit, a column over the lower
             hi, lo = min(x, y), max(x, y)
-            for tau, _, shift, off, digits in self.cells:
+            for tau, (_, offs, digits) in self.cells.items():
                 table, same, (s, _) = holds[tau], self.same[tau], digits[hi]
                 row = _fill(1, digits[hi])
                 for i, a in enumerate(self.universe[tau]):
@@ -540,29 +547,27 @@ class _Layout:
                         col = 0
                         for m in a.ext[tau]:
                             col |= same.get(m.classes[tau], 0)
-                    if x == y:
-                        out |= (col & 1 << i) << shift
-                    elif col:
-                        out |= (_fill(col, digits[lo]) & row << i * s) << off
-            return self.lift(out, x) if x == y else out
+                    if col:
+                        out |= (_fill(col, digits[lo]) & row << i * s) << offs[-1]
+            return out
         if x.__class__ is not int or not member:  # one class per node
             labels = _labels(y if x.__class__ is int else x)
-            for tau, _, shift, _, _ in self.cells:
-                out |= holds[tau].get(labels.get(tau), 0) << shift
+            for tau, (_, offs, _) in self.cells.items():
+                out |= holds[tau].get(labels.get(tau), 0) << offs[0]
         else:  # the elements in the set y
             labels = _labels(y)  # and so its members'
-            for tau, _, shift, _, _ in self.cells:
+            for tau, (_, offs, _) in self.cells.items():
                 for m in y.ext[tau] if tau in labels else ():
-                    out |= self.same[tau].get(m.classes[tau], 0) << shift
+                    out |= self.same[tau].get(m.classes[tau], 0) << offs[0]
         return self.lift(out, y if x.__class__ is not int else x)
 
     def members(self, digit: int) -> tuple[tuple[KripkeSet, int], ...]:
         """Each set an element lists, with the positions whose digit lists
         it."""
         cols: dict[KripkeSet, int] = {}
-        for tau, _, one, _, _ in self.cells:
+        for tau, (_, offs, _) in self.cells.items():
             for m, col in self.listed[tau].items():
-                cols[m] = cols.get(m, 0) | col << one
+                cols[m] = cols.get(m, 0) | col << offs[0]
         return tuple((m, self.lift(col, digit)) for m, col in cols.items())
 
 
@@ -578,7 +583,7 @@ class _Tables(dict):
         self.layout, self.held = layout, 0
 
     def __missing__(self, nodes: int) -> int:
-        return self.keep(nodes, self.layout.spread(nodes), self.layout.bits)
+        return self.keep(nodes, self.layout.spread(nodes), self.layout.bits[-1])
 
     def keep(self, key, value, bits: int):
         if self.held + bits > SWEEP_BITS:
@@ -604,12 +609,12 @@ class Sweep:
     """Forcing under every assignment of some parameters at once: the one
     context the compiled clauses are called with (see the module notes).
 
-    With names, its masks are laid out by one `_Layout` over the frame, a
-    digit per name, `names[0]` the most significant: bit `position(values,
-    sigma)`, for values listed at sigma, is what `forcing_mask` with the
-    names bound to values gives at sigma.  With no names a sweep is one
-    binding, with no layout: bit i is `nodes[i]`.  `extra` is laid over the
-    structure's names either way.
+    With names, its masks are the maps of k = len(names) digits of one
+    `_Layout` over the frame, a digit per name, `names[0]` the most
+    significant: bit `position(values, sigma)`, for values listed at sigma,
+    is what `forcing_mask` with the names bound to values gives at sigma.
+    With no names a sweep is one binding, with no layout: bit i is
+    `nodes[i]`.  `extra` is laid over the structure's names either way.
 
     A sweep keeps formula masks in its own `memo`, dropped on entry to a
     call once it holds `cap` masks: MEMO_CAP with no names, SWEEP_BITS bits
@@ -629,8 +634,8 @@ class Sweep:
         if names:
             self.params.update((name, _Axis(d, self.full)) for d, name in enumerate(names))
             self.layout = lay = _Layout(f, s.universe, f.nodes, len(names))
-            self.runs, self.full = lay.runs, lay.full
-            self.cap = max(1, SWEEP_BITS // max(1, lay.bits))
+            self.runs, self.full = lay.runs[-1], lay.full[-1]
+            self.cap = max(1, SWEEP_BITS // max(1, lay.bits[-1]))
         self.tables = _Tables(self.layout)
 
     def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
@@ -663,7 +668,8 @@ class Sweep:
         got = self.tables.get(key)
         if got is None:
             a, b = (v.digit if v.__class__ is _Axis else v for v in (x, y))
-            got = self.tables.keep(key, self.layout.relation(member, a, b), self.layout.bits)
+            lay = self.layout
+            got = self.tables.keep(key, lay.relation(member, a, b), lay.bits[-1])
         return got
 
     def listing(self, y):
@@ -680,7 +686,7 @@ class Sweep:
             else:
                 listed = self.structure.listing if y is None else _listing(y)
                 got = tuple((x, self.tables[nodes]) for x, nodes in listed)
-            self.tables.keep(key, got, len(got) * self.layout.bits)
+            self.tables.keep(key, got, len(got) * self.layout.bits[-1])
         return got
 
 

@@ -86,7 +86,7 @@ def closure(eng: _Engine) -> tuple[list[int], list[int], bool, bool]:
     for m in pairs:
         push2(m)
 
-    binders = eng.binders()
+    binders = eng.binders
     bound = quiet = 0
     truncated = False
     for _ in range(eng.cfg.formula_depth):

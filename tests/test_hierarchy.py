@@ -30,6 +30,7 @@ from kripkelab.hierarchy import (
     structure_from_sets,
 )
 from kripkelab.semantics import (
+    _Layout,
     forced_equal,
     forced_member,
     forces,
@@ -131,7 +132,8 @@ def test_harvests_and_towers_live_on_their_structures():
     assert harvest_at(tower, "0", cfg) is harvest_at(tower, "0", cfg)
     assert def_along(x, cfg) is tower
     assert def_step(s, cfg).universe == stepped.universe
-    assert set(f.caches) <= {"constructs"}
+    # harvests and towers live in the one construct pool
+    assert {"harvest", "tower"} <= {key[0] for key in f.constructs}
 
 
 @pytest.mark.parametrize(
@@ -407,6 +409,13 @@ def test_gfp_is_greatest_among_postfixed_points():
             assert {m.uid for m in cand.ext["0"]} <= {m.uid for m in fix.ext["0"]}
 
 
+def _block(eng, m, tau, arity):
+    """The bits of map `m` at cone node tau, read through the engine
+    layout's offsets for the arity's digit count."""
+    n, offs, _ = eng.layout.cells[tau]
+    return m >> offs[arity - 1] & (1 << n**arity) - 1
+
+
 def _oracle_disagreements(s, sigma, rng, draws, params=None):
     """Compare the engine's cone operations with their definitions, walking
     `up_set` and locating elements by uid instead of by the run tables.  The
@@ -420,8 +429,8 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
     def blocks(m, arity):
         # the indices of a map's set bits, node by node
         return {
-            tau: {i for i, c in enumerate(bin(eng.block(m, k, arity))[:1:-1]) if c == "1"}
-            for k, tau in enumerate(cone)
+            tau: {i for i, c in enumerate(bin(_block(eng, m, tau, arity))[:1:-1]) if c == "1"}
+            for tau in cone
         }
 
     def has(bits, tau, a, b=None):
@@ -466,7 +475,7 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
             bad += blocks(eng.lift(m, slot), 2) != want
         m2 = draw(2)
         b2 = blocks(m2, 2)
-        checked = list(zip(eng.binders(), domains))
+        checked = list(zip(eng.binders, domains))
         if params is not None:
             checked[2:] = rng.sample(checked[2:], min(params, len(checked) - 2))
         for dom, members in checked:
@@ -517,6 +526,32 @@ def test_lifts_on_a_long_chain_stay_within_their_budget():
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds the 1s budget"
 
 
+def test_an_engine_builds_one_layout_and_a_fixed_number_of_relations(monkeypatch):
+    # every atom is cut from the three pair relations, so the calls do not
+    # grow with the number of parameters, the universe at the birth node
+    counts = dict.fromkeys(("engines", "layouts", "relations"), 0)
+
+    def counted(name, method):
+        def call(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return call
+
+    monkeypatch.setattr(_Engine, "__init__", counted("engines", _Engine.__init__))
+    monkeypatch.setattr(_Layout, "__init__", counted("layouts", _Layout.__init__))
+    monkeypatch.setattr(_Layout, "relation", counted("relations", _Layout.relation))
+    s = uniformity_gap()  # one element more at each spoke of the fan
+    got, sizes = [], set()
+    for sigma in s.frame.nodes:
+        before = dict(counts)
+        harvest_at(s, sigma, DefConfig(formula_depth=1))
+        got.append(tuple(counts[k] - before[k] for k in counts))
+        sizes.add(len(s.universe[sigma]))
+    assert len(sizes) > 1
+    assert got == [(1, 1, 3)] * len(s.frame.nodes)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -529,20 +564,22 @@ def test_lifts_on_a_long_chain_stay_within_their_budget():
 )
 def test_pair_atom_maps_match_the_forced_relations(build):
     # bit j * n + i of the pair maps at a cone node: `a in b`, `b in a` and
-    # `a = b` with a the i-th and b the j-th universe element there
+    # `a = b` with a the i-th and b the j-th universe element there; bit i
+    # of a parameter p's maps: `a = p`, `a in p` and `p in a`, cut from the
+    # pair maps; and of the fixed maps: true, `a in a` and the zone
     s = build()
     f = s.frame
     bad = []
     for sigma in f.nodes:
         eng = _Engine(s, sigma, DefConfig())
-        ins, has, eqs = eng.atom_maps()[4]
-        for k, tau in enumerate(eng.cone):
+        eq, mem, has, fixed, pairs = eng.atom_maps()
+        params = s.universe[sigma]
+        for tau in eng.cone:
             es = s.universe[tau]
             n = len(es)
+            zone = forces(s, tau, _zone())
             for (i, a), (j, b) in itertools.product(enumerate(es), repeat=2):
-                got = tuple(
-                    bool(eng.block(m, k, 2) >> j * n + i & 1) for m in (ins, has, eqs)
-                )
+                got = tuple(bool(_block(eng, m, tau, 2) >> j * n + i & 1) for m in pairs)
                 want = (
                     forced_member(f, tau, a, b),
                     forced_member(f, tau, b, a),
@@ -550,4 +587,12 @@ def test_pair_atom_maps_match_the_forced_relations(build):
                 )
                 if got != want:
                     bad.append((sigma, tau, i, j, got, want))
+            for i, a in enumerate(es):
+                got = [bool(_block(eng, m, tau, 1) >> i & 1) for m in eq + mem + has + fixed]
+                want = [forced_equal(f, tau, a, p) for p in params]
+                want += [forced_member(f, tau, a, p) for p in params]
+                want += [forced_member(f, tau, p, a) for p in params]
+                want += [True, forced_member(f, tau, a, a), zone]
+                if got != want:
+                    bad.append((sigma, tau, i, got, want))
     assert not bad, bad[:5]

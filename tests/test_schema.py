@@ -28,12 +28,13 @@ from kripkelab.schema import (
     check_schema,
     CheckBounds,
     CheckReport,
+    DesignatedInstance,
     EQUIVALENT_TRIO,
     lemma_suite,
     proposition1_crosscheck,
     SchemaId,
 )
-from kripkelab.semantics import forces
+from kripkelab.semantics import EvalError, KripkeSet, Structure, forces
 from kripkelab.specfile import (
     build_structure,
     canonical_structure,
@@ -232,6 +233,17 @@ def test_designated_instances_come_first():
     )
     assert report.note == "cofinal stage family"
     assert report.stats["designated"] >= 1
+
+
+def test_a_designated_instance_at_a_node_where_its_parameter_is_dead_raises():
+    # A is bound to a set born at node 1 of chain(2), and the instance pins
+    # node 0, below its birth
+    f = chain(2)
+    late = KripkeSet(f, "1", {"1": ()}, "late")
+    inst = DesignatedInstance(SchemaId.DELTA0_UNIFORMITY, "y in x", (("A", "late"),), "0")
+    s = Structure(f, {"0": (), "1": (late,)}, {"late": late}, (inst,))
+    with pytest.raises(EvalError, match="parameter born at '1' is dead at '0'"):
+        check_schema(s, SchemaId.DELTA0_UNIFORMITY, CheckBounds(1, 1))
 
 
 def test_a_designated_failure_ends_a_depth_two_sweep_within_its_budget():

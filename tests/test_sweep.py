@@ -150,7 +150,7 @@ def test_sweeps_over_empty_universes_match_the_reference_sweep():
                 assert check_schema(s, schema, bounds) == reference_check(s, schema, bounds)
 
 
-def test_a_sweep_leaves_the_frame_memo_as_it_found_it():
+def test_a_sweep_leaves_the_frame_memo_as_it_found_it(fixtures_dir):
     # every comprehension template reads #A, so the whole check is swept
     s = _v(2, chain(2))
     assert not s.notes
@@ -171,6 +171,16 @@ def test_a_sweep_leaves_the_frame_memo_as_it_found_it():
             check_schema(s, schema, bounds)
             if s.frame.memo:
                 leaks.append((schema.value, bounds.max_params, len(s.frame.memo)))
+    # a designated instance is forced in a sweep of its check's own too
+    for name, s in (
+        ("uniformity_gap", uniformity_gap()),
+        ("gap", load_structure(str(fixtures_dir / "corpus" / "gap.struct"))),
+    ):
+        assert s.notes and not s.frame.memo
+        report = check_schema(s, SchemaId.DELTA0_UNIFORMITY, CheckBounds(1, 1, "bottom"))
+        assert report.stats["designated"] == 1 and not report.holds
+        if s.frame.memo:
+            leaks.append((name, len(s.frame.memo)))
     assert leaks == []
 
 
