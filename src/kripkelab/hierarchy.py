@@ -23,7 +23,8 @@ Heyting interior: keep the positions whose image at every node above lies
 outside a "bad" mask, forcing's `frame.hits` over the layout's runs,
 memoized for the engine's lifetime.  Negation takes the map itself as the
 bad mask, implication `m1 & ~m2`, and the universal binder the positions
-with a missing pair in the binder's domain.
+with a missing pair in the binder's domain.  A map of the defined variable
+enters the pair pool in either digit through the layout's `lift`.
 
 The fragment is bounded on purpose: one live bound variable besides the
 defined one (relation maps of arity two), round count given by
@@ -122,10 +123,12 @@ class _Engine:
     A map is one int over the whole cone, laid out by `layout`, the one
     `semantics._Layout` over the cone: the defined variable alone (arity 1)
     has one digit, a pair (arity 2) two.  In a pair (i, j) the defined
-    variable i is the low digit: bit `j * n + i`, n the size of the
-    universe there, so column j is a contiguous stretch of bits.  At the
-    bottom a map is the sweep mask of its formula, #A the defined variable,
-    or #A for j and #B for i.  `interiors` memoizes `interior` per arity.
+    variable i is the low digit, the layout's digit 1: bit `j * n + i`, n
+    the size of the universe there, so column j is a contiguous stretch of
+    bits.  A map of one variable reads as a pair map through
+    `_Layout.lift`.  At the bottom a map is the sweep mask of its formula,
+    #A the defined variable, or #A for j and #B for i.  `interiors`
+    memoizes `interior` per arity, which also gives implication.
     `binders` are the domains of the second variable: the defined
     variable's members, the universe, then each parameter's members; a
     parameter's `columns` domain holds it alone.  A domain is a list of
@@ -179,14 +182,6 @@ class _Engine:
             out = memo[bad] = self.full[arity - 1] ^ hits(self.layout.runs[arity - 1], bad)
         return out
 
-    def imp(self, m1: int, m2: int, arity: int) -> int:
-        return self.interior(m1 & ~m2, arity)
-
-    def lift(self, m: int, slot: int) -> int:
-        """A map of the defined variable read as a pair map in one slot:
-        slot 0 is the defined variable, the low digit."""
-        return self.layout.lift(m, 1 - slot)
-
     def exists2(self, m2: int, dom) -> int:
         """Bind the second variable at the node: i stays when some j in its
         domain makes a pair (i, j) of the map."""
@@ -239,7 +234,7 @@ class _Engine:
         for a in range(len(eq)):
             push1(mem[a] | eq[a])
         for m in eq:
-            push1(self.imp(m, zone_map, 1))
+            push1(self.interior(m & ~zone_map, 1))
         for m in mem + has + fixed:
             push1(m)
         for m in pairs:
@@ -256,9 +251,10 @@ class _Engine:
                 base2 = list(pool2)
                 self.connectives(pool1, push1, base1, 1)
                 # pool2 is never full here: a full pool ends the loop
+                # in a pair map the defined variable is digit 1, the second digit 0
                 for m in base1:
-                    push2(self.lift(m, 0))
-                    push2(self.lift(m, 1))
+                    push2(self.layout.lift(m, 1))
+                    push2(self.layout.lift(m, 0))
                 self.connectives(pool2, push2, base2, 2)
                 for m in pool2[bound:]:
                     if len(pool1) >= POOL_CAP:

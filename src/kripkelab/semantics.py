@@ -46,13 +46,13 @@ which no other formula ever gets, then the uids of the values of its free
 variables and parameters.  A bounded formula reads extensions and labels
 but never a universe, so one mask serves every structure on the frame;
 unbounded keys carry the structure's uid.  Each key is built by code
-written for its shape.  Who holds the masks is settled in one place:
-`forcing_mask`, and so `forces`, gives its one-binding context the frame's
-memo (`Frame.memo`), which later calls on the frame read again; every other
-sweep owns its memo, and its tables, and they go with it, so a schema
-check, designated instances included, never writes the frame's memo.  A
-call drops its memo on entry once it holds the context's `cap`: MEMO_CAP
-masks with no axes, SWEEP_BITS bits with them.
+written for its shape.  Every formula is forced through one entry,
+`Sweep.forcing_mask`, which checks the binding and bounds the memo.  Who
+holds the masks is settled in one place: `forcing_mask`, and so `forces`,
+gives its one-binding context the frame's memo (`Frame.memo`), which later
+calls on the frame read again; every other sweep owns its memo, and its
+tables, and they go with it, so a schema check, designated instances
+included, never writes the frame's memo.
 
 A template built once around a `formula.Hole` is forced with one formula
 after another in its place: env binds the hole's name to a `Fill` of the
@@ -385,35 +385,13 @@ def forcing_mask(
     """The nodes that force phi under one binding: bit i is set iff
     `Frame.nodes[i]` forces phi.  Bits outside the domain, the meet of the
     cones of the values of phi's free variables and parameters, are 0.
-    An unbound variable, an unknown parameter or a value from another frame
-    raises before anything is forced."""
-    extra_names = extra_names or {}
+    This is `Sweep.forcing_mask` in a sweep with no names, which raises
+    before anything is forced."""
     ctx = Sweep(s, (), extra_names)
     # the one context whose masks outlive it: they serve later calls on the
     # frame, such as `is_branch` at each node of one family
     ctx.memo = s.frame.memo
-    return _force(ctx, phi, env or {}, extra_names.values())
-
-
-def _force(ctx: Sweep, phi: Formula, env: dict[str, KripkeSet], extra=()) -> int:
-    """phi's mask in ctx after the checks that `forcing_mask` promises.
-    The memo is dropped on entry once it holds `ctx.cap` masks, never in
-    the middle of a call, whose masks are read again."""
-    # class labels only compare within one frame object
-    for x in (*env.values(), *extra):
-        if x.frame is not ctx.structure.frame:
-            raise ValueError("bound set lives on a different frame")
-    if len(ctx.memo) >= ctx.cap:
-        ctx.memo.clear()
-    try:
-        _, _, variables, names = facts(phi)
-        missing = [f"unbound variable {v!r}" for v in variables if v not in env]
-        missing += [f"unknown parameter #{p}" for p in names if p not in ctx.params]
-        if missing:
-            raise EvalError(missing[0])
-        return _code(phi)(ctx, env)
-    except RecursionError:
-        raise EvalError("formula nests too deeply to evaluate") from None
+    return ctx.forcing_mask(phi, env)
 
 
 class _Axis:
@@ -598,7 +576,7 @@ def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) 
     """The nodes where x is a member of (equal to) y: a label is interned
     with its node, so x's label at tau is one of y's members' labels (of
     y's own labels) iff x is in (equals) y at tau."""
-    heads, out = (_member_labels if member else _own_labels)(y), 0
+    heads, out = _member_labels(y) if member else frozenset(_labels(y).values()), 0
     for tau, c in _labels(x).items():
         if c in heads:
             out |= 1 << pos[tau]
@@ -616,10 +594,11 @@ class Sweep:
     With no names a sweep is one binding, with no layout: bit i is
     `nodes[i]`.  `extra` is laid over the structure's names either way.
 
-    A sweep keeps formula masks in its own `memo`, dropped on entry to a
-    call once it holds `cap` masks: MEMO_CAP with no names, SWEEP_BITS bits
-    with them; `forcing_mask` alone hands it the frame's memo instead.  The
-    masks built from values alone go in `tables`.  Both go with it."""
+    A sweep keeps formula masks in its own `memo`, of at most `cap` masks:
+    MEMO_CAP with no names, SWEEP_BITS bits with them; `forcing_mask` alone
+    hands it the frame's memo instead.  The masks built from values alone
+    go in `tables`.  Both go with it.  A set in `extra` from another frame
+    raises here."""
 
     __slots__ = (
         "structure", "uid", "params", "names", "layout", "runs", "full", "memo", "cap", "tables",
@@ -629,6 +608,10 @@ class Sweep:
         f = s.frame
         self.structure, self.uid, self.names = s, s.uid, names
         self.params = {**s.names, **(extra or {})}
+        # class labels only compare within one frame object
+        for x in (extra or {}).values():
+            if x.frame is not f:
+                raise ValueError("bound set lives on a different frame")
         self.layout, self.runs, self.full = None, f.runs, f.masks[f.pos[f.bottom]]
         self.memo, self.cap = {}, MEMO_CAP
         if names:
@@ -639,8 +622,26 @@ class Sweep:
         self.tables = _Tables(self.layout)
 
     def forcing_mask(self, phi: Formula, env: dict[str, KripkeSet] | None = None) -> int:
-        """phi's sweep mask; raises as `forcing_mask` does."""
-        return _force(self, phi, env or {})
+        """phi's mask in this sweep, the one entry to forcing.  Before
+        anything is forced, a set in env from another frame raises
+        `ValueError`, then an unbound variable or an unknown parameter
+        `EvalError`.  The memo is dropped on entry once it holds `cap`
+        masks, never in the middle of a call, whose masks are read again."""
+        env = env or {}
+        for x in env.values():
+            if x.frame is not self.structure.frame:
+                raise ValueError("bound set lives on a different frame")
+        if len(self.memo) >= self.cap:
+            self.memo.clear()
+        try:
+            _, _, variables, names = facts(phi)
+            missing = [f"unbound variable {v!r}" for v in variables if v not in env]
+            missing += [f"unknown parameter #{p}" for p in names if p not in self.params]
+            if missing:
+                raise EvalError(missing[0])
+            return _code(phi)(self, env)
+        except RecursionError:
+            raise EvalError("formula nests too deeply to evaluate") from None
 
     def atom(self, member: bool, x, y, d: int) -> int:
         """The bits of d where x is a member of (equal to) y."""
@@ -846,12 +847,9 @@ def _member_labels(y: KripkeSet) -> frozenset[int]:
     return y.member_labels
 
 
-def _own_labels(y: KripkeSet) -> frozenset[int]:
-    return frozenset(_labels(y).values())
-
-
 def _term(t: Term):
-    """t's value; `forces` checked on entry that every term is bound."""
+    """t's value; `Sweep.forcing_mask` checked on entry that every term is
+    bound."""
     name = t.name
     if isinstance(t, Var):
         return lambda ctx, env: env[name]

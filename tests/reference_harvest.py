@@ -61,7 +61,7 @@ def _connectives(eng, pool, push, base, arity):
             if b > a:
                 push(m1 | m2 if arity == 1 else m1 & m2)
                 push(m1 & m2 if arity == 1 else m1 | m2)
-            push(eng.imp(m1, m2, arity))
+            push(eng.interior(m1 & ~m2, arity))
 
 
 def closure(eng: _Engine) -> tuple[list[int], list[int], bool, bool]:
@@ -80,7 +80,7 @@ def closure(eng: _Engine) -> tuple[list[int], list[int], bool, bool]:
     for a in range(len(eq)):
         push1(mem[a] | eq[a])
     for m in eq:
-        push1(eng.imp(m, zone_map, 1))
+        push1(eng.interior(m & ~zone_map, 1))
     for m in mem + has + fixed:
         push1(m)
     for m in pairs:
@@ -94,8 +94,8 @@ def closure(eng: _Engine) -> tuple[list[int], list[int], bool, bool]:
         base1, base2 = list(pool1), list(pool2)
         _connectives(eng, pool1, push1, base1, 1)
         for m in base1:
-            push2(eng.lift(m, 0))
-            push2(eng.lift(m, 1))
+            push2(eng.layout.lift(m, 1))
+            push2(eng.layout.lift(m, 0))
         _connectives(eng, pool2, push2, base2, 2)
         for m in pool2[bound:]:
             if len(pool1) >= POOL_CAP:

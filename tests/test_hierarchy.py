@@ -467,12 +467,12 @@ def _oracle_disagreements(s, sigma, rng, draws, params=None):
                 ),
                 arity,
             )
-            bad += blocks(eng.imp(m1, m2, arity), arity) != want
+            bad += blocks(eng.interior(m1 & ~m2, arity), arity) != want
         m = draw(1)
         b = blocks(m, 1)
         for slot in (0, 1):
             want = build(lambda tau, a, c: has(b, tau, (a, c)[slot]), 2)
-            bad += blocks(eng.lift(m, slot), 2) != want
+            bad += blocks(eng.layout.lift(m, 1 - slot), 2) != want
         m2 = draw(2)
         b2 = blocks(m2, 2)
         checked = list(zip(eng.binders, domains))
@@ -521,7 +521,7 @@ def test_lifts_on_a_long_chain_stay_within_their_budget():
     for _ in range(100):
         m = rng.getrandbits(eng.full[0].bit_length()) & eng.full[0]
         for slot in (0, 1):
-            eng.lift(m, slot)
+            eng.layout.lift(m, 1 - slot)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds the 1s budget"
 

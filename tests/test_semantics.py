@@ -52,6 +52,7 @@ from kripkelab.semantics import (
     is_end_extension,
     is_ordinal,
     KripkeSet,
+    Sweep,
     universe_at,
 )
 from kripkelab.specfile import canonical_structure
@@ -107,6 +108,9 @@ def test_sets_from_equal_but_separate_frames_are_rejected():
     with pytest.raises(ValueError, match="different frame"):
         template = build_template(SchemaId.SIGMA_REFLECTION, phi)
         forces(s, "e", template, extra_names={"P": y})
+    # a sweep checks the sets it is given when it is built
+    with pytest.raises(ValueError, match="bound set lives on a different frame"):
+        Sweep(s, (), {"P": y})
 
 
 def _random_sets(f, rng, count):
@@ -356,16 +360,16 @@ def test_a_bounded_memo_changes_no_verdict(make, monkeypatch):
     # a fresh frame per sweep, so the second reads no verdict of the first
     want = _memo_sweep(make())
     monkeypatch.setattr(semantics, "MEMO_CAP", 8)
-    # `_force` drops a memo on entry; count the drops of a memo that a
-    # schema check's own context holds, not the frame's
-    drops, force = [], semantics._force
+    # `Sweep.forcing_mask` drops a memo on entry; count the drops of a memo
+    # that a schema check's own context holds, not the frame's
+    drops, force = [], semantics.Sweep.forcing_mask
 
-    def counted(ctx, phi, env, extra=()):
+    def counted(ctx, phi, env=None):
         if len(ctx.memo) >= ctx.cap and ctx.memo is not ctx.structure.frame.memo:
             drops.append(ctx)
-        return force(ctx, phi, env, extra)
+        return force(ctx, phi, env)
 
-    monkeypatch.setattr(semantics, "_force", counted)
+    monkeypatch.setattr(semantics.Sweep, "forcing_mask", counted)
     got = _memo_sweep(make())
     was_reset = bool(drops)
     assert got == want
