@@ -7,12 +7,17 @@ The structures these start from are assembled in `semantics`, beside
 `L` lines never imports this module.
 
 The definability engine works per birth node.  It represents a candidate
-definable subset as a map: one int laid out as a sweep mask by the
-engine's one `semantics._Layout`, a bit per element of each cone node's
-universe, or per pair for maps of two variables.  It seeds the pool with
-the pair maps of `a in b`, `b in a` and `a = b`, and every atom of one
-variable cut from them, and closes under the connective and quantifier
-operations round by round.  Maps are saturated under forced equality
+definable subset as a map: one int laid out as a sweep mask by its
+structure's pair `semantics._Layout` over the frame, a bit per element of
+each cone node's universe, or per pair for maps of two variables, and none
+outside the cone.  That layout, the pair maps of `a in b`, `b in a` and
+`a = b` and the zone's map are built once per structure, on the first
+harvest that needs an engine, and kept on it (`Structure._engine_setup`);
+each engine cuts them down to its cone.  It seeds the pool with the pair
+maps and every atom of one variable cut from them, and closes under the
+connective and quantifier operations round by round.  A cone with no
+element needs no engine: its closure holds the empty map alone and its
+first round is quiet.  Maps are saturated under forced equality
 automatically because the atoms are, so distinct maps denote semantically
 distinct sets and map equality is an exact deduplication rule.
 
@@ -20,7 +25,7 @@ Conjunction and disjunction are `&` and `|` on the whole map, and the
 existential binder ORs columns of a pair map into place, one precomputed
 shift per column.  Negation, implication and the universal binder are one
 Heyting interior: keep the positions whose image at every node above lies
-outside a "bad" mask, forcing's `frame.hits` over the layout's runs,
+outside a "bad" mask, forcing's `frame.hits` over the cone's runs,
 memoized for the engine's lifetime.  Negation takes the map itself as the
 bad mask, implication `m1 & ~m2`, and the universal binder the positions
 with a missing pair in the binder's domain.  A map of the defined variable
@@ -43,7 +48,7 @@ Harvests are interned per frame by the universes of the birth node's cone.
 from __future__ import annotations
 
 import functools
-from itertools import islice
+from itertools import compress, islice
 
 from .formula import Formula, free_vars, is_positive_in, parse
 from .frame import Frame, _Record, hits, leq, linear_extension, up_set
@@ -69,6 +74,7 @@ from .semantics import (
 
 HARVEST_CAP = 56
 POOL_CAP = 2048
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class DefConfig(_Record):
@@ -117,34 +123,51 @@ def _zone() -> Formula:
     return parse(f"forall w . (({empty}) \\/ ~({empty}))")
 
 
+def _engine_setup(s: Structure) -> tuple[_Layout, list[int], int]:
+    """What every engine over s reads, built on the first call and kept on
+    s: the pair layout over the frame, the pair maps of `a in b`, `b in a`
+    and `a = b`, and the zone's map of one variable."""
+    if s._engine_setup is None:
+        lay = _Layout(s.frame, s.universe, 2)
+        relations = [lay.relation(True, 1, 0), lay.relation(True, 0, 1), lay.relation(False, 1, 0)]
+        # one mask for the sentence _zone(): bit i is frame node i
+        zone = lay.spread(forcing_mask(s, _zone()), 1)
+        s._engine_setup = lay, relations, zone
+    return s._engine_setup
+
+
 class _Engine:
     """Bitmask closure over one birth node of one base structure.
 
-    A map is one int over the whole cone, laid out by `layout`, the one
-    `semantics._Layout` over the cone: the defined variable alone (arity 1)
-    has one digit, a pair (arity 2) two.  In a pair (i, j) the defined
-    variable i is the low digit, the layout's digit 1: bit `j * n + i`, n
-    the size of the universe there, so column j is a contiguous stretch of
-    bits.  A map of one variable reads as a pair map through
-    `_Layout.lift`.  At the bottom a map is the sweep mask of its formula,
-    #A the defined variable, or #A for j and #B for i.  `interiors`
-    memoizes `interior` per arity, which also gives implication.
-    `binders` are the domains of the second variable: the defined
-    variable's members, the universe, then each parameter's members; a
-    parameter's `columns` domain holds it alone.  A domain is a list of
-    (column shift, column mask, target shift) triples, one per nonempty
-    column: the positions i whose domain holds the column's element.
+    A map is one int laid out by `layout`, the structure's pair
+    `semantics._Layout` over the frame (`_engine_setup`), with no bit
+    outside the cone: the defined variable alone (arity 1) has one digit, a
+    pair (arity 2) two.  In a pair (i, j) the defined variable i is the low
+    digit, the layout's digit 1: bit `j * n + i`, n the size of the universe
+    there, so column j is a contiguous stretch of bits.  A map of one
+    variable reads as a pair map through `_Layout.lift`.  A map is the sweep
+    mask of its formula within the cone, #A the defined variable, or #A for
+    j and #B for i.  `full` and `runs` are the layout's cut down to the cone
+    (`_Layout.within`).  `interiors` memoizes `interior` per arity, which
+    also gives implication.  `binders` are the domains of the second
+    variable: the defined variable's members, the universe, then each
+    parameter's members; a parameter's `columns` domain holds it alone.  A
+    domain is a list of (column shift, column mask, target shift) triples,
+    one per nonempty column: the positions i whose domain holds the column's
+    element.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
-        self.s, self.cfg, self.cone = s, cfg, up_set(s.frame, sigma)
-        self.layout = lay = _Layout(s.frame, s.universe, self.cone, 2)
-        self.full = lay.full
+        f = s.frame
+        self.s, self.cfg, self.cone = s, cfg, up_set(f, sigma)
+        self.layout = lay = _engine_setup(s)[0]
+        self.cells = [lay.cells[tau] for tau in self.cone]
+        self.full, self.runs = lay.within(f.masks[f.pos[sigma]])
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = self.stabilized = False
         params = s.universe[sigma]
         own, every, each, self.columns = [], [], [[] for _ in params], [[] for _ in params]
-        for tau, (n, (o1, o2), _) in lay.cells.items():
+        for tau, (n, (o1, o2), _) in zip(self.cone, self.cells):
             index, listed, r = lay.index[tau], lay.listed[tau], (1 << n) - 1
             own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
             every += [(o2 + j * n, r, o1) for j in range(n)]
@@ -156,18 +179,17 @@ class _Engine:
     def atom_maps(self) -> tuple[list, list, list, list, list]:
         """Atomic maps grouped: equality with, membership in, and membership
         of each parameter; the remaining fixed maps; and the pair maps for
-        `a in b`, `b in a` and `a = b`.  Every map of one variable is cut
-        from two digits: a parameter's are its column of the pair maps,
-        and the zone's the pairs at its nodes, bound over the universe."""
-        lay, cut = self.layout, self.exists2
-        pairs = [lay.relation(True, 1, 0), lay.relation(True, 0, 1), lay.relation(False, 1, 0)]
+        `a in b`, `b in a` and `a = b`.  The pair maps and the zone's are
+        the structure's (`_engine_setup`) within the cone, and a
+        parameter's maps are its column of the pair maps."""
+        cut, full = self.exists2, self.full
+        _, relations, zone = _engine_setup(self.s)
+        pairs = [m & full[1] for m in relations]
         ins, has, eqs = pairs
-        # one mask for the sentence _zone(): bit i is frame node i
-        zone = cut(lay.spread(forcing_mask(self.s, _zone())), self.binders[1])
         return (
             *([cut(m, col) for col in self.columns] for m in (eqs, ins, has)),
             # #A in #A is 0: no set is a member of itself (`_Layout.relation`)
-            [self.full[0], 0, zone],
+            [full[0], 0, zone & full[0]],
             pairs,
         )
 
@@ -179,7 +201,7 @@ class _Engine:
         memo = self.interiors[arity - 1]
         out = memo.get(bad)
         if out is None:
-            out = memo[bad] = self.full[arity - 1] ^ hits(self.layout.runs[arity - 1], bad)
+            out = memo[bad] = self.full[arity - 1] ^ hits(self.runs[arity - 1], bad)
         return out
 
     def exists2(self, m2: int, dom) -> int:
@@ -220,6 +242,7 @@ class _Engine:
     def run(self) -> list[int]:
         eq, mem, has, fixed, pairs = self.atom_maps()
         self.mem, zone_map = set(mem), fixed[-1]
+        lift = self.layout.lift
         pool1, push1, stop = _bounded_pool()
         pool2, push2, _ = _bounded_pool()
         for m in eq:
@@ -253,8 +276,8 @@ class _Engine:
                 # pool2 is never full here: a full pool ends the loop
                 # in a pair map the defined variable is digit 1, the second digit 0
                 for m in base1:
-                    push2(self.layout.lift(m, 1))
-                    push2(self.layout.lift(m, 0))
+                    push2(lift(m, 1, self.cells))
+                    push2(lift(m, 0, self.cells))
                 self.connectives(pool2, push2, base2, 2)
                 for m in pool2[bound:]:
                     if len(pool1) >= POOL_CAP:
@@ -277,9 +300,10 @@ class _Engine:
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
         out = {}
-        for tau, (n, (one, _), _) in self.layout.cells.items():
-            b = m >> one & (1 << n) - 1
-            out[tau] = tuple(x for i, x in enumerate(self.s.universe[tau]) if b >> i & 1)
+        for tau, (n, (one, _), _) in zip(self.cone, self.cells):
+            # bit i keeps element i: binary digits lowest first, as bytes 0, 1
+            bits = bin(m >> one & (1 << n) - 1)[:1:-1].encode().translate(_BITS)
+            out[tau] = tuple(compress(self.s.universe[tau], bits))
         return out
 
 
@@ -296,8 +320,12 @@ def harvest_at(
     that agree on the cone, share the same objects.
     """
     f = s.frame
+    up = up_set(f, sigma)
+    cone = tuple(tuple(x.uid for x in s.universe[tau]) for tau in up)
 
     def build() -> tuple[list[KripkeSet], bool, bool]:
+        if not any(cone):  # the empty map alone, after a quiet first round
+            return [KripkeSet(f, sigma, dict.fromkeys(up, ()), f"def{sigma}#0")], False, True
         eng = _Engine(s, sigma, cfg)
         maps = eng.run()
         # the membership maps of the parameters are the profiles of the
@@ -309,7 +337,6 @@ def harvest_at(
         ]
         return born, eng.truncated or len(fresh) > HARVEST_CAP, eng.stabilized
 
-    cone = tuple(tuple(x.uid for x in s.universe[tau]) for tau in up_set(f, sigma))
     return _intern(f, ("harvest", sigma, cfg, cone), build)
 
 

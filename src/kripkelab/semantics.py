@@ -13,8 +13,9 @@ and x's own labels at the nodes that cover tau (`Frame.succ`).  Two sets
 alive at tau are forced equal there iff their labels agree: by induction
 from the top, labels that agree at every cover agree at every node above.
 A set's labels are computed the first time a question needs them, top
-nodes first, and the intern table is one per frame (`Frame.classes`),
-holding node names and ints only.
+nodes first, in the order `frame.top_first` sorts once per birth node, and
+the intern table is one per frame (`Frame.classes`), holding node names
+and ints only.
 
 `forces` runs compiled code, not an interpreter, and decides a set of nodes
 at once (global model checking).  Each formula node is compiled once, the
@@ -31,8 +32,9 @@ Every call is made in a `Sweep`, the one context of the compiled clauses.
 With no parameters a sweep is one binding: bit i is `Frame.nodes[i]`.  A
 sweep with parameters decides all their assignments at once, one digit of a
 `_Layout` per parameter: node tau owns one bit per tuple over its own
-universe.  A definability engine's one layout serves its maps of one and
-two digits, so an engine map is the sweep mask of its formula.  The context
+universe.  The definability engines over one structure share one layout of
+two digits, which serves their maps of one and two digits, so an engine
+map is the sweep mask of its formula within the engine's cone.  The context
 supplies what the clauses read: the atom (`_nodes_where` over class labels,
 or the layout's position tables where an axis is involved), a quantifier's
 range (`KripkeSet.listing`, `Structure.listing`, or an axis's
@@ -91,7 +93,7 @@ from .formula import (
     relativize,
     render,
 )
-from .frame import Frame, _require, hits, up_set
+from .frame import Frame, _require, hits, top_first, up_set
 
 _uid_counter = itertools.count()
 
@@ -162,9 +164,10 @@ def _labels(x: KripkeSet) -> dict[str, int]:
     """x's class label at each node of its cone."""
     if x.classes is None:
         f, lab = x.frame, {}
-        # covers have strictly smaller up-sets, so they come first
-        for tau in sorted(x.ext, key=lambda t: f.masks[f.pos[t]].bit_count()):
-            members = tuple(sorted({class_at(m, tau) for m in x.ext[tau]}))
+        # x's cone is the up-set of its birth; covers come first, and a
+        # member is alive wherever it is listed
+        for tau in top_first(f, x.birth):
+            members = tuple(sorted({(m.classes or _labels(m))[tau] for m in x.ext[tau]}))
             above = tuple(lab[rho] for rho in f.succ[tau])
             lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
         x.classes = lab
@@ -174,9 +177,10 @@ def _labels(x: KripkeSet) -> dict[str, int]:
 def class_at(x: KripkeSet, sigma: str) -> int:
     """x's forced-equality class label at sigma: sets alive at sigma are
     forced equal there iff their labels agree."""
-    if sigma not in _labels(x):
+    labels = x.classes or _labels(x)
+    if sigma not in labels:
         raise ValueError(f"set born at {x.birth!r} is not alive at {sigma!r}")
-    return x.classes[sigma]
+    return labels[sigma]
 
 
 def _fresh(cands, sigma: str, old=()) -> list[KripkeSet]:
@@ -242,8 +246,10 @@ class Structure:
         # `uid` tells this structure's unbounded verdicts apart in a forcing
         # memo, the frame's or a sweep's (see `Sweep`); definability
         # harvests are interned per frame by cone universe (see
-        # `hierarchy.harvest_at`), not kept here.
-        self.uid = next(_structure_uids)
+        # `hierarchy.harvest_at`), not kept here, but the set-up all its
+        # definability engines share is, built on the first harvest that
+        # needs an engine (`hierarchy._engine_setup`)
+        self.uid, self._engine_setup = next(_structure_uids), None
         if set(universe) != set(frame.nodes):
             raise ValueError("universe must assign a tuple to every node")
         listed: dict[str, set[int]] = {}
@@ -423,29 +429,31 @@ def _fill(x: int, digit: tuple[int, int]) -> int:
 
 
 class _Layout:
-    """The masks of every sweep with names and a definability engine's maps:
-    over the up-closed `nodes`, node tau owns one bit per d-tuple over its
-    universe U(tau) in a map of d digits, for each d up to k.  Digit 0 of a
-    tuple is the most significant, so a block runs in `itertools.product`
-    order.  `cells` maps node tau to |U(tau)|, its offset in a map of each
-    digit count d (at d - 1) and its k digits' patterns.  Per digit count d
-    (at d - 1) a map has `bits` positions, `full` sets them all, and `runs`
-    are `hits` runs per covering pair in `Frame.runs` order, each carrying
-    consecutive positions to consecutive images at the cover.  Per node, one
-    bit per element: `index` places an element; `same` maps a class label,
-    `holders` a member's class and `listed` a member to the elements that
-    have it."""
+    """The masks of every sweep with names, and the maps of every
+    definability engine over one structure: over the frame, node tau owns
+    one bit per d-tuple over its universe U(tau) in a map of d digits, for
+    each d up to k.  Digit 0 of a tuple is the most significant, so a block
+    runs in `itertools.product` order.  `cells` maps node tau to |U(tau)|,
+    its offset in a map of each digit count d (at d - 1) and its k digits'
+    patterns.  Per digit count d (at d - 1) a map has `bits` positions,
+    `full` sets them all, and `runs` are `hits` runs per covering pair in
+    `Frame.runs` order, each carrying consecutive positions to consecutive
+    images at the cover; `spans` says, per covering pair in that order,
+    where its runs start and stop in each digit count's, so `within` cuts
+    out a cone's.  Per node, one bit per element: `index` places an
+    element; `same` maps a class label, `holders` a member's class and
+    `listed` a member to the elements that have it."""
 
     __slots__ = (
-        "frame", "universe", "k", "cells", "bits", "full", "runs",
+        "frame", "universe", "k", "cells", "bits", "full", "runs", "spans",
         "index", "same", "holders", "listed",
     )
 
-    def __init__(self, frame: Frame, universe: dict, nodes: tuple[str, ...], k: int):
+    def __init__(self, frame: Frame, universe: dict, k: int):
         self.frame, self.universe, self.k = frame, universe, k
         self.cells, self.index, self.same, self.holders, self.listed = {}, {}, {}, {}, {}
         width = (0,) * k
-        for tau in nodes:
+        for tau in frame.nodes:
             index = self.index[tau] = {x: i for i, x in enumerate(universe[tau])}
             n = len(index)
             self.cells[tau] = n, width, _digits(n, k)
@@ -460,11 +468,10 @@ class _Layout:
                 c = m.classes[tau]  # x's labels are built from its members'
                 holders[c] = holders.get(c, 0) | bits
         self.bits, self.full = width, tuple((1 << w) - 1 for w in width)
-        self.runs = [[] for _ in range(k)]
+        self.runs, self.spans = [[] for _ in range(k)], []
         for a, _, b in frame.runs:
             tau, rho = frame.nodes[a], frame.nodes[b]
-            if not universe[tau] or tau not in self.cells:
-                continue
+            starts = [len(runs) for runs in self.runs]
             img = [self.index[rho][x] for x in universe[tau]]
             src, tgt = self.cells[tau][1], self.cells[rho][1]
             cut, step, above = [[0, 0, 1]], 1, 1
@@ -479,6 +486,7 @@ class _Layout:
                             cut.append([p, q, w])
                 step, above = step * len(img), above * len(universe[rho])
                 self.runs[d] += [(src[d] + p, (1 << w) - 1, tgt[d] + q) for p, q, w in cut]
+            self.spans.append(tuple(zip(starts, map(len, self.runs))))
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
         """The bit of the tuple of values, each listed at sigma, at sigma."""
@@ -487,20 +495,32 @@ class _Layout:
             block = block * len(index) + index[x]
         return self.cells[sigma][1][-1] + block
 
-    def spread(self, nodes: int) -> int:
-        """Every position of k digits at the nodes of a node mask (bit i:
-        `Frame.nodes[i]`)."""
-        out, pos = 0, self.frame.pos
+    def spread(self, nodes: int, d: int = 0) -> int:
+        """Every position of d digits (k for 0) at the nodes of a node mask
+        (bit i: `Frame.nodes[i]`)."""
+        out, pos, d = 0, self.frame.pos, d or self.k
         for tau, (n, offs, _) in self.cells.items():
             if nodes >> pos[tau] & 1:
-                out |= (1 << n**self.k) - 1 << offs[-1]
+                out |= (1 << n**d) - 1 << offs[d - 1]
         return out
 
-    def lift(self, col: int, digit: int) -> int:
+    def within(self, nodes: int) -> tuple[tuple[int, ...], list[list]]:
+        """`full` and `runs` cut down to the nodes of an up-closed node mask:
+        every position there, and the runs of the covering pairs from
+        there, whose covers lie there too."""
+        runs = [[] for _ in range(self.k)]
+        for (a, _, _), span in zip(self.frame.runs, self.spans):
+            if nodes >> a & 1:
+                for cut, whole, (start, stop) in zip(runs, self.runs, span):
+                    cut += whole[start:stop]
+        return tuple(self.spread(nodes, d) for d in range(1, self.k + 1)), runs
+
+    def lift(self, col: int, digit: int, cells=None) -> int:
         """The positions of k digits whose digit is in col, a map of one
-        digit."""
+        digit with no bit outside `cells` (a list of `cells` values; all of
+        them by default)."""
         out = 0
-        for n, offs, digits in self.cells.values():
+        for n, offs, digits in cells or self.cells.values():
             x = col >> offs[0] & (1 << n) - 1
             if x:
                 out |= _fill(x, digits[digit]) << offs[-1]
@@ -616,7 +636,7 @@ class Sweep:
         self.memo, self.cap = {}, MEMO_CAP
         if names:
             self.params.update((name, _Axis(d, self.full)) for d, name in enumerate(names))
-            self.layout = lay = _Layout(f, s.universe, f.nodes, len(names))
+            self.layout = lay = _Layout(f, s.universe, len(names))
             self.runs, self.full = lay.runs[-1], lay.full[-1]
             self.cap = max(1, SWEEP_BITS // max(1, lay.bits[-1]))
         self.tables = _Tables(self.layout)

@@ -8,12 +8,15 @@ binding formulas (`_Gen`) are forced on both and compared with the
 memo-free reference, one bit of a one-parameter sweep at a time with
 `forcing_mask`, and for up-closure; class labels are compared with the
 recursive forced-equality oracle; on the smaller samples every schema
-report is compared with the per-instance reference sweep.
+report is compared with the per-instance reference sweep, and at every
+birth node of both structures the definability harvest with the full
+closure reference (`reference_harvest`) and the engine's cone operations
+with their definitions (`util.oracle_disagreements`).
 
 `fuzz` is the whole check; the test runs a slice of the seeds within a
 budget, and a longer run calls it directly, for example
 
-    PYTHONPATH=src:tests python -c "from test_differential import fuzz; print(fuzz(range(1500), range(60)))"
+    PYTHONPATH=src:tests python -c "from test_differential import fuzz; print(fuzz(range(1500), range(60), range(300)))"
 """
 
 import random
@@ -21,24 +24,29 @@ import time
 
 from kripkelab.formula import free_vars, params_of
 from kripkelab.frame import Frame, dump_frame
-from kripkelab.hierarchy import DefConfig, def_step, empty_structure, powerset
+from kripkelab.hierarchy import DefConfig, def_step, empty_structure, harvest_at, powerset
 from kripkelab.schema import CheckBounds, SchemaId, check_schema
 from kripkelab.semantics import Sweep, class_at, forces, forcing_mask
 
+import reference_harvest
 from recursive_eq import oracle_equal
 from reference_forces import reference_forces
 from reference_sweep import reference_check
 from test_binding_forces import _Gen
+from util import harvest_classes, oracle_disagreements
 
-# the seeds the tier-1 run draws, of the forcing checks and of the schema
-# comparison, and its budget in seconds
+# the seeds the tier-1 run draws, of the forcing checks, of the schema
+# comparison and of the harvest comparison, and its budget in seconds
 FORCING_SEEDS = range(300)
 SCHEMA_SEEDS = range(10)
+HARVEST_SEEDS = range(50)
 BUDGET_S = 30
 # formulas per seed, and the largest listing a schema comparison sweeps
 FORMULAS = 4
 SCHEMA_ELEMENTS = 40
 SCHEMA_BOUNDS = (CheckBounds(1, 0), CheckBounds(1, 1), CheckBounds(1, 2))
+# the depth of the harvest comparison, the tower benchmark's
+HARVEST_CONFIG = DefConfig(1)
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -133,13 +141,32 @@ def _schemas(s) -> tuple[int, list]:
     return checks, bad
 
 
-def fuzz(seeds, schema_seeds=()) -> tuple[int, list[str]]:
+def _harvests(f: Frame, pair, rng: random.Random) -> tuple[int, list]:
+    """At every birth node of both structures: the harvest against the full
+    closure, compared set by set by class labels, with both flags; and the
+    engine's cone operations, on one random draw, against the oracle."""
+    checks, bad = 0, []
+    for s in pair:
+        for sigma in f.nodes:
+            checks += 2
+            got = harvest_at(s, sigma, HARVEST_CONFIG)
+            want = reference_harvest.harvest(s, sigma, HARVEST_CONFIG)
+            if harvest_classes(got) != harvest_classes(want):
+                bad.append(("harvest", s.uid, sigma))
+            off = oracle_disagreements(s, sigma, rng, draws=1)
+            if off:
+                bad.append(("cone operations", s.uid, sigma, off))
+    return checks, bad
+
+
+def fuzz(seeds, schema_seeds=(), harvest_seeds=()) -> tuple[int, list[str]]:
     """The checks made and one message per disagreeing seed, which names the
     seed and its frame: the forcing and label checks over `seeds`, the
-    schema comparison over `schema_seeds`."""
+    schema comparison over `schema_seeds`, the harvest and cone-operation
+    checks over `harvest_seeds`."""
     checks, failures = 0, []
-    schema_seeds = set(schema_seeds)
-    for seed in sorted(set(seeds) | schema_seeds):
+    schema_seeds, harvest_seeds = set(schema_seeds), set(harvest_seeds)
+    for seed in sorted(set(seeds) | schema_seeds | harvest_seeds):
         rng = random.Random(seed)
         f = random_frame(rng)
         bad = []
@@ -151,6 +178,9 @@ def fuzz(seeds, schema_seeds=()) -> tuple[int, list[str]]:
             if seed in schema_seeds and len(pair[1].listing) <= SCHEMA_ELEMENTS:
                 n, got = _schemas(pair[1])
                 checks, bad = checks + n, bad + got
+            if seed in harvest_seeds:
+                n, got = _harvests(f, pair, rng)
+                checks, bad = checks + n, bad + got
         except Exception as e:
             bad.append(("raised", repr(e)))
         if bad:
@@ -160,7 +190,7 @@ def fuzz(seeds, schema_seeds=()) -> tuple[int, list[str]]:
 
 def test_random_frames_and_structures_agree_with_the_references():
     t0 = time.monotonic()
-    checks, failures = fuzz(FORCING_SEEDS, SCHEMA_SEEDS)
+    checks, failures = fuzz(FORCING_SEEDS, SCHEMA_SEEDS, HARVEST_SEEDS)
     elapsed = time.monotonic() - t0
     assert failures == [], "\n".join(failures)
     assert checks > 50_000

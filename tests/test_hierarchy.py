@@ -43,7 +43,15 @@ from kripkelab.semantics import (
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
 
 import reference_harvest
-from util import TOP_FIRST_DIAMOND, classes, find_class, same_classes
+from util import (
+    TOP_FIRST_DIAMOND,
+    block,
+    classes,
+    find_class,
+    harvest_classes,
+    oracle_disagreements,
+    same_classes,
+)
 
 
 def test_def_config_validation():
@@ -409,90 +417,6 @@ def test_gfp_is_greatest_among_postfixed_points():
             assert {m.uid for m in cand.ext["0"]} <= {m.uid for m in fix.ext["0"]}
 
 
-def _block(eng, m, tau, arity):
-    """The bits of map `m` at cone node tau, read through the engine
-    layout's offsets for the arity's digit count."""
-    n, offs, _ = eng.layout.cells[tau]
-    return m >> offs[arity - 1] & (1 << n**arity) - 1
-
-
-def _oracle_disagreements(s, sigma, rng, draws, params=None):
-    """Compare the engine's cone operations with their definitions, walking
-    `up_set` and locating elements by uid instead of by the run tables.  The
-    binder domains of `params` randomly chosen parameters are checked, or of
-    all of them."""
-    f = s.frame
-    eng = _Engine(s, sigma, DefConfig())
-    cone = eng.cone
-    where = {tau: {x.uid: i for i, x in enumerate(s.universe[tau])} for tau in cone}
-
-    def blocks(m, arity):
-        # the indices of a map's set bits, node by node
-        return {
-            tau: {i for i, c in enumerate(bin(_block(eng, m, tau, arity))[:1:-1]) if c == "1"}
-            for tau in cone
-        }
-
-    def has(bits, tau, a, b=None):
-        # the bit for one element, or for a pair (j-major), at tau
-        w = where[tau]
-        return (w[a.uid] if b is None else w[b.uid] * len(w) + w[a.uid]) in bits[tau]
-
-    def build(keep, arity):
-        # the set bits of the map holding exactly the elements or pairs `keep` accepts
-        out = {}
-        for tau in cone:
-            u = s.universe[tau]
-            cells = [(a,) for a in u] if arity == 1 else [(a, b) for b in u for a in u]
-            out[tau] = {i for i, c in enumerate(cells) if keep(tau, *c)}
-        return out
-
-    def draw(arity):
-        return rng.getrandbits(sum(len(where[tau]) ** arity for tau in cone))
-
-    domains = [lambda a, tau: a.ext[tau], lambda a, tau: s.universe[tau]]
-    domains += [lambda a, tau, p=p: p.ext[tau] for p in s.universe[sigma]]
-    bad = 0
-    for _ in range(draws):
-        for arity in (1, 2):
-            m1, m2 = draw(arity), draw(arity)
-            b1, b2 = blocks(m1, arity), blocks(m2, arity)
-            want = build(
-                lambda tau, *c: all(not has(b1, r, *c) for r in up_set(f, tau)), arity
-            )
-            bad += blocks(eng.interior(m1, arity), arity) != want
-            want = build(
-                lambda tau, *c: all(
-                    not has(b1, r, *c) or has(b2, r, *c) for r in up_set(f, tau)
-                ),
-                arity,
-            )
-            bad += blocks(eng.interior(m1 & ~m2, arity), arity) != want
-        m = draw(1)
-        b = blocks(m, 1)
-        for slot in (0, 1):
-            want = build(lambda tau, a, c: has(b, tau, (a, c)[slot]), 2)
-            bad += blocks(eng.layout.lift(m, 1 - slot), 2) != want
-        m2 = draw(2)
-        b2 = blocks(m2, 2)
-        checked = list(zip(eng.binders, domains))
-        if params is not None:
-            checked[2:] = rng.sample(checked[2:], min(params, len(checked) - 2))
-        for dom, members in checked:
-            want = build(
-                lambda tau, a: any(has(b2, tau, a, c) for c in members(a, tau)), 1
-            )
-            bad += blocks(eng.exists2(m2, dom), 1) != want
-            want = build(
-                lambda tau, a: all(
-                    has(b2, r, a, c) for r in up_set(f, tau) for c in members(a, r)
-                ),
-                1,
-            )
-            bad += blocks(eng.forall2(m2, dom), 1) != want
-    return bad
-
-
 def test_engine_cone_operations_match_their_definitions():
     # two definability steps make position maps that are not the identity
     # between a node and the nodes above it, so the run tables cut there
@@ -505,8 +429,8 @@ def test_engine_cone_operations_match_their_definitions():
         for _ in range(steps):
             stepped = def_step(stepped, DefConfig(formula_depth=1))
         for sigma in f.nodes:
-            assert _oracle_disagreements(s, sigma, rng, draws=4) == 0, (f.kind, sigma)
-            bad = _oracle_disagreements(stepped, sigma, rng, draws=1, params=3)
+            assert oracle_disagreements(s, sigma, rng, draws=4) == 0, (f.kind, sigma)
+            bad = oracle_disagreements(stepped, sigma, rng, draws=1, params=3)
             assert bad == 0, (f.kind, sigma, steps, "steps")
 
 
@@ -526,9 +450,10 @@ def test_lifts_on_a_long_chain_stay_within_their_budget():
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds the 1s budget"
 
 
-def test_an_engine_builds_one_layout_and_a_fixed_number_of_relations(monkeypatch):
-    # every atom is cut from the three pair relations, so the calls do not
-    # grow with the number of parameters, the universe at the birth node
+def test_the_engines_of_a_structure_share_one_layout_and_three_relations(monkeypatch):
+    # every atom is cut from the three pair relations, which the structure's
+    # one pair layout gives on the first harvest, so neither grows with the
+    # number of birth nodes or of parameters, the universe at a birth node
     counts = dict.fromkeys(("engines", "layouts", "relations"), 0)
 
     def counted(name, method):
@@ -542,14 +467,60 @@ def test_an_engine_builds_one_layout_and_a_fixed_number_of_relations(monkeypatch
     monkeypatch.setattr(_Layout, "__init__", counted("layouts", _Layout.__init__))
     monkeypatch.setattr(_Layout, "relation", counted("relations", _Layout.relation))
     s = uniformity_gap()  # one element more at each spoke of the fan
-    got, sizes = [], set()
+    sizes = set()
     for sigma in s.frame.nodes:
-        before = dict(counts)
         harvest_at(s, sigma, DefConfig(formula_depth=1))
-        got.append(tuple(counts[k] - before[k] for k in counts))
         sizes.add(len(s.universe[sigma]))
     assert len(sizes) > 1
-    assert got == [(1, 1, 3)] * len(s.frame.nodes)
+    assert counts == {"engines": len(s.frame.nodes), "layouts": 1, "relations": 3}
+
+
+def test_an_empty_cone_harvests_the_empty_set_without_an_engine(monkeypatch):
+    # a cone with no element has nothing to define but the empty set, born at
+    # its node: the closure would seed the empty map alone and stop after one
+    # quiet round
+    engines = []
+    init = _Engine.__init__
+
+    def counted(self, s, sigma, cfg):
+        engines.append(sigma)
+        init(self, s, sigma, cfg)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+
+    def late():
+        # an empty set born at node 0: node 1's cone is empty, the root's not
+        f = tree(2)
+        return structure_from_sets(f, (KripkeSet(f, "0", {"0": ()}),))
+
+    builds = (
+        lambda: empty_structure(chain(3)),
+        lambda: empty_structure(fan(3)),
+        lambda: empty_structure(tree(2)),
+        late,
+    )
+    empty_cones = 0
+    for depth in (1, 2, 4):
+        cfg = DefConfig(formula_depth=depth)
+        for build in builds:
+            s = build()  # a fresh frame, so that no harvest is interned yet
+            for sigma in s.frame.nodes:
+                empty = not any(s.universe[tau] for tau in up_set(s.frame, sigma))
+                engines.clear()
+                got = harvest_at(s, sigma, cfg)
+                assert engines == ([] if empty else [sigma])
+                assert harvest_classes(got) == harvest_classes(
+                    reference_harvest.harvest(s, sigma, cfg)
+                )
+                if empty:
+                    empty_cones += 1
+                    (x,), truncated, stabilized = got
+                    assert (x.label, x.birth, truncated, stabilized) == (
+                        f"def{sigma}#0", sigma, False, True
+                    )
+                    assert not any(x.ext.values())
+    # every node of the empty structures, and node 1 of the late one
+    assert empty_cones == 3 * (3 + 4 + 3 + 1)
 
 
 @pytest.mark.parametrize(
@@ -574,12 +545,18 @@ def test_pair_atom_maps_match_the_forced_relations(build):
         eng = _Engine(s, sigma, DefConfig())
         eq, mem, has, fixed, pairs = eng.atom_maps()
         params = s.universe[sigma]
+        # no map sets a bit outside the cone
+        for m, full in [(m, eng.full[1]) for m in pairs] + [
+            (m, eng.full[0]) for m in eq + mem + has + fixed
+        ]:
+            if m & ~full:
+                bad.append((sigma, "outside the cone", m & ~full))
         for tau in eng.cone:
             es = s.universe[tau]
             n = len(es)
             zone = forces(s, tau, _zone())
             for (i, a), (j, b) in itertools.product(enumerate(es), repeat=2):
-                got = tuple(bool(_block(eng, m, tau, 2) >> j * n + i & 1) for m in pairs)
+                got = tuple(bool(block(eng, m, tau, 2) >> j * n + i & 1) for m in pairs)
                 want = (
                     forced_member(f, tau, a, b),
                     forced_member(f, tau, b, a),
@@ -588,7 +565,7 @@ def test_pair_atom_maps_match_the_forced_relations(build):
                 if got != want:
                     bad.append((sigma, tau, i, j, got, want))
             for i, a in enumerate(es):
-                got = [bool(_block(eng, m, tau, 1) >> i & 1) for m in eq + mem + has + fixed]
+                got = [bool(block(eng, m, tau, 1) >> i & 1) for m in eq + mem + has + fixed]
                 want = [forced_equal(f, tau, a, p) for p in params]
                 want += [forced_member(f, tau, a, p) for p in params]
                 want += [forced_member(f, tau, p, a) for p in params]

@@ -14,9 +14,9 @@ import time
 import pytest
 
 from kripkelab import semantics
-from kripkelab.formula import Not, Param, params_of, parse, substitute
+from kripkelab.formula import Not, Param, params_of, parse, render, substitute
 from kripkelab.frame import chain, fan, tree
-from kripkelab.hierarchy import DefConfig, _Engine, empty_structure, powerset
+from kripkelab.hierarchy import DefConfig, _Engine, _zone, empty_structure, powerset
 from kripkelab.schema import CheckBounds, SchemaId, _stream, build_template, check_schema
 from kripkelab.semantics import KripkeSet, Sweep, forcing_mask, structure_from_sets
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
@@ -237,25 +237,35 @@ def test_a_two_parameter_sweep_over_v3_stays_within_its_budget():
 
 
 def test_an_engine_map_is_the_sweep_mask_of_its_formula():
-    # at the bottom, whose cone is the whole frame, the engine's maps of
-    # one variable are sweeps over #A and its pair maps sweeps over #A and
-    # #B, the defined variable being #A in the first and #B in the second
+    # at every birth node the engine's maps of one variable are sweeps over
+    # #A and its pair maps sweeps over #A and #B, the defined variable being
+    # #A in the first and #B in the second, cut down to the cone: a map of
+    # d digits is the sweep mask met with the engine's `full[d - 1]`
     compared = []
     for f in (chain(3), fan(3), tree(2)):
         s = canonical_structure(f)
-        eng = _Engine(s, f.bottom, DefConfig())
-        eq, mem, has, fixed, pairs = eng.atom_maps()
         one, two = Sweep(s, ("A",)), Sweep(s, ("A", "B"))
-        params = s.universe[f.bottom]
-        for name, p in s.names.items():
-            t = params.index(p)
-            for m, text in ((eq[t], "#A = #p"), (mem[t], "#A in #p"), (has[t], "#p in #A")):
-                phi = parse(text.replace("#p", f"#{name}"))
-                compared.append((f.kind, name, text, m == one.forcing_mask(phi)))
-                negated = one.forcing_mask(Not(phi))
-                compared.append((f.kind, name, "~" + text, eng.interior(m, 1) == negated))
-        compared.append((f.kind, "#A in #A", fixed[1] == one.forcing_mask(parse("#A in #A"))))
-        for m, text in zip(pairs, ("#B in #A", "#A in #B", "#B = #A")):
-            compared.append((f.kind, text, m == two.forcing_mask(parse(text))))
-    assert len(compared) == 180
+
+        def swept(text, digits=1, negate=False):
+            phi = parse(text)
+            return (two if digits == 2 else one).forcing_mask(Not(phi) if negate else phi)
+
+        for sigma in f.nodes:
+            eng = _Engine(s, sigma, DefConfig())
+            eq, mem, has, fixed, pairs = eng.atom_maps()
+            full1, full2 = eng.full
+            params = s.universe[sigma]
+            for name, p in s.names.items():
+                t = params.index(p)
+                for m, text in ((eq[t], "#A = #p"), (mem[t], "#A in #p"), (has[t], "#p in #A")):
+                    text = text.replace("#p", f"#{name}")
+                    compared.append((f.kind, sigma, text, m == swept(text) & full1))
+                    negated = swept(text, negate=True) & full1
+                    compared.append((f.kind, sigma, "~" + text, eng.interior(m, 1) == negated))
+            # the fixed maps: true, `#A in #A` and the zone, a sentence
+            for m, text in zip(fixed, ("#A = #A", "#A in #A", render(_zone()))):
+                compared.append((f.kind, sigma, text, m == swept(text) & full1))
+            for m, text in zip(pairs, ("#B in #A", "#A in #B", "#B = #A")):
+                compared.append((f.kind, sigma, text, m == swept(text, 2) & full2))
+    assert len(compared) == 624
     assert [c for c in compared if not c[-1]] == []
