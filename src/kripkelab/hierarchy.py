@@ -64,6 +64,7 @@ from .semantics import (
     _fresh,
     _Layout,
     alive,
+    class_at,
     empty_structure,
     forces,
     forcing_mask,
@@ -352,7 +353,7 @@ def _grow(s: Structure, candidates) -> Structure:
     for sigma in linear_extension(f):
         cands = candidates(sigma)
         old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
-        new_by_node[sigma] = _fresh(cands, sigma, old)
+        new_by_node[sigma] = _fresh(cands, sigma, {class_at(o, sigma) for o in old})
         carried += new_by_node[sigma]
     universe = {
         tau: s.universe[tau]
@@ -406,24 +407,29 @@ def def_along(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
         }
         universe: dict[str, tuple[KripkeSet, ...]] = {}
         truncated = stabilized = False
-        order = linear_extension(f)
-        for tau in order:
+        for tau in linear_extension(f):
+            # the nodes done so far, in order, that lie below tau
+            t = f.pos[tau]
             pool = {
                 e.uid: e
-                for rho in order
-                if rho != tau and leq(f, rho, tau)
-                for e in universe[rho]
+                for rho, elems in universe.items()
+                if f.masks[f.pos[rho]] >> t & 1
+                for e in elems
             }
+            # the class labels at tau of everything pooled, which is alive there
+            known = {class_at(e, tau) for e in pool.values()}
             if alive(x, tau):
                 for m in x.ext[tau]:
                     tower = member_towers[m.uid]
                     for e in tower.universe[tau]:
-                        pool.setdefault(e.uid, e)
+                        if e.uid not in pool:
+                            pool[e.uid] = e
+                            known.add(class_at(e, tau))
                     born, trunc, stab = harvest_at(tower, tau, cfg)
                     truncated |= trunc
                     stabilized |= stab
-                    # everything pooled at tau is alive there
-                    pool.update((c.uid, c) for c in _fresh(born, tau, pool.values()))
+                    # a harvest forced equal to one pooled is dropped
+                    pool.update((c.uid, c) for c in _fresh(born, tau, known))
             universe[tau] = tuple(pool.values())
         out = Structure(frame=f, universe=universe, names={})
         out.meta["truncated"] = truncated

@@ -21,6 +21,11 @@ their notes; those are checked first, each forced on a template built
 around its own formula in a sweep with no names, so a designed failure is
 the one reported.  Every sweep a check makes owns its memo, so no check
 writes the frame's.
+
+Epsilon induction is decided by well-foundedness, not by its sweep: a
+set's members are built before it, so every structure forces every
+instance.  Its entry says so (`valid`), and a check counts its swept
+instances without forcing any; the per-instance sweep is kept as a test.
 """
 
 from __future__ import annotations
@@ -151,9 +156,11 @@ class _Entry(_Record):
     function of the instance formula, and that formula's slot: the
     `classify` classes allowed (() allows any), the free variables allowed
     and swept, the parts of the swept `formula_stream`, and the max_params
-    at which #p joins them.  An axiom has no slot: `classes` is None."""
+    at which #p joins them.  An axiom has no slot: `classes` is None.
+    `valid` marks a schema that every structure forces at every instance,
+    so a check counts its swept instances and forces none of them."""
 
-    __slots__ = ("noun", "template", "classes", "variables", "kinds", "p_from")
+    __slots__ = ("noun", "template", "classes", "variables", "kinds", "p_from", "valid")
 
     def __init__(
         self,
@@ -163,8 +170,9 @@ class _Entry(_Record):
         variables: tuple[str, ...] = (),
         kinds: tuple[type | None, ...] = (None,),
         p_from: int = 2,
+        valid: bool = False,
     ):
-        self._fill(noun, template, classes, variables, kinds, p_from)
+        self._fill(noun, template, classes, variables, kinds, p_from, valid)
 
 
 def _sentence(text: str) -> Callable[[None], Formula]:
@@ -225,6 +233,11 @@ _CATALOGUE = {
         lambda phi: Implies(Forall("A", None, relativize(phi, Var("A"))), phi),
         ("Delta0", "Pi"), (), (None, Forall), 1,
     ),
+    # valid: a set's members are built before it (`KripkeSet`), so
+    # membership is well founded, and if sigma forces the hypothesis then,
+    # by induction on that order, every tau >= sigma forces phi(x) for each
+    # x in U(tau): each member y of x listed at a rho >= tau is listed in
+    # U(rho) and comes before x, so rho forces phi(y)
     SchemaId.EPSILON_INDUCTION: _Entry(
         "induction",
         lambda phi: Implies(
@@ -232,7 +245,7 @@ _CATALOGUE = {
             Forall("a", None, Implies(Forall("a", Var("a"), phi), phi)),
             Forall("a", None, phi),
         ),
-        (), ("a",),
+        (), ("a",), valid=True,
     ),
     SchemaId.PI2_REFLECTION: _Entry(
         "Pi2Reflection",
@@ -333,9 +346,10 @@ def check_schema(
     assignments at all nodes, and each instance reads one bit of that mask:
     a node's assignments are one block of bits in product order, read in
     one step when all hold; only a failing node is walked, in assignment
-    order, to its first failing assignment.  The templates, the sweeps
-    and the masks they keep, in memos of their own, are dropped on
-    return."""
+    order, to its first failing assignment.  The swept instances of a
+    valid schema (see `_Entry`) are counted, not forced.  The templates,
+    the sweeps and the masks they keep, in memos of their own, are dropped
+    on return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -360,19 +374,49 @@ def check_schema(
                     note = inst.label or "designated instance"
 
     count, formulas = _stream(schema, bounds)
-    # per parameter shape of the swept formulas, () or ("p",): the hole, the
-    # template built around it and the sweep over the template's parameters
+    if failure is None:
+        swept = _count_swept if _CATALOGUE[schema].valid else _force_swept
+        checked, failure = swept(s, schema, formulas, nodes)
+        instances += checked
+    return CheckReport(
+        schema=schema,
+        holds=failure is None,
+        counterexample=failure,
+        note=note if failure is not None else "",
+        stats={
+            "formulas": count,
+            "nodes": len(nodes),
+            "instances": instances,
+            "designated": designated,
+        },
+    )
+
+
+def _around_hole(
+    entry: _Entry, shape: tuple[str, ...]
+) -> tuple[Hole | None, Formula, tuple[str, ...]]:
+    """The hole that stands for the swept formulas of one parameter shape,
+    () or ("p",), none for an axiom; the template built around it; and the
+    template's parameters, which an assignment binds: #A, then #p."""
+    hole = None if entry.classes is None else Hole("%", entry.variables, shape)
+    template = entry.template(hole)
+    return hole, template, tuple(sorted(params_of(template)))
+
+
+def _force_swept(
+    s: Structure, schema: SchemaId, formulas: Iterator[Formula | None], nodes: tuple[str, ...]
+) -> tuple[int, tuple | None]:
+    """The swept instances checked and the first that fails, if any: per
+    parameter shape one template and one sweep over its parameters, forced
+    once per formula."""
+    instances = 0
     shapes: dict[tuple[str, ...], tuple[Hole | None, Formula, Sweep]] = {}
     for phi in formulas:
-        if failure is not None:
-            break
         entry = _slot(schema, phi)
         shape = () if phi is None else facts(phi)[3]
         got = shapes.get(shape)
         if got is None:
-            hole = None if phi is None else Hole("%", entry.variables, shape)
-            template = entry.template(hole)
-            names = tuple(sorted(params_of(template)))  # assignments try #A, then #p
+            hole, template, names = _around_hole(entry, shape)
             got = shapes[shape] = hole, template, Sweep(s, names)
         hole, template, sweep = got
         names = sweep.names
@@ -390,21 +434,27 @@ def check_schema(
             for values in itertools.product(s.universe[sigma], repeat=len(names)):
                 instances += 1
                 if not held >> sweep.position(values, sigma) & 1:
-                    failure = _counterexample(schema, phi, dict(zip(names, values)), sigma)
-                    break
-            break
-    return CheckReport(
-        schema=schema,
-        holds=failure is None,
-        counterexample=failure,
-        note=note if failure is not None else "",
-        stats={
-            "formulas": count,
-            "nodes": len(nodes),
-            "instances": instances,
-            "designated": designated,
-        },
-    )
+                    return instances, _counterexample(schema, phi, dict(zip(names, values)), sigma)
+    return instances, None
+
+
+def _count_swept(
+    s: Structure, schema: SchemaId, formulas: Iterator[Formula], nodes: tuple[str, ...]
+) -> tuple[int, None]:
+    """The swept instances of a valid schema, none forced: each formula, in
+    stream order and checked against the slot, adds |U(sigma)| ** k over
+    the nodes in scope, k the number of its template's parameters."""
+    instances = 0
+    shapes: dict[tuple[str, ...], int] = {}
+    for phi in formulas:
+        entry = _slot(schema, phi)
+        shape = facts(phi)[3]
+        got = shapes.get(shape)
+        if got is None:
+            k = len(_around_hole(entry, shape)[2])
+            got = shapes[shape] = sum(len(s.universe[sigma]) ** k for sigma in nodes)
+        instances += got
+    return instances, None
 
 
 # ------------------------------------------------- three-way verdict table

@@ -99,7 +99,11 @@ _uid_counter = itertools.count()
 
 
 class KripkeSet:
-    """Immutable by convention; build the extension map fully, then freeze."""
+    """Immutable by convention; build the extension map fully, then freeze.
+
+    Every member predates its set, so its `uid` is smaller and membership
+    is well founded: `_labels` recurses into members and always ends, and
+    `schema` reports epsilon induction forced without a sweep."""
 
     __slots__ = ("frame", "birth", "ext", "uid", "label", "cone", "classes", "member_labels", "listing")
 
@@ -183,10 +187,10 @@ def class_at(x: KripkeSet, sigma: str) -> int:
     return labels[sigma]
 
 
-def _fresh(cands, sigma: str, old=()) -> list[KripkeSet]:
-    """The earliest candidate of each forced-equality class at sigma that no
-    set in `old` belongs to."""
-    known = {class_at(o, sigma) for o in old}
+def _fresh(cands, sigma: str, known: set[int] | None = None) -> list[KripkeSet]:
+    """The earliest candidate of each forced-equality class at sigma whose
+    class label is not in `known`; the labels of those kept join it."""
+    known = set() if known is None else known
     out = []
     for cand in cands:
         c = class_at(cand, sigma)

@@ -17,6 +17,11 @@ with their definitions (`util.oracle_disagreements`).
 budget, and a longer run calls it directly, for example
 
     PYTHONPATH=src:tests python -c "from test_differential import fuzz; print(fuzz(range(1500), range(60), range(300)))"
+
+`induction` compares epsilon-induction's report, whose swept instances
+are counted and not forced, with the reference sweep over more seeds:
+
+    PYTHONPATH=src:tests python -c "from test_differential import induction; print(induction(range(1000)))"
 """
 
 import random
@@ -157,6 +162,28 @@ def _harvests(f: Frame, pair, rng: random.Random) -> tuple[int, list]:
             if off:
                 bad.append(("cone operations", s.uid, sigma, off))
     return checks, bad
+
+
+def induction(seeds) -> tuple[int, list[str]]:
+    """The epsilon-induction reports of both structures of each seed whose
+    larger one lists at most SCHEMA_ELEMENTS elements, at each of
+    SCHEMA_BOUNDS, against the per-instance reference sweep: the checks
+    made and one message per disagreeing seed.  The check counts the swept
+    instances that the reference forces one by one."""
+    checks, failures = 0, []
+    for seed in seeds:
+        rng = random.Random(seed)
+        f = random_frame(rng)
+        pair = structures(f, rng)
+        if len(pair[1].listing) > SCHEMA_ELEMENTS:
+            continue
+        for s in pair:
+            for bounds in SCHEMA_BOUNDS:
+                checks += 1
+                got = check_schema(s, SchemaId.EPSILON_INDUCTION, bounds)
+                if got != reference_check(s, SchemaId.EPSILON_INDUCTION, bounds):
+                    failures.append(f"seed {seed}, frame {dump_frame(f)!r}: {bounds}")
+    return checks, failures
 
 
 def fuzz(seeds, schema_seeds=(), harvest_seeds=()) -> tuple[int, list[str]]:

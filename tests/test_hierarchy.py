@@ -251,7 +251,7 @@ def test_the_closure_stops_once_its_harvest_is_decided(frame, depth, stop, full)
     assert len(pool) == stop
     assert len(pool) - len(eng.mem) >= HARVEST_CAP + 1
     assert (eng.truncated, eng.stabilized) == (True, False)
-    maps = reference_harvest.closure(_Engine(s, s.frame.bottom, cfg))[0]
+    maps = reference_harvest.closure(s, s.frame.bottom, cfg)[0]
     assert len(maps) == full and maps[:stop] == pool
 
 
@@ -270,7 +270,7 @@ def test_the_first_quiet_round_ends_the_closure(monkeypatch):
     pool = eng.run()
     # each round calls connectives once per arity: one round ran, not two
     assert calls == [1, 2]
-    want = reference_harvest.closure(_Engine(s, "0", cfg))
+    want = reference_harvest.closure(s, "0", cfg)
     assert (pool, eng.truncated, eng.stabilized) == (want[0], *want[2:])
     assert (eng.truncated, eng.stabilized) == (False, True)
 

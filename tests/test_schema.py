@@ -290,6 +290,88 @@ def test_check_schema_matches_the_per_node_reference_sweep(fixtures_dir):
     assert disagreements == []
 
 
+def _induction_structures(fixtures_dir):
+    """The benchmark's seven structures, then V_2 over chain(2) and over
+    fan(2)."""
+    corpus = sorted((fixtures_dir / "corpus").glob("*.struct"))
+    structures = [canonical_structure(f) for f in (tree(2), chain(3), fan(3))]
+    structures += [load_structure(p) for p in corpus] + [uniformity_gap()]
+    for f in (chain(2), fan(2)):
+        v = empty_structure(f)
+        for _ in range(2):
+            v = powerset(v)
+        structures.append(v)
+    assert len(structures) == 9
+    return structures
+
+
+def test_members_come_before_their_sets(fixtures_dir):
+    # the order that epsilon-induction's verdict rests on: a member is
+    # built, and so numbered, before every set that lists it
+    for s in _induction_structures(fixtures_dir):
+        for tau, elems in s.universe.items():
+            assert all(m.uid < x.uid for x in elems for m in x.ext[tau]), (s.frame.kind, tau)
+
+
+def test_epsilon_induction_is_counted_as_the_reference_sweep_forces_it(fixtures_dir):
+    # the count against one `forces` call per instance, at depths 0 and 1
+    # with 0-2 parameters in both scopes; at depth 2 both raise on the
+    # first formula that leaks a bound name
+    structures = _induction_structures(fixtures_dir)
+    bounds = [
+        CheckBounds(d, p, scope)
+        for d in (0, 1)
+        for p in (0, 1, 2)
+        for scope in ("all", "bottom")
+    ]
+    disagreements = []
+    for b in bounds:
+        for i, s in enumerate(structures):
+            got = _outcome(check_schema, s, SchemaId.EPSILON_INDUCTION, b)
+            want = _outcome(reference_check, s, SchemaId.EPSILON_INDUCTION, b)
+            assert want[0] is True
+            if got != want:
+                disagreements.append((i, b))
+    assert disagreements == []
+    error = ("ValueError", "induction instances may mention a only")
+    for s in structures[:2]:
+        for b in (CheckBounds(2, 1, "bottom"), CheckBounds(2, 1)):
+            assert _outcome(check_schema, s, SchemaId.EPSILON_INDUCTION, b) == error
+            assert _outcome(reference_check, s, SchemaId.EPSILON_INDUCTION, b) == error
+
+
+def test_epsilon_induction_forces_no_swept_instance(monkeypatch, fixtures_dir):
+    # with no designated instance the check builds no sweep, layout or
+    # fill and compiles nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("an epsilon-induction sweep forced something")
+
+    structures = _induction_structures(fixtures_dir)
+    want = [reference_check(s, SchemaId.EPSILON_INDUCTION, CheckBounds(1, 2)) for s in structures]
+    for name in ("schema.Sweep", "schema.Fill", "semantics._Layout", "semantics._body"):
+        monkeypatch.setattr(f"kripkelab.{name}", refuse)
+    got = [check_schema(s, SchemaId.EPSILON_INDUCTION, CheckBounds(1, 2)) for s in structures]
+    assert got == want
+    assert all(r.holds and r.stats["designated"] == 0 for r in got)
+
+
+def test_a_designated_induction_instance_is_still_forced():
+    # one that holds is counted with the sweep; one whose parameter is dead
+    # at its pinned node raises, as any designated instance does
+    f = chain(2)
+    late = KripkeSet(f, "1", {"1": ()}, "late")
+    universe = {"0": (), "1": (late,)}
+    held = DesignatedInstance(SchemaId.EPSILON_INDUCTION, "a in #p", (("p", "late"),), "1")
+    s = Structure(f, universe, {"late": late}, (held,))
+    report = check_schema(s, SchemaId.EPSILON_INDUCTION, CheckBounds(0, 0))
+    assert report == reference_check(s, SchemaId.EPSILON_INDUCTION, CheckBounds(0, 0))
+    assert report.holds and report.stats["designated"] == 1
+    dead = DesignatedInstance(SchemaId.EPSILON_INDUCTION, "a in #p", (("p", "late"),), "0")
+    s = Structure(f, universe, {"late": late}, (dead,))
+    with pytest.raises(EvalError, match="parameter born at '1' is dead at '0'"):
+        check_schema(s, SchemaId.EPSILON_INDUCTION, CheckBounds(1, 1))
+
+
 def _nodes(formulas) -> set[int]:
     """The ids of the distinct formula nodes of the formulas."""
     seen, todo = set(), list(formulas)

@@ -89,7 +89,7 @@ REPRS = [
         _Entry("comprehension", Not, ("Delta0",), ("x",), (None, Exists), 2),
         "_Entry(noun='comprehension', template=<class 'kripkelab.formula.Not'>, "
         "classes=('Delta0',), variables=('x',), "
-        "kinds=(None, <class 'kripkelab.formula.Exists'>), p_from=2)",
+        "kinds=(None, <class 'kripkelab.formula.Exists'>), p_from=2, valid=False)",
     ),
     (
         CheckReport(SchemaId.PAIRING, True, None, "n", {"instances": 3}),
