@@ -127,15 +127,14 @@ class Frame:
         self, nodes: tuple[str, ...], covers: Iterable[tuple[str, str]], kind: str = "explicit"
     ):
         self.nodes, self.kind = nodes, kind
-        # Per-frame tables: the up-sets read so far (`up_set` fills it) and
-        # the same listed top nodes first (`top_first`), the intern table of
-        # forced-equality class labels (semantics; node names and ints
-        # only, no sets), the forcing masks of all structures on the frame
-        # keyed by formula serial (semantics; no formulas), and the one
-        # pool of interned sets, harvests and towers (construct).
+        # Per-frame tables: the up-sets read so far (`up_set` fills it), the
+        # intern table of forced-equality class labels (semantics; node
+        # names and ints only, no sets), the forcing masks of all structures
+        # on the frame keyed by formula serial (semantics; no formulas), and
+        # the one pool of interned sets, harvests and towers (construct).
         # The intern table grows with the number of distinct classes ever
         # labelled and is never reset: labels stored on sets point into it.
-        self.up, self.tops, self.classes, self.memo, self.constructs = {}, {}, {}, {}, {}
+        self.up, self.classes, self.memo, self.constructs = {}, {}, {}, {}
         pos = {n: i for i, n in enumerate(nodes)}
         if len(pos) != len(nodes):
             dup = next(n for i, n in enumerate(nodes) if pos[n] != i)
@@ -221,17 +220,6 @@ def up_set(f: Frame, a: str) -> tuple[str, ...]:
         _require(f, a)
         ups = f.up[a] = tuple(f.nodes[j] for j in _bits(f.masks[f.pos[a]]))
     return ups
-
-
-def top_first(f: Frame, a: str) -> tuple[str, ...]:
-    """The nodes >= a, top nodes first, so that each follows every node that
-    covers it: built from `up_set` on first read."""
-    tops = f.tops.get(a)
-    if tops is None:
-        # strictly above implies a strictly smaller up-set; the sort is stable
-        ups = up_set(f, a)
-        tops = f.tops[a] = tuple(sorted(ups, key=lambda t: f.masks[f.pos[t]].bit_count()))
-    return tops
 
 
 def linear_extension(f: Frame) -> list[str]:

@@ -13,20 +13,23 @@ each cone node's universe, or per pair for maps of two variables, and none
 outside the cone.  That layout, the pair maps of `a in b`, `b in a` and
 `a = b` and the zone's map are built once per structure, on the first
 harvest that needs an engine, and kept on it (`Structure._engine_setup`);
-each engine cuts them down to its cone.  It seeds the pool with the pair
-maps and every atom of one variable cut from them, and closes under the
-connective and quantifier operations round by round.  A cone with no
-element needs no engine: its closure holds the empty map alone and its
-first round is quiet.  Maps are saturated under forced equality
-automatically because the atoms are, so distinct maps denote semantically
-distinct sets and map equality is an exact deduplication rule.
+each engine reads them whole and keeps only its cone's `full` masks.  It
+seeds the pool with the pair maps and every atom of one variable, met with
+the cone, and closes under the connective and quantifier operations round
+by round.  A cone with no element needs no engine: its closure holds the
+empty map alone and its first round is quiet.  Maps are saturated under
+forced equality automatically because the atoms are, so distinct maps
+denote semantically distinct sets and map equality is an exact
+deduplication rule.
 
 Conjunction and disjunction are `&` and `|` on the whole map, and the
 existential binder ORs columns of a pair map into place, one precomputed
 shift per column.  Negation, implication and the universal binder are one
 Heyting interior: keep the positions whose image at every node above lies
-outside a "bad" mask, forcing's `frame.hits` over the cone's runs,
-memoized for the engine's lifetime.  Negation takes the map itself as the
+outside a "bad" mask: the cone's `full` mask less forcing's `frame.hits`
+over the layout's runs, the clause forcing uses for negation, memoized for
+the engine's lifetime.  Runs from below the cone only write bits below it,
+which the meet with `full` drops.  Negation takes the map itself as the
 bad mask, implication `m1 & ~m2`, and the universal binder the positions
 with a missing pair in the binder's domain.  A map of the defined variable
 enters the pair pool in either digit through the layout's `lift`.
@@ -148,27 +151,27 @@ class _Engine:
     there, so column j is a contiguous stretch of bits.  A map of one
     variable reads as a pair map through `_Layout.lift`.  A map is the sweep
     mask of its formula within the cone, #A the defined variable, or #A for
-    j and #B for i.  `full` and `runs` are the layout's cut down to the cone
-    (`_Layout.within`).  `interiors` memoizes `interior` per arity, which
-    also gives implication.  `binders` are the domains of the second
-    variable: the defined variable's members, the universe, then each
-    parameter's members; a parameter's `columns` domain holds it alone.  A
-    domain is a list of (column shift, column mask, target shift) triples,
-    one per nonempty column: the positions i whose domain holds the column's
-    element.
+    j and #B for i.  `full` holds every position of the cone per arity;
+    the layout's cells and runs are read whole.  `interiors` memoizes
+    `interior` per arity, which also gives implication.  `binders` are the
+    domains of the second variable: the defined variable's members, the
+    universe, then each parameter's members; a parameter's `columns` domain
+    holds it alone.  A domain is a list of (column shift, column mask,
+    target shift) triples, one per nonempty column: the positions i whose
+    domain holds the column's element.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
         f = s.frame
         self.s, self.cfg, self.cone = s, cfg, up_set(f, sigma)
         self.layout = lay = _engine_setup(s)[0]
-        self.cells = [lay.cells[tau] for tau in self.cone]
-        self.full, self.runs = lay.within(f.masks[f.pos[sigma]])
+        self.full = tuple(lay.spread(f.masks[f.pos[sigma]], d) for d in (1, 2))
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = self.stabilized = False
         params = s.universe[sigma]
         own, every, each, self.columns = [], [], [[] for _ in params], [[] for _ in params]
-        for tau, (n, (o1, o2), _) in zip(self.cone, self.cells):
+        for tau in self.cone:
+            n, (o1, o2), _ = lay.cells[tau]
             index, listed, r = lay.index[tau], lay.listed[tau], (1 << n) - 1
             own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
             every += [(o2 + j * n, r, o1) for j in range(n)]
@@ -202,7 +205,7 @@ class _Engine:
         memo = self.interiors[arity - 1]
         out = memo.get(bad)
         if out is None:
-            out = memo[bad] = self.full[arity - 1] ^ hits(self.runs[arity - 1], bad)
+            out = memo[bad] = self.full[arity - 1] & ~hits(self.layout.runs[arity - 1], bad)
         return out
 
     def exists2(self, m2: int, dom) -> int:
@@ -277,8 +280,8 @@ class _Engine:
                 # pool2 is never full here: a full pool ends the loop
                 # in a pair map the defined variable is digit 1, the second digit 0
                 for m in base1:
-                    push2(lift(m, 1, self.cells))
-                    push2(lift(m, 0, self.cells))
+                    push2(lift(m, 1))
+                    push2(lift(m, 0))
                 self.connectives(pool2, push2, base2, 2)
                 for m in pool2[bound:]:
                     if len(pool1) >= POOL_CAP:
@@ -301,7 +304,8 @@ class _Engine:
 
     def decode(self, m: int) -> dict[str, tuple[KripkeSet, ...]]:
         out = {}
-        for tau, (n, (one, _), _) in zip(self.cone, self.cells):
+        for tau in self.cone:
+            n, (one, _), _ = self.layout.cells[tau]
             # bit i keeps element i: binary digits lowest first, as bytes 0, 1
             bits = bin(m >> one & (1 << n) - 1)[:1:-1].encode().translate(_BITS)
             out[tau] = tuple(compress(self.s.universe[tau], bits))

@@ -346,10 +346,11 @@ def check_schema(
     assignments at all nodes, and each instance reads one bit of that mask:
     a node's assignments are one block of bits in product order, read in
     one step when all hold; only a failing node is walked, in assignment
-    order, to its first failing assignment.  The swept instances of a
-    valid schema (see `_Entry`) are counted, not forced.  The templates,
-    the sweeps and the masks they keep, in memos of their own, are dropped
-    on return."""
+    order, to its first failing assignment.  One loop does it all
+    (`_sweep`): it counts, and forces none of, the swept instances of a
+    valid schema (see `_Entry`) and those at a node whose universe gives
+    no assignment.  The templates, the sweeps and the masks they keep, in
+    memos of their own, are dropped on return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -375,8 +376,7 @@ def check_schema(
 
     count, formulas = _stream(schema, bounds)
     if failure is None:
-        swept = _count_swept if _CATALOGUE[schema].valid else _force_swept
-        checked, failure = swept(s, schema, formulas, nodes)
+        checked, failure = _sweep(s, schema, formulas, nodes)
         instances += checked
     return CheckReport(
         schema=schema,
@@ -392,68 +392,44 @@ def check_schema(
     )
 
 
-def _around_hole(
-    entry: _Entry, shape: tuple[str, ...]
-) -> tuple[Hole | None, Formula, tuple[str, ...]]:
-    """The hole that stands for the swept formulas of one parameter shape,
-    () or ("p",), none for an axiom; the template built around it; and the
-    template's parameters, which an assignment binds: #A, then #p."""
-    hole = None if entry.classes is None else Hole("%", entry.variables, shape)
-    template = entry.template(hole)
-    return hole, template, tuple(sorted(params_of(template)))
-
-
-def _force_swept(
+def _sweep(
     s: Structure, schema: SchemaId, formulas: Iterator[Formula | None], nodes: tuple[str, ...]
 ) -> tuple[int, tuple | None]:
-    """The swept instances checked and the first that fails, if any: per
-    parameter shape one template and one sweep over its parameters, forced
-    once per formula."""
+    """The swept instances checked and the first that fails, if any.  Per
+    parameter shape, () or ("p",), one hole stands for the swept formulas
+    (none for an axiom), one template is built around it, and one sweep
+    over the template's parameters, #A then #p, forces it once per formula.
+    Node sigma holds |U(sigma)| ** k instances, k the number of those
+    parameters.  A valid schema (see `_Entry`) builds no sweep: each
+    formula, in stream order and checked against the slot, is counted and
+    none is forced; so is a node whose universe gives no assignment."""
     instances = 0
-    shapes: dict[tuple[str, ...], tuple[Hole | None, Formula, Sweep]] = {}
+    shapes: dict[tuple[str, ...], tuple[Hole | None, Formula, tuple[str, ...], Sweep | None]] = {}
     for phi in formulas:
         entry = _slot(schema, phi)
         shape = () if phi is None else facts(phi)[3]
         got = shapes.get(shape)
         if got is None:
-            hole, template, names = _around_hole(entry, shape)
-            got = shapes[shape] = hole, template, Sweep(s, names)
-        hole, template, sweep = got
-        names = sweep.names
+            hole = None if entry.classes is None else Hole("%", entry.variables, shape)
+            template = entry.template(hole)
+            names = tuple(sorted(params_of(template)))
+            got = shapes[shape] = hole, template, names, None if entry.valid else Sweep(s, names)
+        hole, template, names, sweep = got
         held = None
         for sigma in nodes:
-            here, listed = sweep.scope(sigma)
-            if not here:
-                continue
-            if held is None:
-                env = {} if hole is None else {hole.name: Fill(s.frame, phi)}
-                held = sweep.forcing_mask(template, env)
-            if held & listed == listed:
-                instances += here
-                continue
-            for values in itertools.product(s.universe[sigma], repeat=len(names)):
-                instances += 1
-                if not held >> sweep.position(values, sigma) & 1:
-                    return instances, _counterexample(schema, phi, dict(zip(names, values)), sigma)
-    return instances, None
-
-
-def _count_swept(
-    s: Structure, schema: SchemaId, formulas: Iterator[Formula], nodes: tuple[str, ...]
-) -> tuple[int, None]:
-    """The swept instances of a valid schema, none forced: each formula, in
-    stream order and checked against the slot, adds |U(sigma)| ** k over
-    the nodes in scope, k the number of its template's parameters."""
-    instances = 0
-    shapes: dict[tuple[str, ...], int] = {}
-    for phi in formulas:
-        entry = _slot(schema, phi)
-        shape = facts(phi)[3]
-        got = shapes.get(shape)
-        if got is None:
-            k = len(_around_hole(entry, shape)[2])
-            got = shapes[shape] = sum(len(s.universe[sigma]) ** k for sigma in nodes)
-        instances += got
+            here = len(s.universe[sigma]) ** len(names)
+            if sweep is not None and here:
+                if held is None:
+                    env = {} if hole is None else {hole.name: Fill(s.frame, phi)}
+                    held = sweep.forcing_mask(template, env)
+                listed = (1 << here) - 1 << sweep.position((), sigma)
+                if held & listed != listed:
+                    product = itertools.product(s.universe[sigma], repeat=len(names))
+                    for k, values in enumerate(product, 1):
+                        if not held >> sweep.position(values, sigma) & 1:
+                            failure = _counterexample(schema, phi, dict(zip(names, values)), sigma)
+                            return instances + k, failure
+            instances += here
     return instances, None
 
 

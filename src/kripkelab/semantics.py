@@ -13,9 +13,8 @@ and x's own labels at the nodes that cover tau (`Frame.succ`).  Two sets
 alive at tau are forced equal there iff their labels agree: by induction
 from the top, labels that agree at every cover agree at every node above.
 A set's labels are computed the first time a question needs them, top
-nodes first, in the order `frame.top_first` sorts once per birth node, and
-the intern table is one per frame (`Frame.classes`), holding node names
-and ints only.
+nodes first, and the intern table is one per frame (`Frame.classes`),
+holding node names and ints only.
 
 `forces` runs compiled code, not an interpreter, and decides a set of nodes
 at once (global model checking).  Each formula node is compiled once, the
@@ -93,7 +92,7 @@ from .formula import (
     relativize,
     render,
 )
-from .frame import Frame, _require, hits, top_first, up_set
+from .frame import Frame, _require, hits, up_set
 
 _uid_counter = itertools.count()
 
@@ -168,9 +167,9 @@ def _labels(x: KripkeSet) -> dict[str, int]:
     """x's class label at each node of its cone."""
     if x.classes is None:
         f, lab = x.frame, {}
-        # x's cone is the up-set of its birth; covers come first, and a
-        # member is alive wherever it is listed
-        for tau in top_first(f, x.birth):
+        # covers have strictly smaller up-sets, so they come first; a member
+        # is alive wherever it is listed
+        for tau in sorted(x.ext, key=lambda t: f.masks[f.pos[t]].bit_count()):
             members = tuple(sorted({(m.classes or _labels(m))[tau] for m in x.ext[tau]}))
             above = tuple(lab[rho] for rho in f.succ[tau])
             lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
@@ -442,14 +441,12 @@ class _Layout:
     patterns.  Per digit count d (at d - 1) a map has `bits` positions,
     `full` sets them all, and `runs` are `hits` runs per covering pair in
     `Frame.runs` order, each carrying consecutive positions to consecutive
-    images at the cover; `spans` says, per covering pair in that order,
-    where its runs start and stop in each digit count's, so `within` cuts
-    out a cone's.  Per node, one bit per element: `index` places an
+    images at the cover.  Per node, one bit per element: `index` places an
     element; `same` maps a class label, `holders` a member's class and
     `listed` a member to the elements that have it."""
 
     __slots__ = (
-        "frame", "universe", "k", "cells", "bits", "full", "runs", "spans",
+        "frame", "universe", "k", "cells", "bits", "full", "runs",
         "index", "same", "holders", "listed",
     )
 
@@ -472,10 +469,9 @@ class _Layout:
                 c = m.classes[tau]  # x's labels are built from its members'
                 holders[c] = holders.get(c, 0) | bits
         self.bits, self.full = width, tuple((1 << w) - 1 for w in width)
-        self.runs, self.spans = [[] for _ in range(k)], []
+        self.runs = [[] for _ in range(k)]
         for a, _, b in frame.runs:
             tau, rho = frame.nodes[a], frame.nodes[b]
-            starts = [len(runs) for runs in self.runs]
             img = [self.index[rho][x] for x in universe[tau]]
             src, tgt = self.cells[tau][1], self.cells[rho][1]
             cut, step, above = [[0, 0, 1]], 1, 1
@@ -490,7 +486,6 @@ class _Layout:
                             cut.append([p, q, w])
                 step, above = step * len(img), above * len(universe[rho])
                 self.runs[d] += [(src[d] + p, (1 << w) - 1, tgt[d] + q) for p, q, w in cut]
-            self.spans.append(tuple(zip(starts, map(len, self.runs))))
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
         """The bit of the tuple of values, each listed at sigma, at sigma."""
@@ -508,23 +503,11 @@ class _Layout:
                 out |= (1 << n**d) - 1 << offs[d - 1]
         return out
 
-    def within(self, nodes: int) -> tuple[tuple[int, ...], list[list]]:
-        """`full` and `runs` cut down to the nodes of an up-closed node mask:
-        every position there, and the runs of the covering pairs from
-        there, whose covers lie there too."""
-        runs = [[] for _ in range(self.k)]
-        for (a, _, _), span in zip(self.frame.runs, self.spans):
-            if nodes >> a & 1:
-                for cut, whole, (start, stop) in zip(runs, self.runs, span):
-                    cut += whole[start:stop]
-        return tuple(self.spread(nodes, d) for d in range(1, self.k + 1)), runs
-
-    def lift(self, col: int, digit: int, cells=None) -> int:
+    def lift(self, col: int, digit: int) -> int:
         """The positions of k digits whose digit is in col, a map of one
-        digit with no bit outside `cells` (a list of `cells` values; all of
-        them by default)."""
+        digit."""
         out = 0
-        for n, offs, digits in cells or self.cells.values():
+        for n, offs, digits in self.cells.values():
             x = col >> offs[0] & (1 << n) - 1
             if x:
                 out |= _fill(x, digits[digit]) << offs[-1]
@@ -624,13 +607,11 @@ class Sweep:
     go in `tables`.  Both go with it.  A set in `extra` from another frame
     raises here."""
 
-    __slots__ = (
-        "structure", "uid", "params", "names", "layout", "runs", "full", "memo", "cap", "tables",
-    )
+    __slots__ = ("structure", "uid", "params", "layout", "runs", "full", "memo", "cap", "tables")
 
     def __init__(self, s: Structure, names: tuple[str, ...], extra: dict | None = None):
         f = s.frame
-        self.structure, self.uid, self.names = s, s.uid, names
+        self.structure, self.uid = s, s.uid
         self.params = {**s.names, **(extra or {})}
         # class labels only compare within one frame object
         for x in (extra or {}).values():
@@ -679,12 +660,6 @@ class Sweep:
         sigma."""
         lay = self.layout
         return self.structure.frame.pos[sigma] if lay is None else lay.position(values, sigma)
-
-    def scope(self, sigma: str) -> tuple[int, int]:
-        """How many assignments sigma's universe gives the names, and their
-        bits at sigma."""
-        count = len(self.structure.universe[sigma]) ** len(self.names)
-        return count, (1 << count) - 1 << self.position((), sigma)
 
     def relation(self, member: bool, x, y) -> int:
         """The bits where x is a member of (equal to) y, one of them an

@@ -34,7 +34,7 @@ from kripkelab.schema import (
     proposition1_crosscheck,
     SchemaId,
 )
-from kripkelab.semantics import EvalError, KripkeSet, Structure, forces
+from kripkelab.semantics import EvalError, KripkeSet, Structure, forces, structure_from_sets
 from kripkelab.specfile import (
     build_structure,
     canonical_structure,
@@ -279,11 +279,25 @@ def test_check_schema_matches_the_per_node_reference_sweep(fixtures_dir):
         for _ in range(2):
             v = powerset(v)
         wide.append(v)
+    cases = [
+        (bounds, structures + (wide if bounds.formula_depth == 1 else []))
+        for bounds in (CheckBounds(1, 1), CheckBounds(1, 2), CheckBounds(2, 1, "bottom"))
+    ]
+    # plus structures with an empty universe at some node, whose instances
+    # there are counted, not forced: no set at all on chain(2), then one set
+    # born at node 1 of chain(2) and one born at leaf 1 of fan(2)
+    empty = [empty_structure(chain(2))] + [
+        structure_from_sets(f, (KripkeSet(f, "1", {"1": ()}),)) for f in (chain(2), fan(2))
+    ]
+    cases += [
+        (CheckBounds(*b), empty)
+        for b in ((0, 0), (1, 0), (1, 1), (1, 2), (1, 2, "bottom"))
+    ]
     # a sweep that raises compares by its error text
     disagreements = []
-    for bounds in (CheckBounds(1, 1), CheckBounds(1, 2), CheckBounds(2, 1, "bottom")):
+    for bounds, inputs in cases:
         for schema in SchemaId:
-            for i, s in enumerate(structures + (wide if bounds.formula_depth == 1 else [])):
+            for i, s in enumerate(inputs):
                 got = _outcome(check_schema, s, schema, bounds)
                 if got != _outcome(reference_check, s, schema, bounds):
                     disagreements.append((i, schema.value, bounds))
