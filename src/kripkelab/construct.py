@@ -197,24 +197,12 @@ def _or(masks) -> int:
     return functools.reduce(int.__or__, masks, 0)
 
 
-def monotone_t_families(f: Frame, quotient: bool = True) -> tuple[KripkeSet, ...]:
-    """Every monotone selection from the delayed ones, one set per choice.
-
-    With quotient=True each node's extension is a union of forced-equality
-    classes; that enumeration is complete for any property invariant under
-    forced equality.  The literal mode enumerates raw member subsets and is
-    only sensible on the smallest frames: past POWERSET_CAP families it
-    raises ValueError.
-    """
-    if quotient:
-        groups = {tau: t_classes_at(f, tau) for tau in f.nodes}
-    else:
-        groups = {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes}
+def monotone_t_families(f: Frame) -> tuple[KripkeSet, ...]:
+    """Every monotone selection from the delayed ones, one set per choice,
+    each node's extension a union of forced-equality classes: complete for
+    any property invariant under forced equality."""
+    groups = {tau: t_classes_at(f, tau) for tau in f.nodes}
     selections = _ChoiceTable(f, groups).selections(linear_extension(f))
-    if not quotient:
-        selections = list(itertools.islice(selections, POWERSET_CAP + 1))
-        if len(selections) > POWERSET_CAP:
-            raise ValueError("too many literal families to enumerate; use quotient=True")
     # the groups hold only delayed ones, so `subset_of_t`'s member check would always pass
     return tuple(
         KripkeSet(f, f.bottom, ext, f"bfam{k}") for k, ext in enumerate(selections)

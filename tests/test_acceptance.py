@@ -12,6 +12,7 @@ import random
 import time
 
 from kripkelab.construct import (
+    _ChoiceTable,
     alpha_forest,
     branch_from_bits,
     empty_set,
@@ -29,7 +30,7 @@ from kripkelab.construct import (
     with_zero,
 )
 from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, parse
-from kripkelab.frame import chain, forest, leaves, leq, tree, up_set
+from kripkelab.frame import chain, forest, leaves, leq, linear_extension, tree, up_set
 from kripkelab.hierarchy import (
     constructible,
     def_along,
@@ -196,13 +197,19 @@ def test_criterion_06_branch_hood_matches_externalized_chains():
                 return False
         return True
 
-    def sweep(f, quotient):
-        families = monotone_t_families(f, quotient=quotient)
+    def literal_families(f):
+        # raw member subsets: one singleton group per delayed one, as `powerset` lists
+        table = _ChoiceTable(f, {tau: tuple((m,) for m in t_family(f)) for tau in f.nodes})
+        selections = table.selections(linear_extension(f))
+        return tuple(KripkeSet(f, f.bottom, e, f"lit{k}") for k, e in enumerate(selections))
+
+    def sweep(families):
+        f = families[0].frame
         es = empty_structure(f)
         q = p_hat(f)
         bottom_one = one_sigma(f, f.bottom)
         checked = 0
-        for i, b in enumerate(families):
+        for b in families:
             for sigma in f.nodes:
                 checked += 1
                 lhs = is_branch(es, sigma, b, q)
@@ -210,16 +217,16 @@ def test_criterion_06_branch_hood_matches_externalized_chains():
                     maximal_cone_chain(f, tau, externalize(f, b, tau))
                     for tau in up_set(f, sigma)
                 )
-                assert lhs == rhs, (f.kind, quotient, i, sigma)
+                assert lhs == rhs, (f.kind, b.label, sigma)
         return len(families), checked
 
     # literal enumeration is feasible at depth 2 and calibrates the quotient
-    n_lit, c_lit = sweep(tree(2), quotient=False)
+    n_lit, c_lit = sweep(literal_families(tree(2)))
     assert (n_lit, c_lit) == (125, 375)
-    n_q2, _ = sweep(tree(2), quotient=True)
+    n_q2, _ = sweep(monotone_t_families(tree(2)))
     assert n_q2 == 34
     # at depth 3 the quotient carries the exhaustive claim
-    n_q3, c_q3 = sweep(tree(3), quotient=True)
+    n_q3, c_q3 = sweep(monotone_t_families(tree(3)))
     assert (n_q3, c_q3) == (8212, 57484)
     _budget(t0, 120.0)
 

@@ -8,6 +8,8 @@ import pytest
 from kripkelab.cli import main
 from kripkelab.frame import forest, leq, parse_frame_spec
 
+from util import fresh_python
+
 TREE2 = "tree depth=2"
 TREE3 = "tree depth=3"
 
@@ -108,6 +110,25 @@ def test_frame_at_the_node_limit_dumps_and_reparses(capsys, at_the_limit_seconds
     assert spent < 10.0, f"frames at the node limit took {spent:.1f}s of a 10s budget"
 
 
+# the closure's worst case, a 1,024-node chain listed top node first
+TOP_FIRST_CHAIN = "nodes: {} / order: {}".format(
+    " ".join(map(str, range(1023, -1, -1))), " ".join(f"{i}<{i + 1}" for i in range(1023))
+)
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["dump", "--what", "frame", "--frame", TOP_FIRST_CHAIN], 60),
+        (["eval", "--frame", "chain length=256", "forall a . forall b in a . b in a"], 20),
+        (["eval", "--frame", "chain length=512", "--node", "511", "#zero = #zero"], 10),
+    ],
+    ids=["frame-closure-top-first", "forcing-at-256-nodes", "canonical-structure-of-512"],
+)
+def test_a_long_chain_stays_fast_in_a_fresh_process(argv, seconds):
+    fresh_python("-m", "kripkelab.cli", *argv, timeout=seconds)
+
+
 def test_repeated_frame_parameter_exits_2(capsys):
     code, out, err = run(capsys, "frame", "--frame", "chain length=2 length=3")
     assert code == 2 and out == ""
@@ -199,6 +220,14 @@ def test_dump_refuses_a_wrong_builder_arity(capsys, tmp_path):
     code, out, err = run(capsys, "dump", "--what", "structure", "--structure", str(path))
     assert code == 2 and out == ""
     assert err == "error: line 2: builder 'nat' takes 1 argument(s)\n"
+
+
+@pytest.mark.parametrize("length, builder", [(1, "nat 20000"), (2, "L 20"), (32, "nat 1024"), (8, "L 8")])
+def test_eval_refuses_an_unbounded_builder_before_building(capsys, tmp_path, length, builder):
+    path = tmp_path / "unbounded.struct"
+    path.write_text(f"frame chain length={length}\nx = {builder}\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--structure", str(path), "#x = #x")
+    assert code == 2 and out == "" and err.startswith("error: name 'x': ")
 
 
 @pytest.mark.parametrize(

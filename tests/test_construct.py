@@ -14,7 +14,6 @@ from kripkelab.construct import (
     internal_nat,
     is_branch,
     make_xi,
-    monotone_t_families,
     one_sigma,
     p_hat,
     p_hat_sub,
@@ -89,18 +88,6 @@ def test_subset_of_t_rejects_outsiders():
     f = tree(2)
     with pytest.raises(ValueError, match="not one of the delayed ones"):
         subset_of_t(f, {n: (internal_nat(f, 1),) for n in f.nodes})
-
-
-def test_monotone_t_families_counts():
-    f = tree(2)
-    assert len(monotone_t_families(f, quotient=False)) == 125
-    assert len(monotone_t_families(f, quotient=True)) == 34
-
-
-def test_literal_families_past_the_cap_raise():
-    # 26 up-sets for each of 7 delayed ones: 26^7 literal families on tree(3)
-    with pytest.raises(ValueError, match="too many literal families"):
-        monotone_t_families(tree(3), quotient=False)
 
 
 def test_with_zero_prepends_zero():

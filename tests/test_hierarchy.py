@@ -450,6 +450,25 @@ def test_lifts_on_a_long_chain_stay_within_their_budget():
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds the 1s budget"
 
 
+def test_a_definability_step_on_a_long_chain_stays_within_its_budget():
+    s = canonical_structure(chain(32))
+    start = time.perf_counter()
+    out = def_step(s, DefConfig(1))
+    elapsed = time.perf_counter() - start
+    assert sum(map(len, out.universe.values())) == 4546 and out.meta["truncated"], out.meta
+    assert elapsed < 5, elapsed
+
+
+def test_lone_harvests_high_on_a_long_chain_stay_within_their_budget():
+    s = canonical_structure(chain(64))
+    start = time.perf_counter()
+    got = [harvest_at(s, sigma, DefConfig(1)) for sigma in ("63", "48", "32")]
+    elapsed = time.perf_counter() - start
+    got = [(len(born), truncated, stabilized) for born, truncated, stabilized in got]
+    assert got == [(12, False, False), (56, True, False), (56, True, False)], got
+    assert elapsed < 10, elapsed
+
+
 def test_the_engines_of_a_structure_share_one_layout_and_three_relations(monkeypatch):
     # every atom is cut from the three pair relations, which the structure's
     # one pair layout gives on the first harvest, so neither grows with the

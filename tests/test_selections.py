@@ -2,16 +2,11 @@
 `powerset`: the same sequence as the per-family walk it replaced, member
 tuples shared between selections, and choices produced only as read."""
 
-import os
-import subprocess
-import sys
 import time
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
-import kripkelab
 from kripkelab.construct import (
     POWERSET_CAP,
     _ChoiceTable,
@@ -25,8 +20,8 @@ from kripkelab.hierarchy import structure_from_sets
 from kripkelab.specfile import canonical_structure
 
 from reference_selections import reference_selections
+from util import fresh_python
 
-SRC = Path(kripkelab.__file__).parent.parent
 FRAMES = {"chain3": (chain, 3), "fan3": (fan, 3), "tree2": (tree, 2), "tree3": (tree, 3)}
 
 
@@ -124,12 +119,4 @@ def test_a_wide_node_is_refused_without_building_its_choices():
         "except ValueError as err:\n"
         "    print(err)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "powerset too large" in proc.stdout
+    assert "powerset too large" in fresh_python("-c", code, timeout=30)

@@ -4,12 +4,12 @@ checked against `forcing_mask` for it, and the binding generator's
 formulas against the memo-free reference; the definability engine's maps
 are sweep masks; plus empty universes, the frame memo a sweep leaves
 alone, a tiny memo bound, and all twelve reports of a wide two-parameter
-sweep and their time."""
+sweep, its time and its peak memory in a process of its own."""
 
+import ast
 import itertools
 import math
 import random
-import time
 
 import pytest
 
@@ -24,6 +24,7 @@ from kripkelab.specfile import canonical_structure, load_structure, uniformity_g
 from reference_forces import reference_forces
 from reference_sweep import reference_check
 from test_binding_forces import _Gen
+from util import fresh_python
 
 # the formulas read per sweep, spread over the stream
 FORMULAS_PER_SWEEP = 12
@@ -178,7 +179,8 @@ def test_a_sweep_leaves_the_frame_memo_as_it_found_it(fixtures_dir):
     ):
         assert s.notes and not s.frame.memo
         report = check_schema(s, SchemaId.DELTA0_UNIFORMITY, CheckBounds(1, 1, "bottom"))
-        assert report.stats["designated"] == 1 and not report.holds
+        assert report.stats["designated"] == report.stats["instances"] == 1 and not report.holds
+        assert report.counterexample == ("Delta0Uniformity", "y in x", ("A=staged",), "bot"), name
         if s.frame.memo:
             leaks.append((name, len(s.frame.memo)))
     assert leaks == []
@@ -220,20 +222,36 @@ V3_REPORTS = {
 }
 
 
+# twelve checks over V_3 and two without parameters in a process of its own,
+# whose peak memory is VmHWM: ru_maxrss keeps the parent's, as exec does not reset it
+V3_SWEEPS = """
+import time
+from kripkelab import CheckBounds, SchemaId, check_schema, empty_structure, fan, powerset
+s = powerset(powerset(powerset(empty_structure(fan(2)))))
+start = time.perf_counter()
+reports = [check_schema(s, schema, CheckBounds(1, 2)) for schema in SchemaId]
+elapsed = time.perf_counter() - start
+reports += [check_schema(s, schema, CheckBounds(1, 0))
+            for schema in (SchemaId.PI2_REFLECTION, SchemaId.EXTENSIONALITY)]
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(repr(([(r.holds, r.counterexample, r.stats) for r in reports], elapsed, len(s.frame.memo), peak_kb)))
+"""
+
+
 def test_a_two_parameter_sweep_over_v3_stays_within_its_budget():
     # V_3 over fan(2) lists 73 elements at every node, so the two-parameter
     # templates have 5,329 assignments; forcing each one took 142 s on
     # 2 cores (Python 3.11) for Delta0 Comprehension alone, the sweep
     # 0.6-1.3 s, and all twelve schemas 1.4-2.0 s
-    s = _v(3, fan(2))
-    start = time.perf_counter()
-    reports = {schema: check_schema(s, schema, CheckBounds(1, 2)) for schema in SchemaId}
-    assert time.perf_counter() - start < 30.0
+    reports, elapsed, memo, peak_kb = ast.literal_eval(fresh_python("-c", V3_SWEEPS, timeout=60))
+    assert elapsed < 30.0
+    swept = dict(zip(SchemaId, reports))
     for schema, (holds, cex, formulas, instances) in V3_REPORTS.items():
-        report = reports[schema]
-        assert (report.holds, report.counterexample) == (holds, cex), schema
         stats = {"formulas": formulas, "nodes": 3, "instances": instances, "designated": 0}
-        assert report.stats == stats, schema
+        assert swept[schema] == (holds, cex, stats), schema
+    assert [(holds, stats["instances"]) for holds, _, stats in reports[12:]] == [(True, 567), (True, 3)]
+    assert memo == 0 and peak_kb / 1024 < 128, (memo, peak_kb)
 
 
 def test_an_engine_map_is_the_sweep_mask_of_its_formula():

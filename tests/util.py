@@ -1,14 +1,30 @@
 """Small helpers shared across test modules, and the oracle of the
 definability engine's cone operations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kripkelab
 from kripkelab.frame import up_set
 from kripkelab.hierarchy import DefConfig, _Engine
-from kripkelab.semantics import class_at, forced_equal, universe_at
+from kripkelab.semantics import class_at, forced_equal
 
 # a diamond listed top first: every family frame lists its nodes bottom
 # first, so only a frame like this one tells "top nodes first" apart from
 # "last listed first"
 TOP_FIRST_DIAMOND = "nodes: d c b a / order: a<b a<c b<d c<d"
+
+
+def fresh_python(*args, timeout):
+    """The stdout of `python *args` run on this checkout's kripkelab in a
+    fresh process, which fails past `timeout` seconds or a non-zero exit."""
+    src = str(Path(kripkelab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def classes(frame, sigma, xs):
@@ -30,10 +46,6 @@ def same_classes(frame, sigma, xs, ys):
         if not any(forced_equal(frame, sigma, y, x) for x in xs):
             return False
     return True
-
-
-def universe_classes(s, sigma):
-    return classes(s.frame, sigma, universe_at(s, sigma))
 
 
 def find_class(frame, sigma, xs, target):
