@@ -128,13 +128,15 @@ class Frame:
     ):
         self.nodes, self.kind = nodes, kind
         # Per-frame tables: the up-sets read so far (`up_set` fills it), the
-        # intern table of forced-equality class labels (semantics; node
-        # names and ints only, no sets), the forcing masks of all structures
-        # on the frame keyed by formula serial (semantics; no formulas), and
-        # the one pool of interned sets, harvests and towers (construct).
-        # The intern table grows with the number of distinct classes ever
-        # labelled and is never reset: labels stored on sets point into it.
-        self.up, self.classes, self.memo, self.constructs = {}, {}, {}, {}
+        # intern table of forced-equality class labels and, per label, the
+        # sorted labels of its members, the tuple its key holds (semantics;
+        # node names and ints only, no sets), the forcing masks of all
+        # structures on the frame keyed by formula serial (semantics; no
+        # formulas), and the one pool of interned sets, harvests and towers
+        # (construct).  The intern tables grow with the number of distinct
+        # classes ever labelled and are never reset: labels stored on sets
+        # point into them.
+        self.up, self.classes, self.members, self.memo, self.constructs = {}, {}, [], {}, {}
         pos = {n: i for i, n in enumerate(nodes)}
         if len(pos) != len(nodes):
             dup = next(n for i, n in enumerate(nodes) if pos[n] != i)

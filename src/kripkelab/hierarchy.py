@@ -16,11 +16,13 @@ harvest that needs an engine, and kept on it (`Structure._engine_setup`);
 each engine reads them whole and keeps only its cone's `full` masks.  It
 seeds the pool with the pair maps and every atom of one variable, met with
 the cone, and closes under the connective and quantifier operations round
-by round.  A cone with no element needs no engine: its closure holds the
-empty map alone and its first round is quiet.  Maps are saturated under
-forced equality automatically because the atoms are, so distinct maps
-denote semantically distinct sets and map equality is an exact
-deduplication rule.
+by round.  A parameter's atoms are the layout's rows of its class
+(`_Layout.rows`), read by label like every table of the layout, once per
+structure, and kept with the set-up.  A cone with no element needs no
+engine: its closure holds the empty map alone and its first round is
+quiet.  Maps are saturated under forced equality automatically because
+the atoms are, so distinct maps denote semantically distinct sets and map
+equality is an exact deduplication rule.
 
 Conjunction and disjunction are `&` and `|` on the whole map, and the
 existential binder ORs columns of a pair map into place, one precomputed
@@ -51,10 +53,10 @@ Harvests are interned per frame by the universes of the birth node's cone.
 from __future__ import annotations
 
 import functools
-from itertools import compress, islice
+from itertools import compress
 
 from .formula import Formula, free_vars, is_positive_in, parse
-from .frame import Frame, _Record, hits, leq, linear_extension, up_set
+from .frame import _Record, hits, leq, linear_extension, up_set
 from .construct import (
     POWERSET_CAP,
     _ChoiceTable,
@@ -72,7 +74,6 @@ from .semantics import (
     forces,
     forcing_mask,
     is_ordinal,
-    structure_from_sets,
     universe_at,
 )
 
@@ -88,10 +89,6 @@ class DefConfig(_Record):
         if formula_depth < 1:
             raise ValueError("formula_depth must be >= 1")
         self._fill(formula_depth)
-
-
-def _shared_empty(f: Frame) -> Structure:
-    return _intern(f, ("empty_base",), lambda: empty_structure(f))
 
 
 # --------------------------------------------------------- the def engine
@@ -127,16 +124,19 @@ def _zone() -> Formula:
     return parse(f"forall w . (({empty}) \\/ ~({empty}))")
 
 
-def _engine_setup(s: Structure) -> tuple[_Layout, list[int], int]:
+def _engine_setup(s: Structure) -> tuple[_Layout, list[int], int, dict]:
     """What every engine over s reads, built on the first call and kept on
     s: the pair layout over the frame, the pair maps of `a in b`, `b in a`
-    and `a = b`, and the zone's map of one variable."""
+    and `a = b`, the zone's map of one variable, and the atoms of each
+    parameter an engine has read: its maps of one variable over its own
+    cone, the elements equal to it, in it and holding it, which are its
+    class's rows (`_Layout.rows`)."""
     if s._engine_setup is None:
         lay = _Layout(s.frame, s.universe, 2)
         relations = [lay.relation(True, 1, 0), lay.relation(True, 0, 1), lay.relation(False, 1, 0)]
         # one mask for the sentence _zone(): bit i is frame node i
         zone = lay.spread(forcing_mask(s, _zone()), 1)
-        s._engine_setup = lay, relations, zone
+        s._engine_setup = lay, relations, zone, {}
     return s._engine_setup
 
 
@@ -153,12 +153,12 @@ class _Engine:
     mask of its formula within the cone, #A the defined variable, or #A for
     j and #B for i.  `full` holds every position of the cone per arity;
     the layout's cells and runs are read whole.  `interiors` memoizes
-    `interior` per arity, which also gives implication.  `binders` are the
-    domains of the second variable: the defined variable's members, the
-    universe, then each parameter's members; a parameter's `columns` domain
-    holds it alone.  A domain is a list of (column shift, column mask,
-    target shift) triples, one per nonempty column: the positions i whose
-    domain holds the column's element.
+    `interior` per arity, which also gives implication.  `params` are the
+    elements of the universe at the birth node, and `binders` the domains
+    of the second variable: the defined variable's members, the universe,
+    then each parameter's listed members.  A domain is a list of (column
+    shift, column mask, target shift) triples, one per nonempty column: the
+    positions i whose domain holds the column's element.
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -168,16 +168,15 @@ class _Engine:
         self.full = tuple(lay.spread(f.masks[f.pos[sigma]], d) for d in (1, 2))
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = self.stabilized = False
-        params = s.universe[sigma]
-        own, every, each, self.columns = [], [], [[] for _ in params], [[] for _ in params]
+        self.params = s.universe[sigma]
+        own, every, each = [], [], [[] for _ in self.params]
         for tau in self.cone:
             n, (o1, o2), _ = lay.cells[tau]
             index, listed, r = lay.index[tau], lay.listed[tau], (1 << n) - 1
             own += [(o2 + j * n, listed[x], o1) for x, j in index.items() if x in listed]
             every += [(o2 + j * n, r, o1) for j in range(n)]
-            for dom, col, p in zip(each, self.columns, params):
+            for dom, p in zip(each, self.params):
                 dom += [(o2 + index[m] * n, r, o1) for m in p.ext[tau]]
-                col.append((o2 + index[p] * n, r, o1))
         self.binders = [own, every, *each]
 
     def atom_maps(self) -> tuple[list, list, list, list, list]:
@@ -185,16 +184,17 @@ class _Engine:
         of each parameter; the remaining fixed maps; and the pair maps for
         `a in b`, `b in a` and `a = b`.  The pair maps and the zone's are
         the structure's (`_engine_setup`) within the cone, and a
-        parameter's maps are its column of the pair maps."""
-        cut, full = self.exists2, self.full
-        _, relations, zone = _engine_setup(self.s)
-        pairs = [m & full[1] for m in relations]
-        ins, has, eqs = pairs
+        parameter's maps are its atoms there, met with the cone."""
+        lay, relations, zone, atoms = _engine_setup(self.s)
+        one, two = self.full
+        for p in self.params:
+            if p not in atoms:
+                atoms[p] = [lay.rows(p.classes, how) for how in ("=", "in", "has")]
         return (
-            *([cut(m, col) for col in self.columns] for m in (eqs, ins, has)),
+            *([atoms[p][k] & one for p in self.params] for k in range(3)),
             # #A in #A is 0: no set is a member of itself (`_Layout.relation`)
-            [full[0], 0, zone & full[0]],
-            pairs,
+            [one, 0, zone & one],
+            [m & two for m in relations],
         )
 
     # ---- cone operations
@@ -445,8 +445,8 @@ def def_along(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
 
 def constructible(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
     """The tower over an internal ordinal; rejects non-ordinal stages."""
-    probe = structure_from_sets(x.frame, (x,))
-    if not is_ordinal(probe, x):
+    # is_ordinal forces bounded formulas, which read no universe
+    if not is_ordinal(empty_structure(x.frame), x):
         raise ValueError("constructible towers are indexed by internal ordinals")
     return def_along(x, cfg)
 
@@ -454,8 +454,27 @@ def constructible(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
 # ---------------------------------------------------------------- powerset
 
 
+def _selection_count(s: Structure, cone: list[str], cap: int) -> int:
+    """How many monotone selections from the universe there are over cone,
+    a linear extension of an up-set, counted until the count passes cap.
+    Each element is picked on an up-set of the cone nodes that list it,
+    whatever the others pick, so the count is a product: per element, its
+    up-sets, grown top nodes first (a node joins each one that holds every
+    node above it)."""
+    f, count = s.frame, 1
+    for _, where in s.listing:
+        ups = [0]
+        for tau in reversed(cone):
+            bit, mask = 1 << f.pos[tau], f.masks[f.pos[tau]]
+            if where & bit and count * len(ups) <= cap:
+                ups += [u | bit for u in ups if u & mask | bit == mask]
+        count *= len(ups)
+    return count
+
+
 def powerset(s: Structure) -> Structure:
-    """All monotone selections from the universe, born at every node."""
+    """All monotone selections from the universe, born at every node; a cone
+    with more than POWERSET_CAP of them is refused before any is listed."""
     f = s.frame
     singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
     # one table for every cone: a node's choices depend only on what it must pick
@@ -464,17 +483,9 @@ def powerset(s: Structure) -> Structure:
 
     def selections(sigma: str):
         cone = [tau for tau in topo if leq(f, sigma, tau)]
-        # each set of the elements listed in the cone, cut down to each
-        # node's universe, is a selection of its own: past log2(POWERSET_CAP)
-        # such elements the count is over the cap before any is listed
-        listed = {y for tau in cone for y in s.universe[tau]}
-        if 1 << len(listed) <= POWERSET_CAP:
-            # the empty choice below every node always extends, so the final
-            # count bounds every partial one and one cap covers them all
-            families = list(islice(table.selections(cone), POWERSET_CAP + 1))
-            if len(families) <= POWERSET_CAP:
-                return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in families)
-        raise ValueError("powerset too large to enumerate; shrink the structure")
+        if _selection_count(s, cone, POWERSET_CAP) > POWERSET_CAP:
+            raise ValueError("powerset too large to enumerate; shrink the structure")
+        return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in table.selections(cone))
 
     return _grow(s, selections)
 

@@ -619,9 +619,9 @@ def _rows_families(
         dying = [l for l in lv if one_sigma(f, l).uid in chosen]
         for tau in f.nodes:
             checked += 1
-            if not _same_classes(tau, lx.universe[tau], that0.ext[tau]):
+            if {class_at(x, tau) for x in lx.universe[tau]} != set(f.members[class_at(that0, tau)]):
                 bad.append((i, tau))
-            mismatch = not _same_classes(tau, carved.ext[tau], sel.ext[tau])
+            mismatch = f.members[class_at(carved, tau)] != f.members[class_at(sel, tau)]
             expected = any(leq(f, tau, l) for l in dying)
             if mismatch != expected:
                 carve_bad.append((i, tau, "unexpected" if mismatch else "missing artifact"))

@@ -14,7 +14,10 @@ alive at tau are forced equal there iff their labels agree: by induction
 from the top, labels that agree at every cover agree at every node above.
 A set's labels are computed the first time a question needs them, top
 nodes first, and the intern table is one per frame (`Frame.classes`),
-holding node names and ints only.
+holding node names and ints only.  Beside it, `Frame.members` keeps each
+label's sorted member labels, the tuple its key holds: the one place that
+membership between classes is read.  `forced_member`, the atoms of a sweep
+(`_nodes_where`) and the layout's tables (`_Layout`) all look it up.
 
 `forces` runs compiled code, not an interpreter, and decides a set of nodes
 at once (global model checking).  Each formula node is compiled once, the
@@ -102,9 +105,11 @@ class KripkeSet:
 
     Every member predates its set, so its `uid` is smaller and membership
     is well founded: `_labels` recurses into members and always ends, and
-    `schema` reports epsilon induction forced without a sweep."""
+    `schema` reports epsilon induction forced without a sweep.  A set keeps
+    its class label per node (`classes`); which classes its members fall
+    in is read from the frame's table by that label (`Frame.members`)."""
 
-    __slots__ = ("frame", "birth", "ext", "uid", "label", "cone", "classes", "member_labels", "listing")
+    __slots__ = ("frame", "birth", "ext", "uid", "label", "cone", "classes", "listing")
 
     def __init__(
         self,
@@ -147,7 +152,7 @@ class KripkeSet:
         # class labels per node, filled by `class_at` on first use (members
         # predate this set, so the recursion there always ends), and what
         # `forces` reads of a bound, filled on first use
-        self.classes = self.member_labels = self.listing = None
+        self.classes = self.listing = None
 
     def __repr__(self) -> str:
         tag = self.label or f"k{self.uid}"
@@ -172,7 +177,9 @@ def _labels(x: KripkeSet) -> dict[str, int]:
         for tau in sorted(x.ext, key=lambda t: f.masks[f.pos[t]].bit_count()):
             members = tuple(sorted({(m.classes or _labels(m))[tau] for m in x.ext[tau]}))
             above = tuple(lab[rho] for rho in f.succ[tau])
-            lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
+            c = lab[tau] = f.classes.setdefault((tau, members, above), len(f.classes))
+            if c == len(f.members):  # a new label keeps the tuple its key holds
+                f.members.append(members)
         x.classes = lab
     return x.classes
 
@@ -213,13 +220,11 @@ def forced_equal(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
 
 def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """x is forced to belong to y at sigma iff some listed member of y at
-    sigma is forced equal to x there."""
+    sigma is forced equal to x there, that is iff x's label is one of the
+    member labels of y's (`Frame.members`)."""
     if x.frame is not y.frame:
         raise ValueError("sets live on different frames")
-    c = class_at(x, sigma)
-    if sigma not in y.ext:
-        raise ValueError(f"set born at {y.birth!r} is not alive at {sigma!r}")
-    return c in _member_labels(y)
+    return class_at(x, sigma) in y.frame.members[class_at(y, sigma)]
 
 
 # ------------------------------------------------------------- structure
@@ -442,8 +447,13 @@ class _Layout:
     `full` sets them all, and `runs` are `hits` runs per covering pair in
     `Frame.runs` order, each carrying consecutive positions to consecutive
     images at the cover.  Per node, one bit per element: `index` places an
-    element; `same` maps a class label, `holders` a member's class and
-    `listed` a member to the elements that have it."""
+    element; `same` maps a class label to the elements of that class, and
+    `holders` to the elements with a member of it, read from the frame's
+    member labels (`Frame.members`); `listed` maps a set to the
+    elements that list it, for quantifier ranges and binder domains.  `row`
+    reads the elements equal to a class, in it or holding a member of it,
+    so every table that `relation` and the engine's atoms read is keyed by
+    class."""
 
     __slots__ = (
         "frame", "universe", "k", "cells", "bits", "full", "runs",
@@ -463,11 +473,10 @@ class _Layout:
             for x, i in index.items():
                 c, bit = _labels(x)[tau], 1 << i
                 same[c] = same.get(c, 0) | bit
+                for m in frame.members[c]:
+                    holders[m] = holders.get(m, 0) | bit
                 for m in x.ext[tau]:
                     listed[m] = listed.get(m, 0) | bit
-            for m, bits in listed.items():
-                c = m.classes[tau]  # x's labels are built from its members'
-                holders[c] = holders.get(c, 0) | bits
         self.bits, self.full = width, tuple((1 << w) - 1 for w in width)
         self.runs = [[] for _ in range(k)]
         for a, _, b in frame.runs:
@@ -513,38 +522,42 @@ class _Layout:
                 out |= _fill(x, digits[digit]) << offs[-1]
         return out
 
+    def row(self, tau: str, c: int, how: str) -> int:
+        """The elements at tau equal to class c ("="), in it ("in": the
+        union of `same` over c's member labels) or holding it ("has")."""
+        if how != "in":
+            return (self.same if how == "=" else self.holders)[tau].get(c, 0)
+        same, out = self.same[tau], 0
+        for m in self.frame.members[c]:
+            out |= same.get(m, 0)
+        return out
+
+    def rows(self, labels: dict[str, int], how: str) -> int:
+        """A map of one digit: at each node of labels, the `row` of the
+        class labelled there."""
+        return sum(self.row(tau, c, how) << self.cells[tau][1][0] for tau, c in labels.items())
+
     def relation(self, member: bool, x, y) -> int:
         """The positions of k digits where x is a member of (equal to) y,
-        each of x and y a set or a digit, not both sets."""
-        out, holds = 0, self.holders if member else self.same  # by class
-        if x.__class__ is int and y.__class__ is int:
-            if x == y:  # a class label is interned after its members': no set is in itself
-                return 0 if member else self.full[-1]
-            # per value of the higher digit, a column over the lower
-            hi, lo = min(x, y), max(x, y)
-            for tau, (_, offs, digits) in self.cells.items():
-                table, same, (s, _) = holds[tau], self.same[tau], digits[hi]
-                row = _fill(1, digits[hi])
-                for i, a in enumerate(self.universe[tau]):
-                    if x == hi or not member:  # holding (equal to) a
-                        col = table.get(a.classes[tau], 0)
-                    else:  # in a
-                        col = 0
-                        for m in a.ext[tau]:
-                            col |= same.get(m.classes[tau], 0)
-                    if col:
-                        out |= (_fill(col, digits[lo]) & row << i * s) << offs[-1]
-            return out
-        if x.__class__ is not int or not member:  # one class per node
-            labels = _labels(y if x.__class__ is int else x)
-            for tau, (_, offs, _) in self.cells.items():
-                out |= holds[tau].get(labels.get(tau), 0) << offs[0]
-        else:  # the elements in the set y
-            labels = _labels(y)  # and so its members'
-            for tau, (_, offs, _) in self.cells.items():
-                for m in y.ext[tau] if tau in labels else ():
-                    out |= self.same[tau].get(m.classes[tau], 0) << offs[0]
-        return self.lift(out, y if x.__class__ is not int else x)
+        each of x and y a set or a digit, not both sets.  Per node, the
+        fixed side, a set or the higher digit's element, reads the `row` of
+        its class over the other side's elements."""
+        if x.__class__ is int and y.__class__ is int and x == y:
+            # a class label is interned after its members': no set is in itself
+            return 0 if member else self.full[-1]
+        flip = y.__class__ is not int or x.__class__ is int and y < x
+        fixed, free = (y, x) if flip else (x, y)
+        how = "in" if member and flip else "has" if member else "="
+        if fixed.__class__ is not int:  # one class per node
+            return self.lift(self.rows(_labels(fixed), how), free)
+        out = 0  # per value of the higher digit, a column over the lower
+        for tau, (_, offs, digits) in self.cells.items():
+            stride, unit = digits[fixed][0], _fill(1, digits[fixed])
+            for i, a in enumerate(self.universe[tau]):
+                col = self.row(tau, a.classes[tau], how)
+                if col:
+                    out |= (_fill(col, digits[free]) & unit << i * stride) << offs[-1]
+        return out
 
     def members(self, digit: int) -> tuple[tuple[KripkeSet, int], ...]:
         """Each set an element lists, with the positions whose digit lists
@@ -579,14 +592,14 @@ class _Tables(dict):
         return value
 
 
-def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, pos: dict[str, int]) -> int:
-    """The nodes where x is a member of (equal to) y: a label is interned
-    with its node, so x's label at tau is one of y's members' labels (of
-    y's own labels) iff x is in (equals) y at tau."""
-    heads, out = _member_labels(y) if member else frozenset(_labels(y).values()), 0
+def _nodes_where(member: bool, x: KripkeSet, y: KripkeSet, f: Frame) -> int:
+    """The nodes where x is a member of (equal to) y: those where x's label
+    is one of the member labels of y's label (is y's label)."""
+    ys, classes, out = _labels(y), f.members, 0
     for tau, c in _labels(x).items():
-        if c in heads:
-            out |= 1 << pos[tau]
+        d = ys.get(tau)
+        if d is not None and (c in classes[d] if member else c == d):
+            out |= 1 << f.pos[tau]
     return out
 
 
@@ -652,7 +665,7 @@ class Sweep:
         """The bits of d where x is a member of (equal to) y."""
         if x.__class__ is _Axis or y.__class__ is _Axis:
             return d & self.relation(member, x, y)
-        nodes = _nodes_where(member, x, y, self.structure.frame.pos)
+        nodes = _nodes_where(member, x, y, self.structure.frame)
         return d & (nodes if self.layout is None else self.tables[nodes])
 
     def position(self, values: tuple[KripkeSet, ...], sigma: str) -> int:
@@ -838,12 +851,6 @@ def _listed(ext: dict[str, tuple[KripkeSet, ...]], pos: dict[str, int]):
         for x in elems:
             where[x] = where.get(x, 0) | 1 << pos[tau]
     return tuple(where.items())
-
-
-def _member_labels(y: KripkeSet) -> frozenset[int]:
-    if y.member_labels is None:
-        y.member_labels = frozenset(class_at(m, t) for t, ms in y.ext.items() for m in ms)
-    return y.member_labels
 
 
 def _term(t: Term):

@@ -242,9 +242,9 @@ def _levels(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSe
             f"{what}: level count {levels} is past LEVEL_NODE_CAP ({LEVEL_NODE_CAP}) "
             f"on a {n}-node frame (at most {LEVEL_NODE_CAP // n})"
         )
-    from .hierarchy import DefConfig, _shared_empty, iterate_def
+    from .hierarchy import DefConfig, empty_structure, iterate_def
 
-    stepped = iterate_def(_shared_empty(f), levels, DefConfig(formula_depth=2))
+    stepped = iterate_def(empty_structure(f), levels, DefConfig(formula_depth=2))
     return KripkeSet(f, f.bottom, dict(stepped.universe), f"L{levels}")
 
 

@@ -42,7 +42,6 @@ from kripkelab.hierarchy import (
     gamma_apply,
     gfp,
     lfp,
-    structure_from_sets,
 )
 from kripkelab.schema import check_schema, CheckBounds, SchemaId
 from kripkelab.semantics import (
@@ -53,6 +52,7 @@ from kripkelab.semantics import (
     is_end_extension,
     is_ordinal,
     KripkeSet,
+    structure_from_sets,
     universe_at,
 )
 from kripkelab.specfile import (

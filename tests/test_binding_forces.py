@@ -28,8 +28,8 @@ from kripkelab.formula import (
 )
 from kripkelab.construct import empty_set, internal_nat
 from kripkelab.frame import chain, fan, linear_extension, parse_frame_spec, tree
-from kripkelab.hierarchy import DefConfig, def_step, structure_from_sets
-from kripkelab.semantics import KripkeSet, Sweep, forces, forcing_mask, universe_at
+from kripkelab.hierarchy import DefConfig, def_step
+from kripkelab.semantics import KripkeSet, Sweep, forces, forcing_mask, structure_from_sets, universe_at
 from kripkelab.specfile import canonical_structure
 
 from reference_forces import reference_forces

@@ -27,8 +27,7 @@ from kripkelab.construct import (
 )
 from kripkelab.formula import free_vars, params_of
 from kripkelab.frame import chain, forest, tree
-from kripkelab.hierarchy import structure_from_sets
-from kripkelab.semantics import forced_equal, forced_member, is_ordinal
+from kripkelab.semantics import forced_equal, forced_member, is_ordinal, structure_from_sets
 
 from util import classes, same_classes
 

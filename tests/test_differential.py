@@ -6,8 +6,8 @@ the frame and its forcing memo: V_1, and V_2 where `powerset` does not
 refuse it (else V_1 again), sometimes stepped once by `def_step`.  Random
 binding formulas (`_Gen`) are forced on both and compared with the
 memo-free reference, one bit of a one-parameter sweep at a time with
-`forcing_mask`, and for up-closure; class labels are compared with the
-recursive forced-equality oracle; on the smaller samples every schema
+`forcing_mask`, and for up-closure; class labels and forced membership
+are compared with the recursive oracles; on the smaller samples every schema
 report is compared with the per-instance reference sweep, and at every
 birth node of both structures the definability harvest with the full
 closure reference (`reference_harvest`) and the engine's cone operations
@@ -31,10 +31,10 @@ from kripkelab.formula import free_vars, params_of
 from kripkelab.frame import Frame, dump_frame
 from kripkelab.hierarchy import DefConfig, def_step, empty_structure, harvest_at, powerset
 from kripkelab.schema import CheckBounds, SchemaId, check_schema
-from kripkelab.semantics import Sweep, class_at, forces, forcing_mask
+from kripkelab.semantics import Sweep, class_at, forced_member, forces, forcing_mask
 
 import reference_harvest
-from recursive_eq import oracle_equal
+from recursive_eq import oracle_equal, oracle_member
 from reference_forces import reference_forces
 from reference_sweep import reference_check
 from test_binding_forces import _Gen
@@ -123,16 +123,21 @@ def _forcing(seed: int, f: Frame, pair, rng: random.Random) -> tuple[int, list]:
 
 def _labels(f: Frame, s) -> tuple[int, list]:
     """Class label equality against the recursive oracle, on every pair of
-    elements listed at each node."""
+    elements listed at each node, and forced membership, which reads the
+    frame's member labels, on every ordered pair."""
     checks, bad, memo = 0, [], {}
     for sigma in f.nodes:
         elems = s.universe[sigma]
         for i, x in enumerate(elems):
-            for y in elems[i:]:
+            for j, y in enumerate(elems):
                 checks += 1
-                same = class_at(x, sigma) == class_at(y, sigma)
-                if same != oracle_equal(f, memo, sigma, x, y):
-                    bad.append(("label", sigma, x, y))
+                if forced_member(f, sigma, x, y) != oracle_member(f, memo, sigma, x, y):
+                    bad.append(("member", sigma, x, y))
+                if j >= i:
+                    checks += 1
+                    same = class_at(x, sigma) == class_at(y, sigma)
+                    if same != oracle_equal(f, memo, sigma, x, y):
+                        bad.append(("label", sigma, x, y))
     return checks, bad
 
 

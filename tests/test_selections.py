@@ -1,6 +1,7 @@
 """The monotone-selection enumerator behind `monotone_t_families` and
 `powerset`: the same sequence as the per-family walk it replaced, member
-tuples shared between selections, and choices produced only as read."""
+tuples shared between selections, choices produced only as read, and
+`powerset`'s count of them."""
 
 import time
 from itertools import islice
@@ -16,7 +17,8 @@ from kripkelab.construct import (
     t_family,
 )
 from kripkelab.frame import chain, fan, leq, linear_extension, tree
-from kripkelab.hierarchy import structure_from_sets
+from kripkelab.hierarchy import _selection_count, empty_structure, powerset
+from kripkelab.semantics import structure_from_sets
 from kripkelab.specfile import canonical_structure
 
 from reference_selections import reference_selections
@@ -75,6 +77,43 @@ def test_powerset_cones_match_the_per_family_walk(structure):
         ), sigma
 
 
+@pytest.mark.parametrize(
+    "structure",
+    [
+        lambda: canonical_structure(chain(3)),
+        lambda: canonical_structure(fan(3)),
+        lambda: canonical_structure(tree(2)),
+        lambda: powerset(powerset(empty_structure(fan(2)))),
+    ],
+    ids=["chain3", "fan3", "tree2", "V2-fan2"],
+)
+def test_powerset_counts_the_selections_it_lists(structure):
+    # per cone, the product of per-element up-set counts is the number of
+    # selections listed, or both pass the cap
+    s = structure()
+    f = s.frame
+    singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
+    table = _ChoiceTable(f, singletons)
+    topo = linear_extension(f)
+    for sigma in f.nodes:
+        cone = [tau for tau in topo if leq(f, sigma, tau)]
+        listed = sum(1 for _ in islice(table.selections(cone), POWERSET_CAP + 1))
+        assert min(_selection_count(s, cone, POWERSET_CAP), POWERSET_CAP + 1) == listed, sigma
+
+
+def test_a_count_past_the_cap_is_exact_under_a_larger_one():
+    # the bottom cone of canonical chain(3): its 9 elements are listed at
+    # all three nodes, and each is picked on one of their 4 up-sets
+    s = canonical_structure(chain(3))
+    f = s.frame
+    singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
+    cone = linear_extension(f)
+    count = _selection_count(s, cone, 1 << 30)
+    assert count == 4**9 == sum(1 for _ in _ChoiceTable(f, singletons).selections(cone))
+    # under the cap, counting stops once the count passes it
+    assert POWERSET_CAP < _selection_count(s, cone, POWERSET_CAP) < count
+
+
 def test_families_picking_the_same_members_share_one_tuple():
     f = tree(3)
     families = monotone_t_families(f)
@@ -112,7 +151,8 @@ def test_a_wide_node_is_refused_without_building_its_choices():
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from kripkelab.construct import internal_nat\n"
         "from kripkelab.frame import chain\n"
-        "from kripkelab.hierarchy import powerset, structure_from_sets\n"
+        "from kripkelab.hierarchy import powerset\n"
+        "from kripkelab.semantics import structure_from_sets\n"
         "f = chain(1)\n"
         "try:\n"
         "    powerset(structure_from_sets(f, (internal_nat(f, 40),)))\n"

@@ -35,7 +35,7 @@ from kripkelab.construct import (
     one_sigma,
     p_hat,
 )
-from kripkelab.hierarchy import DefConfig, def_step, empty_structure, structure_from_sets
+from kripkelab.hierarchy import DefConfig, def_step, empty_structure
 from kripkelab.schema import (
     build_template,
     CheckBounds,
@@ -52,6 +52,7 @@ from kripkelab.semantics import (
     is_end_extension,
     is_ordinal,
     KripkeSet,
+    structure_from_sets,
     Sweep,
     universe_at,
 )
