@@ -44,7 +44,12 @@ is flagged truncated and downstream reports say under-enumeration rather
 than failure.  The closure ends after the first round that adds nothing, and
 a harvest is flagged stabilized when such a round ended it and no cap bit.
 The closure stops in whichever round grows the pool past `HARVEST_CAP` fresh
-maps: the harvest is decided then.  The first round emits unions of equality
+maps: the harvest is decided then.  At a maximal node forcing is classical,
+so the cone's maps of one variable are unions of its c forced-equality
+classes, and a unary pool of min(`POOL_CAP`, 2**c) maps holds them all: the
+unary connectives and the binders stop at that bound as they stop at
+`POOL_CAP` elsewhere, while the pair work runs on, so the pool and both flags
+are those of the full closure.  The first round emits unions of equality
 atoms, successor shapes, and stage cuts before anything else, so the sets the
 lemma fixtures rely on precede the cap.
 Harvests are interned per frame by the universes of the birth node's cone.
@@ -158,7 +163,8 @@ class _Engine:
     of the second variable: the defined variable's members, the universe,
     then each parameter's listed members.  A domain is a list of (column
     shift, column mask, target shift) triples, one per nonempty column: the
-    positions i whose domain holds the column's element.
+    positions i whose domain holds the column's element.  `cap` is the size
+    at which the unary pool is full (`run`).
     """
 
     def __init__(self, s: Structure, sigma: str, cfg: DefConfig):
@@ -168,6 +174,9 @@ class _Engine:
         self.full = tuple(lay.spread(f.masks[f.pos[sigma]], d) for d in (1, 2))
         self.interiors: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.truncated = self.stabilized = False
+        # a one-node cone forces classically: its 2**c unions of classes are
+        # all the maps of one variable there are
+        self.cap = min(POOL_CAP, 2 ** len(lay.same[sigma])) if len(self.cone) == 1 else POOL_CAP
         self.params = s.universe[sigma]
         own, every, each = [], [], [[] for _ in self.params]
         for tau in self.cone:
@@ -225,17 +234,19 @@ class _Engine:
 
     def connectives(self, pool: list, push, base: list, arity: int) -> None:
         """One round of interiors and pairwise or/and/imp (and/or/imp for
-        pairs) over `base`; no work once `pool` is full.  Or and and are
+        pairs) over `base`; no work once `pool` is full, which for maps of
+        one variable means `cap` maps (see `run`).  Or and and are
         symmetric and idempotent, and `push` ignores a map it has seen, so
         they are taken once per unordered pair of distinct maps, at its
         first ordered occurrence, and the pool comes out the same."""
-        if len(pool) >= POOL_CAP:
+        cap = self.cap if arity == 1 else POOL_CAP
+        if len(pool) >= cap:
             return
         interior = self.interior
         for m in base:
             push(interior(m, arity))
         for a, m1 in enumerate(base):
-            if len(pool) >= POOL_CAP:
+            if len(pool) >= cap:
                 break
             for b, m2 in enumerate(base):
                 if b > a:
@@ -244,6 +255,12 @@ class _Engine:
                 push(interior(m1 & ~m2, arity))
 
     def run(self) -> list[int]:
+        """The unary pool after at most `formula_depth` rounds, which end
+        early once a round adds nothing (stabilized), a pool reaches
+        POOL_CAP maps (truncated) or the harvest is decided (truncated).
+        Binding and the unary connectives stop once the unary pool holds
+        `cap` maps: POOL_CAP, or at a maximal node the 2**c unions of its c
+        classes, when fewer, since every map there is one of them."""
         eq, mem, has, fixed, pairs = self.atom_maps()
         self.mem, zone_map = set(mem), fixed[-1]
         lift = self.layout.lift
@@ -284,7 +301,7 @@ class _Engine:
                     push2(lift(m, 0))
                 self.connectives(pool2, push2, base2, 2)
                 for m in pool2[bound:]:
-                    if len(pool1) >= POOL_CAP:
+                    if len(pool1) >= self.cap:
                         break
                     for dom in self.binders:
                         push1(self.exists2(m, dom))

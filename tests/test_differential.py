@@ -9,9 +9,10 @@ memo-free reference, one bit of a one-parameter sweep at a time with
 `forcing_mask`, and for up-closure; class labels and forced membership
 are compared with the recursive oracles; on the smaller samples every schema
 report is compared with the per-instance reference sweep, and at every
-birth node of both structures the definability harvest with the full
-closure reference (`reference_harvest`) and the engine's cone operations
-with their definitions (`util.oracle_disagreements`).
+birth node of both structures the definability harvest at formula depth 1,
+and on even seeds at depth 2 too, with the full closure reference
+(`reference_harvest`) and the engine's cone operations with their
+definitions (`util.oracle_disagreements`).
 
 `fuzz` is the whole check; the test runs a slice of the seeds within a
 budget, and a longer run calls it directly, for example
@@ -50,8 +51,10 @@ BUDGET_S = 30
 FORMULAS = 4
 SCHEMA_ELEMENTS = 40
 SCHEMA_BOUNDS = (CheckBounds(1, 0), CheckBounds(1, 1), CheckBounds(1, 2))
-# the depth of the harvest comparison, the tower benchmark's
-HARVEST_CONFIG = DefConfig(1)
+# the depths of the harvest comparison: the tower benchmark's on every seed,
+# and on even seeds depth 2 too, whose later rounds a one-node cone's pool
+# bound (2 to the number of its classes) cuts short
+HARVEST_CONFIGS = (DefConfig(1), DefConfig(2))
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -151,18 +154,21 @@ def _schemas(s) -> tuple[int, list]:
     return checks, bad
 
 
-def _harvests(f: Frame, pair, rng: random.Random) -> tuple[int, list]:
-    """At every birth node of both structures: the harvest against the full
-    closure, compared set by set by class labels, with both flags; and the
-    engine's cone operations, on one random draw, against the oracle."""
+def _harvests(f: Frame, pair, rng: random.Random, configs) -> tuple[int, list]:
+    """At every birth node of both structures: the harvest at each of
+    `configs` against the full closure, compared set by set by class
+    labels, with both flags; and the engine's cone operations, on one
+    random draw, against the oracle."""
     checks, bad = 0, []
     for s in pair:
         for sigma in f.nodes:
-            checks += 2
-            got = harvest_at(s, sigma, HARVEST_CONFIG)
-            want = reference_harvest.harvest(s, sigma, HARVEST_CONFIG)
-            if harvest_classes(got) != harvest_classes(want):
-                bad.append(("harvest", s.uid, sigma))
+            for cfg in configs:
+                checks += 1
+                got = harvest_at(s, sigma, cfg)
+                want = reference_harvest.harvest(s, sigma, cfg)
+                if harvest_classes(got) != harvest_classes(want):
+                    bad.append(("harvest", s.uid, sigma, cfg.formula_depth))
+            checks += 1
             off = oracle_disagreements(s, sigma, rng, draws=1)
             if off:
                 bad.append(("cone operations", s.uid, sigma, off))
@@ -211,7 +217,7 @@ def fuzz(seeds, schema_seeds=(), harvest_seeds=()) -> tuple[int, list[str]]:
                 n, got = _schemas(pair[1])
                 checks, bad = checks + n, bad + got
             if seed in harvest_seeds:
-                n, got = _harvests(f, pair, rng)
+                n, got = _harvests(f, pair, rng, HARVEST_CONFIGS[: 2 - seed % 2])
                 checks, bad = checks + n, bad + got
         except Exception as e:
             bad.append(("raised", repr(e)))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kripkelab import hierarchy
 from kripkelab.construct import empty_set, internal_nat, one_sigma
 from kripkelab.formula import parse
 from kripkelab.frame import chain, fan, parse_frame_spec, tree, up_set
@@ -273,6 +274,49 @@ def test_the_first_quiet_round_ends_the_closure(monkeypatch):
     want = reference_harvest.closure(s, "0", cfg)
     assert (pool, eng.truncated, eng.stabilized) == (want[0], *want[2:])
     assert (eng.truncated, eng.stabilized) == (False, True)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_a_maximal_node_closes_like_the_full_closure(depth):
+    # a one-node cone's pool stops at 2**c maps, c its classes; the
+    # reference runs every round in full
+    cfg = DefConfig(formula_depth=depth)
+    seen, bad = [], []
+    for spec in ("chain length=3", "fan width=3", "tree depth=3", "chain length=1"):
+        s = canonical_structure(parse_frame_spec(spec))
+        for sigma in s.frame.nodes:
+            if up_set(s.frame, sigma) == (sigma,):
+                eng = _Engine(s, sigma, cfg)
+                pool = eng.run()
+                want = reference_harvest.closure(s, sigma, cfg)
+                seen.append((spec, sigma))
+                if (pool, eng.truncated, eng.stabilized) != (want[0], *want[2:]):
+                    bad.append((spec, sigma))
+    assert len(seen) == 9 and not bad, bad
+
+
+def test_a_full_pool_at_a_maximal_node_binds_nothing(monkeypatch):
+    # leaf 00 of canonical tree(3) has 4 classes, and its pool holds all 16
+    # of their unions before the binder loop runs
+    pools, sizes = [], []
+    bounded, exists2 = hierarchy._bounded_pool, _Engine.exists2
+
+    def kept():
+        out = bounded()
+        pools.append(out[0])
+        return out
+
+    def counted(self, m2, dom):
+        sizes.append(len(pools[0]))
+        return exists2(self, m2, dom)
+
+    monkeypatch.setattr(hierarchy, "_bounded_pool", kept)
+    monkeypatch.setattr(_Engine, "exists2", counted)
+    s = canonical_structure(tree(3))
+    eng = _Engine(s, "00", DefConfig(formula_depth=1))
+    pool = eng.run()
+    assert len(eng.layout.same["00"]) == 4 and len(pool) == 16
+    assert [n for n in sizes if n >= 16] == []
 
 
 def test_harvests_are_shared_by_structures_that_agree_on_the_cone():
