@@ -106,13 +106,11 @@ _EXPORTS = {
         "CheckBounds",
         "CheckReport",
         "DesignatedInstance",
-        "LemmaResult",
         "Prop1Report",
         "Prop1Row",
         "SchemaId",
         "build_template",
         "check_schema",
-        "lemma_suite",
         "proposition1_crosscheck",
     ),
     "specfile": (
@@ -125,6 +123,7 @@ _EXPORTS = {
         "parse_structure_spec",
         "uniformity_gap",
     ),
+    "lemmas": ("LemmaResult", "lemma_suite"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -270,7 +270,7 @@ def cmd_prop1(args: argparse.Namespace) -> int:
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
-    from .schema import lemma_suite
+    from .lemmas import lemma_suite
 
     rows = lemma_suite(
         tree_depth=args.tree_depth,

@@ -3,8 +3,10 @@ and inductive fixed points.
 
 The structures these start from are assembled in `semantics`, beside
 `Structure` (`hereditary_closure`, `structure_from_sets`,
-`empty_structure`), so a process that only loads a structure file without
-`L` lines never imports this module.
+`empty_structure`), and are imported from there, so a process that only
+loads a structure file without `L` lines never imports this module.  Nor
+do the schema checks: the lemma battery, which steps towers, is a module
+of its own (`lemmas`).
 
 The definability engine works per birth node.  It represents a candidate
 definable subset as a map: one int laid out as a sweep mask by its
@@ -51,7 +53,7 @@ unary connectives and the binders stop at that bound as they stop at
 `POOL_CAP` elsewhere, while the pair work runs on, so the pool and both flags
 are those of the full closure.  The first round emits unions of equality
 atoms, successor shapes, and stage cuts before anything else, so the sets the
-lemma fixtures rely on precede the cap.
+fixtures of `lemmas` rely on precede the cap.
 Harvests are interned per frame by the universes of the birth node's cone.
 """
 

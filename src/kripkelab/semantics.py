@@ -189,6 +189,7 @@ def class_at(x: KripkeSet, sigma: str) -> int:
     forced equal there iff their labels agree."""
     labels = x.classes or _labels(x)
     if sigma not in labels:
+        _require(x.frame, sigma)
         raise ValueError(f"set born at {x.birth!r} is not alive at {sigma!r}")
     return labels[sigma]
 
@@ -212,9 +213,8 @@ def forced_equal(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     x and y are forced equal at sigma iff at every tau >= sigma each member of
     either extension is forced equal at tau to a member of the other.
     """
-    # labels are interned per frame object, so they only compare within one
-    if x.frame is not y.frame:
-        raise ValueError("sets live on different frames")
+    if x.frame is not f or y.frame is not f:
+        raise _foreign(f, x, y)
     return class_at(x, sigma) == class_at(y, sigma)
 
 
@@ -222,9 +222,17 @@ def forced_member(f: Frame, sigma: str, x: KripkeSet, y: KripkeSet) -> bool:
     """x is forced to belong to y at sigma iff some listed member of y at
     sigma is forced equal to x there, that is iff x's label is one of the
     member labels of y's (`Frame.members`)."""
+    if x.frame is not f or y.frame is not f:
+        raise _foreign(f, x, y)
+    return class_at(x, sigma) in f.members[class_at(y, sigma)]
+
+
+def _foreign(f: Frame, x: KripkeSet, y: KripkeSet) -> ValueError:
+    """The error for sets that do not both live on f: labels are interned
+    per frame object, so they only compare within one."""
     if x.frame is not y.frame:
-        raise ValueError("sets live on different frames")
-    return class_at(x, sigma) in y.frame.members[class_at(y, sigma)]
+        return ValueError("sets live on different frames")
+    return ValueError("sets do not live on the given frame")
 
 
 # ------------------------------------------------------------- structure

@@ -25,7 +25,14 @@ from typing import TYPE_CHECKING
 
 from . import construct as C
 from .frame import Frame, _Record, parse_frame_spec
-from .semantics import KripkeSet, Structure, alive, hereditary_closure, structure_from_sets
+from .semantics import (
+    KripkeSet,
+    Structure,
+    alive,
+    empty_structure,
+    hereditary_closure,
+    structure_from_sets,
+)
 
 # schema is imported where `designate` lines are parsed, and hierarchy where
 # an `L` line is built, so that reading a file without them loads neither the
@@ -242,7 +249,7 @@ def _levels(f: Frame, args: tuple[str, ...], named: dict, what: str) -> KripkeSe
             f"{what}: level count {levels} is past LEVEL_NODE_CAP ({LEVEL_NODE_CAP}) "
             f"on a {n}-node frame (at most {LEVEL_NODE_CAP // n})"
         )
-    from .hierarchy import DefConfig, empty_structure, iterate_def
+    from .hierarchy import DefConfig, iterate_def
 
     stepped = iterate_def(empty_structure(f), levels, DefConfig(formula_depth=2))
     return KripkeSet(f, f.bottom, dict(stepped.universe), f"L{levels}")

@@ -12,7 +12,8 @@ import pytest
 import kripkelab
 
 SRC = Path(kripkelab.__file__).parent.parent
-MARKERS = str(Path(__file__).parent / "fixtures" / "corpus" / "markers.struct")
+FIXTURES = Path(__file__).parent / "fixtures"
+MARKERS = str(FIXTURES / "corpus" / "markers.struct")
 
 PUBLIC = [
     "AXIOM_IDS", "And", "CheckBounds", "CheckReport", "DefConfig", "DesignatedInstance",
@@ -49,7 +50,10 @@ NO_SCHEMA = {
 # structure assembly lives in semantics, so a structure without `L` lines
 # needs no definability engine
 NO_ENGINE = NO_SCHEMA - {"kripkelab.hierarchy"}
-EVERY = NO_SCHEMA | {"kripkelab.schema"}
+# `check` and `prop1` need no engine: the lemma battery, which does, is a
+# module of its own
+CHECKS = NO_ENGINE | {"kripkelab.schema"}
+EVERY = NO_SCHEMA | {"kripkelab.schema", "kripkelab.lemmas"}
 
 
 @functools.cache
@@ -84,7 +88,14 @@ COMMANDS = {
         ["lfp", "--frame", "chain length=1", "--set", "three", "--formula", "x = #zero"],
         NO_SCHEMA,
     ),
-    "check": (["check", "--frame", "chain length=3", "--schema", "Delta0Uniformity"], EVERY),
+    "check": (["check", "--frame", "chain length=3", "--schema", "Delta0Uniformity"], CHECKS),
+    # uniformity_gap.struct, the one structure file directly under fixtures/
+    "prop1": (["prop1", "--corpus", str(FIXTURES)], CHECKS),
+    # level2.struct builds an `L 2` level, so this corpus needs the engine
+    "prop1-levels": (
+        ["prop1", "--corpus", str(FIXTURES / "corpus")], CHECKS | {"kripkelab.hierarchy"}
+    ),
+    "lemmas": (["lemmas", "--depth", "0", "--samples", "0"], EVERY),
 }
 
 
@@ -116,7 +127,9 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 
 def test_a_public_name_is_the_owning_module_value():
     from kripkelab import cli
+    from kripkelab.lemmas import lemma_suite
     from kripkelab.schema import check_schema
 
     assert kripkelab.check_schema is check_schema
+    assert kripkelab.lemma_suite is lemma_suite
     assert callable(cli.main)

@@ -58,3 +58,32 @@ def test_every_public_name_is_reached():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(kripkelab.__all__) - used) == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level itself, not by import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_relative_import_names_its_owner():
+    # a name is imported from the module that defines it, so no module
+    # keeps a name only because another reads it through there
+    package = Path(kripkelab.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    defined = {module: _defined_names(tree) for module, tree in trees.items()}
+    borrowed = [
+        f"{module}: from .{node.module} import {alias.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in defined[node.module]
+    ]
+    assert borrowed == []

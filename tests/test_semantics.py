@@ -114,6 +114,21 @@ def test_sets_from_equal_but_separate_frames_are_rejected():
         Sweep(s, (), {"P": y})
 
 
+def test_sets_off_the_given_frame_are_rejected():
+    # both sets share a frame, but not the one the relation is asked about
+    x = internal_nat(chain(2), 1)
+    for relation in (forced_equal, forced_member):
+        with pytest.raises(ValueError, match="do not live on the given frame"):
+            relation(tree(2), "0", x, x)
+
+
+def test_forced_relations_name_an_unknown_node(t2):
+    f, x, y = t2.frame, t2.names["one"], t2.names["zero"]
+    for relation in (forced_equal, forced_member):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            relation(f, "zz", x, y)
+
+
 def _random_sets(f, rng, count):
     """Monotone Kripke sets built in order from sets built before, with
     random births and member choices that make many forced equalities."""
@@ -444,7 +459,7 @@ def test_each_memo_shape_is_compiled_under_a_file_name_of_its_own(t2):
 
 
 def test_delta0_absolute_evaluates_the_n_side(monkeypatch):
-    # the s0 -> s1 step of `_row_battery`'s absoluteness leg: both sides
+    # the s0 -> s1 step of `lemmas._row_battery`'s absoluteness leg: both sides
     # share chain(2) and its memo, where bounded keys have no structure slot
     f = chain(2)
     s0 = structure_from_sets(f, (internal_nat(f, 2),))
@@ -536,7 +551,7 @@ def test_forces_agrees_with_the_memo_free_reference(make):
 
 
 def test_bounded_reference_verdicts_agree_along_def_steps():
-    # the triple of `_row_battery`'s absoluteness leg, shown memo-free
+    # the triple of `lemmas._row_battery`'s absoluteness leg, shown memo-free
     f = chain(2)
     cfg = DefConfig(formula_depth=1)
     s0 = structure_from_sets(f, (internal_nat(f, 2),))

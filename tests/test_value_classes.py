@@ -21,11 +21,11 @@ from kripkelab.formula import (
 )
 from kripkelab.frame import FrameKind
 from kripkelab.hierarchy import DefConfig
+from kripkelab.lemmas import LemmaResult
 from kripkelab.schema import (
     CheckBounds,
     CheckReport,
     DesignatedInstance,
-    LemmaResult,
     Prop1Report,
     Prop1Row,
     SchemaId,
