@@ -71,16 +71,22 @@ _EXPORTS = {
         "alpha_forest",
         "branch_formula",
         "branch_from_bits",
+        "definable_branches",
+        "define_subset",
         "empty_set",
         "externalize",
+        "gamma_apply",
+        "gfp",
         "internal_nat",
         "is_branch",
+        "lfp",
         "make_xi",
         "monotone_t_families",
         "one_sigma",
         "p_hat",
         "p_hat_sub",
         "phi_xy",
+        "powerset",
         "subset_of_t",
         "t_classes_at",
         "t_family",
@@ -92,13 +98,7 @@ _EXPORTS = {
         "constructible",
         "def_along",
         "def_step",
-        "definable_branches",
-        "define_subset",
-        "gamma_apply",
-        "gfp",
         "iterate_def",
-        "lfp",
-        "powerset",
     ),
     "schema": (
         "AXIOM_IDS",

@@ -150,7 +150,7 @@ def cmd_L(args: argparse.Namespace) -> int:
 
 
 def cmd_powerset(args: argparse.Namespace) -> int:
-    from .hierarchy import powerset
+    from .construct import powerset
 
     _emit_sizes(args, "powerset", powerset(_load(args)), {})
     return 0
@@ -165,7 +165,7 @@ def _fixpoint(args: argparse.Namespace, mode: str):
     """The operator formula, and the `mode` fixed point of it carved from
     the named set with its trace of stages."""
     from .formula import parse
-    from .hierarchy import gfp, lfp
+    from .construct import gfp, lfp
 
     s = _load(args)
     x = _named_set(s, args.set)

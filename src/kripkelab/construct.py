@@ -1,8 +1,13 @@
 """Canonical Kripke sets: numerals, the delayed ones, their collections,
-branches through binary trees, and the two-rooted forest fixtures.
+branches through binary trees, and the two-rooted forest fixtures.  Beside
+them, the sets built from a structure without a definability engine:
+monotone selections (`_ChoiceTable`) and the powerset that lists them,
+definable branches, subsets carved by one formula, and the least and
+greatest fixed points of positive operators.
 
-All constructions are interned per frame so repeated calls return the same
-object, whose class labels are then computed only once.
+All constructions are interned per frame (`frame._intern`) so repeated
+calls return the same object, whose class labels are then computed only
+once.
 """
 
 from __future__ import annotations
@@ -11,15 +16,18 @@ import functools
 import itertools
 from collections.abc import Iterator
 
-from .formula import Formula, parse
-from .frame import Frame, leq, linear_extension, up_set
-from .semantics import KripkeSet, Structure, _fresh, class_at, forced_member, forces
-
-
-def _intern(f: Frame, key: tuple, build):
-    if key not in f.constructs:
-        f.constructs[key] = build()
-    return f.constructs[key]
+from .formula import Formula, free_vars, is_positive_in, parse
+from .frame import Frame, _intern, leq, linear_extension, up_set
+from .semantics import (
+    KripkeSet,
+    Structure,
+    _fresh,
+    _grow,
+    class_at,
+    forced_member,
+    forces,
+    universe_at,
+)
 
 
 def empty_set(f: Frame) -> KripkeSet:
@@ -197,6 +205,42 @@ def _or(masks) -> int:
     return functools.reduce(int.__or__, masks, 0)
 
 
+def _selection_count(s: Structure, cone: list[str], cap: int) -> int:
+    """How many monotone selections from the universe there are over cone,
+    a linear extension of an up-set, counted until the count passes cap.
+    Each element is picked on an up-set of the cone nodes that list it,
+    whatever the others pick, so the count is a product: per element, its
+    up-sets, grown top nodes first (a node joins each one that holds every
+    node above it)."""
+    f, count = s.frame, 1
+    for _, where in s.listing:
+        ups = [0]
+        for tau in reversed(cone):
+            bit, mask = 1 << f.pos[tau], f.masks[f.pos[tau]]
+            if where & bit and count * len(ups) <= cap:
+                ups += [u | bit for u in ups if u & mask | bit == mask]
+        count *= len(ups)
+    return count
+
+
+def powerset(s: Structure) -> Structure:
+    """All monotone selections from the universe, born at every node; a cone
+    with more than POWERSET_CAP of them is refused before any is listed."""
+    f = s.frame
+    singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
+    # one table for every cone: a node's choices depend only on what it must pick
+    table = _ChoiceTable(f, singletons)
+    topo = linear_extension(f)
+
+    def selections(sigma: str):
+        cone = [tau for tau in topo if leq(f, sigma, tau)]
+        if _selection_count(s, cone, POWERSET_CAP) > POWERSET_CAP:
+            raise ValueError("powerset too large to enumerate; shrink the structure")
+        return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in table.selections(cone))
+
+    return _grow(s, selections)
+
+
 def monotone_t_families(f: Frame) -> tuple[KripkeSet, ...]:
     """Every monotone selection from the delayed ones, one set per choice,
     each node's extension a union of forced-equality classes: complete for
@@ -306,6 +350,14 @@ def is_branch(s: Structure, sigma: str, b: KripkeSet, q: KripkeSet) -> bool:
     return forces(s, sigma, branch_formula(), extra_names={"B": b, "Q": q})
 
 
+def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:
+    """Universe members at the bottom that satisfy the branch predicate
+    against q, one representative per forced-equality class."""
+    sigma = s.frame.bottom
+    branches = (x for x in universe_at(s, sigma) if is_branch(s, sigma, x, q))
+    return tuple(_fresh(branches, sigma))
+
+
 def externalize(f: Frame, b: KripkeSet, tau: str) -> tuple[str, ...]:
     """The nodes rho >= tau whose delayed one is forced into b at tau."""
     return tuple(
@@ -390,3 +442,69 @@ def phi_xy() -> Formula:
     c3 = "exists z . (x in z /\\ y in z)"
     c4 = f"forall z . (((exists s in z . ({succ})) /\\ y in z) -> y = #one)"
     return parse(f"({c1}) /\\ ({c2}) /\\ ({c3}) /\\ ({c4})")
+
+
+# ------------------------------------------------------------ fixed points
+
+
+def _carve(
+    s: Structure,
+    sigma: str,
+    phi: Formula,
+    pool: dict[str, tuple[KripkeSet, ...]],
+    extra_names: dict[str, KripkeSet] | None,
+    label: str,
+) -> KripkeSet:
+    """The set born at sigma whose extension at each node of its cone is the
+    members of pool there that force phi with x bound to them."""
+    f = s.frame
+    ext = {
+        tau: tuple(a for a in pool[tau] if forces(s, tau, phi, {"x": a}, extra_names))
+        for tau in up_set(f, sigma)
+    }
+    return KripkeSet(f, sigma, ext, label)
+
+
+def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
+    """One application of the operator carving {a in x : psi(a, Y)}; psi
+    reads a as its only free variable x and Y as the parameter #Y."""
+    if not is_positive_in(psi, "Y"):
+        raise ValueError("formula is not positive in 'Y'")
+    if free_vars(psi) != {"x"}:
+        raise ValueError("the only free variable must be the selection variable 'x'")
+    return _carve(s, x.birth, psi, x.ext, {"Y": ysub}, "gamma")
+
+
+def _fixed_point(
+    s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet
+) -> tuple[KripkeSet, list[KripkeSet]]:
+    trace = [stage]
+    while True:
+        nxt = gamma_apply(s, x, psi, stage)
+        if nxt.ext == stage.ext:  # both cover x's cone; sets compare by identity
+            return stage, trace
+        stage = nxt
+        trace.append(stage)
+
+
+def lfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
+    """Least fixed point of the positive operator, iterated up from empty.
+    Returns the fixed point and the stage trace ending at it."""
+    empty = KripkeSet(x.frame, x.birth, {tau: () for tau in x.ext}, "stage0")
+    return _fixed_point(s, x, psi, empty)
+
+
+def gfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
+    """Greatest fixed point, iterated down from the full subset."""
+    return _fixed_point(s, x, psi, x)
+
+
+def define_subset(
+    s: Structure,
+    sigma: str,
+    phi: Formula,
+    extra_names: dict[str, KripkeSet] | None = None,
+) -> KripkeSet:
+    """The subset of the universe carved by one formula in the variable x at
+    one birth node."""
+    return _carve(s, sigma, phi, s.universe, extra_names, "carved")

@@ -133,9 +133,9 @@ class Frame:
         # node names and ints only, no sets), the forcing masks of all
         # structures on the frame keyed by formula serial (semantics; no
         # formulas), and the one pool of interned sets, harvests and towers
-        # (construct).  The intern tables grow with the number of distinct
-        # classes ever labelled and are never reset: labels stored on sets
-        # point into them.
+        # (construct and hierarchy, through `_intern` below).  The intern
+        # tables grow with the number of distinct classes ever labelled and
+        # are never reset: labels stored on sets point into them.
         self.up, self.classes, self.members, self.memo, self.constructs = {}, {}, [], {}, {}
         pos = {n: i for i, n in enumerate(nodes)}
         if len(pos) != len(nodes):
@@ -185,6 +185,12 @@ class Frame:
         # pair build it; `leq` reads one bit of `masks`
         nodes = self.nodes
         return frozenset((a, nodes[j]) for a, m in zip(nodes, self.masks) for j in _bits(m))
+
+
+def _intern(f: Frame, key: tuple, build):
+    if key not in f.constructs:
+        f.constructs[key] = build()
+    return f.constructs[key]
 
 
 def _bits(mask: int) -> list[int]:

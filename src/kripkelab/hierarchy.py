@@ -1,12 +1,14 @@
-"""Definability steps, constructible towers over internal sets, powersets,
-and inductive fixed points.
+"""Definability steps and constructible towers over internal sets.
 
 The structures these start from are assembled in `semantics`, beside
 `Structure` (`hereditary_closure`, `structure_from_sets`,
 `empty_structure`), and are imported from there, so a process that only
 loads a structure file without `L` lines never imports this module.  Nor
 do the schema checks: the lemma battery, which steps towers, is a module
-of its own (`lemmas`).
+of its own (`lemmas`).  Nor do powersets, carved subsets and fixed points,
+which run no engine: they live in `construct`, beside the selections.  A
+step adds its harvests as `powerset` adds its selections, through
+`semantics._grow`.
 
 The definability engine works per birth node.  It represents a candidate
 definable subset as a map: one int laid out as a sweep mask by its
@@ -54,7 +56,8 @@ unary connectives and the binders stop at that bound as they stop at
 are those of the full closure.  The first round emits unions of equality
 atoms, successor shapes, and stage cuts before anything else, so the sets the
 fixtures of `lemmas` rely on precede the cap.
-Harvests are interned per frame by the universes of the birth node's cone.
+Harvests are interned per frame by the universes of the birth node's cone
+(`frame._intern`).
 """
 
 from __future__ import annotations
@@ -62,26 +65,19 @@ from __future__ import annotations
 import functools
 from itertools import compress
 
-from .formula import Formula, free_vars, is_positive_in, parse
-from .frame import _Record, hits, leq, linear_extension, up_set
-from .construct import (
-    POWERSET_CAP,
-    _ChoiceTable,
-    _intern,
-    is_branch,
-)
+from .formula import Formula, parse
+from .frame import _intern, _Record, hits, linear_extension, up_set
 from .semantics import (
     KripkeSet,
     Structure,
     _fresh,
+    _grow,
     _Layout,
     alive,
     class_at,
     empty_structure,
-    forces,
     forcing_mask,
     is_ordinal,
-    universe_at,
 )
 
 HARVEST_CAP = 56
@@ -364,28 +360,6 @@ def harvest_at(
     return _intern(f, ("harvest", sigma, cfg, cone), build)
 
 
-def _grow(s: Structure, candidates) -> Structure:
-    """s with new sets born at every node.  Along a linear extension, node
-    sigma keeps the earliest of `candidates(sigma)` in each forced-equality
-    class at sigma that is new there: in neither s's universe at sigma nor
-    the sets kept below and alive at sigma.  Each kept set joins the
-    universe at sigma and at every node above."""
-    f = s.frame
-    new_by_node: dict[str, list[KripkeSet]] = {}
-    carried: list[KripkeSet] = []
-    for sigma in linear_extension(f):
-        cands = candidates(sigma)
-        old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
-        new_by_node[sigma] = _fresh(cands, sigma, {class_at(o, sigma) for o in old})
-        carried += new_by_node[sigma]
-    universe = {
-        tau: s.universe[tau]
-        + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
-        for tau in f.nodes
-    }
-    return Structure(frame=f, universe=universe, names=dict(s.names), notes=s.notes)
-
-
 def def_step(s: Structure, cfg: DefConfig = DefConfig()) -> Structure:
     """One definability step over the whole structure: every node contributes
     the subsets definable there; old sets persist and duplicates collapse
@@ -468,116 +442,3 @@ def constructible(x: KripkeSet, cfg: DefConfig = DefConfig()) -> Structure:
     if not is_ordinal(empty_structure(x.frame), x):
         raise ValueError("constructible towers are indexed by internal ordinals")
     return def_along(x, cfg)
-
-
-# ---------------------------------------------------------------- powerset
-
-
-def _selection_count(s: Structure, cone: list[str], cap: int) -> int:
-    """How many monotone selections from the universe there are over cone,
-    a linear extension of an up-set, counted until the count passes cap.
-    Each element is picked on an up-set of the cone nodes that list it,
-    whatever the others pick, so the count is a product: per element, its
-    up-sets, grown top nodes first (a node joins each one that holds every
-    node above it)."""
-    f, count = s.frame, 1
-    for _, where in s.listing:
-        ups = [0]
-        for tau in reversed(cone):
-            bit, mask = 1 << f.pos[tau], f.masks[f.pos[tau]]
-            if where & bit and count * len(ups) <= cap:
-                ups += [u | bit for u in ups if u & mask | bit == mask]
-        count *= len(ups)
-    return count
-
-
-def powerset(s: Structure) -> Structure:
-    """All monotone selections from the universe, born at every node; a cone
-    with more than POWERSET_CAP of them is refused before any is listed."""
-    f = s.frame
-    singletons = {tau: tuple((y,) for y in s.universe[tau]) for tau in f.nodes}
-    # one table for every cone: a node's choices depend only on what it must pick
-    table = _ChoiceTable(f, singletons)
-    topo = linear_extension(f)
-
-    def selections(sigma: str):
-        cone = [tau for tau in topo if leq(f, sigma, tau)]
-        if _selection_count(s, cone, POWERSET_CAP) > POWERSET_CAP:
-            raise ValueError("powerset too large to enumerate; shrink the structure")
-        return (KripkeSet(f, sigma, fam, f"pow{sigma}") for fam in table.selections(cone))
-
-    return _grow(s, selections)
-
-
-# ------------------------------------------------------------ fixed points
-
-
-def _carve(
-    s: Structure,
-    sigma: str,
-    phi: Formula,
-    pool: dict[str, tuple[KripkeSet, ...]],
-    extra_names: dict[str, KripkeSet] | None,
-    label: str,
-) -> KripkeSet:
-    """The set born at sigma whose extension at each node of its cone is the
-    members of pool there that force phi with x bound to them."""
-    f = s.frame
-    ext = {
-        tau: tuple(a for a in pool[tau] if forces(s, tau, phi, {"x": a}, extra_names))
-        for tau in up_set(f, sigma)
-    }
-    return KripkeSet(f, sigma, ext, label)
-
-
-def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
-    """One application of the operator carving {a in x : psi(a, Y)}; psi
-    reads a as its only free variable x and Y as the parameter #Y."""
-    if not is_positive_in(psi, "Y"):
-        raise ValueError("formula is not positive in 'Y'")
-    if free_vars(psi) != {"x"}:
-        raise ValueError("the only free variable must be the selection variable 'x'")
-    return _carve(s, x.birth, psi, x.ext, {"Y": ysub}, "gamma")
-
-
-def _fixed_point(
-    s: Structure, x: KripkeSet, psi: Formula, stage: KripkeSet
-) -> tuple[KripkeSet, list[KripkeSet]]:
-    trace = [stage]
-    while True:
-        nxt = gamma_apply(s, x, psi, stage)
-        if nxt.ext == stage.ext:  # both cover x's cone; sets compare by identity
-            return stage, trace
-        stage = nxt
-        trace.append(stage)
-
-
-def lfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
-    """Least fixed point of the positive operator, iterated up from empty.
-    Returns the fixed point and the stage trace ending at it."""
-    empty = KripkeSet(x.frame, x.birth, {tau: () for tau in x.ext}, "stage0")
-    return _fixed_point(s, x, psi, empty)
-
-
-def gfp(s: Structure, x: KripkeSet, psi: Formula) -> tuple[KripkeSet, list[KripkeSet]]:
-    """Greatest fixed point, iterated down from the full subset."""
-    return _fixed_point(s, x, psi, x)
-
-
-def define_subset(
-    s: Structure,
-    sigma: str,
-    phi: Formula,
-    extra_names: dict[str, KripkeSet] | None = None,
-) -> KripkeSet:
-    """The subset of the universe carved by one formula in the variable x at
-    one birth node."""
-    return _carve(s, sigma, phi, s.universe, extra_names, "carved")
-
-
-def definable_branches(s: Structure, q: KripkeSet) -> tuple[KripkeSet, ...]:
-    """Universe members at the bottom that satisfy the branch predicate
-    against q, one representative per forced-equality class."""
-    sigma = s.frame.bottom
-    branches = (x for x in universe_at(s, sigma) if is_branch(s, sigma, x, q))
-    return tuple(_fresh(branches, sigma))

@@ -5,7 +5,7 @@ Each row sweeps one fact over a small frame and reports it as a
 `LemmaResult`: it holds, it fails with a first counterexample, or the
 enumeration is too small to decide it (under-enumeration).  The rows read
 every layer: towers and definability steps (`hierarchy`), the delayed ones,
-branches and selections (`construct`), fixed points, the shipped fixtures
+branches, selections and fixed points (`construct`), the shipped fixtures
 (`specfile`) and schema checks (`schema`).  So the battery is a module of
 its own, and no sweep or check imports it; the `lemmas` subcommand does.
 """
@@ -19,10 +19,15 @@ import random
 from .construct import (
     alpha_forest,
     branch_from_bits,
+    definable_branches,
+    define_subset,
     empty_set,
     externalize,
+    gamma_apply,
+    gfp,
     internal_nat,
     is_branch,
+    lfp,
     make_xi,
     monotone_t_families,
     one_sigma,
@@ -35,17 +40,7 @@ from .construct import (
 )
 from .formula import Formula, Implies, Not, Or, enumerate_delta0, parse, render
 from .frame import Frame, _Record, chain, forest, leaves, leq, tree, up_set
-from .hierarchy import (
-    DefConfig,
-    constructible,
-    def_along,
-    def_step,
-    definable_branches,
-    define_subset,
-    gamma_apply,
-    gfp,
-    lfp,
-)
+from .hierarchy import DefConfig, constructible, def_along, def_step
 from .schema import CheckBounds, SchemaId, check_schema
 from .semantics import (
     KripkeSet,

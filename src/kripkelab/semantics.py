@@ -68,7 +68,9 @@ no mask is kept twice.
 
 Structures are assembled here too: `hereditary_closure` closes sets under
 membership node by node, and `structure_from_sets` and `empty_structure`
-build a `Structure` on it.
+build a `Structure` on it.  `_grow` adds sets born at every node, one per
+class new there: a definability step's harvests (`hierarchy.def_step`) or
+a powerset's selections (`construct.powerset`).
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from .formula import (
     relativize,
     render,
 )
-from .frame import Frame, _require, hits, up_set
+from .frame import Frame, _require, hits, leq, linear_extension, up_set
 
 _uid_counter = itertools.count()
 
@@ -272,6 +274,9 @@ class Structure:
         for tau, elems in universe.items():
             uids = listed[tau] = set()
             for x in elems:
+                # class labels are interned per frame object (see `_foreign`)
+                if x.frame is not frame:
+                    raise ValueError(f"universe element {x!r} lives on a different frame")
                 if tau not in x.ext:
                     raise ValueError(f"universe element {x!r} not alive at {tau!r}")
                 if x.uid in uids:
@@ -343,6 +348,28 @@ def structure_from_sets(
 
 def empty_structure(f: Frame) -> Structure:
     return structure_from_sets(f, ())
+
+
+def _grow(s: Structure, candidates) -> Structure:
+    """s with new sets born at every node.  Along a linear extension, node
+    sigma keeps the earliest of `candidates(sigma)` in each forced-equality
+    class at sigma that is new there: in neither s's universe at sigma nor
+    the sets kept below and alive at sigma.  Each kept set joins the
+    universe at sigma and at every node above."""
+    f = s.frame
+    new_by_node: dict[str, list[KripkeSet]] = {}
+    carried: list[KripkeSet] = []
+    for sigma in linear_extension(f):
+        cands = candidates(sigma)
+        old = s.universe[sigma] + tuple(c for c in carried if alive(c, sigma))
+        new_by_node[sigma] = _fresh(cands, sigma, {class_at(o, sigma) for o in old})
+        carried += new_by_node[sigma]
+    universe = {
+        tau: s.universe[tau]
+        + tuple(x for rho in f.nodes if leq(f, rho, tau) for x in new_by_node[rho])
+        for tau in f.nodes
+    }
+    return Structure(frame=f, universe=universe, names=dict(s.names), notes=s.notes)
 
 
 # ---------------------------------------------------------------- forces

@@ -15,10 +15,15 @@ from kripkelab.construct import (
     _ChoiceTable,
     alpha_forest,
     branch_from_bits,
+    definable_branches,
+    define_subset,
     empty_set,
     externalize,
+    gamma_apply,
+    gfp,
     internal_nat,
     is_branch,
+    lfp,
     make_xi,
     monotone_t_families,
     one_sigma,
@@ -31,18 +36,7 @@ from kripkelab.construct import (
 )
 from kripkelab.formula import enumerate_delta0, enumerate_pi, enumerate_sigma, parse
 from kripkelab.frame import chain, forest, leaves, leq, linear_extension, tree, up_set
-from kripkelab.hierarchy import (
-    constructible,
-    def_along,
-    def_step,
-    define_subset,
-    definable_branches,
-    DefConfig,
-    empty_structure,
-    gamma_apply,
-    gfp,
-    lfp,
-)
+from kripkelab.hierarchy import constructible, def_along, def_step, DefConfig, empty_structure
 from kripkelab.schema import check_schema, CheckBounds, SchemaId
 from kripkelab.semantics import (
     delta0_absolute,

@@ -2,9 +2,11 @@
 package's flat namespace resolves each name on first use."""
 
 import functools
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -83,10 +85,21 @@ COMMANDS = {
     "eval": (["eval", "--frame", "tree depth=2", "~(#one_0 = #zero)"], NO_ENGINE),
     "dump-structure": (["dump", "--what", "structure", "--structure", MARKERS], NO_ENGINE),
     "L": (["L", "--frame", "tree depth=2", "--ordinal", "two"], NO_SCHEMA),
-    "powerset": (["powerset", "--frame", "chain length=1"], NO_SCHEMA),
+    # powersets and fixed points live in construct, beside the selections
+    "powerset": (["powerset", "--frame", "chain length=1"], NO_ENGINE),
     "lfp": (
         ["lfp", "--frame", "chain length=1", "--set", "three", "--formula", "x = #zero"],
-        NO_SCHEMA,
+        NO_ENGINE,
+    ),
+    "gfp": (
+        ["gfp", "--frame", "chain length=1", "--set", "two",
+         "--formula", "exists w in #Y . w in x"],
+        NO_ENGINE,
+    ),
+    "dump-trace": (
+        ["dump", "--what", "trace", "--frame", "chain length=1", "--set", "three",
+         "--formula", "x = #zero", "--mode", "gfp"],
+        NO_ENGINE,
     ),
     "check": (["check", "--frame", "chain length=3", "--schema", "Delta0Uniformity"], CHECKS),
     # uniformity_gap.struct, the one structure file directly under fixtures/
@@ -133,3 +146,13 @@ def test_a_public_name_is_the_owning_module_value():
     assert kripkelab.check_schema is check_schema
     assert kripkelab.lemma_suite is lemma_suite
     assert callable(cli.main)
+    # every name is its owner's, and every function and class is defined there
+    misplaced = []
+    for module, names in kripkelab._EXPORTS.items():
+        owner = importlib.import_module(f"kripkelab.{module}")
+        for name in names:
+            value = getattr(kripkelab, name)
+            defined = isinstance(value, (type, types.FunctionType))
+            if value is not getattr(owner, name) or defined and value.__module__ != owner.__name__:
+                misplaced.append(name)
+    assert misplaced == []

@@ -28,9 +28,10 @@ are counted and not forced, with the reference sweep over more seeds:
 import random
 import time
 
+from kripkelab.construct import powerset
 from kripkelab.formula import free_vars, params_of
 from kripkelab.frame import Frame, dump_frame
-from kripkelab.hierarchy import DefConfig, def_step, empty_structure, harvest_at, powerset
+from kripkelab.hierarchy import DefConfig, def_step, empty_structure, harvest_at
 from kripkelab.schema import CheckBounds, SchemaId, check_schema
 from kripkelab.semantics import Sweep, class_at, forced_member, forces, forcing_mask
 

@@ -121,6 +121,17 @@ def test_relativize_bounds_every_quantifier():
     out = relativize(phi, Param("D"))
     assert is_delta0(out)
     assert render(out) == "forall z in #D . (exists w in #D . (z in w))"
+    # under negation and every binary connective
+    for text, want in (
+        ("~(exists z . z in x)", "~(exists z in #D . (z in x))"),
+        (
+            r"(exists z . z in x) /\ ((forall z . z in x) -> (exists z . x in z) \/ x = x)",
+            r"(exists z in #D . (z in x)) /\ ((forall z in #D . (z in x))"
+            r" -> ((exists z in #D . (x in z)) \/ (x = x)))",
+        ),
+    ):
+        out = relativize(parse(text), Param("D"))
+        assert is_delta0(out) and render(out) == want
 
 
 def test_classify_levels():
@@ -129,6 +140,9 @@ def test_classify_levels():
     assert classify(parse("exists z . z in x")) == "Sigma"
     assert classify(parse("forall z . z in x")) == "Pi"
     assert classify(parse("forall z . exists w . z in w")) == "General"
+    # no unbounded quantifier may sit under ~ or ->
+    assert classify(parse("~(exists z . z in x)")) == "General"
+    assert classify(parse("(forall z . z in x) -> x in x")) == "General"
     assert is_delta0(parse("exists z . z in x")) is False
 
 
@@ -138,6 +152,9 @@ def test_is_positive_in():
     assert not is_positive_in(parse("~(x in #Y)"), "Y")
     assert not is_positive_in(parse("(x in #Y -> x = x)"), "Y")
     assert is_positive_in(parse("(x = #zero -> x in #Y)"), "Y")
+    # a bound forall w in #Y reads w in #Y -> ..., an antecedent
+    assert not is_positive_in(parse("forall w in #Y . w in x"), "Y")
+    assert is_positive_in(parse("exists w in #Y . w in x"), "Y")
 
 
 def test_enumerate_delta0_stream():

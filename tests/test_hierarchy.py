@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 from kripkelab import hierarchy
-from kripkelab.construct import empty_set, internal_nat, one_sigma
+from kripkelab.construct import (
+    define_subset,
+    empty_set,
+    gamma_apply,
+    gfp,
+    internal_nat,
+    lfp,
+    one_sigma,
+    powerset,
+)
 from kripkelab.formula import parse
 from kripkelab.frame import chain, fan, parse_frame_spec, tree, up_set
 from kripkelab.hierarchy import (
@@ -20,14 +29,9 @@ from kripkelab.hierarchy import (
     DefConfig,
     def_along,
     def_step,
-    define_subset,
     empty_structure,
-    gamma_apply,
-    gfp,
     harvest_at,
     iterate_def,
-    lfp,
-    powerset,
 )
 from kripkelab.semantics import (
     _Layout,

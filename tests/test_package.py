@@ -87,3 +87,38 @@ def test_every_relative_import_names_its_owner():
         if alias.name not in defined[node.module]
     ]
     assert borrowed == []
+
+
+# the modules each module may import from at module level: a layer reads
+# only the layers below it, and `cli` and the package itself import each
+# module where it is first needed
+LIBRARY = {"frame", "formula", "semantics", "construct", "hierarchy", "schema", "specfile"}
+LAYERS = {
+    "__init__": set(),
+    "cli": set(),
+    "frame": set(),
+    "formula": {"frame"},
+    "semantics": {"formula", "frame"},
+    "construct": {"formula", "frame", "semantics"},
+    "hierarchy": {"formula", "frame", "semantics"},
+    "schema": {"formula", "frame", "semantics"},
+    "specfile": {"construct", "frame", "semantics"},
+    "lemmas": LIBRARY,
+}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    package = Path(kripkelab.__file__).parent
+    # top-level statements only: an import inside a function or under
+    # `if TYPE_CHECKING` runs late or never
+    found = {
+        p.stem: {
+            name
+            for node in ast.parse(p.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+        for p in package.glob("*.py")
+    }
+    assert set(found) == set(LAYERS)
+    assert {m: sorted(got - LAYERS[m]) for m, got in found.items() if got - LAYERS[m]} == {}

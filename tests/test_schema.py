@@ -6,6 +6,7 @@ import time
 import pytest
 
 from kripkelab import semantics
+from kripkelab.construct import powerset
 from kripkelab.formula import (
     Forall,
     Implies,
@@ -20,7 +21,7 @@ from kripkelab.formula import (
     substitute,
 )
 from kripkelab.frame import chain, fan, leaves, tree
-from kripkelab.hierarchy import def_step, empty_structure, powerset
+from kripkelab.hierarchy import def_step, empty_structure
 from kripkelab.schema import (
     _scope,
     _stream,

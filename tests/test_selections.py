@@ -11,14 +11,15 @@ import pytest
 from kripkelab.construct import (
     POWERSET_CAP,
     _ChoiceTable,
+    _selection_count,
     internal_nat,
     monotone_t_families,
+    powerset,
     t_classes_at,
     t_family,
 )
 from kripkelab.frame import chain, fan, leq, linear_extension, tree
-from kripkelab.hierarchy import _selection_count, empty_structure, powerset
-from kripkelab.semantics import structure_from_sets
+from kripkelab.semantics import empty_structure, structure_from_sets
 from kripkelab.specfile import canonical_structure
 
 from reference_selections import reference_selections
@@ -59,7 +60,7 @@ def test_selections_match_the_per_family_walk(frame, quotient):
     [
         lambda: canonical_structure(tree(2)),
         lambda: canonical_structure(fan(3)),
-        lambda: structure_from_sets(chain(2), (internal_nat(chain(2), 3),)),
+        lambda f=chain(2): structure_from_sets(f, (internal_nat(f, 3),)),
     ],
     ids=["tree2", "fan3", "chain2-nat3"],
 )
@@ -149,9 +150,8 @@ def test_a_wide_node_is_refused_without_building_its_choices():
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from kripkelab.construct import internal_nat\n"
+        "from kripkelab.construct import internal_nat, powerset\n"
         "from kripkelab.frame import chain\n"
-        "from kripkelab.hierarchy import powerset\n"
         "from kripkelab.semantics import structure_from_sets\n"
         "f = chain(1)\n"
         "try:\n"

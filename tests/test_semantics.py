@@ -52,6 +52,7 @@ from kripkelab.semantics import (
     is_end_extension,
     is_ordinal,
     KripkeSet,
+    Structure,
     structure_from_sets,
     Sweep,
     universe_at,
@@ -112,6 +113,18 @@ def test_sets_from_equal_but_separate_frames_are_rejected():
     # a sweep checks the sets it is given when it is built
     with pytest.raises(ValueError, match="bound set lives on a different frame"):
         Sweep(s, (), {"P": y})
+
+
+def test_a_structure_rejects_universe_elements_from_another_frame():
+    # a foreign element's class labels index another frame's tables, so
+    # forcing over the structure would read them in the wrong one
+    f1, f2 = chain(2), chain(2)
+    two = internal_nat(f2, 2)
+    with pytest.raises(ValueError, match="universe element <2@0> lives on a different frame"):
+        structure_from_sets(f1, (two,))
+    universe = {tau: (internal_nat(f2, 0),) for tau in f1.nodes}
+    with pytest.raises(ValueError, match="universe element <0@0> lives on a different frame"):
+        Structure(frame=f1, universe=universe, names={})
 
 
 def test_sets_off_the_given_frame_are_rejected():
@@ -658,9 +671,10 @@ def test_end_extension_of_def_step():
 
 
 def test_end_extension_demands_one_frame():
-    a = structure_from_sets(chain(2), (internal_nat(chain(2), 1),))
+    f, g = chain(2), chain(2)
+    a = structure_from_sets(f, (internal_nat(f, 1),))
     with pytest.raises(ValueError, match="different frames"):
-        is_end_extension(a, structure_from_sets(chain(2), (internal_nat(chain(2), 1),)))
+        is_end_extension(a, structure_from_sets(g, (internal_nat(g, 1),)))
 
 
 def test_delta0_absolute_rejects_unbounded(t2):

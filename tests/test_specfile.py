@@ -41,6 +41,9 @@ def test_parse_and_dump_round_trip():
     assert parse_structure_spec(text) == spec
     # canonical form is a fixed point of the round trip
     assert dump_structure_spec(parse_structure_spec(text)) == text
+    # blank and comment-only lines are skipped, before the frame line too
+    commented = "# a structure\n\n" + BASIC.replace("two = nat 2\n", "two = nat 2\n\n  # the pair\n")
+    assert parse_structure_spec(commented) == spec
 
 
 def test_hash_inside_a_quoted_value_is_not_a_comment():

@@ -14,9 +14,10 @@ import random
 import pytest
 
 from kripkelab import semantics
+from kripkelab.construct import powerset
 from kripkelab.formula import Not, Param, params_of, parse, render, substitute
 from kripkelab.frame import chain, fan, tree
-from kripkelab.hierarchy import DefConfig, _Engine, _zone, empty_structure, powerset
+from kripkelab.hierarchy import DefConfig, _Engine, _zone, empty_structure
 from kripkelab.schema import CheckBounds, SchemaId, _stream, build_template, check_schema
 from kripkelab.semantics import KripkeSet, Sweep, forcing_mask, structure_from_sets
 from kripkelab.specfile import canonical_structure, load_structure, uniformity_gap
