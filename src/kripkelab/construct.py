@@ -31,17 +31,14 @@ from .semantics import (
 
 
 def empty_set(f: Frame) -> KripkeSet:
-    return _intern(
-        f, ("nat", 0), lambda: KripkeSet(f, f.bottom, {t: () for t in f.nodes}, "0")
-    )
+    """The numeral 0."""
+    return internal_nat(f, 0)
 
 
 def internal_nat(f: Frame, k: int) -> KripkeSet:
     """The constant von Neumann numeral: members are the smaller numerals."""
     if k < 0:
         raise ValueError("numerals start at 0")
-    if k == 0:
-        return empty_set(f)
 
     def build() -> KripkeSet:
         members = tuple(internal_nat(f, j) for j in range(k))
@@ -123,26 +120,28 @@ class _ChoiceTable:
     by the mask of groups the nodes below force it to pick.
 
     Groups are bit positions.  `options` holds, per node and required mask,
-    a never-read `tee` copy of its (picked mask, member tuple) stream, in
-    the order `itertools.combinations` takes the free groups, which keeps
-    every pair any copy has read; `tuples` keeps one member tuple per
-    distinct member sequence, so every selection that picks the same
-    members, at any node, shares one tuple object.
+    the list of its (picked mask, member tuple) pairs, in the order
+    `itertools.combinations` takes the free groups; `tuples` keeps one
+    member tuple per distinct member sequence, so every selection that
+    picks the same members, at any node, shares one tuple object.  Every
+    choice extends to some selection and both callers read every
+    selection, so a list holds no more pairs than its callers read, and
+    `powerset` refuses a cone past POWERSET_CAP before it lists one.
     """
 
     def __init__(self, f: Frame, groups: dict) -> None:
         self.f = f
         self.groups = groups
-        self.options: dict[tuple[str, int], Iterator] = {}
+        self.options: dict[tuple[str, int], list] = {}
         self.tuples: dict[tuple[KripkeSet, ...], tuple[KripkeSet, ...]] = {}
 
     def choices(self, tau: str, required: int) -> Iterator:
-        """tau's picks that hold `required`, produced on first read and kept
-        for every later one, so a wide node yields only what is read."""
+        """tau's picks that hold `required`, listed on first read and kept
+        for every later one."""
         key = (tau, required)
         if key not in self.options:
-            self.options[key] = itertools.tee(self._generate(tau, required), 1)[0]
-        return self.options[key].__copy__()  # `copy.copy` would import a module
+            self.options[key] = list(self._generate(tau, required))
+        return iter(self.options[key])
 
     def _generate(self, tau: str, required: int):
         groups = self.groups[tau]
@@ -468,9 +467,13 @@ def _carve(
 def gamma_apply(s: Structure, x: KripkeSet, psi: Formula, ysub: KripkeSet) -> KripkeSet:
     """One application of the operator carving {a in x : psi(a, Y)}; psi
     reads a as its only free variable x and Y as the parameter #Y."""
-    if not is_positive_in(psi, "Y"):
+    try:
+        positive, free = is_positive_in(psi, "Y"), free_vars(psi)
+    except RecursionError:
+        raise ValueError("formula nests too deeply") from None
+    if not positive:
         raise ValueError("formula is not positive in 'Y'")
-    if free_vars(psi) != {"x"}:
+    if free != {"x"}:
         raise ValueError("the only free variable must be the selection variable 'x'")
     return _carve(s, x.birth, psi, x.ext, {"Y": ysub}, "gamma")
 

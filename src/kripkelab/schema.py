@@ -17,9 +17,10 @@ forced once per formula, over every assignment of its parameters at every
 node (a `semantics.Sweep` mask, whose block at a node holds one bit per
 assignment from that node's universe), and the sweep reads one bit per
 (node, assignment) in scope.  Structures may carry designated instances in
-their notes; those are checked first, each forced on a template built
-around its own formula in a sweep with no names, so a designed failure is
-the one reported.  Every sweep a check makes owns its memo, so no check
+their notes; those are checked first, each forced on the template it
+built around its own formula (`DesignatedInstance` parses and checks
+itself once) in a sweep with no names, so a designed failure is the one
+reported.  Every sweep a check makes owns its memo, so no check
 writes the frame's.
 
 Epsilon induction is decided by well-foundedness, not by its sweep: a
@@ -94,9 +95,13 @@ class DesignatedInstance(_Record):
 
     `params` maps template parameter names to names-table entries; `node`
     pins the evaluation node, defaulting to the scope of the enclosing
-    check."""
+    check.  The record checks itself, built by hand or read from a file:
+    phi must parse and fit the schema's slot, and each key must be a
+    parameter the template reads (one left out falls back to the names
+    table at the check).  It keeps the parsed formula and its template in
+    private slots, which are no fields, so a check builds neither again."""
 
-    __slots__ = ("schema", "phi", "params", "node", "label")
+    __slots__ = ("schema", "phi", "params", "node", "label", "_formula", "_template")
 
     def __init__(
         self,
@@ -106,7 +111,19 @@ class DesignatedInstance(_Record):
         node: str | None = None,
         label: str = "",
     ):
+        formula = None if phi is None else parse(phi)
+        try:
+            template = build_template(schema, formula)
+            reads = params_of(template)
+        except RecursionError:
+            raise ValueError("formula nests too deeply") from None
+        for key, _ in params:
+            if key not in reads:
+                wanted = ", ".join(f"#{p}" for p in sorted(reads)) or "none"
+                raise ValueError(f"the template reads no parameter #{key} (it reads {wanted})")
         self._fill(schema, phi, params, node, label)
+        object.__setattr__(self, "_formula", formula)
+        object.__setattr__(self, "_template", template)
 
 
 class _Entry(_Record):
@@ -307,8 +324,9 @@ def check_schema(
     order, to its first failing assignment.  One loop does it all
     (`_sweep`): it counts, and forces none of, the swept instances of a
     valid schema (see `_Entry`) and those at a node whose universe gives
-    no assignment.  The templates, the sweeps and the masks they keep, in
-    memos of their own, are dropped on return."""
+    no assignment.  A designated template is its instance's; the swept
+    templates, the sweeps and the masks they keep, in memos of their own,
+    are dropped on return."""
     nodes = _scope(s, bounds)
     instances = 0
     designated = 0
@@ -319,9 +337,11 @@ def check_schema(
         if not isinstance(inst, DesignatedInstance) or inst.schema is not schema:
             continue
         designated += 1
-        phi = parse(inst.phi) if inst.phi is not None else None
+        for _, v in inst.params:
+            if v not in s.names:
+                raise ValueError(f"designated {schema.value} instance names no entry {v!r}")
         assignment = {k: s.names[v] for k, v in inst.params} or None
-        template, sweep = build_template(schema, phi), Sweep(s, (), assignment)
+        phi, template, sweep = inst._formula, inst._template, Sweep(s, (), assignment)
         held = sweep.forcing_mask(template)  # a sweep with no names: bit i is node i
         for sigma in (inst.node,) if inst.node is not None else nodes:
             instances += 1

@@ -310,15 +310,17 @@ def universe_at(s: Structure, sigma: str) -> tuple[KripkeSet, ...]:
 
 
 def hereditary_closure(
-    sets: tuple[KripkeSet, ...], seeds: tuple[KripkeSet, ...] = ()
+    f: Frame, sets: tuple[KripkeSet, ...], seeds: tuple[KripkeSet, ...] = ()
 ) -> dict[str, tuple[KripkeSet, ...]]:
-    """Per-node universe holding the given sets and all members, recursively.
+    """Per-node universe on f holding the given sets and all members,
+    recursively; empty at every node for no sets.
 
     The members of each seed (not the seed itself) come first, node by node.
+    A set or seed must live on f, as a `Structure`'s universe elements must.
     """
-    if not sets and not seeds:
-        raise ValueError("need at least one set")
-    f = (seeds + sets)[0].frame
+    for x in seeds + sets:
+        if x.frame is not f:
+            raise ValueError(f"universe element {x!r} lives on a different frame")
     per_node: dict[str, dict[int, KripkeSet]] = {tau: {} for tau in f.nodes}
 
     def add(x: KripkeSet, tau: str) -> None:
@@ -342,8 +344,7 @@ def hereditary_closure(
 def structure_from_sets(
     f: Frame, sets: tuple[KripkeSet, ...], names: dict[str, KripkeSet] | None = None
 ) -> Structure:
-    universe = hereditary_closure(sets) if sets else {tau: () for tau in f.nodes}
-    return Structure(frame=f, universe=universe, names=dict(names or {}))
+    return Structure(frame=f, universe=hereditary_closure(f, sets), names=dict(names or {}))
 
 
 def empty_structure(f: Frame) -> Structure:

@@ -6,7 +6,12 @@ other named set joins the universe together with its members, hereditarily.
 An optional `universe` directive seeds the universe from the extensions of
 the listed names instead of the sets themselves, which is how a universe can
 grow along the order without a container set floating in it.  `designate`
-lines attach schema instances for the checkers to pick up.
+lines attach schema instances for the checkers to pick up.  Each value
+owns its checks, in its constructor, whether built by hand or read here: a
+`StructSpec` checks its entries and the names they read, and a
+`schema.DesignatedInstance` its formula, template and keys.  The parser
+refuses what only text can get wrong (a bad token, a key given twice) and
+adds the line number to their refusals.
 
     frame fan width=3
     _stages = staged_nats bot:1 1:2 2:3 3:4
@@ -64,7 +69,8 @@ class StructSpec(_Record):
         universe_seeds: tuple[str, ...] = (),
         designations: tuple[DesignatedInstance, ...] = (),
     ):
-        # a spec built by hand gets the checks a parsed line gets
+        # a spec built by hand gets the checks a parsed line gets; each
+        # designation checked itself when it was built
         names_seen: set[str] = set()
         for i, entry in enumerate(entries, start=1):
             _check_entry(entry, names_seen, f"entry {i}")
@@ -128,12 +134,14 @@ def parse_structure_spec(text: str) -> StructSpec:
 def _check_entry(
     entry: tuple[str, str, tuple[str, ...]], names_seen: set[str], where: str
 ) -> None:
-    """Refuse a rebound name, an unknown builder, a wrong argument count or
-    a reference to a name not bound before; then add the entry's name to
-    names_seen.  Messages start with `where`."""
+    """Refuse a rebound name, a directive's name, an unknown builder, a
+    wrong argument count or a reference to a name not bound before; then
+    add the entry's name to names_seen.  Messages start with `where`."""
     name, builder, args = entry
     if name in names_seen:
         raise SpecError(f"{where}: name {name!r} bound twice")
+    if name in ("frame", "universe", "designate"):  # a line starting so is a directive
+        raise SpecError(f"{where}: name {name!r} is a directive")
     spec = _BUILDERS.get(builder)
     if spec is None:
         raise SpecError(f"{where}: unknown builder {builder!r}")
@@ -148,8 +156,7 @@ def _check_entry(
 def _parse_designation(
     toks: list[str], names_seen: set[str], lineno: int
 ) -> DesignatedInstance:
-    from .formula import params_of, parse
-    from .schema import DesignatedInstance, SchemaId, build_template
+    from .schema import DesignatedInstance, SchemaId
 
     if not toks:
         raise SpecError(f"line {lineno}: designate needs a schema name")
@@ -179,21 +186,12 @@ def _parse_designation(
             if val not in names_seen:
                 raise SpecError(f"line {lineno}: unknown name {val!r}")
             params.append((key, val))
-    # checked here, so every command that reads the file refuses it, not only `check`
+    # the record checks its formula and keys, so every command that reads
+    # the file refuses a bad one, not only `check`
     try:
-        reads = params_of(build_template(schema, None if phi is None else parse(phi)))
+        return DesignatedInstance(schema, phi, tuple(params), node, label)
     except ValueError as err:
         raise SpecError(f"line {lineno}: designate {schema.value}: {err}") from None
-    # a parameter the template does not read would only fail at `check`;
-    # one left out falls back to the names table there
-    for key, _ in params:
-        if key not in reads:
-            wanted = ", ".join(f"#{p}" for p in sorted(reads)) or "none"
-            raise SpecError(
-                f"line {lineno}: designate {schema.value}: "
-                f"the template reads no parameter #{key} (it reads {wanted})"
-            )
-    return DesignatedInstance(schema, phi, tuple(params), node, label)
 
 
 def _cap_numeral(f: Frame, k: int, what: str) -> None:
@@ -317,14 +315,8 @@ def build_structure(spec: StructSpec) -> Structure:
         named[name] = _BUILDERS[builder].build(f, args, named, f"name {name!r}")
     public = tuple(x for nm, x in named.items() if not nm.startswith("_"))
     seeds = tuple(named[nm] for nm in spec.universe_seeds)
-    universe = (
-        hereditary_closure(public, seeds)
-        if public or seeds
-        else {tau: () for tau in f.nodes}
-    )
-    return Structure(
-        frame=f, universe=universe, names=dict(named), notes=spec.designations
-    )
+    universe = hereditary_closure(f, public, seeds)
+    return Structure(frame=f, universe=universe, names=dict(named), notes=spec.designations)
 
 
 def load_structure(path: str) -> Structure:

@@ -179,6 +179,31 @@ def test_fixed_points_refuse_a_free_variable_beside_x(capsys):
         assert code == 2 and "selection variable" in err
 
 
+# a chain of 1,000 conjuncts (about 11 KB) parses, since the parser builds
+# it with a loop, but nests past every recursive walk of the formula
+DEEP_CHAIN = " /\\ ".join(["x in #Y"] * 1000)
+
+
+@pytest.mark.parametrize("cmd", [("lfp",), ("gfp",), ("dump", "--what", "trace")],
+                         ids=["lfp", "gfp", "trace"])
+def test_a_fixed_point_refuses_a_formula_nested_too_deeply(capsys, cmd):
+    code, out, err = run(capsys, *cmd, "--frame", "chain length=1",
+                         "--set", "two", "--formula", DEEP_CHAIN)
+    assert code == 2 and out == ""
+    assert err == "error: formula nests too deeply\n"
+
+
+def test_a_designation_nested_too_deeply_is_refused_with_its_line(capsys, tmp_path):
+    path = tmp_path / "deep.struct"
+    phi = DEEP_CHAIN.replace("x in #Y", "y in x")
+    path.write_text(f'frame chain length=1\nW = nat 2\ndesignate Delta0Uniformity phi="{phi}" A=W\n',
+                    encoding="utf-8")
+    for cmd in (("dump",), ("check", "--schema", "Pairing")):
+        code, out, err = run(capsys, *cmd, "--structure", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 3: designate Delta0Uniformity: formula nests too deeply\n"
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "--frame", TREE2,
                        "--schema", "EpsilonInduction")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from kripkelab import semantics
+from kripkelab import schema as schema_module, semantics
 from kripkelab.construct import powerset
 from kripkelab.formula import (
     Forall,
@@ -230,6 +230,61 @@ def test_a_designated_instance_at_a_node_where_its_parameter_is_dead_raises():
     s = Structure(f, {"0": (), "1": (late,)}, {"late": late}, (inst,))
     with pytest.raises(EvalError, match="parameter born at '1' is dead at '0'"):
         check_schema(s, SchemaId.DELTA0_UNIFORMITY, CheckBounds(1, 1))
+
+
+# a hand-built record is refused with the message a `designate` line gets,
+# less the line prefix: (schema, phi, params, message)
+REFUSED_DESIGNATIONS = {
+    "axiom-with-phi": (SchemaId.PAIRING, "y in x", (), "Pairing takes no instance formula"),
+    "axiom-with-key": (
+        SchemaId.PAIRING, None, (("A", "W"),), "the template reads no parameter #A (it reads none)"
+    ),
+    "unread-key": (
+        SchemaId.DELTA0_UNIFORMITY, "y in x", (("B", "W"),),
+        "the template reads no parameter #B (it reads #A)",
+    ),
+    "unparsed-phi": (SchemaId.DELTA0_BOUNDING, "y in", (), "unexpected end of formula"),
+    "deep-phi": (
+        SchemaId.DELTA0_BOUNDING, " /\\ ".join(["y in x"] * 1000), (), "formula nests too deeply"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "schema, phi, params, message", REFUSED_DESIGNATIONS.values(), ids=REFUSED_DESIGNATIONS.keys()
+)
+def test_a_hand_built_designation_is_refused_as_a_designate_line_is(schema, phi, params, message):
+    with pytest.raises(ValueError) as built:
+        DesignatedInstance(schema, phi, params)
+    assert str(built.value) == message
+    line = " ".join(
+        ["designate", schema.value] + ([f'phi="{phi}"'] if phi is not None else [])
+        + [f"{k}={v}" for k, v in params]
+    )
+    with pytest.raises(ValueError) as read:
+        parse_structure_spec(f"frame chain length=1\nW = nat 2\n{line}\n")
+    assert str(read.value) == f"line 3: designate {schema.value}: {built.value}"
+
+
+def test_a_check_reads_the_formula_and_template_its_designation_keeps(monkeypatch):
+    gap = uniformity_gap()
+
+    def refuse(*args):
+        raise AssertionError("parsed or built again")
+
+    monkeypatch.setattr(schema_module, "parse", refuse)
+    monkeypatch.setattr(schema_module, "build_template", refuse)
+    report = check_schema(gap, SchemaId.DELTA0_UNIFORMITY, CheckBounds(1, 1, "bottom"))
+    assert report.counterexample == ("Delta0Uniformity", "y in x", ("A=staged",), "bot")
+
+
+def test_a_designation_naming_no_entry_is_refused_by_the_check():
+    f = chain(2)
+    inst = DesignatedInstance(SchemaId.DELTA0_UNIFORMITY, "y in x", (("A", "nope"),))
+    s = Structure(f, {"0": (), "1": ()}, {}, (inst,))
+    with pytest.raises(ValueError) as err:
+        check_schema(s, SchemaId.DELTA0_UNIFORMITY)
+    assert str(err.value) == "designated Delta0Uniformity instance names no entry 'nope'"
 
 
 def test_a_designated_failure_ends_a_depth_two_sweep_within_its_budget():

@@ -3,6 +3,7 @@ leaves, end extensions, and the structural predicates."""
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -49,6 +50,7 @@ from kripkelab.semantics import (
     forced_equal,
     forced_member,
     forces,
+    hereditary_closure,
     is_end_extension,
     is_ordinal,
     KripkeSet,
@@ -125,6 +127,23 @@ def test_a_structure_rejects_universe_elements_from_another_frame():
     universe = {tau: (internal_nat(f2, 0),) for tau in f1.nodes}
     with pytest.raises(ValueError, match="universe element <0@0> lives on a different frame"):
         Structure(frame=f1, universe=universe, names={})
+
+
+def test_hereditary_closure_closes_on_the_frame_it_is_given():
+    f = chain(2)
+    assert hereditary_closure(f, ()) == {"0": (), "1": ()}
+    assert structure_from_sets(f, ()).universe == {"0": (), "1": ()}
+    # a foreign set or seed is named, whether or not its frame's node names
+    # are f's; tree(2)'s are not, and once gave "universe must assign a
+    # tuple to every node" or "unknown node 'e'"
+    for g, birth in ((tree(2), "e"), (chain(2), "0")):
+        foreign = internal_nat(g, 1)
+        message = re.escape(f"universe element <1@{birth}> lives on a different frame")
+        for sets, seeds in (((foreign,), ()), ((), (foreign,)), ((internal_nat(f, 1), foreign), ())):
+            with pytest.raises(ValueError, match=message):
+                hereditary_closure(f, sets, seeds)
+        with pytest.raises(ValueError, match=message):
+            structure_from_sets(f, (foreign,))
 
 
 def test_sets_off_the_given_frame_are_rejected():

@@ -1,5 +1,6 @@
 """Structure files: grammar, builders, privacy rules, and round-trips."""
 
+import random
 import re
 from pathlib import Path
 
@@ -78,6 +79,51 @@ def test_a_dump_parses_back_to_the_same_spec(value):
     inst = DesignatedInstance(SchemaId.DELTA0_BOUNDING, "y in #p", (("p", value),), value, value)
     spec = StructSpec("chain length=1", ((value, "nat", (value,)),), (value,), (inst,))
     assert parse_structure_spec(dump_structure_spec(spec)) == spec
+
+
+# what a hand-built spec draws from: the tricky values, the directive and
+# key words, and formulas that fit some slots, no slot or do not parse
+WORDS = list(TRICKY.values()) + ["frame", "universe", "designate", "phi", "node", "label", "A", "p"]
+PHIS = [None, "y in x", "x in #p", "a in #p", "x = x", "exists q . q in x", "y in", ""]
+
+
+def _hand_built(rng):
+    """A StructSpec drawn at random, built as a caller would build it, or
+    None where a constructor refuses it."""
+    entries, names = [], []
+    for _ in range(rng.randrange(4)):
+        builder = rng.choice(sorted(_BUILDERS))
+        arity = _BUILDERS[builder].arity
+        pool = names if _BUILDERS[builder].refs else WORDS
+        count = rng.randrange(3) if arity is None else arity
+        args = tuple(rng.choice(pool or WORDS) for _ in range(count))
+        entries.append((rng.choice(WORDS), builder, args))
+        names.append(entries[-1][0])
+    seeds = tuple(rng.sample(names, rng.randrange(len(names) + 1)))
+    try:
+        designations = tuple(
+            DesignatedInstance(
+                rng.choice(list(SchemaId)),
+                rng.choice(PHIS),
+                tuple((rng.choice(["A", "p", "B", "phi"]), rng.choice(names or WORDS))
+                      for _ in range(rng.randrange(2))),
+                rng.choice([None, *WORDS]),
+                rng.choice(WORDS),
+            )
+            for _ in range(rng.randrange(3))
+        )
+        frame_text = rng.choice(["chain length=1", "fan width=2"])
+        return StructSpec(frame_text, tuple(entries), seeds, designations)
+    except ValueError:
+        return None
+
+
+def test_every_hand_built_spec_the_constructors_accept_parses_back():
+    rng = random.Random(49)
+    specs = [spec for spec in (_hand_built(rng) for _ in range(3000)) if spec is not None]
+    assert len(specs) > 300 and sum(bool(spec.designations) for spec in specs) > 50
+    for spec in specs:
+        assert parse_structure_spec(dump_structure_spec(spec)) == spec, spec
 
 
 @pytest.mark.parametrize("phi", ["x in #p", "x = x", "x in y /\\ y = x", "forall z in x . z in y"])
@@ -252,6 +298,12 @@ HAND_BUILT = {
     "extra-argument": (("x", "nat", ("2", "3")), "entry 1: builder 'nat' takes 1 argument(s)"),
     "unknown-builder": (("x", "widget", ()), "entry 1: unknown builder 'widget'"),
     "missing-argument": (("x", "nat", ()), "entry 1: builder 'nat' takes 1 argument(s)"),
+    # a line starting with one of these is read as the directive, so such a
+    # spec was built but its dump did not parse back
+    **{
+        f"directive-{word}": ((word, "empty", ()), f"entry 1: name {word!r} is a directive")
+        for word in ("frame", "universe", "designate")
+    },
 }
 
 
@@ -269,8 +321,13 @@ def test_a_hand_built_spec_is_checked_as_a_parsed_line_is(entry, message):
         (("chain length=1", (("p", "pair", ("a", "a")),)), "entry 1: unknown name 'a'"),
         (("chain length=1", (("x", "empty", ()),), ("ghost",)), "universe: unknown name 'ghost'"),
         (
-            ("chain length=1", (), (), (DesignatedInstance(SchemaId.PAIRING, None, (("A", "W"),)),)),
-            "designate Pairing: unknown name 'W'",
+            (
+                "chain length=1",
+                (),
+                (),
+                (DesignatedInstance(SchemaId.DELTA0_UNIFORMITY, "y in x", (("A", "W"),)),),
+            ),
+            "designate Delta0Uniformity: unknown name 'W'",
         ),
     ],
     ids=["rebound", "pair-reference", "universe-seed", "designation"],

@@ -1,7 +1,9 @@
 """Every step of the CI workflow reaches bash whole: each `run:` is a
 literal block scalar (a plain value ends at its first ` #`, which YAML
 reads as a comment), each command passes `bash -n`, and each name a step
-imports from `tests/` exists.  Read as text, since CI installs only pytest."""
+imports from `tests/` exists.  Every step is bounded in time, so a hung
+one cannot hold the job until the runner's own limit.  Read as text, since
+CI installs only pytest."""
 
 import importlib
 import re
@@ -35,7 +37,21 @@ def run_steps(text):
     return steps
 
 
-STEPS = run_steps((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+def step_blocks(text):
+    """The text of each step of the job's `steps:` list, from its `- `
+    line up to the next one's."""
+    lines = text.splitlines()
+    first = [line.strip() for line in lines].index("steps:") + 1
+    dash, blocks = re.match(r" *- ", lines[first])[0], []
+    for line in lines[first:]:
+        if line.startswith(dash):
+            blocks.append([])
+        blocks[-1].append(line)
+    return ["\n".join(block) for block in blocks]
+
+
+WORKFLOW = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+STEPS = run_steps(WORKFLOW)
 
 
 def test_every_run_is_a_literal_block_scalar():
@@ -59,3 +75,20 @@ def test_every_name_a_step_imports_from_tests_exists():
     ]
     assert imports, "no step imports from tests/, so the check read nothing"
     assert [i for i in imports if not hasattr(importlib.import_module(i[1]), i[2])] == []
+
+
+def test_every_step_is_bounded_in_time():
+    # by the step's timeout-minutes, or by a command that bounds itself:
+    # `timeout N`, or perfbench/run.py, whose rounds stop at its deadline
+    def bounded(block):
+        if re.search(r"^ *(- )?timeout-minutes: *[1-9]\d* *$", block, re.M):
+            return True
+        commands = [command.splitlines()[0] for _, _, command in run_steps(block)]
+        return bool(commands) and all(
+            re.search(r"(^| )timeout \d+ ", line) or line.startswith("python perfbench/run.py ")
+            for line in commands
+        )
+
+    blocks = step_blocks(WORKFLOW)
+    assert len(blocks) >= len(STEPS) + 2  # checkout and setup-python run no command
+    assert [block.splitlines()[0] for block in blocks if not bounded(block)] == []
